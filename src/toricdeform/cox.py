@@ -1,15 +1,17 @@
 """Total-coordinate equations: one variable per ray, graded by the
 cokernel of the dual ray map.
 
-The emitters consume any object with attributes n, k, rays, w_tilde
-(see datum.TildeData); rays live in rank n+k, with the last k
-coordinates giving the e_i* pairings.
+Every equation is read off one table, PairingData: the rays in rank n+k,
+whose last k coordinates are the e_i* pairings, plus <w~, ray>.  The
+emitters take a PairingData, or any object that carries one as
+``.pairings`` (datum.TildeData).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,7 +29,10 @@ class NegativeExponentError(ValueError):
 
 @dataclass(frozen=True)
 class PairingData:
-    """Rays with their e_i* tails plus the shifted functional."""
+    """Rays with their e_i* tails plus the shifted functional.
+
+    The derived tables below are computed once per instance.
+    """
 
     n: int
     k: int
@@ -36,23 +41,47 @@ class PairingData:
 
     @classmethod
     def of(cls, t) -> "PairingData":
-        if isinstance(t, cls):
-            return t
-        return cls(n=t.n, k=t.k, rays=tuple(tuple(r) for r in t.rays),
-                   w_tilde=tuple(t.w_tilde))
+        return t if isinstance(t, cls) else t.pairings
 
-    def e_pairing(self, i: int, j: int) -> int:
-        # i-th of k slots, j-th ray
-        return self.rays[j][self.n + i]
+    @cached_property
+    def e_pairings(self) -> tuple:
+        """Per ray, the k-tuple of e_i* pairings."""
+        return tuple(r[self.n:] for r in self.rays)
 
-    def w_pairing(self, j: int) -> int:
-        return dot(self.w_tilde, self.rays[j])
+    @cached_property
+    def w_pairings(self) -> tuple:
+        """Per ray, <w~, ray>."""
+        return tuple(dot(self.w_tilde, r) for r in self.rays)
 
+    @cached_property
     def matrix(self) -> tuple:
         """Rows e_1*..e_k*, columns the rays."""
-        return tuple(
-            tuple(self.e_pairing(i, j) for j in range(len(self.rays)))
-            for i in range(self.k))
+        return tuple(tuple(e[i] for e in self.e_pairings)
+                     for i in range(self.k))
+
+    @cached_property
+    def y_exps(self) -> tuple:
+        """Per slot, the positive parts of its pairings."""
+        return tuple(tuple(max(x, 0) for x in row) for row in self.matrix)
+
+    @cached_property
+    def z_exps(self) -> tuple:
+        """Per slot, the negative parts of its pairings."""
+        return tuple(tuple(max(-x, 0) for x in row) for row in self.matrix)
+
+    @cached_property
+    def boundary_mask(self) -> tuple:
+        """1 at the rays that pair non-positively with every e_i*."""
+        return tuple(int(all(x <= 0 for x in e)) for e in self.e_pairings)
+
+    @cached_property
+    def zero_tail_mask(self) -> tuple:
+        """1 at the rays that pair to zero with every e_i*."""
+        return tuple(int(not any(e)) for e in self.e_pairings)
+
+    def exps(self, v) -> tuple:
+        """Cox exponents of the character v: (<v, ray_j>)_j."""
+        return tuple(dot(v, r) for r in self.rays)
 
 
 @dataclass(frozen=True)
@@ -183,16 +212,10 @@ def binomials(t) -> tuple:
     """For each slot i: the product over positive pairings minus the
     product over negative pairings."""
     p = PairingData.of(t)
-    out = []
-    m = len(p.rays)
-    for i in range(p.k):
-        ypos = tuple(max(p.e_pairing(i, j), 0) for j in range(m))
-        zneg = tuple(max(-p.e_pairing(i, j), 0) for j in range(m))
-        out.append(CoxPolynomial(terms=(
-            Term(Fraction(1), None, ypos),
-            Term(Fraction(-1), None, zneg),
-        )))
-    return tuple(out)
+    return tuple(
+        CoxPolynomial(terms=(Term(Fraction(1), None, y),
+                             Term(Fraction(-1), None, z)))
+        for y, z in zip(p.y_exps, p.z_exps))
 
 
 def trinomials(t, params: Optional[Sequence[str]] = None) -> tuple:
@@ -203,21 +226,13 @@ def trinomials(t, params: Optional[Sequence[str]] = None) -> tuple:
     if params is None:
         params = tuple("t%d" % (i + 1) for i in range(p.k))
     out = []
-    m = len(p.rays)
-    for i in range(p.k):
-        ypos = tuple(max(p.e_pairing(i, j), 0) for j in range(m))
-        zneg = tuple(max(-p.e_pairing(i, j), 0) for j in range(m))
-        third = []
-        for j in range(m):
-            e = p.w_pairing(j) + zneg[j]
+    for i, (b, z) in enumerate(zip(binomials(p), p.z_exps)):
+        third = tuple(w + e for w, e in zip(p.w_pairings, z))
+        for ray, e in zip(p.rays, third):
             if e < 0:
-                raise NegativeExponentError(p.rays[j], e, "trinomial %d" % (i + 1))
-            third.append(e)
-        out.append(CoxPolynomial(terms=(
-            Term(Fraction(1), None, ypos),
-            Term(Fraction(-1), None, zneg),
-            Term(Fraction(-1), params[i], tuple(third)),
-        )))
+                raise NegativeExponentError(ray, e, "trinomial %d" % (i + 1))
+        out.append(CoxPolynomial(
+            terms=b.terms + (Term(Fraction(-1), params[i], third),)))
     return tuple(out)
 
 
@@ -225,12 +240,7 @@ def boundary_monomial(t) -> CoxPolynomial:
     """Product, exponent one each, of the variables whose rays pair
     non-positively with every e_i*.  An empty product signals a
     degenerate configuration; the caller can test is_degenerate_monomial."""
-    p = PairingData.of(t)
-    m = len(p.rays)
-    exps = tuple(
-        1 if all(p.e_pairing(i, j) <= 0 for i in range(p.k)) else 0
-        for j in range(m))
-    return monomial(exps)
+    return monomial(PairingData.of(t).boundary_mask)
 
 
 def is_degenerate_monomial(f: CoxPolynomial) -> bool:
@@ -244,13 +254,11 @@ def is_degenerate_monomial(f: CoxPolynomial) -> bool:
 def fischer_shapiro_check(mat) -> bool:
     """Full row rank and at most one positive entry per column.
 
-    Accepts a pairing matrix (rows e_i*, columns rays) or anything with a
-    pairing_matrix()/matrix() method.
+    Accepts a pairing matrix (rows e_i*, columns rays), a PairingData, or
+    an object carrying one as ``.pairings``.
     """
-    if hasattr(mat, "pairing_matrix"):
-        mat = mat.pairing_matrix()
-    elif hasattr(mat, "matrix"):
-        mat = mat.matrix()
+    if not isinstance(mat, (tuple, list)):
+        mat = PairingData.of(mat).matrix
     rows = [tuple(r) for r in mat]
     if not rows:
         return False

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .cox import PairingData
 from .lattice import dot, is_integral, primitive, vsub
 from .polyhedral import (
     Cone,
@@ -307,17 +308,9 @@ class TildeData:
     k: int
     w_tilde: tuple
     rays: tuple  # canonical ray order of the cone
-    e_pairings: tuple  # per ray, the k-tuple of e_i* pairings
-    w_pairings: tuple  # per ray, <w~, ray>
+    pairings: PairingData  # e_i* and w~ pairings of the rays
     provenance: tuple  # per ray, tuple of human-readable origin tags
     floors: tuple  # floor(min over Q_i of w) for i = 1..k
-
-    def pairing_matrix(self) -> tuple:
-        """Rows e_1*..e_k*, columns the rays."""
-        return tuple(
-            tuple(self.e_pairings[j][i] for j in range(len(self.rays)))
-            for i in range(self.k)
-        )
 
     def to_json(self) -> dict:
         return {
@@ -325,8 +318,8 @@ class TildeData:
             "k": self.k,
             "rays": [list(r) for r in self.rays],
             "w_tilde": list(self.w_tilde),
-            "e_pairings": [list(p) for p in self.e_pairings],
-            "w_pairings": list(self.w_pairings),
+            "e_pairings": [list(p) for p in self.pairings.e_pairings],
+            "w_pairings": list(self.pairings.w_pairings),
             "provenance": [list(p) for p in self.provenance],
         }
 
@@ -363,8 +356,6 @@ def build_tilde(d: DeformationDatum) -> TildeData:
     w_tilde = tuple(d.w) + tuple(-f for f in floors)
 
     rays = cone.rays
-    e_pairings = tuple(tuple(r[n:]) for r in rays)
-    w_pairings = tuple(dot(w_tilde, r) for r in rays)
     prov = []
     for r in rays:
         tags = []
@@ -372,8 +363,9 @@ def build_tilde(d: DeformationDatum) -> TildeData:
             if any(g) and primitive(g) == r:
                 tags.append(tag)
         prov.append(tuple(tags))
+    pairings = PairingData(n=n, k=k, rays=rays, w_tilde=w_tilde)
     return TildeData(datum=d, cone=cone, n=n, k=k, w_tilde=w_tilde,
-                     rays=rays, e_pairings=e_pairings, w_pairings=w_pairings,
+                     rays=rays, pairings=pairings,
                      provenance=tuple(prov), floors=tuple(floors))
 
 

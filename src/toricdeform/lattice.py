@@ -313,7 +313,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
                 for row in v:
                     ci, cj = row[i], row[i + 1]
                     row[i], row[i + 1] = q00 * ci + q10 * cj, q01 * ci + q11 * cj
-                assert m[i][i] == g and m[i + 1][i + 1] == lc
+                if m[i][i] != g or m[i + 1][i + 1] != lc:
+                    raise ArithmeticError(
+                        "Smith normal form: divisibility fix-up did not "
+                        "reach diag(gcd, lcm)")
                 changed = True
     return (
         tuple(tuple(r) for r in u),

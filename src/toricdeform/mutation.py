@@ -69,7 +69,7 @@ class FanoPolytope:
     n: int
 
     def vertices(self) -> tuple:
-        return tuple(tuple(int(x) for x in v) for v in self.polytope.vertices)
+        return self.polytope.lattice_vertices()
 
 
 def validate_fano(p: Polyhedron) -> FanoPolytope:
@@ -130,7 +130,7 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
     heights = [dot(w, v) for v in fano.vertices()]
     hmin, hmax = min(heights), max(heights)
     layers = []
-    fverts = [tuple(int(x) for x in v) for v in factor.vertices]
+    fverts = factor.lattice_vertices()
     for h in range(hmin, 0):
         at_h = tuple(v for v in fano.vertices() if dot(w, v) == h)
         spts = lattice_points(_slice_polyhedron(p, w, h))
@@ -167,12 +167,12 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
 def _mutant_points(fano: FanoPolytope, d: MutationDatum,
                    negative_parts: dict) -> list:
     n = fano.n
-    fverts = [tuple(int(x) for x in v) for v in d.factor.vertices]
+    fverts = d.factor.lattice_vertices()
     pts = []
     for layer in d.witnesses:
         g = negative_parts.get(layer.height)
         if g is not None:
-            pts.extend(tuple(int(x) for x in v) for v in g.vertices)
+            pts.extend(g.lattice_vertices())
     for h in range(0, d.hmax + 1):
         spts = lattice_points(_slice_polyhedron(fano.polytope, d.w, h))
         for s in spts:
@@ -195,7 +195,7 @@ def mutate(fano: FanoPolytope, d: MutationDatum) -> FanoPolytope:
 
     # alternative minimal witnesses: only translates that actually cover
     # a vertex of P at that height
-    fverts = [tuple(int(x) for x in v) for v in d.factor.vertices]
+    fverts = d.factor.lattice_vertices()
     minimal = {}
     for layer in d.witnesses:
         if layer.factor_part is None:
@@ -252,7 +252,7 @@ def induced_boundary_datum(fano: FanoPolytope,
         raise MutationFamilyError("no negative-height factors to lift")
     g = convex_hull(n + 1, gpts)
     f_hat = convex_hull(
-        n + 1, [tuple(int(x) for x in v) + (0,) for v in d.factor.vertices])
+        n + 1, [v + (0,) for v in d.factor.lattice_vertices()])
     w_bar = tuple(d.w) + (0,)
     return build_datum(tau, [g, f_hat], w_bar, boundary=True)
 
@@ -264,8 +264,7 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
         v for v in fano.vertices() if dot(d.w, v) >= 0))
     lower = tuple(sorted(
         v for v in mutated.vertices() if dot(d.w, v) < 0))
-    fverts = tuple(sorted(
-        tuple(int(x) for x in v) for v in d.factor.vertices))
+    fverts = d.factor.lattice_vertices()
 
     ineqs = [(v + (0,), 1) for v in upper]
     ineqs += [(v + (dot(d.w, v),), 1) for v in lower]

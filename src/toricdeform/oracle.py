@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lattice import dot
-from .polyhedral import (
-    Cone,
-    Polyhedron,
-    cone_dimension,
-    dual_cone,
-    is_strongly_convex,
-    lattice_points,
-)
+from .polyhedral import Cone, Polyhedron, lattice_points
 
 
 @dataclass(frozen=True)
@@ -41,14 +34,14 @@ class HilbertBasis:
 
 
 def _require_pointed_full(c: Cone) -> None:
-    if not is_strongly_convex(c):
+    if not c.is_strongly_convex():
         raise ValueError("cone is not strongly convex")
-    if cone_dimension(c) != c.rank:
+    if c.dimension() != c.rank:
         raise ValueError("cone is not full-dimensional")
 
 
 def _graded_points(c: Cone, functional, bound: int) -> tuple:
-    ineqs = [(u, 0) for u in dual_cone(c).rays]
+    ineqs = [(u, 0) for u in c.dual().rays]
     ineqs.append((tuple(-x for x in functional), bound))
     return lattice_points(Polyhedron.from_inequalities(c.rank, ineqs))
 
@@ -65,7 +58,7 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
     """
     _require_pointed_full(c)
     if functional is None:
-        facets = dual_cone(c).rays
+        facets = c.dual().rays
         functional = tuple(sum(u[i] for u in facets)
                            for i in range(c.rank))
     else:
@@ -102,7 +95,7 @@ def interior_points(c: Cone, bound: int = 12) -> tuple:
     """Lattice points with every facet pairing between 1 and the bound."""
     _require_pointed_full(c)
     ineqs = []
-    for u in dual_cone(c).rays:
+    for u in c.dual().rays:
         ineqs.append((u, -1))
         ineqs.append((tuple(-x for x in u), bound))
     return lattice_points(Polyhedron.from_inequalities(c.rank, ineqs))
@@ -144,16 +137,6 @@ class OracleReport:
                              for f in self.failures]}
 
 
-def _tilde_exp_tables(t):
-    n, k, rays = t.n, t.k, t.rays
-    yexps = []
-    zexps = []
-    for i in range(k):
-        yexps.append(tuple(max(r[n + i], 0) for r in rays))
-        zexps.append(tuple(max(-r[n + i], 0) for r in rays))
-    return yexps, zexps
-
-
 def _character_points(t, bound: int) -> tuple:
     nk = t.n + t.k
     ineqs = [(xi, 0) for xi in t.rays]
@@ -171,14 +154,11 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     """
     n, k = t.n, t.k
     rays = t.rays
-    yexps, zexps = _tilde_exp_tables(t)
+    yexps, zexps, exps = t.pairings.y_exps, t.pairings.z_exps, t.pairings.exps
     pts = _character_points(t, bound)
     buckets = {}
     for p in pts:
         buckets.setdefault(p[:n], []).append(p)
-
-    def exps(v):
-        return tuple(dot(v, xi) for xi in rays)
 
     checked = 0
     failures = []
@@ -236,13 +216,9 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
 
 def revalidate_witness(t, w: KernelWitness) -> bool:
     """Re-check a witness by plain exponent arithmetic."""
-    n, k = t.n, t.k
+    k = t.k
     rays = t.rays
-    yexps, zexps = _tilde_exp_tables(t)
-
-    def exps(v):
-        return tuple(dot(v, xi) for xi in rays)
-
+    yexps, zexps, exps = t.pairings.y_exps, t.pairings.z_exps, t.pairings.exps
     er, es, eq = exps(w.r), exps(w.s), exps(w.q)
     if any(e < 0 for e in er + es + eq):
         return False
@@ -275,18 +251,15 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
         raise ValueError("boundary comparison needs a boundary datum")
     n, k = t.n, t.k
     rays = t.rays
-    yexps, _ = _tilde_exp_tables(t)
-    z_mask = tuple(
-        1 if all(r[n + i] <= 0 for i in range(k)) else 0 for r in rays)
-    zs_mask = tuple(
-        1 if all(r[n + i] == 0 for i in range(k)) else 0 for r in rays)
+    yexps, exps = t.pairings.y_exps, t.pairings.exps
+    z_mask, zs_mask = t.pairings.boundary_mask, t.pairings.zero_tail_mask
     sigma_rays = t.datum.sigma.rays
     pts = _character_points(t, bound)
     failures = []
     for u_t in pts:
         u = u_t[:n]
         interior = all(dot(u, rho) >= 1 for rho in sigma_rays)
-        e = tuple(dot(u_t, xi) for xi in rays)
+        e = exps(u_t)
         in_ideal = all(e[j] >= z_mask[j] for j in range(len(rays)))
         if not in_ideal:
             for i in range(k):

@@ -233,23 +233,6 @@ class Cone:
         return cls.from_generators(int(data["rank"]), [tuple(r) for r in data["rays"]])
 
 
-def cone_from_generators(rank: int, generators: Iterable[Sequence]) -> Cone:
-    return Cone.from_generators(rank, generators)
-
-
-def dual_cone(c: Cone) -> Cone:
-    """The dual cone; its rays are the facets of c and vice versa."""
-    return c.dual()
-
-
-def is_strongly_convex(c: Cone) -> bool:
-    return c.is_strongly_convex()
-
-
-def cone_dimension(c: Cone) -> int:
-    return c.dimension()
-
-
 # ---------------------------------------------------------------------------
 # Polyhedra
 
@@ -460,10 +443,6 @@ def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
     for l in list(a.lines) + list(b.lines):
         rays += [l, vneg(l)]
     return Polyhedron.from_points_and_rays(a.rank, pts, rays)
-
-
-def polyhedron_equal(a: Polyhedron, b: Polyhedron) -> bool:
-    return a == b
 
 
 def min_functional(p: Polyhedron, u: Sequence) -> MinResult:

@@ -106,8 +106,7 @@ def hexagon_polygon():
 
 def hexagon_sigma() -> Cone:
     return Cone.from_generators(
-        3, [tuple(int(x) for x in v) + (1,)
-            for v in hexagon_polygon().vertices])
+        3, [v + (1,) for v in hexagon_polygon().lattice_vertices()])
 
 
 def hexagon_data() -> tuple:
@@ -257,9 +256,8 @@ def verify_hexagon() -> VerifyReport:
     _eq(checks, "decomposition B valid", validate_datum(b).ok, True)
     _eq(checks, "same total polytope", a.q == b.q, True)
     _eq(checks, "total is the hexagon at height one",
-        set(tuple(int(x) for x in v) for v in a.q.vertices),
-        set(tuple(int(x) for x in v) + (1,)
-            for v in hexagon_polygon().vertices))
+        set(a.q.lattice_vertices()),
+        set(v + (1,) for v in hexagon_polygon().lattice_vertices()))
     ta, tb = build_tilde(a), build_tilde(b)
     _eq(checks, "structure A", check_tilde_structure(ta).ok, True)
     _eq(checks, "structure B", check_tilde_structure(tb).ok, True)

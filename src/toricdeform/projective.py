@@ -121,10 +121,9 @@ class PolarizedToricVariety:
         check_fano_polytope(p)
         n = p.rank
         tau = Cone.from_generators(
-            n + 1, [tuple(int(x) for x in v) + (1,) for v in p.vertices])
+            n + 1, [v + (1,) for v in p.lattice_vertices()])
         v = cls.from_cone(tau)
-        expected = tuple(sorted(tuple(int(x) for x in vv) + (1,)
-                                for vv in p.vertices))
+        expected = tuple(sorted(vv + (1,) for vv in p.lattice_vertices()))
         if v.tau.rays != expected:
             raise AssertionError("cone over the polytope lost a vertex ray")
         return v
@@ -183,10 +182,9 @@ def check_fano_polytope(p: Polyhedron) -> Polyhedron:
     for _, c in p.inequalities:
         if c <= 0:
             raise OriginNotInteriorError("0 lies on or outside a facet")
-    for v in p.vertices:
-        iv = tuple(int(x) for x in v)
-        if content(iv) != 1:
-            raise NonPrimitiveVertexError(iv)
+    for v in p.lattice_vertices():
+        if content(v) != 1:
+            raise NonPrimitiveVertexError(v)
     return p
 
 

@@ -24,6 +24,7 @@ from .cox import (
 )
 from .datum import (
     DatumStructureError,
+    _fmt_point,
     build_datum,
     build_tilde,
     check_tilde_structure,
@@ -185,14 +186,6 @@ def _datum_for(name: str, p: int):
     return None
 
 
-def _shipped_alias(name: str):
-    if name == "cA1":
-        return presets.ca1_alias
-    if name == "p2-p114":
-        return presets.p2_p114_alias
-    return None
-
-
 def _resolve(args, loader, preset_lookup=None):
     """A payload argument is a file if one exists at that path, else a
     known preset name."""
@@ -213,18 +206,14 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _fmt_vec(v) -> str:
-    return "(" + ", ".join(str(Fraction(x)) for x in v) + ")"
-
-
-def _alias_for(args, rays, preset_name):
+def _alias_for(args, rays, shipped=None):
+    """The --alias table if given, else the shipped one, else x0, x1, ..."""
     if args.alias:
         data = _load_file(args.alias)
         try:
             return AliasTable.from_json(data, rays)
         except (KeyError, TypeError, ValueError) as e:
             raise InputError("bad alias table: %s" % e)
-    shipped = _shipped_alias(preset_name) if preset_name else None
     if shipped is not None:
         return shipped(rays)
     return AliasTable.default(rays)
@@ -262,10 +251,10 @@ def _cmd_tilde(args):
     else:
         lines = ["rays:"]
         for r, prov in zip(t.rays, t.provenance):
-            lines.append("  %s  <- %s" % (_fmt_vec(r), "; ".join(prov)))
-        lines.append("w_tilde: %s" % _fmt_vec(t.w_tilde))
+            lines.append("  %s  <- %s" % (_fmt_point(r), "; ".join(prov)))
+        lines.append("w_tilde: %s" % _fmt_point(t.w_tilde))
         lines.append("pairing matrix (rows e_i*):")
-        for row in t.pairing_matrix():
+        for row in t.pairings.matrix:
             lines.append("  " + " ".join("%3d" % x for x in row))
         lines.append("structure: %s"
                      % ("ok" if struct.ok else struct.detail))
@@ -277,7 +266,6 @@ def _cmd_equations(args):
     d, preset = _resolve(args, _datum, lambda n: _datum_for(n, args.p))
     _require_valid(d)
     t = build_tilde(d)
-    alias = _alias_for(args, t.rays, preset)
     try:
         bs = binomials(t)
         ts = trinomials(t)
@@ -292,6 +280,9 @@ def _cmd_equations(args):
             "boundary_monomial": mono.to_json() if mono else None,
         })
     else:
+        # the p2-p114 alias names the family fan, not this enlarged cone
+        alias = _alias_for(args, t.rays,
+                           presets.ca1_alias if preset == "cA1" else None)
         lines = []
         for i, f in enumerate(ts, start=1):
             lines.append("trinomial %d: %s" % (i, pretty(f, t.rays, alias)))
@@ -355,10 +346,10 @@ def _cmd_polarize(args):
         lines = ["fan rays and support values:"]
         for rd in v.ray_data:
             lines.append("  rho=%s  phi=%s  b=%d"
-                         % (_fmt_vec(rd.rho), rd.phi, rd.b))
+                         % (_fmt_point(rd.rho), rd.phi, rd.b))
         lines.append("classification: %s" % cls)
         lines.append("polytope in M: vertices %s"
-                     % " ".join(_fmt_vec(x) for x in pm.vertices))
+                     % " ".join(_fmt_point(x) for x in pm.vertices))
         out = "\n".join(lines)
     return 0, out
 
@@ -392,14 +383,14 @@ def _cmd_mutate(args):
         })
     else:
         lines = ["mutated polytope: conv{%s}"
-                 % ", ".join(_fmt_vec(v) for v in sorted(mut.vertices()))]
+                 % ", ".join(_fmt_point(v) for v in sorted(mut.vertices()))]
         for layer in d.witnesses:
             if layer.factor_part is None:
                 lines.append("  height %d: empty" % layer.height)
             else:
                 lines.append("  height %d: conv{%s}" % (
                     layer.height,
-                    ", ".join(_fmt_vec(v)
+                    ", ".join(_fmt_point(v)
                               for v in layer.factor_part.vertices)))
         out = "\n".join(lines)
     return 0, out
@@ -415,7 +406,6 @@ def _build_family(args):
 
 def _cmd_family(args):
     fam, preset = _build_family(args)
-    alias = _alias_for(args, fam.fan.rays, preset)
     if args.format == "json":
         out = _emit_json({
             "rays": [list(r) for r in fam.fan.rays],
@@ -427,16 +417,18 @@ def _cmd_family(args):
                                  for v in fam.q_tilde.vertices],
         })
     else:
+        alias = _alias_for(args, fam.fan.rays,
+                           presets.p2_p114_alias if preset else None)
         lines = []
         lines.append("ambient rays: %s"
-                     % " ".join(_fmt_vec(r) for r in fam.fan.rays))
-        lines.append("weights: %s" % _fmt_vec(fam.weights()))
+                     % " ".join(_fmt_point(r) for r in fam.fan.rays))
+        lines.append("weights: %s" % _fmt_point(fam.weights()))
         lines.append("trinomial: %s"
                      % pretty(fam.trinomial, fam.fan.rays, alias))
         lines.append("monomial: %s"
                      % pretty(fam.monomial, fam.fan.rays, alias))
         lines.append("mutated polytope: conv{%s}"
-                     % ", ".join(_fmt_vec(v)
+                     % ", ".join(_fmt_point(v)
                                  for v in sorted(fam.mutated.vertices())))
         out = "\n".join(lines)
     return 0, out
@@ -461,10 +453,11 @@ def _cmd_fiber(args):
         raise Failure(str(e))
     except ValueError as e:
         raise InputError(str(e))
-    alias = _alias_for(args, fam.fan.rays, preset)
     if args.format == "json":
         out = _emit_json(rep.to_json())
     else:
+        alias = _alias_for(args, fam.fan.rays,
+                           presets.p2_p114_alias if preset else None)
         lines = ["fiber at [%s] (%s): %s"
                  % (":".join(str(x) for x in rep.point), rep.kind,
                     pretty(rep.polynomial, fam.fan.rays, alias))]
@@ -489,7 +482,7 @@ def _cmd_hilbert_basis(args):
         out = _emit_json(hb.to_json())
     else:
         lines = ["generators: %s"
-                 % " ".join(_fmt_vec(g) for g in hb.generators)]
+                 % " ".join(_fmt_point(g) for g in hb.generators)]
         lines.append("complete: %s (bound %d, certificate needs %d)"
                      % (hb.complete, hb.bound, hb.certificate_bound))
         out = "\n".join(lines)

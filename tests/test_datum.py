@@ -205,7 +205,7 @@ def test_tilde_provenance_covers_all_rays():
 
 def test_tilde_pairing_rows_match_rays():
     t = build_tilde(ca1_datum())
-    mat = t.pairing_matrix()
+    mat = t.pairings.matrix
     assert len(mat) == t.k
     assert all(len(row) == len(t.rays) for row in mat)
     for j, ray in enumerate(t.rays):
@@ -223,7 +223,7 @@ def test_tilde_structure_on_corpus():
 def test_positive_pairing_at_most_one_per_ray():
     for d in corpus.random_valid_data(902, 12):
         t = build_tilde(d)
-        for tail in t.e_pairings:
+        for tail in t.pairings.e_pairings:
             assert sum(1 for x in tail if x > 0) <= 1
 
 
@@ -231,7 +231,7 @@ def test_zero_pairing_rays_project_to_cone_rays():
     for d in corpus.random_valid_data(903, 12):
         t = build_tilde(d)
         sigma_rays = set(d.sigma.rays)
-        for ray, tail in zip(t.rays, t.e_pairings):
+        for ray, tail in zip(t.rays, t.pairings.e_pairings):
             if all(x == 0 for x in tail):
                 assert ray[:t.n] in sigma_rays
 

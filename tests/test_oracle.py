@@ -14,7 +14,7 @@ from toricdeform.oracle import (
     interior_points,
     revalidate_witness,
 )
-from toricdeform.polyhedral import Cone, convex_hull, dual_cone
+from toricdeform.polyhedral import Cone, convex_hull
 from toricdeform.presets import (
     ca1_datum,
     ca1_sigma,
@@ -78,7 +78,7 @@ def test_hilbert_against_brute_oracle():
         rank = 2 if done % 2 else 3
         c = corpus.random_pointed_cone(r, rank)
         hb = hilbert_basis(c, bound=8)
-        facets = dual_cone(c).rays
+        facets = c.dual().rays
         want = semigroup_generators_oracle(facets, hb.functional, 8)
         assert hb.generators == want
         assert saturation_closure_ok(facets, hb.functional, 8,

@@ -11,13 +11,11 @@ from toricdeform.polyhedral import (
     Polyhedron,
     UnboundedError,
     convex_hull,
-    dual_cone,
     lattice_points,
     membership_scaling,
     min_functional,
     minkowski_sum,
     normal_fan,
-    polyhedron_equal,
 )
 
 import corpus
@@ -43,7 +41,7 @@ def test_cone_dual_frozen():
     # expected rays computed with the subset-kernel enumeration oracle
     expected = brute_rays_from_normals(2, [(1, 0), (1, 2)])
     assert expected == ((0, 1), (2, -1))
-    d = dual_cone(Cone.from_generators(2, [(1, 0), (1, 2)]))
+    d = Cone.from_generators(2, [(1, 0), (1, 2)]).dual()
     assert d.rays == expected
 
 
@@ -104,8 +102,8 @@ def test_cone_double_dual_identity():
         rank = r.choice([2, 3])
         gens = [corpus.random_vector(r, rank, -3, 3) for _ in range(r.randint(1, 5))]
         c = Cone.from_generators(rank, gens)
-        d = Cone.from_generators(rank, dual_cone(c).rays)
-        dd = Cone.from_generators(rank, dual_cone(d).rays)
+        d = Cone.from_generators(rank, c.dual().rays)
+        dd = Cone.from_generators(rank, d.dual().rays)
         assert dd == c
 
 
@@ -151,7 +149,6 @@ def test_hull_idempotent_random():
         p = corpus.random_polytope(r, rank)
         again = convex_hull(rank, p.vertices)
         assert again == p
-        assert polyhedron_equal(again, p)
 
 
 def test_hull_rational_points():
