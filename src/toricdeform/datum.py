@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cox import PairingData
-from .lattice import dot, is_integral, primitive, vsub
+from .lattice import as_int_vector, dot, is_integral, primitive, vsub
 from .polyhedral import (
     Cone,
     Polyhedron,
@@ -78,7 +78,7 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
             raise DatumStructureError("summand %d is empty" % i)
     if len(w) != n:
         raise DatumStructureError("w has length %d, expected %d" % (len(w), n))
-    if any(int(x) != x for x in w):
+    if not is_integral(w):
         raise DatumStructureError("w must be a lattice vector")
     if not sigma.is_strongly_convex():
         raise DatumStructureError("cone is not strongly convex")
@@ -90,7 +90,7 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
     if total is not None and total != q:
         raise DatumStructureError("supplied total polyhedron != sum of summands")
     return DeformationDatum(sigma=sigma, summands=summands, q=q,
-                            w=tuple(int(x) for x in w), boundary=bool(boundary))
+                            w=as_int_vector(w), boundary=bool(boundary))
 
 
 def datum_from_json(data: dict) -> DeformationDatum:
@@ -422,9 +422,7 @@ def floor_min_identity(d: DeformationDatum, u: Sequence[int]) -> bool:
     u must pair non-negatively with the cone; unbounded minima cannot
     occur then, since all recession directions of Q lie in the cone.
     """
-    if any(int(x) != x for x in u):
-        raise ValueError("u must be a lattice vector")
-    u = tuple(int(x) for x in u)
+    u = as_int_vector(u)
     if any(dot(u, r) < 0 for r in d.sigma.rays):
         raise ValueError("u lies outside the dual cone")
     left = sum(min_functional(s, u).floor for s in d.summands)

@@ -3,6 +3,12 @@
 Everything here works on tuples of Python ints or fractions.Fraction;
 no floating point is ever introduced.  Vectors are immutable tuples,
 matrices are tuples of row tuples.
+
+Number contract: a coordinate is an int or a Fraction, normalised
+(primitive) and cast (as_int, as_int_vector) here only, through its
+.numerator and .denominator; an int has both, with denominator 1.  Text
+and JSON become Fractions at the boundary (workbench._coord,
+fraction_vector).  Floats are not accepted.
 """
 
 from __future__ import annotations
@@ -50,18 +56,19 @@ def is_zero(u: Sequence) -> bool:
 
 def is_integral(u: Sequence) -> bool:
     """True if every coordinate is an integer (int or integral Fraction)."""
-    return all(Fraction(a).denominator == 1 for a in u)
+    return all(a.denominator == 1 for a in u)
+
+
+def as_int(a) -> int:
+    """Cast an integral int or Fraction to a plain int; error if it is not integral."""
+    if a.denominator != 1:
+        raise ValueError("non-integral coordinate %s" % (a,))
+    return a.numerator
 
 
 def as_int_vector(u: Sequence) -> IntVector:
     """Cast an integral vector to plain ints; error if any coordinate is not integral."""
-    out = []
-    for a in u:
-        f = Fraction(a)
-        if f.denominator != 1:
-            raise ValueError("non-integral coordinate %s" % (a,))
-        out.append(int(f))
-    return tuple(out)
+    return tuple(map(as_int, u))
 
 
 def content(u: Sequence[int]) -> int:
@@ -74,12 +81,11 @@ def primitive(u: Sequence) -> IntVector:
 
     Accepts int or Fraction coordinates.  The zero vector has no direction.
     """
-    fracs = [Fraction(a) for a in u]
-    if all(f == 0 for f in fracs):
-        raise ZeroVectorError("ZeroVector: the zero vector spans no ray")
-    den = math.lcm(*[f.denominator for f in fracs])
-    ints = [int(f * den) for f in fracs]
+    den = math.lcm(*[a.denominator for a in u])
+    ints = [a.numerator * (den // a.denominator) for a in u]
     g = math.gcd(*ints)
+    if g == 0:
+        raise ZeroVectorError("ZeroVector: the zero vector spans no ray")
     return tuple(a // g for a in ints)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cox import (
@@ -27,7 +26,7 @@ from .cox import (
     monomial,
 )
 from .datum import DeformationDatum, build_datum
-from .lattice import dot, primitive
+from .lattice import as_int_vector, dot, primitive, vneg
 from .polyhedral import (
     Cone,
     Fan,
@@ -111,7 +110,7 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
     of the slice; both defining inclusions are then re-checked.
     """
     n = fano.n
-    w = tuple(int(x) for x in w)
+    w = as_int_vector(w)
     if not any(w):
         raise ValueError("direction must be nonzero")
     if primitive(w) != w:
@@ -372,14 +371,8 @@ def normalize_parameter_point(point) -> tuple:
     vals = [Fraction(x) for x in point]
     if len(vals) != 3 or all(x == 0 for x in vals):
         raise ValueError("need a homogeneous triple, not all zero")
-    den = lcm(*(x.denominator for x in vals))
-    ints = [int(x * den) for x in vals]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    ints = primitive(vals)
+    return vneg(ints) if next(x for x in ints if x) < 0 else ints
 
 
 def specialize_fiber(fam: MutationFamily, point) -> FiberReport:

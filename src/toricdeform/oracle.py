@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lattice import dot
+from .lattice import as_int_vector, dot
 from .polyhedral import Cone, Polyhedron, lattice_points
 
 
@@ -62,7 +62,7 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
         functional = tuple(sum(u[i] for u in facets)
                            for i in range(c.rank))
     else:
-        functional = tuple(int(x) for x in functional)
+        functional = as_int_vector(functional)
     for ray in c.rays:
         if dot(functional, ray) <= 0:
             raise ValueError(

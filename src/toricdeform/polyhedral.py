@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .lattice import (
     ZeroVectorError,
+    as_int,
     as_int_vector,
     dot,
     fraction_vector,
@@ -127,20 +128,12 @@ def _fold(pointed: Sequence[tuple], lines: Sequence[tuple]) -> tuple:
 
 
 def _vh_pipeline(rank: int, gens: Sequence[tuple]):
-    """V-data -> (pointed rays, lines, pointed facets, facet lines)."""
+    """V-data -> (pointed rays, lines, pointed facets, facet lines).
+    H-data -> the same four parts of its dual, i.e. the halves swapped."""
     du_r, du_l = dual_description(rank, gens)
     fac_p, fac_l = _canonical_vrep(rank, du_r, du_l)
     pr, pl = dual_description(rank, _fold(fac_p, fac_l))
     pointed, lines = _canonical_vrep(rank, pr, pl)
-    return pointed, lines, fac_p, fac_l
-
-
-def _hv_pipeline(rank: int, normals: Sequence[tuple]):
-    """H-data -> (pointed rays, lines, pointed facets, facet lines)."""
-    pr, pl = dual_description(rank, normals)
-    pointed, lines = _canonical_vrep(rank, pr, pl)
-    du_r, du_l = dual_description(rank, _fold(pointed, lines))
-    fac_p, fac_l = _canonical_vrep(rank, du_r, du_l)
     return pointed, lines, fac_p, fac_l
 
 
@@ -182,7 +175,7 @@ class Cone:
     def from_inequalities(cls, rank: int, normals: Iterable[Sequence]) -> "Cone":
         raw = tuple(tuple(n) for n in normals)
         clean = sorted({primitive(n) for n in raw if not is_zero(n)})
-        pointed, lines, fac_p, fac_l = _hv_pipeline(rank, clean)
+        fac_p, fac_l, pointed, lines = _vh_pipeline(rank, clean)
         return cls(rank, raw, pointed, lines, fac_p, fac_l)
 
     @property
@@ -209,7 +202,8 @@ class Cone:
         return not self.lines
 
     def dimension(self) -> int:
-        return matrix_rank(self.rays)
+        # facet_lines is a basis of the orthogonal complement of the span
+        return self.rank - len(self.facet_lines)
 
     def __eq__(self, other):
         return (isinstance(other, Cone) and self.rank == other.rank
@@ -282,10 +276,7 @@ class Polyhedron:
         for p in pts:
             if len(p) != rank:
                 raise ValueError("point %r does not live in rank %d" % (p, rank))
-        gens = set()
-        for p in pts:
-            den = math.lcm(*[f.denominator for f in p]) if p else 1
-            gens.add(tuple(int(f * den) for f in p) + (den,))
+        gens = {primitive(p + (1,)) for p in pts}
         for r in rs:
             if is_zero(r):
                 raise ZeroVectorError("ZeroVector: zero recession direction")
@@ -297,16 +288,14 @@ class Polyhedron:
     def from_inequalities(cls, rank: int, inequalities: Iterable[tuple]) -> "Polyhedron":
         normals = set()
         for u, c in inequalities:
-            row = fraction_vector(tuple(u) + (c,))
-            if all(f == 0 for f in row):
-                continue
-            if all(f == 0 for f in row[:-1]):
+            row = tuple(u) + (c,)
+            if is_zero(row[:-1]):
                 if row[-1] < 0:
                     return cls.empty(rank)
                 continue
             normals.add(primitive(row))
         normals.add((0,) * rank + (1,))  # homogenizing halfspace
-        pointed, lines, fac_p, fac_l = _hv_pipeline(rank + 1, sorted(normals))
+        fac_p, fac_l, pointed, lines = _vh_pipeline(rank + 1, sorted(normals))
         return cls._from_homogeneous(rank, pointed, lines, fac_p, fac_l)
 
     @classmethod
@@ -361,7 +350,7 @@ class Polyhedron:
             return self
         return Polyhedron(self.rank, sorted(vadd(v, vec) for v in self.vertices),
                           self.rays, self.lines,
-                          sorted((u, c - as_int_or_raise(dot(u, vec))) for u, c in self.inequalities))
+                          sorted((u, c - as_int(dot(u, vec))) for u, c in self.inequalities))
 
     def scale(self, factor) -> "Polyhedron":
         """Dilate a bounded polyhedron by a positive rational factor."""
@@ -420,13 +409,6 @@ class Polyhedron:
             return "Polyhedron(empty, rank=%d)" % self.rank
         return "Polyhedron(vertices=%r, rays=%r)" % (
             [tuple(str(x) for x in v) for v in self.vertices], list(self.rays))
-
-
-def as_int_or_raise(x) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError("expected an integer, got %s" % x)
-    return int(f)
 
 
 def convex_hull(rank: int, points: Iterable[Sequence], rays: Iterable[Sequence] = ()) -> Polyhedron:

@@ -97,8 +97,7 @@ class PolarizedToricVariety:
             if not any(nu):
                 raise ValueError("ray %s has zero N-part" % (xi,))
             rho = primitive(nu)
-            j = next(i for i, x in enumerate(rho) if x)
-            b = nu[j] // rho[j]
+            b = content(nu)
             a = -xi[n]
             if rho in data:
                 raise ValueError(
@@ -137,9 +136,8 @@ class PolarizedToricVariety:
             raise ValueError("need one value per fan ray")
         gens = []
         for rho, val in zip(fan.rays, phi):
-            f = Fraction(val)
-            a, b = f.numerator, f.denominator
-            gens.append(tuple(b * x for x in rho) + (-a,))
+            gens.append(tuple(val.denominator * x for x in rho)
+                        + (-val.numerator,))
         tau = Cone.from_generators(fan.rank + 1, gens)
         v = cls.from_cone(tau)
         if v.fan.rays != tuple(sorted(fan.rays)) or set(

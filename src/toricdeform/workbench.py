@@ -574,6 +574,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     try:
+        for flag in ("p", "bound"):
+            if getattr(args, flag) < 0:
+                raise InputError("--%s must be non-negative" % flag)
         code, out = handler(args)
     except Failure as e:
         print(e.text)

@@ -33,8 +33,11 @@ def cli_runs() -> list:
     base += [("fiber", "p2-p114", "--point", pt) for pt in FIBER_POINTS]
     base += [("hilbert-basis", "cA1")]
     base += [("verify-example", name) for name in presets.PRESET_NAMES]
+    rejected = [("tilde", "cA1", "--p", "-1"),
+                ("oracle", "toy-plane", "--bound", "-3"),
+                ("hilbert-basis", "cA1", "--bound", "-1")]
     return [argv + ("--format", fmt)
-            for argv in base for fmt in ("pretty", "json")]
+            for argv in base for fmt in ("pretty", "json")] + rejected
 
 
 def run_cli(argv) -> dict:

@@ -254,6 +254,11 @@ def test_floor_min_identity_samples():
             assert floor_min_identity(d, u)
 
 
+def test_floor_min_identity_rejects_non_integral_u():
+    with pytest.raises(ValueError, match="non-integral"):
+        floor_min_identity(ca1_datum(1), (0, Fraction(1, 2), 1))
+
+
 def test_floor_min_identity_ca1():
     d = ca1_datum(1)
     for u in bounded_dual_points(d):

@@ -1,5 +1,6 @@
 """Integer linear algebra layer: normal forms, kernels, quotient gradings."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,12 +9,15 @@ import pytest
 from toricdeform.lattice import (
     AbelianGroupPresentation,
     ZeroVectorError,
+    as_int,
+    as_int_vector,
     cokernel,
     cokernel_map,
     determinant,
     elementary_divisors,
     hermite_normal_form,
     integer_kernel,
+    is_integral,
     matmul,
     matrix_rank,
     primitive,
@@ -42,6 +46,82 @@ def test_primitive_fixes_scale_not_sign():
     # primitive keeps the direction, so opposite inputs stay opposite
     assert primitive((-2, 4)) == (-1, 2)
     assert primitive((2, -4)) == (1, -2)
+
+
+# Fraction-based references: every coordinate goes through Fraction first.
+
+
+def ref_primitive(u):
+    fracs = [Fraction(a) for a in u]
+    if all(f == 0 for f in fracs):
+        raise ZeroVectorError("zero vector")
+    den = math.lcm(*[f.denominator for f in fracs])
+    ints = [int(f * den) for f in fracs]
+    g = math.gcd(*ints)
+    return tuple(a // g for a in ints)
+
+
+def ref_is_integral(u):
+    return all(Fraction(a).denominator == 1 for a in u)
+
+
+def random_exact_vector(r):
+    """Mixed int / Fraction coordinates: zeros, negatives, large values,
+    integral Fractions and proper fractions."""
+    out = []
+    for _ in range(r.randint(1, 6)):
+        kind = r.randrange(6)
+        if kind == 0:
+            out.append(0)
+        elif kind == 1:
+            out.append(r.randint(-9, 9))
+        elif kind == 2:
+            out.append(r.choice([-1, 1]) * r.randint(10 ** 20, 10 ** 30))
+        elif kind == 3:
+            out.append(Fraction(r.randint(-9, 9)))
+        elif kind == 4:
+            out.append(Fraction(r.randint(-50, 50), r.choice([2, 3, 4, 6, 7])))
+        else:
+            out.append(Fraction(r.randint(-10 ** 25, 10 ** 25),
+                                r.randint(1, 10 ** 12)))
+    return tuple(out)
+
+
+def test_number_path_matches_fraction_reference():
+    r = random.Random(911)
+    for _ in range(3000):
+        u = random_exact_vector(r)
+        if r.random() < 0.05:
+            u = tuple(0 * a for a in u)
+        if ref_is_integral(u):
+            assert is_integral(u)
+            cast = as_int_vector(u)
+            assert cast == tuple(int(a) for a in u)
+            assert all(type(a) is int for a in cast)
+        else:
+            assert not is_integral(u)
+            with pytest.raises(ValueError, match="non-integral"):
+                as_int_vector(u)
+        try:
+            expected = ref_primitive(u)
+        except ZeroVectorError:
+            with pytest.raises(ZeroVectorError):
+                primitive(u)
+            continue
+        got = primitive(u)
+        assert got == expected
+        assert all(type(a) is int for a in got)
+
+
+def test_number_path_edge_cases():
+    for zero in ((), (0,), (0, 0, 0), (Fraction(0), 0)):
+        with pytest.raises(ZeroVectorError):
+            primitive(zero)
+    assert is_integral(()) and as_int_vector(()) == ()
+    assert as_int(Fraction(-6, 3)) == -2 and type(as_int(Fraction(4))) is int
+    assert as_int(-7) == -7
+    with pytest.raises(ValueError, match="non-integral"):
+        as_int(Fraction(1, 2))
 
 
 def test_smith_normal_form_single_row():

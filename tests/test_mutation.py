@@ -49,6 +49,14 @@ def test_datum_rejects_nonprimitive_direction():
         validate_mutation_datum(fano, (0, 2), convex_hull(2, [(0, 0)]))
 
 
+def test_datum_rejects_non_integral_direction():
+    # (-3/2, 2) must not be truncated to the valid direction (-1, 2)
+    fano = validate_fano(p2_polytope())
+    _, _, f = p114_setup()
+    with pytest.raises(ValueError, match="non-integral"):
+        validate_mutation_datum(fano, (Fraction(-3, 2), 2), f)
+
+
 def test_datum_rejects_factor_off_the_wall():
     fano = validate_fano(p2_polytope())
     with pytest.raises(ValueError, match="pair to zero"):

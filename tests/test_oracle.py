@@ -2,6 +2,7 @@
 ideal-equality certificates."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +63,14 @@ def test_custom_functional():
     assert set(hb.generators) == {(1, 0), (0, 1)}
     with pytest.raises(ValueError, match="strictly positive"):
         hilbert_basis(ORTHANT, functional=(1, 0))
+
+
+def test_hilbert_rejects_non_integral_functional():
+    # (1/2, 5/2, 3/2) must not be truncated to (0, 2, 1)
+    with pytest.raises(ValueError, match="non-integral"):
+        hilbert_basis(ca1_sigma().dual(),
+                      functional=(Fraction(1, 2), Fraction(5, 2),
+                                  Fraction(3, 2)))
 
 
 def test_hilbert_rejects_bad_cones():

@@ -25,6 +25,7 @@ from oracles import (
     brute_rays_from_normals,
     dot,
     fm_minimize,
+    rational_rank,
 )
 
 
@@ -81,19 +82,55 @@ def test_cone_contains_and_interior():
 def test_cone_facets_against_oracle():
     r = corpus.rng(101)
     for _ in range(120):
-        rank = r.choice([2, 3])
-        c = corpus.random_pointed_cone(r, rank)
+        rank = r.choice([2, 3, 4, 5])
+        c = corpus.random_pointed_cone(r, rank, max_rays=rank + 2)
         assert c.facets == brute_facets_from_rays(rank, c.rays)
 
 
 def test_cone_rays_against_oracle():
     r = corpus.rng(102)
     for _ in range(120):
-        rank = r.choice([2, 3])
-        c = corpus.random_pointed_cone(r, rank)
+        rank = r.choice([2, 3, 4, 5])
+        c = corpus.random_pointed_cone(r, rank, max_rays=rank + 2)
         rebuilt = Cone.from_inequalities(rank, c.facets)
         assert rebuilt.rays == brute_rays_from_normals(rank, c.facets)
         assert rebuilt == c
+
+
+def degenerate_generator_sets(seed, count):
+    """Generator sets in ranks 2-5, drawn in the span of 1..rank random
+    vectors: lower-dimensional and non-pointed cones come up often."""
+    r = corpus.rng(seed)
+    for _ in range(count):
+        rank = r.choice([2, 3, 4, 5])
+        basis = [corpus.random_vector(r, rank, -2, 2)
+                 for _ in range(r.randint(1, rank))]
+        gens = []
+        for _ in range(r.randint(1, rank + 2)):
+            coeffs = [r.randint(-2, 2) for _ in basis]
+            gens.append(tuple(sum(c * b[i] for c, b in zip(coeffs, basis))
+                              for i in range(rank)))
+        if r.random() < 0.3:
+            gens.append(tuple(-x for x in gens[0]))
+        yield rank, gens
+
+
+def test_cone_dimension_against_oracle():
+    kinds = set()
+    for rank, gens in degenerate_generator_sets(104, 150):
+        c = Cone.from_generators(rank, gens)
+        assert c.dimension() == rational_rank(c.rays) == rational_rank(gens)
+        kinds.add((c.dimension() == rank, c.is_strongly_convex()))
+    assert len(kinds) == 4  # every mix of full/lower-dimensional, pointed or not
+
+
+def test_cone_from_inequalities_is_dual_of_generators():
+    for rank, gens in degenerate_generator_sets(105, 150):
+        h = Cone.from_inequalities(rank, gens)
+        d = Cone.from_generators(rank, gens).dual()
+        assert (h.rank, h.pointed_rays, h.lines, h.pointed_facets, h.facet_lines) \
+            == (d.rank, d.pointed_rays, d.lines, d.pointed_facets, d.facet_lines)
+        assert h.dimension() == rational_rank(h.rays)
 
 
 def test_cone_double_dual_identity():

@@ -58,6 +58,18 @@ def test_garbage_file_is_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--p", "--bound"])
+@pytest.mark.parametrize("command", sorted(workbench._COMMANDS))
+def test_negative_flag_is_usage_error(capsys, command, flag):
+    argv = [command, "cA1" if command == "verify-example" else "p2-p114"]
+    if command == "fiber":
+        argv += ["--point", "1:1:1"]
+    code, out, err = run(capsys, *argv, flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s must be non-negative\n" % flag
+
+
 def test_unknown_preset_is_usage_error(capsys):
     code, _, err = run(capsys, "tilde", "no-such-thing")
     assert code == 2
