@@ -103,10 +103,6 @@ class CoxPolynomial:
             if any(e < 0 for e in t.exps):
                 raise ValueError("negative exponent in term")
 
-    @property
-    def nvars(self) -> int:
-        return len(self.terms[0].exps) if self.terms else 0
-
     def support(self) -> frozenset:
         out = frozenset()
         for t in self.terms:
@@ -327,9 +323,6 @@ class CoxSystem:
     @property
     def group(self):
         return self.grading.group
-
-    def degree_of_variable(self, j: int):
-        return self.grading.degree(j)
 
     def weights(self) -> tuple:
         """Free-part first coordinates; the usual weight vector when the

@@ -63,8 +63,12 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
 
     Geometric conditions are NOT checked here; that is validate_datum's
     job.  Rejected here: rank disagreements, fewer than two summands,
-    empty summands, sigma not strongly convex or not full-dimensional.
+    empty summands, sigma not strongly convex or not full-dimensional, and
+    a boundary flag that is not a bool.
     """
+    if not isinstance(boundary, bool):
+        raise DatumStructureError(
+            "boundary must be true or false, got %r" % (boundary,))
     n = sigma.rank
     summands = tuple(summands)
     if len(summands) < 2:
@@ -90,14 +94,14 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
     if total is not None and total != q:
         raise DatumStructureError("supplied total polyhedron != sum of summands")
     return DeformationDatum(sigma=sigma, summands=summands, q=q,
-                            w=as_int_vector(w), boundary=bool(boundary))
+                            w=as_int_vector(w), boundary=boundary)
 
 
 def datum_from_json(data: dict) -> DeformationDatum:
     sigma = Cone.from_json(data["sigma"])
     summands = [Polyhedron.from_json(s) for s in data["summands"]]
     w = tuple(int(x) for x in data["w"])
-    boundary = bool(data.get("boundary", False))
+    boundary = data.get("boundary", False)
     total = None
     if "Q" in data:
         total = Polyhedron.from_json(data["Q"])

@@ -7,8 +7,9 @@ matrices are tuples of row tuples.
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector) here only, through its
 .numerator and .denominator; an int has both, with denominator 1.  Text
-and JSON become Fractions at the boundary (workbench._coord,
-fraction_vector).  Floats are not accepted.
+and JSON become Fractions at the boundary (workbench._coord).  Floats are
+not accepted: primitive, which every cone and polyhedron constructor
+calls on its input, raises TypeError for them.
 """
 
 from __future__ import annotations
@@ -79,9 +80,14 @@ def content(u: Sequence[int]) -> int:
 def primitive(u: Sequence) -> IntVector:
     """Primitive integer vector spanning the same ray (positive multiple of u).
 
-    Accepts int or Fraction coordinates.  The zero vector has no direction.
+    Accepts int or Fraction coordinates; any other type raises TypeError.
+    The zero vector has no direction.
     """
-    den = math.lcm(*[a.denominator for a in u])
+    try:
+        den = math.lcm(*[a.denominator for a in u])
+    except AttributeError:
+        raise TypeError("coordinates must be int or Fraction, got %r"
+                        % (tuple(u),)) from None
     ints = [a.numerator * (den // a.denominator) for a in u]
     g = math.gcd(*ints)
     if g == 0:
@@ -100,10 +106,6 @@ def identity_matrix(n: int) -> IntMatrix:
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     bt = list(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(a: Sequence[Sequence]) -> tuple:
-    return tuple(zip(*a))
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:

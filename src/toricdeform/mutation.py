@@ -26,7 +26,8 @@ from .cox import (
     monomial,
 )
 from .datum import DeformationDatum, build_datum
-from .lattice import as_int_vector, dot, primitive, vneg
+from .lattice import (
+    as_int_vector, dot, primitive, vadd, vneg, vscale, vsub)
 from .polyhedral import (
     Cone,
     Fan,
@@ -80,8 +81,6 @@ def validate_fano(p: Polyhedron) -> FanoPolytope:
 class WitnessLayer:
     height: int
     factor_part: Optional[Polyhedron]  # G_h; None for an empty layer
-    difference_region: Optional[Polyhedron]  # D_h
-    slice_hull: Optional[Polyhedron]  # conv of lattice points at this height
     polytope_vertices: tuple  # vertices of P at this height
 
 
@@ -94,20 +93,25 @@ class MutationDatum:
     hmax: int
 
 
-def _slice_polyhedron(p: Polyhedron, w, h: int) -> Polyhedron:
-    ineqs = list(p.inequalities)
-    ineqs.append((tuple(w), -h))
-    ineqs.append((tuple(-x for x in w), h))
-    return Polyhedron.from_inequalities(p.rank, ineqs)
+def _slices(p: Polyhedron, w) -> dict:
+    """Lattice points of p grouped by height <w, x>, each group sorted."""
+    out = {}
+    for x in lattice_points(p):
+        out.setdefault(dot(w, x), []).append(x)
+    return out
 
 
 def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
                             factor: Polyhedron) -> MutationDatum:
     """Factor every negative-height slice, or fail naming the height.
 
-    The factor candidate at height h is conv(D_h with N) where D_h is
-    the region of translations x with x + (-h)F inside the lattice hull
-    of the slice; both defining inclusions are then re-checked.
+    The slices are point sets: the lattice points of P at each height.
+    The factor candidate G_h at height h is the hull of the lattice points
+    x with x + (-h)f in the slice for every vertex f of F, i.e. the
+    lattice points of the region D_h of translations with x + (-h)F
+    inside the slice's lattice hull.  Both defining inclusions are then
+    re-checked: every vertex of P at height h lies in G_h + (-h)F, and
+    every vertex of that sum is a lattice point of the slice.
     """
     n = fano.n
     w = as_int_vector(w)
@@ -125,59 +129,34 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
                 "factor vertex %s does not pair to zero with the direction"
                 % (tuple(v),))
 
-    p = fano.polytope
     heights = [dot(w, v) for v in fano.vertices()]
     hmin, hmax = min(heights), max(heights)
+    slices = _slices(fano.polytope, w)
     layers = []
     fverts = factor.lattice_vertices()
     for h in range(hmin, 0):
         at_h = tuple(v for v in fano.vertices() if dot(w, v) == h)
-        spts = lattice_points(_slice_polyhedron(p, w, h))
-        if not spts:
-            layers.append(WitnessLayer(h, None, None, None, at_h))
-            continue
-        shull = convex_hull(n, spts)
-        dineqs = []
-        for u, c in shull.inequalities:
-            for f in fverts:
-                dineqs.append((u, c + (-h) * dot(u, f)))
-        dregion = Polyhedron.from_inequalities(n, dineqs)
-        gpts = () if dregion.is_empty else lattice_points(dregion)
+        spts = slices.get(h, [])
+        in_slice = set(spts)
+        shifts = [vscale(-h, f) for f in fverts]
+        gpts = [x for x in (vsub(s, shifts[0]) for s in spts)
+                if all(vadd(x, t) in in_slice for t in shifts)]
         g = convex_hull(n, gpts) if gpts else None
         if at_h and g is None:
             raise MutationDatumError(h, "uncovered vertex %s" % (at_h[0],))
         if g is not None:
-            scaled = convex_hull(
-                n, [tuple(-h * x for x in f) for f in fverts])
-            summed = minkowski_sum(g, scaled)
+            summed = minkowski_sum(g, convex_hull(n, shifts))
             for v in at_h:
                 if not summed.contains(v):
                     raise MutationDatumError(h, "uncovered vertex %s" % (v,))
             for mv in summed.vertices:
-                if not shull.contains(mv):
+                if mv not in in_slice:
                     raise MutationDatumError(
                         h, "witness escapes the slice hull at %s"
                         % (tuple(mv),))
-        layers.append(WitnessLayer(h, g, dregion, shull, at_h))
+        layers.append(WitnessLayer(h, g, at_h))
     return MutationDatum(w=w, factor=factor, witnesses=tuple(layers),
                          hmin=hmin, hmax=hmax)
-
-
-def _mutant_points(fano: FanoPolytope, d: MutationDatum,
-                   negative_parts: dict) -> list:
-    n = fano.n
-    fverts = d.factor.lattice_vertices()
-    pts = []
-    for layer in d.witnesses:
-        g = negative_parts.get(layer.height)
-        if g is not None:
-            pts.extend(g.lattice_vertices())
-    for h in range(0, d.hmax + 1):
-        spts = lattice_points(_slice_polyhedron(fano.polytope, d.w, h))
-        for s in spts:
-            for f in fverts:
-                pts.append(tuple(s[i] + h * f[i] for i in range(n)))
-    return pts
 
 
 def mutate(fano: FanoPolytope, d: MutationDatum) -> FanoPolytope:
@@ -188,27 +167,26 @@ def mutate(fano: FanoPolytope, d: MutationDatum) -> FanoPolytope:
     of the vertex-covering translates) and compared.
     """
     n = fano.n
-    canonical = {
-        layer.height: layer.factor_part for layer in d.witnesses}
-    mut = convex_hull(n, _mutant_points(fano, d, canonical))
-
-    # alternative minimal witnesses: only translates that actually cover
-    # a vertex of P at that height
     fverts = d.factor.lattice_vertices()
-    minimal = {}
+    slices = _slices(fano.polytope, d.w)
+    upper = [vadd(s, vscale(h, f))
+             for h in range(0, d.hmax + 1) for s in slices.get(h, [])
+             for f in fverts]
+    canonical, minimal = [], []
     for layer in d.witnesses:
-        if layer.factor_part is None:
-            minimal[layer.height] = None
+        g = layer.factor_part
+        if g is None:
             continue
-        cover = []
+        canonical.extend(g.lattice_vertices())
+        # alternative minimal witness: only translates that actually
+        # cover a vertex of P at this height
         for v in layer.polytope_vertices:
             for f in fverts:
-                cand = tuple(v[i] - (-layer.height) * f[i] for i in range(n))
-                if layer.difference_region.contains(cand):
-                    cover.append(cand)
-        minimal[layer.height] = convex_hull(n, cover) if cover else None
-    alt = convex_hull(n, _mutant_points(fano, d, minimal))
-    if alt != mut:
+                cand = vsub(v, vscale(-layer.height, f))
+                if g.contains(cand):
+                    minimal.append(cand)
+    mut = convex_hull(n, canonical + upper)
+    if convex_hull(n, minimal + upper) != mut:
         raise MutationFamilyError(
             "mutation depends on the witness choice; factors are not sound")
     return validate_fano(mut)

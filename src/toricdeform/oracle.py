@@ -138,11 +138,8 @@ class OracleReport:
 
 
 def _character_points(t, bound: int) -> tuple:
-    nk = t.n + t.k
-    ineqs = [(xi, 0) for xi in t.rays]
-    total = tuple(-sum(xi[i] for xi in t.rays) for i in range(nk))
-    ineqs.append((total, bound))
-    return lattice_points(Polyhedron.from_inequalities(nk, ineqs))
+    total = tuple(sum(xi[i] for xi in t.rays) for i in range(t.n + t.k))
+    return _graded_points(t.cone.dual(), total, bound)
 
 
 def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:

@@ -19,7 +19,6 @@ from .lattice import (
     as_int,
     as_int_vector,
     dot,
-    fraction_vector,
     identity_matrix,
     is_integral,
     is_zero,
@@ -269,7 +268,7 @@ class Polyhedron:
     @classmethod
     def from_points_and_rays(cls, rank: int, points: Iterable[Sequence],
                              rays: Iterable[Sequence] = ()) -> "Polyhedron":
-        pts = [fraction_vector(p) for p in points]
+        pts = [tuple(p) for p in points]
         rs = [tuple(r) for r in rays]
         if not pts:
             raise ValueError("empty input: a hull needs at least one point")
@@ -400,9 +399,6 @@ class Polyhedron:
         if self._hash is None:
             self._hash = hash((self.rank, self.vertices, self.rays, self.lines))
         return self._hash
-
-    def __add__(self, other):
-        return minkowski_sum(self, other)
 
     def __repr__(self):
         if self.is_empty:

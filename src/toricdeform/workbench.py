@@ -106,6 +106,12 @@ def _vector(v) -> tuple:
     return tuple(_coord(x) for x in v)
 
 
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise InputError("%s must be a list, got %r" % (what, v))
+    return v
+
+
 def _int_vector(v) -> tuple:
     out = _vector(v)
     if any(x.denominator != 1 for x in out):
@@ -118,8 +124,8 @@ def _polytope(obj) -> Polyhedron:
         obj = {"vertices": obj}
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise InputError("polytope payload needs a \"vertices\" list")
-    verts = [_vector(v) for v in obj["vertices"]]
-    rays = [_int_vector(r) for r in obj.get("rays", [])]
+    verts = [_vector(v) for v in _list(obj["vertices"], "polytope vertices")]
+    rays = [_int_vector(r) for r in _list(obj.get("rays", []), "polytope rays")]
     if not verts:
         raise InputError("polytope payload has no vertices")
     rank = len(verts[0])
@@ -131,10 +137,12 @@ def _polytope(obj) -> Polyhedron:
 def _cone(obj) -> Cone:
     if not isinstance(obj, dict) or "rays" not in obj:
         raise InputError("cone payload needs a \"rays\" list")
-    rays = [_int_vector(r) for r in obj["rays"]]
+    rays = [_int_vector(r) for r in _list(obj["rays"], "cone rays")]
     if not rays:
         raise InputError("cone payload has no rays")
-    rank = int(obj.get("rank", len(rays[0])))
+    rank = obj.get("rank", len(rays[0]))
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise InputError("cone rank must be an integer, got %r" % (rank,))
     if any(len(r) != rank for r in rays):
         raise InputError("inconsistent ray lengths in cone")
     return Cone.from_generators(rank, rays)
@@ -147,12 +155,12 @@ def _datum(obj):
         if key not in obj:
             raise InputError("datum payload needs \"%s\"" % key)
     sigma = _cone(obj["sigma"])
-    summands = [_polytope(s) for s in obj["summands"]]
+    summands = [_polytope(s) for s in _list(obj["summands"], "summands")]
     w = _int_vector(obj["w"])
     total = _polytope(obj["Q"]) if "Q" in obj else None
     try:
         return build_datum(sigma, summands, w,
-                           boundary=bool(obj.get("boundary", False)),
+                           boundary=obj.get("boundary", False),
                            total=total)
     except DatumStructureError as e:
         raise InputError(str(e))

@@ -300,7 +300,7 @@ def _rechosen_witnesses(fano, d):
             for f in fverts:
                 cand = tuple(v[i] - (-layer.height) * f[i]
                              for i in range(fano.n))
-                if layer.difference_region.contains(cand):
+                if layer.factor_part.contains(cand):
                     cover.append(cand)
         if cover:
             layers.append(dataclasses.replace(

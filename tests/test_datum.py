@@ -175,6 +175,13 @@ def test_datum_json_roundtrip():
         assert back.q == d.q
 
 
+def test_datum_json_boundary_must_be_boolean():
+    data = toy_plane_datum().to_json()
+    for bad in ("no", 0, None):
+        with pytest.raises(ValueError, match="boundary must be true or false"):
+            datum_from_json(dict(data, boundary=bad))
+
+
 # ------------------------------------------------------- enlarged cone
 
 

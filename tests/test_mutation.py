@@ -1,6 +1,8 @@
 """Polytope mutations: datum validation, the mutation map, the pencil
 over P^1, induced boundary data and fiber specialization."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,8 @@ from toricdeform.mutation import (
     validate_fano,
     validate_mutation_datum,
 )
-from toricdeform.polyhedral import Cone, convex_hull
+from toricdeform.lattice import dot, vadd, vneg, vscale
+from toricdeform.polyhedral import Cone, Polyhedron, convex_hull, lattice_points
 from toricdeform.presets import p2_p114_alias, p2_p114_inputs, p2_polytope
 
 import corpus
@@ -120,6 +123,112 @@ def test_random_mutations_invert():
         back = mutate(mut, dinv)
         assert back.polytope == fano.polytope, (
             fano.vertices(), d.w, factor.vertices)
+
+
+# ------------------------------------------------------------ the factors
+
+
+def _reference_difference_regions(fano, d):
+    """D_h at each negative height by the polyhedral route: the slice
+    polyhedron, the lattice hull of its points, and D_h from that hull's
+    inequalities, {x : x + (-h)f in the hull for every vertex f of F}."""
+    n = fano.n
+    fverts = d.factor.lattice_vertices()
+    regions = {}
+    for layer in d.witnesses:
+        h = layer.height
+        ineqs = list(fano.polytope.inequalities)
+        ineqs += [(d.w, -h), (vneg(d.w), h)]
+        spts = lattice_points(Polyhedron.from_inequalities(n, ineqs))
+        if not spts:
+            regions[h] = None
+            continue
+        shull = convex_hull(n, spts)
+        regions[h] = Polyhedron.from_inequalities(
+            n, [(u, c - h * dot(u, f))
+                for u, c in shull.inequalities for f in fverts])
+    return regions
+
+
+def _reference_factor_parts(fano, d):
+    out = {}
+    for h, region in _reference_difference_regions(fano, d).items():
+        pts = lattice_points(region) if region is not None else ()
+        out[h] = convex_hull(fano.n, pts) if pts else None
+    return out
+
+
+def _with_inverses(cases):
+    out = list(cases)
+    for fano, d in cases:
+        mut = mutate(fano, d)
+        out.append((mut, validate_mutation_datum(mut, vneg(d.w), d.factor)))
+    return out
+
+
+def test_factor_parts_match_polyhedral_reference():
+    fano, d, _ = p114_setup()
+    cases = _with_inverses(corpus.random_mutation_cases(10) + [(fano, d)])
+    assert len(cases) == 22
+    for fano, d in cases:
+        want = _reference_factor_parts(fano, d)
+        got = {layer.height: layer.factor_part for layer in d.witnesses}
+        assert got == want, (fano.vertices(), d.w, d.factor.vertices)
+
+
+SIMPLEX_3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+              (0, 0, -1)]
+
+
+def _rank3_cases():
+    """Every valid (w, segment conv(0, e)) with w, e in {-1, 0, 1}^3 on
+    the simplex and the octahedron."""
+    units = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
+    cases = []
+    for verts in (SIMPLEX_3, OCTAHEDRON):
+        fano = validate_fano(convex_hull(3, verts))
+        for w in units:
+            for e in units:
+                if dot(w, e):
+                    continue
+                try:
+                    d = validate_mutation_datum(
+                        fano, w, convex_hull(3, [(0, 0, 0), e]))
+                except MutationDatumError:
+                    continue
+                cases.append((fano, d))
+    return cases
+
+
+def _covering_witnesses(fano, d):
+    """The datum with each factor replaced by the hull of the translates
+    v - (-h)f of vertices v of P that lie in the reference D_h."""
+    regions = _reference_difference_regions(fano, d)
+    fverts = d.factor.lattice_vertices()
+    layers = []
+    for layer in d.witnesses:
+        h = layer.height
+        cover = [x for v in layer.polytope_vertices for f in fverts
+                 for x in [vadd(v, vscale(h, f))] if regions[h].contains(x)]
+        if cover:
+            layer = dataclasses.replace(
+                layer, factor_part=convex_hull(fano.n, cover))
+        layers.append(layer)
+    return dataclasses.replace(d, witnesses=tuple(layers))
+
+
+def test_rank3_mutations():
+    cases = _rank3_cases()
+    assert len(cases) == 36
+    for fano, d in cases:
+        mut = mutate(fano, d)
+        dinv = validate_mutation_datum(mut, vneg(d.w), d.factor)
+        assert mutate(mut, dinv).polytope == fano.polytope, d.w
+        alt = mutate(fano, _covering_witnesses(fano, d))
+        assert alt.polytope == mut.polytope, d.w
+        fam = mutation_family(fano, d)
+        assert specialize_fiber(fam, (1, 0, -1)).matched is True, d.w
 
 
 # ------------------------------------------------------------ the pencil

@@ -213,6 +213,18 @@ def test_from_points_and_rays_requires_points():
         Polyhedron.from_points_and_rays(2, [(0, 0)], [(0, 0)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Cone.from_generators(2, [(0.5, 1), (1, 0)]),
+    lambda: Cone.from_inequalities(2, [(0.5, 1), (1, 0)]),
+    lambda: Polyhedron.from_inequalities(2, [((0.5, 1), 0), ((1, 0), 1)]),
+    lambda: convex_hull(2, [(0.5, 1), (1, 0)]),
+], ids=["cone-generators", "cone-inequalities", "polyhedron-inequalities",
+        "convex-hull"])
+def test_float_coordinates_raise_type_error(build):
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        build()
+
+
 def test_unbounded_slice_shape():
     ineqs = [
         ((1, 1, 0), 0),

@@ -70,6 +70,28 @@ def test_negative_flag_is_usage_error(capsys, command, flag):
     assert err == "error: %s must be non-negative\n" % flag
 
 
+POLYGON_WITH_RAYS_7 = {"vertices": [[1, 0], [0, 1], [-1, -1]], "rays": 7}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("validate-datum", dict(BAD_DATUM, boundary="no")),
+    ("validate-datum", dict(BAD_DATUM, boundary=1)),
+    ("validate-datum", dict(BAD_DATUM, summands=5)),
+    ("validate-datum", dict(BAD_DATUM, summands=[POLYGON_WITH_RAYS_7])),
+    ("validate-datum",
+     dict(BAD_DATUM, sigma={"rays": [[1, 0], [0, 1]], "rank": "x"})),
+    ("mutate", dict(MUT_PAYLOAD, polytope=POLYGON_WITH_RAYS_7)),
+    ("hilbert-basis", {"rays": [[1, 0], [1, 2]], "rank": "x"}),
+])
+def test_malformed_payload_is_usage_error(capsys, tmp_path, command,
+                                          payload):
+    path = write_json(tmp_path, "payload.json", payload)
+    code, out, err = run(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_preset_is_usage_error(capsys):
     code, _, err = run(capsys, "tilde", "no-such-thing")
     assert code == 2
