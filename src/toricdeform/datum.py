@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cox import PairingData
-from .lattice import as_int_vector, dot, is_integral, primitive, vsub
+from .lattice import as_int_vector, dot, fraction_vector, is_integral, primitive, vsub
 from .polyhedral import (
     Cone,
     Polyhedron,
@@ -100,7 +100,7 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
 def datum_from_json(data: dict) -> DeformationDatum:
     sigma = Cone.from_json(data["sigma"])
     summands = [Polyhedron.from_json(s) for s in data["summands"]]
-    w = tuple(int(x) for x in data["w"])
+    w = as_int_vector(fraction_vector(data["w"]))
     boundary = data.get("boundary", False)
     total = None
     if "Q" in data:

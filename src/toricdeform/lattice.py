@@ -355,7 +355,13 @@ def elementary_divisors(a: Sequence[Sequence[int]]) -> tuple:
 
 
 def integer_kernel(a: Sequence[Sequence[int]]) -> tuple:
-    """Basis of {x in Z^n : A x = 0}; the basis spans a saturated sublattice."""
+    """Basis of {x in Z^n : A x = 0}, in Hermite normal form.
+
+    The basis spans a saturated sublattice.  The Smith transform's columns
+    can carry large entries, and a second Smith form fed with them (as in
+    saturate_rowspan) compounds their growth; the Hermite basis of the same
+    lattice keeps them small.
+    """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if nrows == 0:
@@ -366,7 +372,7 @@ def integer_kernel(a: Sequence[Sequence[int]]) -> tuple:
     for j in range(ncols):
         if j >= lim or d[j][j] == 0:
             basis.append(tuple(v[i][j] for i in range(ncols)))
-    return tuple(basis)
+    return hermite_normal_form(basis)
 
 
 def saturate_rowspan(rows: Sequence[Sequence[int]]) -> tuple:
@@ -376,8 +382,8 @@ def saturate_rowspan(rows: Sequence[Sequence[int]]) -> tuple:
         return ()
     ann = integer_kernel(rows)
     if not ann:
-        return hermite_normal_form(identity_matrix(len(rows[0])))
-    return hermite_normal_form(integer_kernel(ann))
+        return identity_matrix(len(rows[0]))
+    return integer_kernel(ann)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple:

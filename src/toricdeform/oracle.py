@@ -68,16 +68,15 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
             raise ValueError(
                 "functional %s is not strictly positive on the cone"
                 % (functional,))
-    pts = [p for p in _graded_points(c, functional, bound) if any(p)]
-    pts.sort(key=lambda p: (dot(functional, p), p))
-    ptset = set(pts)
+    graded = sorted((dot(functional, p), p)
+                    for p in _graded_points(c, functional, bound) if any(p))
+    ptset = {p for _, p in graded}
     gens = []
-    for p in pts:
-        gp = dot(functional, p)
+    for gp, p in graded:
         reducible = False
-        for a in pts:
+        for ga, a in graded:
             # a scan over half the grade finds any split p = a + b
-            if dot(functional, a) * 2 > gp:
+            if ga * 2 > gp:
                 break
             b = tuple(p[i] - a[i] for i in range(c.rank))
             if any(b) and b in ptset:
@@ -161,9 +160,10 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     failures = []
     witnesses = []
     for group in buckets.values():
+        group = [(p, exps(p)) for p in group]
         for a in range(len(group)):
             for b in range(a, len(group)):
-                r, s = group[a], group[b]
+                (r, er), (s, es) = group[a], group[b]
                 checked += 1
                 shifts = tuple(r[n + i] - s[n + i] for i in range(k))
                 q = list(r)
@@ -177,7 +177,6 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
                                      "reason": "q outside the dual cone",
                                      "q": list(q)})
                     continue
-                er, es = exps(r), exps(s)
                 pr = list(er)
                 ps = list(es)
                 for i in range(k):

@@ -443,26 +443,49 @@ def min_functional(p: Polyhedron, u: Sequence) -> MinResult:
 
 
 def lattice_points(p: Polyhedron) -> tuple:
-    """All lattice points of a bounded polyhedron, sorted lexicographically."""
+    """All lattice points of a bounded polyhedron, sorted lexicographically.
+
+    Project-and-lift enumeration (as in Normaliz): level i holds the
+    inequalities of the hull of the vertices projected to the first i + 1
+    coordinates, and the last level is p's own inequalities.  With the
+    prefix x_0..x_{i-1} fixed, every row reads a * x_i >= rhs, so x_i runs
+    over an integer interval; a prefix outside a projection is never
+    extended.  x_i increases at every level, so the output is sorted.
+    """
     if p.is_empty:
         return ()
     if not p.is_bounded:
         raise UnboundedError("Unbounded: lattice point enumeration needs a polytope")
-    lo = [math.floor(min(v[i] for v in p.vertices)) for i in range(p.rank)]
-    hi = [math.ceil(max(v[i] for v in p.vertices)) for i in range(p.rank)]
+    levels = [Polyhedron.from_points_and_rays(i, {v[:i] for v in p.vertices}).inequalities
+              for i in range(1, p.rank)]
+    levels.append(p.inequalities)
     out = []
-    point = [0] * p.rank
+    point = []
 
-    def scan(i):
+    def lift(i):
         if i == p.rank:
-            if p.contains(tuple(point)):
-                out.append(tuple(point))
+            out.append(tuple(point))
             return
-        for x in range(lo[i], hi[i] + 1):
-            point[i] = x
-            scan(i + 1)
+        lo = hi = None
+        for u, c in levels[i]:
+            a = u[i]
+            rhs = -c - sum(x * y for x, y in zip(u, point))  # zip stops at the prefix
+            if a > 0:
+                b = -(-rhs // a)
+                if lo is None or b > lo:
+                    lo = b
+            elif a < 0:
+                b = rhs // a
+                if hi is None or b < hi:
+                    hi = b
+            elif rhs > 0:
+                return
+        for x in range(lo, hi + 1):
+            point.append(x)
+            lift(i + 1)
+            point.pop()
 
-    scan(0)
+    lift(0)
     return tuple(out)
 
 

@@ -112,6 +112,12 @@ def _list(v, what: str) -> list:
     return v
 
 
+def _int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError("%s must be an integer, got %r" % (what, x))
+    return x
+
+
 def _int_vector(v) -> tuple:
     out = _vector(v)
     if any(x.denominator != 1 for x in out):
@@ -140,9 +146,7 @@ def _cone(obj) -> Cone:
     rays = [_int_vector(r) for r in _list(obj["rays"], "cone rays")]
     if not rays:
         raise InputError("cone payload has no rays")
-    rank = obj.get("rank", len(rays[0]))
-    if isinstance(rank, bool) or not isinstance(rank, int):
-        raise InputError("cone rank must be an integer, got %r" % (rank,))
+    rank = _int(obj.get("rank", len(rays[0])), "cone rank")
     if any(len(r) != rank for r in rays):
         raise InputError("inconsistent ray lengths in cone")
     return Cone.from_generators(rank, rays)
@@ -317,9 +321,9 @@ def _polarize_payload(obj) -> PolarizedToricVariety:
         if "fan" in obj and "phi" in obj:
             fan_obj = obj["fan"]
             rays = tuple(_int_vector(r) for r in fan_obj["rays"])
-            cones = tuple(tuple(int(i) for i in c)
+            cones = tuple(tuple(_int(i, "cone index") for i in c)
                           for c in fan_obj["maximal_cones"])
-            fan = Fan(rank=int(fan_obj.get("rank", len(rays[0]))),
+            fan = Fan(rank=_int(fan_obj.get("rank", len(rays[0])), "fan rank"),
                       rays=rays, maximal_cones=cones)
             phi = [_coord(x) for x in obj["phi"]]
             return PolarizedToricVariety.from_support_function(fan, phi)

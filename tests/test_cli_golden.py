@@ -28,6 +28,7 @@ def cli_runs() -> list:
     for cmd in ("validate-datum", "tilde", "equations"):
         base += [(cmd, name) for name in DATUM_PRESETS]
     base += [("oracle", name, "--bound", "8") for name in DATUM_PRESETS]
+    base += [("oracle", "cA1", "--bound", "20")]
     base += [("polarize", "p2-p114"), ("mutate", "p2-p114"),
              ("family", "p2-p114")]
     base += [("fiber", "p2-p114", "--point", pt) for pt in FIBER_POINTS]

@@ -182,6 +182,13 @@ def test_datum_json_boundary_must_be_boolean():
             datum_from_json(dict(data, boundary=bad))
 
 
+def test_datum_json_rejects_non_integral_w():
+    data = toy_plane_datum().to_json()
+    with pytest.raises(ValueError, match="non-integral coordinate 1/2"):
+        datum_from_json(dict(data, w=[0.5, -0.5]))
+    assert datum_from_json(dict(data, w=["0", "-1"])).w == (0, -1)
+
+
 # ------------------------------------------------------- enlarged cone
 
 

@@ -1,6 +1,9 @@
 """Polyhedral layer: cones, polyhedra, conversions, enumeration."""
 
+import itertools
 import json
+import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -328,6 +331,92 @@ def test_lattice_points_against_oracle():
         rank = r.choice([2, 3])
         p = corpus.random_polytope(r, rank, lo=-3, hi=3)
         assert lattice_points(p) == brute_lattice_points(rank, p.inequalities)
+
+
+def _box_scan(p):
+    """Reference enumeration: every point of the vertices' bounding box."""
+    if p.is_empty:
+        return ()
+    box = [range(math.floor(min(v[i] for v in p.vertices)),
+                 math.ceil(max(v[i] for v in p.vertices)) + 1)
+           for i in range(p.rank)]
+    return tuple(x for x in itertools.product(*box) if p.contains(x))
+
+
+def _small_rational(r):
+    return Fraction(r.randint(-3, 3), r.choice((1, 2, 3)))
+
+
+def _flat_polytope(r, rank, dim):
+    """Hull of rational points in a random affine subspace of dimension <= dim."""
+    base = [_small_rational(r) for _ in range(rank)]
+    dirs = [[r.randint(-1, 1) for _ in range(rank)] for _ in range(dim)]
+    pts = []
+    for _ in range(r.randint(dim + 1, dim + 3)):
+        cs = [_small_rational(r) for _ in dirs]
+        pts.append(tuple(b + sum(c * d[i] for c, d in zip(cs, dirs))
+                         for i, b in enumerate(base)))
+    return convex_hull(rank, pts)
+
+
+def test_lattice_points_match_box_scan_every_dimension():
+    r = corpus.rng(511)
+    seen = set()
+    lattice_free = 0
+    for rank in range(1, 6):
+        per_dim = {4: 16, 5: 10}.get(rank, 30)
+        for dim in range(rank + 1):
+            for _ in range(per_dim):
+                p = _flat_polytope(r, rank, dim)
+                pts = lattice_points(p)
+                assert pts == _box_scan(p), p
+                seen.add((rank, p.affine_dimension()))
+                lattice_free += not pts
+        for empty in (Polyhedron.empty(rank),
+                      Polyhedron.from_inequalities(
+                          rank, [((1,) + (0,) * (rank - 1), -1),
+                                 ((-1,) + (0,) * (rank - 1), 0)])):
+            assert empty.is_empty and lattice_points(empty) == ()
+    assert seen == {(rank, d) for rank in range(1, 6) for d in range(rank + 1)}
+    assert lattice_free > 0
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _hull_within(seconds, rank, pts):
+    def expire(*_):
+        raise _Timeout()
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return convex_hull(rank, pts)
+    except _Timeout:
+        pytest.fail("convex_hull(%d, %r) ran past %s s" % (rank, pts, seconds))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_lower_dimensional_hull_lineality_stays_small():
+    # saturating the lineality of a lower-dimensional hull runs two Smith
+    # normal forms in a row; the second must not see entries that grow with
+    # every row swap
+    f = Fraction
+    p = _hull_within(5, 4, [(1, -4, 0, -3), (f(-4, 3), f(2, 3), f(2, 3), 2),
+                            (0, f(-3, 2), f(-4, 3), 0)])
+    assert p.affine_dimension() == 2 and len(p.vertices) == 3
+    r = corpus.rng(5)
+    for _ in range(150):
+        rank = r.choice([4, 5])
+        dens = r.choice([(1,), (1, 1, 2, 3)])
+        pts = [tuple(Fraction(r.randint(-4, 4), r.choice(dens))
+                     for _ in range(rank))
+               for _ in range(r.randint(2, rank))]
+        hull = _hull_within(2, rank, pts)
+        assert all(hull.contains(x) for x in pts)
 
 
 def test_lattice_points_unbounded_raises():

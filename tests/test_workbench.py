@@ -70,6 +70,8 @@ def test_negative_flag_is_usage_error(capsys, command, flag):
     assert err == "error: %s must be non-negative\n" % flag
 
 
+P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]],
+          "maximal_cones": [[0, 1], [1, 2], [0, 2]]}
 POLYGON_WITH_RAYS_7 = {"vertices": [[1, 0], [0, 1], [-1, -1]], "rays": 7}
 
 
@@ -82,6 +84,10 @@ POLYGON_WITH_RAYS_7 = {"vertices": [[1, 0], [0, 1], [-1, -1]], "rays": 7}
      dict(BAD_DATUM, sigma={"rays": [[1, 0], [0, 1]], "rank": "x"})),
     ("mutate", dict(MUT_PAYLOAD, polytope=POLYGON_WITH_RAYS_7)),
     ("hilbert-basis", {"rays": [[1, 0], [1, 2]], "rank": "x"}),
+    ("validate-datum", dict(BAD_DATUM, w=[0.5, -0.5])),
+    ("polarize", {"fan": dict(P2_FAN, rank="x"), "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, maximal_cones=[[0, "a"]]),
+                  "phi": [-1, -1, -1]}),
 ])
 def test_malformed_payload_is_usage_error(capsys, tmp_path, command,
                                           payload):
