@@ -1,10 +1,10 @@
 """Exact polyhedral geometry: cones, polyhedra, and normal fans.
 
-Ray/facet conversion runs a Motzkin-Burger double description pass with the
-rank-based adjacency test; every object carries both a generator and an
-inequality description in canonical form (primitive vectors, lexicographically
-sorted, duplicate-free), so equality is plain structural comparison.
-All arithmetic is exact (int / Fraction).
+Ray/facet conversion runs a Motzkin-Burger double description pass whose
+adjacency test is combinatorial, on zero-set bitmasks; every object carries
+both a generator and an inequality description in canonical form (primitive
+vectors, lexicographically sorted, duplicate-free), so equality is plain
+structural comparison.  All arithmetic is exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -44,61 +44,55 @@ def dual_description(rank: int, normals: Sequence[tuple]):
     """Extreme rays and lineality basis of {x : <a, x> >= 0 for all a}.
 
     Processes the inequalities incrementally.  State invariant: the current
-    cone equals lin(lineality) + cone(rays) with rays extreme modulo the
-    lineality space.  Returns (rays, lineality) uncanonicalized.
+    cone equals lin(lineality) + cone(rays), with rays extreme and pairwise
+    distinct modulo the lineality space, and bit i of a ray's mask is set iff
+    the i-th normal vanishes on it.  Processed normals vanish on the
+    lineality space, so masks are tight sets modulo lineality.  A positive
+    and a negative ray are adjacent iff their common tight set has at least
+    rank - dim(lin) - 2 members and no third ray is tight on all of it (the
+    combinatorial test of Fukuda & Prodon, 1996); each adjacent pair spans
+    its own 2-face, so new rays never repeat.  Returns (rays, lineality)
+    uncanonicalized.
     """
     lineality = [tuple(r) for r in identity_matrix(rank)]
-    rays: list = []
-    processed: list = []
-    for a in normals:
+    rays: list = []  # (ray, mask) pairs
+    for n, a in enumerate(normals):
+        bit = 1 << n
         vals = [dot(a, l) for l in lineality]
         if any(vals):
             i0 = next(i for i, v in enumerate(vals) if v)
             l0 = lineality[i0] if vals[i0] > 0 else vneg(lineality[i0])
             al0 = abs(vals[i0])
-            new_lin = []
-            for i, l in enumerate(lineality):
-                if i == i0:
-                    continue
-                if vals[i]:
-                    new_lin.append(primitive(tuple(al0 * x - vals[i] * y for x, y in zip(l, l0))))
-                else:
-                    new_lin.append(l)
-            seen = set()
+            new_lin = [primitive(tuple(al0 * x - v * y for x, y in zip(l, l0))) if v else l
+                       for i, (l, v) in enumerate(zip(lineality, vals)) if i != i0]
             new_rays = []
-            for r in rays:
+            for r, m in rays:  # shifting along l0 makes r tight on a
                 ar = dot(a, r)
                 rp = primitive(tuple(al0 * x - ar * y for x, y in zip(r, l0))) if ar else r
-                if rp not in seen:
-                    seen.add(rp)
-                    new_rays.append(rp)
-            if l0 not in seen:
-                new_rays.append(l0)
-            lineality, rays = new_lin, new_rays
+                new_rays.append((rp, m | bit))
+            lineality, rays = new_lin, new_rays + [(l0, bit - 1)]  # l0 was a line
         else:
-            pos, zero, neg = [], [], []
-            for r in rays:
-                v = dot(a, r)
-                (pos if v > 0 else zero if v == 0 else neg).append((r, v))
-            if neg:
-                combos = []
-                seen = set(r for r, _ in pos) | set(r for r, _ in zero)
-                lin_dim = len(lineality)
-                for rp, vp in pos:
-                    for rn, vn in neg:
-                        if _adjacent(rp, rn, processed, rank, lin_dim):
-                            s = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
-                            if s not in seen:
-                                seen.add(s)
-                                combos.append(s)
-                rays = [r for r, _ in pos] + [r for r, _ in zero] + combos
-        processed.append(tuple(a))
-    return rays, lineality
-
-
-def _adjacent(rp, rn, processed, rank, lin_dim):
-    tight = [b for b in processed if dot(b, rp) == 0 and dot(b, rn) == 0]
-    return matrix_rank(tight) == rank - lin_dim - 2
+            vs = [dot(a, r) for r, _ in rays]
+            if min(vs, default=0) >= 0:
+                rays = [(r, m if v else m | bit) for (r, m), v in zip(rays, vs)]
+                continue
+            pos = [t for t, v in enumerate(vs) if v > 0]
+            neg = [t for t, v in enumerate(vs) if v < 0]
+            zero = [(r, m | bit) for (r, m), v in zip(rays, vs) if v == 0]
+            need = rank - len(lineality) - 2
+            combos = []
+            for tp in pos:
+                rp, mp = rays[tp]
+                for tn in neg:
+                    rn, mn = rays[tn]
+                    common = mp & mn
+                    if common.bit_count() < need or any(
+                            m & common == common for t, (_, m) in enumerate(rays) if t != tp and t != tn):
+                        continue
+                    s = primitive(tuple(vs[tp] * x - vs[tn] * y for x, y in zip(rn, rp)))
+                    combos.append((s, common | bit))
+            rays = [rays[t] for t in pos] + zero + combos
+    return [r for r, _ in rays], lineality
 
 
 def _canonical_vrep(rank: int, rays: Sequence[tuple], lineality: Sequence[tuple]):
@@ -378,7 +372,8 @@ class Polyhedron:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polyhedron":
-        verts = [tuple(Fraction(int(num), int(den)) for num, den in v) for v in data["vertices"]]
+        verts = [tuple(Fraction(as_int(Fraction(num)), as_int(Fraction(den))) for num, den in v)
+                 for v in data["vertices"]]
         rays = [tuple(r) for r in data.get("rays", [])]
         if not verts:
             if "rank" not in data:

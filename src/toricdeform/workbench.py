@@ -498,7 +498,7 @@ def _cmd_hilbert_basis(args):
         lines.append("complete: %s (bound %d, certificate needs %d)"
                      % (hb.complete, hb.bound, hb.certificate_bound))
         out = "\n".join(lines)
-    return 0, out
+    return (0 if hb.complete else 1), out
 
 
 def _cmd_oracle(args):

@@ -97,16 +97,22 @@ def brute_facets_from_rays(rank, rays):
     return tuple(sorted(found))
 
 
-def brute_rays_from_normals(rank, normals):
-    """Extreme rays of a pointed cone {x : <a, x> >= 0 for a in normals}.
+def brute_rays_from_normals(rank, normals, equations=()):
+    """Extreme rays of a pointed cone {x : <a, x> >= 0 for a in normals,
+    <e, x> = 0 for e in equations}.
 
+    Takes kernels of (rank - 1 - len(equations))-subsets of the normals
+    together with the equations, which must be linearly independent.
     Only correct when the cone is pointed; callers pick such inputs.
     """
     normals = [tuple(a) for a in normals]
+    equations = [tuple(e) for e in equations]
     found = set()
-    size = rank - 1
+    size = rank - 1 - len(equations)
+    if size < 0:
+        return ()
     for sub in itertools.combinations(normals, size) if size else [()]:
-        ker = rational_kernel(list(sub), rank)
+        ker = rational_kernel(list(sub) + equations, rank)
         if len(ker) != 1:
             continue
         v = ker[0]
@@ -118,7 +124,7 @@ def brute_rays_from_normals(rank, normals):
         else:
             continue
         tight = [a for a in normals if dot(a, cand) == 0]
-        if rational_rank(tight) == rank - 1:
+        if rational_rank(tight + equations) == rank - 1:
             found.add(prim(cand))
     return tuple(sorted(found))
 

@@ -32,7 +32,7 @@ def cli_runs() -> list:
     base += [("polarize", "p2-p114"), ("mutate", "p2-p114"),
              ("family", "p2-p114")]
     base += [("fiber", "p2-p114", "--point", pt) for pt in FIBER_POINTS]
-    base += [("hilbert-basis", "cA1")]
+    base += [("hilbert-basis", "cA1"), ("hilbert-basis", "cA1", "--bound", "0")]
     base += [("verify-example", name) for name in presets.PRESET_NAMES]
     rejected = [("tilde", "cA1", "--p", "-1"),
                 ("oracle", "toy-plane", "--bound", "-3"),

@@ -189,6 +189,15 @@ def test_datum_json_rejects_non_integral_w():
     assert datum_from_json(dict(data, w=["0", "-1"])).w == (0, -1)
 
 
+def test_datum_json_rejects_non_integral_summand():
+    data = toy_plane_datum().to_json()
+    bad = {"vertices": [[[0.5, 1], [1, 1]]], "rays": []}
+    with pytest.raises(ValueError, match="non-integral coordinate 1/2"):
+        datum_from_json(dict(data, summands=[bad, data["summands"][1]]))
+    with pytest.raises(ValueError, match="non-integral coordinate 1/2"):
+        datum_from_json(dict(data, Q=bad))
+
+
 # ------------------------------------------------------- enlarged cone
 
 

@@ -14,6 +14,7 @@ from toricdeform.polyhedral import (
     Polyhedron,
     UnboundedError,
     convex_hull,
+    dual_description,
     lattice_points,
     membership_scaling,
     min_functional,
@@ -28,6 +29,7 @@ from oracles import (
     brute_rays_from_normals,
     dot,
     fm_minimize,
+    rational_kernel,
     rational_rank,
 )
 
@@ -166,6 +168,92 @@ def test_cone_json_roundtrip():
 def test_cone_rejects_bad_rank():
     with pytest.raises(ValueError):
         Cone.from_generators(2, [(1, 0, 0)])
+
+
+# ------------------------------------------------- double description
+
+
+def dd_inputs(seed, count):
+    """Inequality lists in ranks 2-6, drawn in the span of 1..rank random
+    vectors (so the cone often has lineality), with extra rows that make
+    it lower-dimensional (a and -a), redundant (sums, positive multiples,
+    zero rows) or duplicated, in random order."""
+    r = corpus.rng(seed)
+    for _ in range(count):
+        rank = r.choice([2, 3, 4, 5, 6])
+        basis = [corpus.random_vector(r, rank, -2, 2)
+                 for _ in range(rank if r.random() < 0.5 else r.randint(1, rank))]
+        rows = [tuple(sum(r.randint(-2, 2) * b[i] for b in basis) for i in range(rank))
+                for _ in range(r.randint(1, rank + 2))]
+        for _ in range(r.randint(0, 2)):
+            a, b = r.choice(rows), r.choice(rows)
+            rows.append(r.choice([tuple(-x for x in a), tuple(x + y for x, y in zip(a, b)),
+                                  tuple(2 * x for x in a), a, (0,) * rank]))
+        r.shuffle(rows)
+        yield rank, rows
+
+
+def cube_and_cross_cones():
+    """Cones over the 3- and 4-cube and the 3- and 4-dimensional
+    cross-polytopes: degenerate, non-simplicial inputs in which many
+    non-adjacent ray pairs pass the popcount prefilter."""
+    for d in (3, 4):
+        yield d + 1, [v + (1,) for v in itertools.product((-1, 1), repeat=d)]
+        yield d + 1, [tuple(s if j == i else 0 for j in range(d)) + (1,)
+                      for i in range(d) for s in (-1, 1)]
+
+
+def pointed_part(rank, normals):
+    """Extreme rays of {x : <a, x> >= 0} cut down to the orthogonal
+    complement of its lineality space, by subset enumeration."""
+    return brute_rays_from_normals(rank, normals, equations=rational_kernel(normals, rank))
+
+
+def check_dual_description(rank, normals, expected):
+    """dual_description returns as many rays as the expected extreme-ray
+    list, each extreme and on its own face, and a basis of the kernel."""
+    rays, lines = dual_description(rank, normals)
+    assert len(lines) == rank - rational_rank(normals) == rational_rank(lines)
+    assert all(dot(a, l) == 0 for a in normals for l in lines)
+    faces = set()
+    for v in rays:
+        assert all(dot(a, v) >= 0 for a in normals)
+        tight = frozenset(a for a in normals if dot(a, v) == 0)
+        assert rational_rank(list(tight)) == rank - len(lines) - 1  # extreme modulo lines
+        faces.add(tight)
+    assert len(faces) == len(rays) == len(expected)
+
+
+def test_dual_description_against_subset_enumeration():
+    kinds = set()
+    for rank, rows in dd_inputs(106, 250):
+        expected = pointed_part(rank, rows)
+        check_dual_description(rank, rows, expected)
+        h = Cone.from_inequalities(rank, rows)
+        assert h.pointed_rays == expected
+        assert Cone.from_generators(rank, rows).pointed_facets == expected
+        if rational_rank(rows) == rank:
+            assert h.dual().facets == brute_facets_from_rays(rank, rows)
+        kinds.add((rank, rational_rank(rows) == rank,
+                   rational_rank(expected) == rational_rank(rows)))
+    # every rank 2-6 occurs; lineality and lower-dimensional cones both occur
+    assert {k[0] for k in kinds} == {2, 3, 4, 5, 6}
+    assert {k[1:] for k in kinds} == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_dual_description_degenerate_polytope_cones():
+    r = corpus.rng(108)
+    for rank, gens in cube_and_cross_cones():
+        c = Cone.from_generators(rank, gens)
+        facets = brute_facets_from_rays(rank, gens)
+        assert c.pointed_rays == tuple(sorted(gens))  # every vertex is extreme
+        assert c.facets == facets
+        assert Cone.from_inequalities(rank, facets) == c
+        for rows, expected in ((gens, facets), (facets, gens)):
+            rows = list(rows) + list(rows[:2])
+            for _ in range(3):
+                r.shuffle(rows)
+                check_dual_description(rank, rows, expected)
 
 
 # ----------------------------------------------------------- polyhedra
@@ -511,6 +599,15 @@ def test_polyhedron_json_with_rays_and_empty():
     assert Polyhedron.from_json(p.to_json()) == p
     e = Polyhedron.empty(2)
     assert Polyhedron.from_json(e.to_json()) == e
+
+
+def test_polyhedron_json_rejects_non_integral_num_den():
+    with pytest.raises(ValueError, match="non-integral coordinate 1/2"):
+        Polyhedron.from_json({"vertices": [[[1, 2], [0, 1]], [[0.5, 1], [1, 1]]]})
+    with pytest.raises(ValueError, match="non-integral coordinate 3/2"):
+        Polyhedron.from_json({"vertices": [[[1, 1], [1, 1.5]]]})
+    p = Polyhedron.from_json({"vertices": [[[1, 2], [0, 1]], [["3", 1], [1, 1.0]]]})
+    assert p.vertices == ((Fraction(1, 2), 0), (3, 1))
 
 
 def test_is_lattice():
