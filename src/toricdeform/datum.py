@@ -16,11 +16,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cox import PairingData
-from .lattice import as_int_vector, dot, fraction_vector, is_integral, primitive, vsub
+from .lattice import as_int_vector, dot, is_integral, primitive, vector_from_json, vsub
 from .polyhedral import (
     Cone,
     Polyhedron,
     UnboundedError,
+    _json_fields,
+    _json_list,
     membership_scaling,
     min_functional,
     minkowski_sum,
@@ -97,15 +99,16 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
                             w=as_int_vector(w), boundary=boundary)
 
 
-def datum_from_json(data: dict) -> DeformationDatum:
+def datum_from_json(data) -> DeformationDatum:
+    """Inverse of DeformationDatum.to_json; a "Q" must be the summands' sum."""
+    _json_fields(data, "datum", ("sigma", "summands", "w"))
     sigma = Cone.from_json(data["sigma"])
-    summands = [Polyhedron.from_json(s) for s in data["summands"]]
-    w = as_int_vector(fraction_vector(data["w"]))
-    boundary = data.get("boundary", False)
-    total = None
-    if "Q" in data:
-        total = Polyhedron.from_json(data["Q"])
-    return build_datum(sigma, summands, w, boundary=boundary, total=total)
+    summands = [Polyhedron.from_json(s)
+                for s in _json_list(data["summands"], "summands")]
+    w = as_int_vector(vector_from_json(data["w"], "w"))
+    total = Polyhedron.from_json(data["Q"]) if "Q" in data else None
+    return build_datum(sigma, summands, w,
+                       boundary=data.get("boundary", False), total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +203,11 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     results = []
     sigma, q, w = d.sigma, d.q, d.w
 
-    # (i) Q inside sigma
+    # (i) Q inside sigma, tested on the positive multiple primitive(v) of a
+    # vertex, in integers; the zero vector lies in every cone
     bad = None
     for v in q.vertices:
-        if not sigma.contains(v):
+        if any(v) and not sigma.contains(primitive(v)):
             bad = "vertex " + _fmt_point(v)
             break
     if bad is None:
@@ -274,7 +278,7 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     bad = None
     if not level.is_empty:
         for v in level.vertices:
-            if not membership_scaling(q, v):
+            if not membership_scaling(q, primitive(v)):  # <w, v> = -1, so v != 0
                 bad = "slice vertex " + _fmt_point(v)
                 break
     results.append(ConditionResult(

@@ -6,10 +6,10 @@ matrices are tuples of row tuples.
 
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector) here only, through its
-.numerator and .denominator; an int has both, with denominator 1.  Text
-and JSON become Fractions at the boundary (workbench._coord).  Floats are
-not accepted: primitive, which every cone and polyhedron constructor
-calls on its input, raises TypeError for them.
+.numerator and .denominator; an int has both, with denominator 1.  JSON
+becomes Fractions at one boundary, vector_from_json, under every payload
+reader.  Floats are not accepted: primitive, which every cone and
+polyhedron constructor calls on its input, raises TypeError for them.
 """
 
 from __future__ import annotations
@@ -70,6 +70,35 @@ def as_int(a) -> int:
 def as_int_vector(u: Sequence) -> IntVector:
     """Cast an integral vector to plain ints; error if any coordinate is not integral."""
     return tuple(map(as_int, u))
+
+
+def vector_from_json(v, what: str) -> RationalVector:
+    """Read a JSON coordinate vector: the one rule for JSON numbers.
+
+    A coordinate is an int, a "p/q" string or a [num, den] pair of integers.
+    Every JSON number must have an integer value: 1.0 reads as 1, and 0.5
+    raises "non-integral coordinate 1/2", never truncates.  Bools are not
+    numbers.  Anything malformed raises ValueError.
+    """
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ValueError("%s must be a non-empty coordinate list, got %r" % (what, v))
+    out = []
+    for x in v:
+        pair = isinstance(x, (list, tuple))
+        parts = []
+        for y in (x if pair else [x]):
+            if isinstance(y, bool) or not isinstance(y, (int, float, str)):
+                raise ValueError("bad coordinate %r" % (x,))
+            try:
+                parts.append(Fraction(y))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError("bad coordinate %r" % (x,)) from None
+            if pair or isinstance(y, float):
+                as_int(parts[-1])
+        if pair and (len(parts) != 2 or parts[1] == 0):
+            raise ValueError("bad coordinate %r" % (x,))
+        out.append(parts[0] / parts[1] if pair else parts[0])
+    return tuple(out)
 
 
 def content(u: Sequence[int]) -> int:

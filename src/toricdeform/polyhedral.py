@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .lattice import (
     ZeroVectorError,
-    as_int,
     as_int_vector,
     dot,
     identity_matrix,
@@ -27,6 +26,7 @@ from .lattice import (
     project_off_rowspan,
     saturate_rowspan,
     vadd,
+    vector_from_json,
     vneg,
     vsub,
 )
@@ -120,6 +120,38 @@ def _fold(pointed: Sequence[tuple], lines: Sequence[tuple]) -> tuple:
     return tuple(sorted(out))
 
 
+# ---------------------------------------------------------------------------
+# JSON payload shapes; numbers follow lattice.vector_from_json
+
+
+def _json_fields(data, what: str, keys: Sequence[str]) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError("%s payload must be a JSON object" % what)
+    for key in keys:
+        if key not in data:
+            raise ValueError("%s payload needs \"%s\"" % (what, key))
+    return data
+
+
+def _json_list(v, what: str):
+    if not isinstance(v, (list, tuple)):
+        raise ValueError("%s must be a list, got %r" % (what, v))
+    return v
+
+
+def _json_lattice_vectors(v, what: str) -> list:
+    return [as_int_vector(vector_from_json(r, what))
+            for r in _json_list(v, what + "s")]
+
+
+def _json_rank(data: dict, vectors: Sequence[tuple], what: str) -> int:
+    """The payload's "rank", by default the length of its first vector."""
+    rank = data.get("rank", len(vectors[0]) if vectors else None)
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        raise ValueError("%s payload needs a positive \"rank\", got %r" % (what, rank))
+    return rank
+
+
 def _vh_pipeline(rank: int, gens: Sequence[tuple]):
     """V-data -> (pointed rays, lines, pointed facets, facet lines).
     H-data -> the same four parts of its dual, i.e. the halves swapped."""
@@ -184,7 +216,8 @@ class Cone:
                     self.pointed_rays, self.lines)
 
     def contains(self, v: Sequence) -> bool:
-        return all(dot(f, v) >= 0 for f in self.facets)
+        return (all(dot(f, v) >= 0 for f in self.pointed_facets)
+                and all(dot(l, v) == 0 for l in self.facet_lines))
 
     def interior_contains(self, v: Sequence) -> bool:
         if self.dimension() != self.rank:
@@ -216,8 +249,11 @@ class Cone:
         return {"rank": self.rank, "rays": [list(r) for r in self.rays]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Cone":
-        return cls.from_generators(int(data["rank"]), [tuple(r) for r in data["rays"]])
+    def from_json(cls, data) -> "Cone":
+        """Inverse of to_json: {"rays", "rank"?}."""
+        _json_fields(data, "cone", ("rays",))
+        rays = _json_lattice_vectors(data["rays"], "cone ray")
+        return cls.from_generators(_json_rank(data, rays, "cone"), rays)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +302,8 @@ class Polyhedron:
         rs = [tuple(r) for r in rays]
         if not pts:
             raise ValueError("empty input: a hull needs at least one point")
-        for p in pts:
-            if len(p) != rank:
-                raise ValueError("point %r does not live in rank %d" % (p, rank))
+        if any(len(x) != rank for x in pts + rs):
+            raise ValueError("a point or ray does not live in rank %d" % rank)
         gens = {primitive(p + (1,)) for p in pts}
         for r in rs:
             if is_zero(r):
@@ -339,11 +374,12 @@ class Polyhedron:
         return matrix_rank(rows)
 
     def translate(self, vec: Sequence) -> "Polyhedron":
+        # rebuilt, as a shift would break the Hermite basis of the equations
         if self.is_empty:
             return self
-        return Polyhedron(self.rank, sorted(vadd(v, vec) for v in self.vertices),
-                          self.rays, self.lines,
-                          sorted((u, c - as_int(dot(u, vec))) for u, c in self.inequalities))
+        return Polyhedron.from_points_and_rays(
+            self.rank, [vadd(v, vec) for v in self.vertices],
+            self.rays + self.lines + tuple(vneg(l) for l in self.lines))
 
     def scale(self, factor) -> "Polyhedron":
         """Dilate a bounded polyhedron by a positive rational factor."""
@@ -371,19 +407,20 @@ class Polyhedron:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "Polyhedron":
-        verts = [tuple(Fraction(as_int(Fraction(num)), as_int(Fraction(den))) for num, den in v)
-                 for v in data["vertices"]]
-        rays = [tuple(r) for r in data.get("rays", [])]
-        if not verts:
-            if "rank" not in data:
-                raise ValueError("empty polyhedron serialization needs a rank")
-            return cls.empty(int(data["rank"]))
-        rank = len(verts[0])
-        lines = [tuple(l) for l in data.get("lines", [])]
-        if lines:
-            rays = list(rays) + lines + [vneg(l) for l in lines]
-        return cls.from_points_and_rays(rank, verts, rays)
+    def from_json(cls, data) -> "Polyhedron":
+        """Inverse of to_json: a bare vertex list or {"vertices", "rays"?,
+        "lines"?, "rank"?}; no vertices, rays or lines is the empty one."""
+        if isinstance(data, list):
+            data = {"vertices": data}
+        _json_fields(data, "polyhedron", ("vertices",))
+        verts = [vector_from_json(v, "polyhedron vertex")
+                 for v in _json_list(data["vertices"], "polyhedron vertices")]
+        rays = _json_lattice_vectors(data.get("rays", []), "polyhedron ray")
+        lines = _json_lattice_vectors(data.get("lines", []), "polyhedron line")
+        rank = _json_rank(data, verts, "polyhedron")
+        if not (verts or rays or lines):
+            return cls.empty(rank)
+        return cls.from_points_and_rays(rank, verts, rays + lines + [vneg(l) for l in lines])
 
     def __eq__(self, other):
         return (isinstance(other, Polyhedron) and self.rank == other.rank
@@ -526,6 +563,22 @@ class Fan:
     def to_json(self) -> dict:
         return {"rank": self.rank, "rays": [list(r) for r in self.rays],
                 "maximal_cones": [list(c) for c in self.maximal_cones]}
+
+    @classmethod
+    def from_json(cls, data) -> "Fan":
+        """Inverse of to_json: {"rays", "maximal_cones", "rank"?}."""
+        _json_fields(data, "fan", ("rays", "maximal_cones"))
+        rays = tuple(_json_lattice_vectors(data["rays"], "fan ray"))
+        rank = _json_rank(data, rays, "fan")
+        if any(len(r) != rank for r in rays):
+            raise ValueError("fan rays must all have length %d" % rank)
+        cones = tuple(tuple(_json_list(c, "fan cone"))
+                      for c in _json_list(data["maximal_cones"], "fan cones"))
+        bad = [i for c in cones for i in c
+               if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(rays)]
+        if bad:
+            raise ValueError("fan cone index %r is not one of the %d rays" % (bad[0], len(rays)))
+        return cls(rank=rank, rays=rays, maximal_cones=cones)
 
 
 def normal_fan(p: Polyhedron) -> Fan:

@@ -1,8 +1,8 @@
 """Command-line workbench: JSON payloads in, deterministic reports out.
 
 Exit codes: 0 success, 1 validation failure (the report explains why),
-2 malformed input.  Payloads are UTF-8 JSON files; a handful of preset
-names stand in for files so the shipped examples run without any setup.
+2 malformed input (a library reader's ValueError).  Payloads are UTF-8
+JSON files; preset names stand in for files for the shipped examples.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .cox import (
     AliasTable,
@@ -23,13 +24,13 @@ from .cox import (
     trinomials,
 )
 from .datum import (
-    DatumStructureError,
     _fmt_point,
-    build_datum,
     build_tilde,
     check_tilde_structure,
+    datum_from_json,
     validate_datum,
 )
+from .lattice import as_int_vector, vector_from_json
 from .mutation import (
     MutationFamilyError,
     OutsideVError,
@@ -45,10 +46,8 @@ from .oracle import (
     hilbert_basis,
 )
 from . import presets
-from .polyhedral import Cone, Fan, Polyhedron
+from .polyhedral import Cone, Fan, Polyhedron, _json_fields
 from .projective import (
-    NonPrimitiveVertexError,
-    OriginNotInteriorError,
     PolarizedToricVariety,
     classify_divisor,
     cox_comparison,
@@ -69,115 +68,43 @@ class Failure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# lenient JSON loading
+# payload files; the library's from_json readers parse their contents
 
 
-def _load_file(path: str) -> dict:
+def _load_file(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror or e))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # undecodable bytes or malformed JSON
         raise InputError("invalid JSON in %s: %s" % (path, e))
 
 
-def _coord(x) -> Fraction:
-    if isinstance(x, bool):
-        raise InputError("coordinate %r is not a number" % (x,))
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise InputError("bad coordinate %r" % (x,))
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        try:
-            return Fraction(int(x[0]), int(x[1]))
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise InputError("bad coordinate %r" % (x,))
-    raise InputError("bad coordinate %r" % (x,))
-
-
-def _vector(v) -> tuple:
-    if not isinstance(v, (list, tuple)) or not v:
-        raise InputError("expected a coordinate vector, got %r" % (v,))
-    return tuple(_coord(x) for x in v)
-
-
-def _list(v, what: str) -> list:
-    if not isinstance(v, list):
-        raise InputError("%s must be a list, got %r" % (what, v))
-    return v
-
-
-def _int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError("%s must be an integer, got %r" % (what, x))
-    return x
-
-
-def _int_vector(v) -> tuple:
-    out = _vector(v)
-    if any(x.denominator != 1 for x in out):
-        raise InputError("expected integer coordinates in %r" % (v,))
-    return tuple(int(x) for x in out)
-
-
-def _polytope(obj) -> Polyhedron:
-    if isinstance(obj, list):
-        obj = {"vertices": obj}
-    if not isinstance(obj, dict) or "vertices" not in obj:
-        raise InputError("polytope payload needs a \"vertices\" list")
-    verts = [_vector(v) for v in _list(obj["vertices"], "polytope vertices")]
-    rays = [_int_vector(r) for r in _list(obj.get("rays", []), "polytope rays")]
-    if not verts:
-        raise InputError("polytope payload has no vertices")
-    rank = len(verts[0])
-    if any(len(v) != rank for v in verts) or any(len(r) != rank for r in rays):
-        raise InputError("inconsistent coordinate lengths in polytope")
-    return Polyhedron.from_points_and_rays(rank, verts, rays)
-
-
-def _cone(obj) -> Cone:
-    if not isinstance(obj, dict) or "rays" not in obj:
-        raise InputError("cone payload needs a \"rays\" list")
-    rays = [_int_vector(r) for r in _list(obj["rays"], "cone rays")]
-    if not rays:
-        raise InputError("cone payload has no rays")
-    rank = _int(obj.get("rank", len(rays[0])), "cone rank")
-    if any(len(r) != rank for r in rays):
-        raise InputError("inconsistent ray lengths in cone")
-    return Cone.from_generators(rank, rays)
-
-
-def _datum(obj):
-    if not isinstance(obj, dict):
-        raise InputError("datum payload must be a JSON object")
-    for key in ("sigma", "summands", "w"):
-        if key not in obj:
-            raise InputError("datum payload needs \"%s\"" % key)
-    sigma = _cone(obj["sigma"])
-    summands = [_polytope(s) for s in _list(obj["summands"], "summands")]
-    w = _int_vector(obj["w"])
-    total = _polytope(obj["Q"]) if "Q" in obj else None
-    try:
-        return build_datum(sigma, summands, w,
-                           boundary=obj.get("boundary", False),
-                           total=total)
-    except DatumStructureError as e:
-        raise InputError(str(e))
-
-
 def _mutation_payload(obj):
-    if not isinstance(obj, dict):
-        raise InputError("mutation payload must be a JSON object")
-    for key in ("polytope", "w", "factor"):
-        if key not in obj:
-            raise InputError("mutation payload needs \"%s\"" % key)
-    return (_polytope(obj["polytope"]), _int_vector(obj["w"]),
-            _polytope(obj["factor"]))
+    _json_fields(obj, "mutation", ("polytope", "w", "factor"))
+    return (Polyhedron.from_json(obj["polytope"]),
+            as_int_vector(vector_from_json(obj["w"], "w")),
+            Polyhedron.from_json(obj["factor"]))
+
+
+def _polarize_payload(obj):
+    """The variety's constructor on the parsed input, not yet called."""
+    _json_fields(obj, "polarize", ())
+    if "tau" in obj:
+        return partial(PolarizedToricVariety.from_cone,
+                       Cone.from_json(obj["tau"]))
+    if "polytope" in obj:
+        return partial(PolarizedToricVariety.from_fano_polytope,
+                       Polyhedron.from_json(obj["polytope"]))
+    if "fan" in obj and "phi" in obj:
+        fan = Fan.from_json(obj["fan"])
+        phi = vector_from_json(obj["phi"], "phi")
+        if len(phi) != len(fan.rays):
+            raise ValueError("phi needs one value per fan ray")
+        return partial(PolarizedToricVariety.from_support_function, fan, phi)
+    raise ValueError(
+        "polarize payload needs \"tau\", \"polytope\", or \"fan\"+\"phi\"")
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +127,13 @@ def _datum_for(name: str, p: int):
 
 def _resolve(args, loader, preset_lookup=None):
     """A payload argument is a file if one exists at that path, else a
-    known preset name."""
+    known preset name.  A file the loader rejects is malformed input."""
     if os.path.exists(args.input):
-        return loader(_load_file(args.input)), None
+        data = _load_file(args.input)
+        try:
+            return loader(data), None
+        except ValueError as e:
+            raise InputError(str(e))
     if preset_lookup is not None:
         got = preset_lookup(args.input)
         if got is not None:
@@ -236,7 +167,7 @@ def _alias_for(args, rays, shipped=None):
 
 
 def _cmd_validate_datum(args):
-    d, _ = _resolve(args, _datum, lambda n: _datum_for(n, args.p))
+    d, _ = _resolve(args, datum_from_json, lambda n: _datum_for(n, args.p))
     rep = validate_datum(d)
     if args.format == "json":
         out = _emit_json(rep.to_json())
@@ -253,7 +184,7 @@ def _require_valid(d):
 
 
 def _cmd_tilde(args):
-    d, _ = _resolve(args, _datum, lambda n: _datum_for(n, args.p))
+    d, _ = _resolve(args, datum_from_json, lambda n: _datum_for(n, args.p))
     _require_valid(d)
     t = build_tilde(d)
     struct = check_tilde_structure(t)
@@ -275,7 +206,7 @@ def _cmd_tilde(args):
 
 
 def _cmd_equations(args):
-    d, preset = _resolve(args, _datum, lambda n: _datum_for(n, args.p))
+    d, preset = _resolve(args, datum_from_json, lambda n: _datum_for(n, args.p))
     _require_valid(d)
     t = build_tilde(d)
     try:
@@ -309,40 +240,16 @@ def _cmd_equations(args):
     return 0, out
 
 
-def _polarize_payload(obj) -> PolarizedToricVariety:
-    if not isinstance(obj, dict):
-        raise InputError("polarize payload must be a JSON object")
+def _cmd_polarize(args):
+    build, _ = _resolve(
+        args, _polarize_payload,
+        lambda n: (partial(PolarizedToricVariety.from_fano_polytope,
+                           presets.p2_polytope())
+                   if n == "p2-p114" else None))
     try:
-        if "tau" in obj:
-            return PolarizedToricVariety.from_cone(_cone(obj["tau"]))
-        if "polytope" in obj:
-            return PolarizedToricVariety.from_fano_polytope(
-                _polytope(obj["polytope"]))
-        if "fan" in obj and "phi" in obj:
-            fan_obj = obj["fan"]
-            rays = tuple(_int_vector(r) for r in fan_obj["rays"])
-            cones = tuple(tuple(_int(i, "cone index") for i in c)
-                          for c in fan_obj["maximal_cones"])
-            fan = Fan(rank=_int(fan_obj.get("rank", len(rays[0])), "fan rank"),
-                      rays=rays, maximal_cones=cones)
-            phi = [_coord(x) for x in obj["phi"]]
-            return PolarizedToricVariety.from_support_function(fan, phi)
-    except (OriginNotInteriorError, NonPrimitiveVertexError) as e:
-        raise Failure(str(e))
-    except (KeyError, TypeError) as e:
-        raise InputError("bad polarize payload: %s" % e)
+        v = build()
     except ValueError as e:
         raise Failure(str(e))
-    raise InputError(
-        "polarize payload needs \"tau\", \"polytope\", or \"fan\"+\"phi\"")
-
-
-def _cmd_polarize(args):
-    v, _ = _resolve(
-        args, _polarize_payload,
-        lambda n: (_polarize_payload({"polytope": presets.p2_polytope()
-                                      .to_json()})
-                   if n == "p2-p114" else None))
     pm = polytope_in_M(v)
     cls = classify_divisor(v)
     if args.format == "json":
@@ -484,7 +391,7 @@ def _cmd_fiber(args):
 
 def _cmd_hilbert_basis(args):
     c, _ = _resolve(
-        args, _cone,
+        args, Cone.from_json,
         lambda n: presets.ca1_sigma().dual() if n == "cA1" else None)
     try:
         hb = hilbert_basis(c, bound=args.bound)
@@ -502,7 +409,7 @@ def _cmd_hilbert_basis(args):
 
 
 def _cmd_oracle(args):
-    d, _ = _resolve(args, _datum, lambda n: _datum_for(n, args.p))
+    d, _ = _resolve(args, datum_from_json, lambda n: _datum_for(n, args.p))
     _require_valid(d)
     t = build_tilde(d)
     rep0 = degree_zero_equality_check(t, bound=args.bound)

@@ -1,6 +1,7 @@
 """Deformation data: structural rejection, the six conditions, the
 enlarged cone, and the floor-min identity."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,11 @@ def test_datum_json_roundtrip():
         assert back.boundary == d.boundary
         assert all(s1 == s2 for s1, s2 in zip(back.summands, d.summands))
         assert back.q == d.q
+
+
+def test_datum_json_roundtrip_on_corpus():
+    for d in corpus.random_valid_data(905, 12):
+        assert datum_from_json(json.loads(json.dumps(d.to_json()))) == d
 
 
 def test_datum_json_boundary_must_be_boolean():

@@ -377,6 +377,15 @@ def test_translate_and_scale():
     )
 
 
+def test_translate_keeps_lower_dimensional_form_canonical():
+    segment = convex_hull(3, [(1, 0, 0), (0, 1, 0)])
+    moved = segment.translate((1, -1, 2))
+    assert moved == convex_hull(3, [(2, -1, 2), (1, 0, 2)])
+    point = convex_hull(3, [(1, -1, 2)])
+    assert point.translate((0, 0, Fraction(1, 2))) == convex_hull(
+        3, [(1, -1, Fraction(5, 2))])
+
+
 def test_min_functional_frozen():
     q = convex_hull(
         3, [(Fraction(-1, 2), Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 2), 0)]

@@ -58,6 +58,14 @@ def test_garbage_file_is_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_undecodable_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"w": "\xe9"}')
+    code, out, err = run(capsys, "validate-datum", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--p", "--bound"])
 @pytest.mark.parametrize("command", sorted(workbench._COMMANDS))
 def test_negative_flag_is_usage_error(capsys, command, flag):
@@ -88,6 +96,23 @@ POLYGON_WITH_RAYS_7 = {"vertices": [[1, 0], [0, 1], [-1, -1]], "rays": 7}
     ("polarize", {"fan": dict(P2_FAN, rank="x"), "phi": [-1, -1, -1]}),
     ("polarize", {"fan": dict(P2_FAN, maximal_cones=[[0, "a"]]),
                   "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, maximal_cones=[[0, 1], [1, -1],
+                                                     [0, 2]]),
+                  "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, maximal_cones=[[0, 1], [1, 3],
+                                                     [0, 2]]),
+                  "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, rays=[]), "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, rays=[[1, 0], [0, 1], [-1, -1, 0]]),
+                  "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": P2_FAN, "phi": [-1, -1]}),
+    ("hilbert-basis", {"rays": [[[2.5, 1], 0], [1, 2]]}),
+    ("polarize", {"polytope": [[[1.5, 1], 0], [0, 1], [-1, -1]]}),
+    ("mutate", dict(MUT_PAYLOAD, polytope=[[[1.5, 1], 0], [0, 1], [-1, -1]])),
+    ("mutate", dict(MUT_PAYLOAD, polytope={
+        "vertices": [[1, 0], [0, 1], [-1, -1]], "rays": [[0, 0]]})),
+    ("validate-datum", dict(BAD_DATUM, summands=[
+        {"vertices": [[0, 1]], "rays": [[0, 0]]}, [[1, 0]]])),
 ])
 def test_malformed_payload_is_usage_error(capsys, tmp_path, command,
                                           payload):
@@ -96,6 +121,25 @@ def test_malformed_payload_is_usage_error(capsys, tmp_path, command,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_validate_reads_summand_lines(capsys, tmp_path):
+    payload = toy_plane_datum().to_json()
+    payload["summands"][0].update(rank=2, lines=[[1, 0]])
+    path = write_json(tmp_path, "lines.json", payload)
+    code, out, _ = run(capsys, "validate-datum", path)
+    assert code == 1
+    assert "FAIL (i)" in out
+
+
+def test_datum_file_agrees_with_preset(capsys, tmp_path):
+    for name in ("cA1", "toy-plane", "hexagon-a", "hexagon-b", "p2-p114"):
+        path = write_json(tmp_path, name + ".json",
+                          workbench._datum_for(name, 3).to_json())
+        for command in ("validate-datum", "tilde", "equations"):
+            by_file = run(capsys, command, path, "--format", "json")
+            by_name = run(capsys, command, name, "--format", "json")
+            assert by_file[:2] == by_name[:2], (name, command)
 
 
 def test_unknown_preset_is_usage_error(capsys):
