@@ -175,15 +175,17 @@ class Cone:
     cones.  Both lists are primitive, sorted, duplicate-free.
     """
 
-    __slots__ = ("rank", "generators", "pointed_rays", "lines", "pointed_facets", "facet_lines", "_hash")
+    __slots__ = ("rank", "pointed_rays", "lines", "pointed_facets", "facet_lines",
+                 "rays", "facets", "_hash")
 
-    def __init__(self, rank, generators, pointed_rays, lines, pointed_facets, facet_lines):
+    def __init__(self, rank, pointed_rays, lines, pointed_facets, facet_lines):
         self.rank = rank
-        self.generators = tuple(generators)
         self.pointed_rays = tuple(pointed_rays)
         self.lines = tuple(lines)
         self.pointed_facets = tuple(pointed_facets)
         self.facet_lines = tuple(facet_lines)
+        self.rays = _fold(self.pointed_rays, self.lines)
+        self.facets = _fold(self.pointed_facets, self.facet_lines)
         self._hash = None
 
     @classmethod
@@ -194,25 +196,17 @@ class Cone:
                 raise ValueError("generator %r does not live in rank %d" % (g, rank))
         clean = sorted({primitive(g) for g in gens if not is_zero(g)})
         pointed, lines, fac_p, fac_l = _vh_pipeline(rank, clean)
-        return cls(rank, gens, pointed, lines, fac_p, fac_l)
+        return cls(rank, pointed, lines, fac_p, fac_l)
 
     @classmethod
     def from_inequalities(cls, rank: int, normals: Iterable[Sequence]) -> "Cone":
         raw = tuple(tuple(n) for n in normals)
         clean = sorted({primitive(n) for n in raw if not is_zero(n)})
         fac_p, fac_l, pointed, lines = _vh_pipeline(rank, clean)
-        return cls(rank, raw, pointed, lines, fac_p, fac_l)
-
-    @property
-    def rays(self) -> tuple:
-        return _fold(self.pointed_rays, self.lines)
-
-    @property
-    def facets(self) -> tuple:
-        return _fold(self.pointed_facets, self.facet_lines)
+        return cls(rank, pointed, lines, fac_p, fac_l)
 
     def dual(self) -> "Cone":
-        return Cone(self.rank, self.facets, self.pointed_facets, self.facet_lines,
+        return Cone(self.rank, self.pointed_facets, self.facet_lines,
                     self.pointed_rays, self.lines)
 
     def contains(self, v: Sequence) -> bool:

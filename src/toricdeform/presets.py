@@ -2,13 +2,15 @@
 
 Each preset bundles the input data, the alias table that makes the
 printed equations readable, and a verify function comparing the whole
-pipeline against embedded golden values.
+pipeline against embedded golden values.  PRESETS is the one table from
+preset names to stand-in payloads, alias tables and verify reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .cox import (
     AliasTable,
@@ -33,8 +35,7 @@ from .mutation import (
 )
 from .oracle import hilbert_basis
 from .polyhedral import Cone, convex_hull
-
-PRESET_NAMES = ("cA1", "p2-p114", "hexagon", "toy-plane")
+from .projective import PolarizedToricVariety
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +269,41 @@ def verify_hexagon() -> VerifyReport:
     return VerifyReport(example="hexagon", checks=tuple(checks))
 
 
-def verify_example(name: str, p: int = 3) -> VerifyReport:
-    if name == "cA1":
-        return verify_ca1(p)
-    if name == "toy-plane":
-        return verify_toy_plane()
-    if name == "p2-p114":
-        return verify_p2_p114()
-    if name == "hexagon":
-        return verify_hexagon()
-    raise KeyError("unknown example %r; have %s"
-                   % (name, ", ".join(PRESET_NAMES)))
+# ---------------------------------------------------------------------------
+# the preset table
+
+
+# kind -> name -> (builder of the stand-in payload, called with the cA1
+# exponent p; shipped alias table or None).  The payload kinds are what the
+# workbench's readers return; an "example" builds its verification report.
+PRESETS = {
+    "datum": {
+        "cA1": (ca1_datum, ca1_alias),
+        "toy-plane": (lambda p: toy_plane_datum(), None),
+        "hexagon-a": (lambda p: hexagon_data()[0], None),
+        "hexagon-b": (lambda p: hexagon_data()[1], None),
+        # the p2-p114 alias names the family fan, not this enlarged cone
+        "p2-p114": (lambda p: p2_p114_family().induced_datum, None),
+    },
+    "cone": {"cA1": (lambda p: ca1_sigma().dual(), None)},
+    "polarize": {
+        "p2-p114": (lambda p: partial(PolarizedToricVariety.from_fano_polytope,
+                                      p2_polytope()), None),
+    },
+    "mutation": {"p2-p114": (lambda p: p2_p114_inputs(), p2_p114_alias)},
+    "example": {
+        "cA1": (verify_ca1, None),
+        "p2-p114": (lambda p: verify_p2_p114(), None),
+        "hexagon": (lambda p: verify_hexagon(), None),
+        "toy-plane": (lambda p: verify_toy_plane(), None),
+    },
+}
+
+PRESET_NAMES = tuple(PRESETS["example"])
+
+
+def preset(kind: str, name: str, p: int = 3):
+    """(payload, shipped alias table or None) of a preset name, or None if
+    the kind has no preset of that name."""
+    entry = PRESETS[kind].get(name)
+    return None if entry is None else (entry[0](p), entry[1])

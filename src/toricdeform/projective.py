@@ -22,8 +22,8 @@ from .cox import (
     cox_system,
     trinomials,
 )
-from .datum import DeformationDatum, TildeData, build_tilde, require_valid
-from .lattice import content, dot, primitive
+from .datum import DeformationDatum, TildeData, _fmt_point, build_tilde, require_valid
+from .lattice import content, dot, is_integral, primitive
 from .polyhedral import Cone, Fan, Polyhedron
 
 
@@ -38,7 +38,8 @@ class OriginNotInteriorError(ValueError):
 class NonPrimitiveVertexError(ValueError):
     def __init__(self, vertex):
         self.vertex = tuple(vertex)
-        super().__init__("NonPrimitiveVertex: %s" % (self.vertex,))
+        shown = self.vertex if is_integral(self.vertex) else _fmt_point(self.vertex)
+        super().__init__("NonPrimitiveVertex: %s" % (shown,))
 
 
 class DivisorClass(enum.IntEnum):
@@ -176,7 +177,8 @@ def check_fano_polytope(p: Polyhedron) -> Polyhedron:
     if p.affine_dimension() != p.rank:
         raise OriginNotInteriorError("polytope is not full-dimensional")
     if not p.is_lattice:
-        raise NonPrimitiveVertexError(p.vertices[0])
+        raise NonPrimitiveVertexError(
+            next(v for v in p.vertices if not is_integral(v)))
     for _, c in p.inequalities:
         if c <= 0:
             raise OriginNotInteriorError("0 lies on or outside a facet")

@@ -1,8 +1,14 @@
 """Command-line workbench: JSON payloads in, deterministic reports out.
 
-Exit codes: 0 success, 1 validation failure (the report explains why),
-2 malformed input (a library reader's ValueError).  Payloads are UTF-8
-JSON files; preset names stand in for files for the shipped examples.
+Payloads are UTF-8 JSON files; preset names from presets.PRESETS stand
+in for files for the shipped examples, and a file at the path wins.
+
+Exit codes, mapped in main alone: 0 success; 2 an InputError (a payload
+a library reader rejects with ValueError, an unknown preset, a bad flag
+or parameter point), with one "error:" line on stderr; 1 a
+DatumValidationError, whose report is printed, or any other ValueError
+on a well-formed payload, whose message is printed.  A printed report
+that reads as a failure also exits 1.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from functools import partial
 
 from .cox import (
     AliasTable,
-    NegativeExponentError,
     binomials,
     boundary_monomial,
     is_degenerate_monomial,
@@ -24,18 +29,19 @@ from .cox import (
     trinomials,
 )
 from .datum import (
+    DatumValidationError,
     _fmt_point,
     build_tilde,
     check_tilde_structure,
     datum_from_json,
+    require_valid,
     validate_datum,
 )
 from .lattice import as_int_vector, vector_from_json
 from .mutation import (
-    MutationFamilyError,
-    OutsideVError,
     mutate,
     mutation_family,
+    normalize_parameter_point,
     specialize_fiber,
     validate_fano,
     validate_mutation_datum,
@@ -59,14 +65,6 @@ class InputError(Exception):
     """Malformed payload; maps to exit code 2."""
 
 
-class Failure(Exception):
-    """Validation failure with a printable report; maps to exit code 1."""
-
-    def __init__(self, text):
-        self.text = text
-        super().__init__(text)
-
-
 # ---------------------------------------------------------------------------
 # payload files; the library's from_json readers parse their contents
 
@@ -83,9 +81,15 @@ def _load_file(path: str):
 
 def _mutation_payload(obj):
     _json_fields(obj, "mutation", ("polytope", "w", "factor"))
-    return (Polyhedron.from_json(obj["polytope"]),
-            as_int_vector(vector_from_json(obj["w"], "w")),
-            Polyhedron.from_json(obj["factor"]))
+    p = Polyhedron.from_json(obj["polytope"])
+    w = as_int_vector(vector_from_json(obj["w"], "w"))
+    f = Polyhedron.from_json(obj["factor"])
+    if len(w) != p.rank:
+        raise ValueError("w has length %d, expected %d" % (len(w), p.rank))
+    if f.rank != p.rank:
+        raise ValueError("factor has rank %d, polytope has rank %d"
+                         % (f.rank, p.rank))
+    return p, w, f
 
 
 def _polarize_payload(obj):
@@ -107,38 +111,24 @@ def _polarize_payload(obj):
         "polarize payload needs \"tau\", \"polytope\", or \"fan\"+\"phi\"")
 
 
-# ---------------------------------------------------------------------------
-# presets as stand-in payloads
+_READERS = {"datum": datum_from_json, "cone": Cone.from_json,
+            "polarize": _polarize_payload, "mutation": _mutation_payload}
 
 
-def _datum_for(name: str, p: int):
-    if name == "cA1":
-        return presets.ca1_datum(p)
-    if name == "toy-plane":
-        return presets.toy_plane_datum()
-    if name == "hexagon-a":
-        return presets.hexagon_data()[0]
-    if name == "hexagon-b":
-        return presets.hexagon_data()[1]
-    if name == "p2-p114":
-        return presets.p2_p114_family().induced_datum
-    return None
-
-
-def _resolve(args, loader, preset_lookup=None):
-    """A payload argument is a file if one exists at that path, else a
-    known preset name.  A file the loader rejects is malformed input."""
+def _resolve(args, kind):
+    """The payload of this kind and its shipped alias table (None for a
+    file).  The argument is a file if one exists at that path, else a
+    preset name.  A file the reader rejects is malformed input."""
     if os.path.exists(args.input):
         data = _load_file(args.input)
         try:
-            return loader(data), None
+            return _READERS[kind](data), None
         except ValueError as e:
             raise InputError(str(e))
-    if preset_lookup is not None:
-        got = preset_lookup(args.input)
-        if got is not None:
-            return got, args.input
-    raise InputError("no such file or preset: %s" % args.input)
+    found = presets.preset(kind, args.input, args.p)
+    if found is None:
+        raise InputError("no such file or preset: %s" % args.input)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +139,7 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _alias_for(args, rays, shipped=None):
+def _alias_for(args, rays, shipped):
     """The --alias table if given, else the shipped one, else x0, x1, ..."""
     if args.alias:
         data = _load_file(args.alias)
@@ -167,7 +157,7 @@ def _alias_for(args, rays, shipped=None):
 
 
 def _cmd_validate_datum(args):
-    d, _ = _resolve(args, datum_from_json, lambda n: _datum_for(n, args.p))
+    d, _ = _resolve(args, "datum")
     rep = validate_datum(d)
     if args.format == "json":
         out = _emit_json(rep.to_json())
@@ -176,16 +166,9 @@ def _cmd_validate_datum(args):
     return (0 if rep.ok else 1), out
 
 
-def _require_valid(d):
-    rep = validate_datum(d)
-    if not rep.ok:
-        raise Failure(str(rep))
-    return rep
-
-
 def _cmd_tilde(args):
-    d, _ = _resolve(args, datum_from_json, lambda n: _datum_for(n, args.p))
-    _require_valid(d)
+    d, _ = _resolve(args, "datum")
+    require_valid(d)
     t = build_tilde(d)
     struct = check_tilde_structure(t)
     if args.format == "json":
@@ -206,15 +189,12 @@ def _cmd_tilde(args):
 
 
 def _cmd_equations(args):
-    d, preset = _resolve(args, datum_from_json, lambda n: _datum_for(n, args.p))
-    _require_valid(d)
+    d, shipped = _resolve(args, "datum")
+    require_valid(d)
     t = build_tilde(d)
-    try:
-        bs = binomials(t)
-        ts = trinomials(t)
-        mono = boundary_monomial(t) if d.boundary else None
-    except NegativeExponentError as e:
-        raise Failure(str(e))
+    bs = binomials(t)
+    ts = trinomials(t)
+    mono = boundary_monomial(t) if d.boundary else None
     if args.format == "json":
         out = _emit_json({
             "rays": [list(r) for r in t.rays],
@@ -223,9 +203,7 @@ def _cmd_equations(args):
             "boundary_monomial": mono.to_json() if mono else None,
         })
     else:
-        # the p2-p114 alias names the family fan, not this enlarged cone
-        alias = _alias_for(args, t.rays,
-                           presets.ca1_alias if preset == "cA1" else None)
+        alias = _alias_for(args, t.rays, shipped)
         lines = []
         for i, f in enumerate(ts, start=1):
             lines.append("trinomial %d: %s" % (i, pretty(f, t.rays, alias)))
@@ -241,15 +219,8 @@ def _cmd_equations(args):
 
 
 def _cmd_polarize(args):
-    build, _ = _resolve(
-        args, _polarize_payload,
-        lambda n: (partial(PolarizedToricVariety.from_fano_polytope,
-                           presets.p2_polytope())
-                   if n == "p2-p114" else None))
-    try:
-        v = build()
-    except ValueError as e:
-        raise Failure(str(e))
+    build, _ = _resolve(args, "polarize")
+    v = build()
     pm = polytope_in_M(v)
     cls = classify_divisor(v)
     if args.format == "json":
@@ -274,16 +245,9 @@ def _cmd_polarize(args):
 
 
 def _fano_and_datum(args):
-    (p, w, f), preset = _resolve(
-        args, _mutation_payload,
-        lambda n: presets.p2_p114_inputs() if n == "p2-p114" else None)
-    try:
-        fano = validate_fano(p)
-        d = validate_mutation_datum(fano, w, f)
-    except ValueError as e:
-        # covers MutationDatumError and the Fano shape checks
-        raise Failure(str(e))
-    return fano, d, preset
+    (p, w, f), shipped = _resolve(args, "mutation")
+    fano = validate_fano(p)
+    return fano, validate_mutation_datum(fano, w, f), shipped
 
 
 def _cmd_mutate(args):
@@ -315,16 +279,9 @@ def _cmd_mutate(args):
     return 0, out
 
 
-def _build_family(args):
-    fano, d, preset = _fano_and_datum(args)
-    try:
-        return mutation_family(fano, d), preset
-    except MutationFamilyError as e:
-        raise Failure(str(e))
-
-
 def _cmd_family(args):
-    fam, preset = _build_family(args)
+    fano, d, shipped = _fano_and_datum(args)
+    fam = mutation_family(fano, d)
     if args.format == "json":
         out = _emit_json({
             "rays": [list(r) for r in fam.fan.rays],
@@ -336,8 +293,7 @@ def _cmd_family(args):
                                  for v in fam.q_tilde.vertices],
         })
     else:
-        alias = _alias_for(args, fam.fan.rays,
-                           presets.p2_p114_alias if preset else None)
+        alias = _alias_for(args, fam.fan.rays, shipped)
         lines = []
         lines.append("ambient rays: %s"
                      % " ".join(_fmt_point(r) for r in fam.fan.rays))
@@ -354,29 +310,28 @@ def _cmd_family(args):
 
 
 def _parse_point(text: str) -> tuple:
+    """The normalized homogeneous point a:b:c."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError("parameter point must look like a:b:c")
     try:
-        return tuple(Fraction(x) for x in parts)
+        point = tuple(Fraction(x) for x in parts)
     except (ValueError, ZeroDivisionError):
         raise InputError("bad parameter point %r" % text)
+    try:
+        return normalize_parameter_point(point)
+    except ValueError as e:  # all zero
+        raise InputError(str(e))
 
 
 def _cmd_fiber(args):
-    fam, preset = _build_family(args)
-    point = _parse_point(args.point)
-    try:
-        rep = specialize_fiber(fam, point)
-    except OutsideVError as e:
-        raise Failure(str(e))
-    except ValueError as e:
-        raise InputError(str(e))
+    fano, d, shipped = _fano_and_datum(args)
+    fam = mutation_family(fano, d)
+    rep = specialize_fiber(fam, _parse_point(args.point))
     if args.format == "json":
         out = _emit_json(rep.to_json())
     else:
-        alias = _alias_for(args, fam.fan.rays,
-                           presets.p2_p114_alias if preset else None)
+        alias = _alias_for(args, fam.fan.rays, shipped)
         lines = ["fiber at [%s] (%s): %s"
                  % (":".join(str(x) for x in rep.point), rep.kind,
                     pretty(rep.polynomial, fam.fan.rays, alias))]
@@ -390,13 +345,8 @@ def _cmd_fiber(args):
 
 
 def _cmd_hilbert_basis(args):
-    c, _ = _resolve(
-        args, Cone.from_json,
-        lambda n: presets.ca1_sigma().dual() if n == "cA1" else None)
-    try:
-        hb = hilbert_basis(c, bound=args.bound)
-    except ValueError as e:
-        raise Failure(str(e))
+    c, _ = _resolve(args, "cone")
+    hb = hilbert_basis(c, bound=args.bound)
     if args.format == "json":
         out = _emit_json(hb.to_json())
     else:
@@ -409,8 +359,8 @@ def _cmd_hilbert_basis(args):
 
 
 def _cmd_oracle(args):
-    d, _ = _resolve(args, datum_from_json, lambda n: _datum_for(n, args.p))
-    _require_valid(d)
+    d, _ = _resolve(args, "datum")
+    require_valid(d)
     t = build_tilde(d)
     rep0 = degree_zero_equality_check(t, bound=args.bound)
     repb = boundary_equality_check(t, bound=args.bound) if d.boundary \
@@ -432,10 +382,11 @@ def _cmd_oracle(args):
 
 
 def _cmd_verify_example(args):
-    try:
-        rep = presets.verify_example(args.name, p=args.p)
-    except KeyError as e:
-        raise InputError(e.args[0])
+    found = presets.preset("example", args.name, args.p)
+    if found is None:
+        raise InputError("unknown example %r; have %s"
+                         % (args.name, ", ".join(presets.PRESET_NAMES)))
+    rep, _ = found
     if args.format == "json":
         out = _emit_json(rep.to_json())
     else:
@@ -497,12 +448,15 @@ def main(argv=None) -> int:
             if getattr(args, flag) < 0:
                 raise InputError("--%s must be non-negative" % flag)
         code, out = handler(args)
-    except Failure as e:
-        print(e.text)
-        return 1
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except DatumValidationError as e:
+        print(e.report)
+        return 1
+    except ValueError as e:
+        print(e)
+        return 1
     if out:
         print(out)
     return code

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from toricdeform import workbench
+from toricdeform import presets, workbench
 from toricdeform.presets import toy_plane_datum
 
 
@@ -113,6 +113,8 @@ POLYGON_WITH_RAYS_7 = {"vertices": [[1, 0], [0, 1], [-1, -1]], "rays": 7}
         "vertices": [[1, 0], [0, 1], [-1, -1]], "rays": [[0, 0]]})),
     ("validate-datum", dict(BAD_DATUM, summands=[
         {"vertices": [[0, 1]], "rays": [[0, 0]]}, [[1, 0]]])),
+    ("mutate", dict(MUT_PAYLOAD, w=[1])),
+    ("mutate", dict(MUT_PAYLOAD, factor=[[0, 0, 0], [1, 1, 1]])),
 ])
 def test_malformed_payload_is_usage_error(capsys, tmp_path, command,
                                           payload):
@@ -121,6 +123,47 @@ def test_malformed_payload_is_usage_error(capsys, tmp_path, command,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+UNCOVERED_MUTATION = dict(MUT_PAYLOAD, factor=[[0, 0], [4, 2]])
+
+
+@pytest.mark.parametrize("argv, payload, code, report", [
+    (["family"], {"polytope": [[1, 0]]}, 2, None),
+    (["fiber", "--point", "1:1:1"], dict(MUT_PAYLOAD, w="x"), 2, None),
+    (["oracle"], dict(BAD_DATUM, summands=5), 2, None),
+    (["family"], UNCOVERED_MUTATION, 1, "uncovered vertex"),
+    (["fiber", "--point", "1:1:1"], UNCOVERED_MUTATION, 1, "uncovered vertex"),
+    (["oracle"], BAD_DATUM, 1, "FAIL (ii)"),
+    (["fiber", "--point", "0:0:0"], None, 2, None),
+])
+def test_file_payload_exit_codes(capsys, tmp_path, argv, payload, code,
+                                 report):
+    source = ("p2-p114" if payload is None
+              else write_json(tmp_path, "payload.json", payload))
+    got, out, err = run(capsys, argv[0], source, *argv[1:])
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert report in out and err == ""
+
+
+NON_LATTICE_TRIANGLE = [[[1, 2], 0], [0, 1], [-1, -1]]
+
+
+@pytest.mark.parametrize("command, payload, vertex", [
+    ("polarize", {"polytope": NON_LATTICE_TRIANGLE}, "(1/2, 0)"),
+    ("mutate", dict(MUT_PAYLOAD, polytope=NON_LATTICE_TRIANGLE), "(1/2, 0)"),
+    ("polarize", {"polytope": [[2, 0], [0, 1], [-1, -1]]}, "(2, 0)"),
+])
+def test_non_primitive_vertex_is_named(capsys, tmp_path, command, payload,
+                                       vertex):
+    path = write_json(tmp_path, "payload.json", payload)
+    code, out, _ = run(capsys, command, path)
+    assert code == 1
+    assert out == "NonPrimitiveVertex: %s\n" % vertex
 
 
 def test_validate_reads_summand_lines(capsys, tmp_path):
@@ -135,7 +178,7 @@ def test_validate_reads_summand_lines(capsys, tmp_path):
 def test_datum_file_agrees_with_preset(capsys, tmp_path):
     for name in ("cA1", "toy-plane", "hexagon-a", "hexagon-b", "p2-p114"):
         path = write_json(tmp_path, name + ".json",
-                          workbench._datum_for(name, 3).to_json())
+                          presets.preset("datum", name)[0].to_json())
         for command in ("validate-datum", "tilde", "equations"):
             by_file = run(capsys, command, path, "--format", "json")
             by_name = run(capsys, command, name, "--format", "json")
