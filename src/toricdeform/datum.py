@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cox import PairingData
-from .lattice import as_int_vector, dot, is_integral, primitive, vector_from_json, vsub
+from .lattice import (
+    as_int_vector, dot, is_integral, primitive, vadd, vector_from_json, vsub)
 from .polyhedral import (
     Cone,
     Polyhedron,
@@ -160,41 +161,29 @@ def _fmt_point(v) -> str:
     return "(" + ", ".join(str(Fraction(x)) for x in v) + ")"
 
 
-def decompose_vertex(v, summands) -> Optional[tuple]:
-    """Write v as a sum of summand vertices, at most one of them non-lattice.
+def decompose_vertex(q: Polyhedron, v, summands) -> Optional[tuple]:
+    """Write the vertex v of q = sum of summands as a sum of summand
+    vertices, at most one of them non-lattice.
 
-    Depth-first over vertex tuples with componentwise interval pruning.
-    Returns the tuple of chosen vertices, or None.
+    The split is unique: u, the sum of q's rows tight at v (equation pairs
+    cancel), is minimized over q at v alone, and v = p_0 + ... + p_k with
+    p_i in Q_i forces every p_i to minimize u over Q_i, at a single vertex
+    (Fukuda, J. Symb. Comput. 38, 2004).  Returns those minimizers, or
+    None if they do not add up to v or two of them are non-lattice.  A q
+    with lines has no vertices, only representatives, and no unique split.
     """
-    rank = len(v)
-    verts = [s.vertices for s in summands]
-    # suffix min/max per coordinate for pruning
-    lo = [[Fraction(0)] * rank for _ in range(len(summands) + 1)]
-    hi = [[Fraction(0)] * rank for _ in range(len(summands) + 1)]
-    for i in range(len(summands) - 1, -1, -1):
-        for c in range(rank):
-            values = [vv[c] for vv in verts[i]]
-            lo[i][c] = min(values) + lo[i + 1][c]
-            hi[i][c] = max(values) + hi[i + 1][c]
-    target = tuple(Fraction(x) for x in v)
-
-    def walk(i, acc, nonlattice):
-        if i == len(summands):
-            return () if all(a == t for a, t in zip(acc, target)) else None
-        for cand in verts[i]:
-            nl = nonlattice + (0 if is_integral(cand) else 1)
-            if nl > 1:
-                continue
-            nxt = tuple(a + c for a, c in zip(acc, cand))
-            if any(nxt[c] + lo[i + 1][c] > target[c] or
-                   nxt[c] + hi[i + 1][c] < target[c] for c in range(rank)):
-                continue
-            rest = walk(i + 1, nxt, nl)
-            if rest is not None:
-                return (cand,) + rest
+    u = (0,) * q.rank
+    for a, c in q.inequalities:
+        if dot(a, v) + c == 0:
+            u = vadd(u, a)
+    try:
+        parts = tuple(min_functional(s, u).argmin for s in summands)
+    except UnboundedError:
         return None
-
-    return walk(0, tuple(Fraction(0) for _ in range(rank)), 0)
+    if (tuple(map(sum, zip(*parts))) != tuple(v)
+            or sum(not is_integral(p) for p in parts) > 1):
+        return None
+    return parts
 
 
 def validate_datum(d: DeformationDatum) -> ValidationReport:
@@ -241,7 +230,7 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     # (iv') vertex decomposition with at most one non-lattice part
     bad = None
     for v in q.vertices:
-        if decompose_vertex(v, d.summands) is None:
+        if decompose_vertex(q, v, d.summands) is None:
             bad = "vertex " + _fmt_point(v)
             break
     results.append(ConditionResult(

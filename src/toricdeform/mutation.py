@@ -34,7 +34,6 @@ from .polyhedral import (
     Polyhedron,
     convex_hull,
     lattice_points,
-    minkowski_sum,
     normal_fan,
 )
 from .projective import (
@@ -110,10 +109,17 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
     x with x + (-h)f in the slice for every vertex f of F, i.e. the
     lattice points of the region D_h of translations with x + (-h)F
     inside the slice's lattice hull.  Both defining inclusions are then
-    re-checked: every vertex of P at height h lies in G_h + (-h)F, and
-    every vertex of that sum is a lattice point of the slice.
+    re-checked by set lookups, with no hull of the sum G_h + (-h)F:
+    every x + t, for x a vertex of G_h and t = (-h)f, is a lattice point
+    of the slice (these include every vertex of the sum, so the sum lies
+    in P); and every vertex v of P at height h is g + t with g a lattice
+    point of D_h.  The second test is exact: once the sum lies in P, a
+    vertex v of P inside it is a vertex of the sum, so v = g + t with g a
+    vertex of G_h.
     """
     n = fano.n
+    if len(w) != n:
+        raise ValueError("w has length %d, expected %d" % (len(w), n))
     w = as_int_vector(w)
     if not any(w):
         raise ValueError("direction must be nonzero")
@@ -142,18 +148,15 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
         gpts = [x for x in (vsub(s, shifts[0]) for s in spts)
                 if all(vadd(x, t) in in_slice for t in shifts)]
         g = convex_hull(n, gpts) if gpts else None
-        if at_h and g is None:
-            raise MutationDatumError(h, "uncovered vertex %s" % (at_h[0],))
-        if g is not None:
-            summed = minkowski_sum(g, convex_hull(n, shifts))
-            for v in at_h:
-                if not summed.contains(v):
-                    raise MutationDatumError(h, "uncovered vertex %s" % (v,))
-            for mv in summed.vertices:
-                if mv not in in_slice:
+        for x in g.lattice_vertices() if g else ():
+            for y in (vadd(x, t) for t in shifts):
+                if y not in in_slice:
                     raise MutationDatumError(
-                        h, "witness escapes the slice hull at %s"
-                        % (tuple(mv),))
+                        h, "witness escapes the slice hull at %s" % (y,))
+        in_g = set(gpts)
+        for v in at_h:
+            if not any(vsub(v, t) in in_g for t in shifts):
+                raise MutationDatumError(h, "uncovered vertex %s" % (v,))
         layers.append(WitnessLayer(h, g, at_h))
     return MutationDatum(w=w, factor=factor, witnesses=tuple(layers),
                          hmin=hmin, hmax=hmax)

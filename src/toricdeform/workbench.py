@@ -440,8 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     try:
         for flag in ("p", "bound"):

@@ -223,17 +223,19 @@ def small_fano_polygons(limit=40):
     return found
 
 
+DIRECTIONS = [
+    (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
+    (2, 1), (1, 2), (-2, 1),
+]
+
+
 def random_mutation_cases(count=10):
     """Deterministic (polygon, direction, factor) triples that validate."""
     from toricdeform.mutation import MutationDatumError, validate_mutation_datum
 
-    directions = [
-        (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
-        (2, 1), (1, 2), (-2, 1),
-    ]
     cases = []
     for fano in small_fano_polygons():
-        for w in directions:
+        for w in DIRECTIONS:
             perp = primitive((-w[1], w[0]))
             for m in (1, 2):
                 f = convex_hull(2, [(0, 0), (m * perp[0], m * perp[1])])

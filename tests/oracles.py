@@ -293,3 +293,16 @@ def saturation_closure_ok(facets, functional, bound, gens):
         ):
             reachable.add(p)
     return all(p in reachable for p in pts)
+
+
+def vertex_splits_oracle(v, vertex_lists, max_nonlattice=1):
+    """Every tuple of one vertex per summand that adds up to v, with at
+    most max_nonlattice non-lattice parts, in product order."""
+    target = tuple(Fraction(x) for x in v)
+    out = []
+    for parts in itertools.product(*vertex_lists):
+        if sum(any(Fraction(x).denominator != 1 for x in p) for p in parts) > max_nonlattice:
+            continue
+        if tuple(sum(col, Fraction(0)) for col in zip(*parts)) == target:
+            out.append(tuple(parts))
+    return out

@@ -19,10 +19,12 @@ from toricdeform.datum import (
     require_valid,
     validate_datum,
 )
-from toricdeform.polyhedral import Cone, Polyhedron, convex_hull, lattice_points
+from toricdeform.polyhedral import (
+    Cone, Polyhedron, convex_hull, lattice_points, minkowski_sum)
 from toricdeform.presets import ca1_datum, hexagon_data, toy_plane_datum
 
 import corpus
+import oracles
 
 
 def orthant(rank=2):
@@ -154,9 +156,46 @@ def test_require_valid_raises_with_report():
 def test_decompose_vertex_finds_split():
     q0 = point(1, 1)
     q1 = seg((0, 0), (1, 0))
-    got = decompose_vertex((2, 1), [q0, q1])
+    q = minkowski_sum(q0, q1)
+    got = decompose_vertex(q, (2, 1), [q0, q1])
     assert got == ((1, 1), (1, 0))
-    assert decompose_vertex((5, 5), [q0, q1]) is None
+    assert decompose_vertex(q, (5, 5), [q0, q1]) is None
+
+
+def _random_summands(r, rank):
+    """Two or three hulls of rational points, a third of them with a
+    recession ray."""
+    out = []
+    for _ in range(r.randint(2, 3)):
+        pts = [corpus.random_rational_point(r, rank) for _ in range(r.randint(1, 3))]
+        rays = [corpus.random_vector(r, rank, -2, 2)] if r.random() < 0.3 else []
+        out.append(convex_hull(rank, pts, rays))
+    return out
+
+
+def test_decompose_vertex_against_brute_force():
+    """The direct split agrees with a search over all vertex tuples, which
+    also finds at most one split: the split of a sum vertex is unique."""
+    r = corpus.rng(4417)
+    cases = [d.summands for d in corpus.random_valid_data(4416, 18, (2, 3, 4))]
+    cases += [_random_summands(r, r.choice((2, 3))) for _ in range(120)]
+    outcomes = {"split": 0, "none": 0, "two non-lattice": 0}
+    for summands in cases:
+        q = summands[0]
+        for s in summands[1:]:
+            q = minkowski_sum(q, s)
+        if q.lines:  # the rays span a line: q has no vertices, only representatives
+            continue
+        vertex_lists = [s.vertices for s in summands]
+        for v in q.vertices:
+            want = oracles.vertex_splits_oracle(v, vertex_lists)
+            assert len(want) <= 1, (v, want)
+            got = decompose_vertex(q, v, summands)
+            assert got == (want[0] if want else None), (v, summands)
+            outcomes["split" if want else "none"] += 1
+            if not want and oracles.vertex_splits_oracle(v, vertex_lists, len(summands)):
+                outcomes["two non-lattice"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_report_json_shape():

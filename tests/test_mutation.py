@@ -23,8 +23,9 @@ from toricdeform.mutation import (
     validate_fano,
     validate_mutation_datum,
 )
-from toricdeform.lattice import dot, vadd, vneg, vscale
-from toricdeform.polyhedral import Cone, Polyhedron, convex_hull, lattice_points
+from toricdeform.lattice import dot, primitive, vadd, vneg, vscale, vsub
+from toricdeform.polyhedral import (
+    Cone, Polyhedron, convex_hull, lattice_points, minkowski_sum)
 from toricdeform.presets import p2_p114_alias, p2_p114_inputs, p2_polytope
 
 import corpus
@@ -50,6 +51,14 @@ def test_datum_rejects_nonprimitive_direction():
     fano = validate_fano(p2_polytope())
     with pytest.raises(ValueError, match="primitive"):
         validate_mutation_datum(fano, (0, 2), convex_hull(2, [(0, 0)]))
+
+
+def test_datum_rejects_direction_of_wrong_length():
+    fano = validate_fano(p2_polytope())
+    point = convex_hull(2, [(0, 0)])
+    for w in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"^w has length %d, expected 2$" % len(w)):
+            validate_mutation_datum(fano, w, point)
 
 
 def test_datum_rejects_non_integral_direction():
@@ -174,6 +183,56 @@ def test_factor_parts_match_polyhedral_reference():
         want = _reference_factor_parts(fano, d)
         got = {layer.height: layer.factor_part for layer in d.witnesses}
         assert got == want, (fano.vertices(), d.w, d.factor.vertices)
+
+
+def _hull_verdict(fano, w, factor):
+    """The re-check by hulls: at each negative height h, the hull of
+    G_h + (-h)F must contain every vertex of P at h, and every vertex of
+    that hull must be a lattice point of the slice.  Returns the message
+    of the first failure, or None."""
+    n = fano.n
+    fverts = factor.lattice_vertices()
+    slices = {}
+    for x in lattice_points(fano.polytope):
+        slices.setdefault(dot(w, x), set()).add(x)
+    heights = [dot(w, v) for v in fano.vertices()]
+    for h in range(min(heights), 0):
+        at_h = [v for v in fano.vertices() if dot(w, v) == h]
+        spts = slices.get(h, set())
+        shifts = [vscale(-h, f) for f in fverts]
+        gpts = [x for x in (vsub(s, shifts[0]) for s in sorted(spts))
+                if all(vadd(x, t) in spts for t in shifts)]
+        if not gpts:
+            if at_h:
+                return "NoFactorAtHeight %d: uncovered vertex %s" % (h, at_h[0])
+            continue
+        summed = minkowski_sum(convex_hull(n, gpts), convex_hull(n, shifts))
+        for v in at_h:
+            if not summed.contains(v):
+                return "NoFactorAtHeight %d: uncovered vertex %s" % (h, v)
+        for mv in summed.vertices:
+            if mv not in spts:
+                return "NoFactorAtHeight %d: witness escapes the slice hull at %s" % (
+                    h, tuple(int(x) for x in mv))
+    return None
+
+
+def test_mutation_verdicts_match_hull_reference():
+    verdicts = {"valid": 0, "rejected": 0}
+    for fano in corpus.small_fano_polygons():
+        for w in corpus.DIRECTIONS:
+            perp = primitive((-w[1], w[0]))
+            for m in (1, 2, 3):
+                factor = convex_hull(2, [(0, 0), vscale(m, perp)])
+                want = _hull_verdict(fano, w, factor)
+                try:
+                    validate_mutation_datum(fano, w, factor)
+                    got = None
+                except MutationDatumError as e:
+                    got = str(e)
+                assert got == want, (fano.vertices(), w, m)
+                verdicts["valid" if got is None else "rejected"] += 1
+    assert min(verdicts.values()) > 0, verdicts
 
 
 SIMPLEX_3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
