@@ -227,9 +227,10 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
         "(iii)", "Q equals the sum of the summands", same,
         None if same else "recomputed sum differs"))
 
-    # (iv') vertex decomposition with at most one non-lattice part
-    bad = None
-    for v in q.vertices:
+    # (iv') vertex decomposition with at most one non-lattice part; a Q
+    # with a line has no vertices, only representatives, so no verdict
+    bad = "Q has a line" if q.lines else None
+    for v in () if q.lines else q.vertices:
         if decompose_vertex(q, v, d.summands) is None:
             bad = "vertex " + _fmt_point(v)
             break

@@ -2,9 +2,13 @@
 
 Everything here enumerates lattice points up to an explicit degree bound
 and decides ideal membership only through the constructive certificates
-(cofactor monomials and index multisets), never by general reduction.
-The reports are approximations by design: they certify no failure below
-the bound, not a full proof.
+(cofactor monomials and divisibility of exponent vectors), never by
+general reduction.  Hilbert bases reduce each point against the
+generators found so far, which is exact up to the bound (see
+``hilbert_basis``).  The degree-zero check computes the exponent sums of
+each drop vector once per call, in a table keyed by that vector.  The
+reports are approximations by design: they certify no failure below the
+bound, not a full proof.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lattice import as_int_vector, dot
+from .lattice import as_int_vector, dot, vadd, vsub
 from .polyhedral import Cone, Polyhedron, lattice_points
 
 
@@ -50,9 +54,13 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
                   bound: int = 12) -> HilbertBasis:
     """Irreducible semigroup generators of the cone's lattice points.
 
-    Enumerates all points with functional value up to the bound and
-    strips every point that splits as a sum of two nonzero ones.  The
-    certificate bound is the functional's total on the primitive ray
+    Enumerates all points with functional value up to the bound and, in
+    order of value, strips every point p from which some generator g
+    found so far leaves a nonzero point p - g.  Testing only generators
+    is exact: the functional is positive on every nonzero point, so in a
+    split p = a + b the part a has a smaller value and is itself a sum of
+    earlier generators, one of which, g, leaves p - g = (a - g) + b.
+    The certificate bound is the functional's total on the primitive ray
     generators; any basis element lies under it, so reaching it proves
     the list complete.
     """
@@ -72,17 +80,11 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
                     for p in _graded_points(c, functional, bound) if any(p))
     ptset = {p for _, p in graded}
     gens = []
-    for gp, p in graded:
-        reducible = False
-        for ga, a in graded:
-            # a scan over half the grade finds any split p = a + b
-            if ga * 2 > gp:
+    for _, p in graded:
+        for g in gens:
+            if vsub(p, g) in ptset:
                 break
-            b = tuple(p[i] - a[i] for i in range(c.rank))
-            if any(b) and b in ptset:
-                reducible = True
-                break
-        if not reducible:
+        else:
             gens.append(p)
     cert = sum(dot(functional, r) for r in c.rays)
     return HilbertBasis(cone=c, generators=tuple(sorted(gens)),
@@ -131,9 +133,7 @@ class OracleReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {"checked": self.checked,
-                "failures": [f if isinstance(f, dict) else f.to_json()
-                             for f in self.failures]}
+        return {"checked": self.checked, "failures": list(self.failures)}
 
 
 def _character_points(t, bound: int) -> tuple:
@@ -144,68 +144,62 @@ def _character_points(t, bound: int) -> tuple:
 def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     """Characters with equal N-projection must differ by the binomials.
 
-    For each pair r, s the recipe drops the positive shifts onto q,
-    checks q stays in the dual cone, and factors both Cox monomials with
-    explicit cofactors; a failure of any of these is reported.
+    For each pair r, s the recipe takes q = r[:n] plus the componentwise
+    min of the two tails, checks q stays in the dual cone, and factors
+    both Cox monomials with explicit cofactors; a failure of any of these
+    is reported.  Side x drops c = x[n:] - q[n:] onto q (a^+ for r, a^- for
+    s).  The per-ray sums of c against the y and z exponents depend on c
+    alone, and a bucket's pairs share few drops, so each call keeps them
+    in a table keyed by c.
     """
-    n, k = t.n, t.k
-    rays = t.rays
-    yexps, zexps, exps = t.pairings.y_exps, t.pairings.z_exps, t.pairings.exps
-    pts = _character_points(t, bound)
-    buckets = {}
-    for p in pts:
-        buckets.setdefault(p[:n], []).append(p)
+    n = t.n
+    exps = t.pairings.exps
+    ray_ys = tuple(zip(*t.pairings.y_exps))
+    ray_zs = tuple(zip(*t.pairings.z_exps))
+    drops = {}
 
+    def cofactor(x, ex, q, eq):
+        # p with exps(x) = p + sum c_i y_i, and whether p + sum c_i z_i
+        # lands on exps(q)
+        c = vsub(x[n:], q[n:])
+        if c not in drops:
+            drops[c] = (tuple(dot(c, y) for y in ray_ys),
+                        tuple(dot(c, z) for z in ray_zs))
+        ys, zs = drops[c]
+        p = vsub(ex, ys)
+        return p, vadd(p, zs) == eq
+
+    buckets = {}
+    for p in _character_points(t, bound):
+        buckets.setdefault(p[:n], []).append(p)
     checked = 0
     failures = []
     witnesses = []
     for group in buckets.values():
         group = [(p, exps(p)) for p in group]
-        for a in range(len(group)):
-            for b in range(a, len(group)):
-                (r, er), (s, es) = group[a], group[b]
+        for a, (r, er) in enumerate(group):
+            for s, es in group[a:]:
                 checked += 1
-                shifts = tuple(r[n + i] - s[n + i] for i in range(k))
-                q = list(r)
-                for i in range(k):
-                    if shifts[i] > 0:
-                        q[n + i] -= shifts[i]
-                q = tuple(q)
+                q = r[:n] + tuple(map(min, r[n:], s[n:]))
                 eq = exps(q)
                 if any(e < 0 for e in eq):
                     failures.append({"r": list(r), "s": list(s),
                                      "reason": "q outside the dual cone",
                                      "q": list(q)})
                     continue
-                pr = list(er)
-                ps = list(es)
-                for i in range(k):
-                    if shifts[i] > 0:
-                        for j in range(len(rays)):
-                            pr[j] -= shifts[i] * yexps[i][j]
-                    elif shifts[i] < 0:
-                        for j in range(len(rays)):
-                            ps[j] -= (-shifts[i]) * yexps[i][j]
-                if any(e < 0 for e in pr) or any(e < 0 for e in ps):
+                pr, okr = cofactor(r, er, q, eq)
+                ps, oks = cofactor(s, es, q, eq)
+                if any(e < 0 for e in pr + ps):
                     failures.append({"r": list(r), "s": list(s),
                                      "reason": "cofactor not a monomial"})
                     continue
-                # both cofactor-times-z products must land on exps(q)
-                okr = all(
-                    pr[j] + sum(max(shifts[i], 0) * zexps[i][j]
-                                for i in range(k)) == eq[j]
-                    for j in range(len(rays)))
-                oks = all(
-                    ps[j] + sum(max(-shifts[i], 0) * zexps[i][j]
-                                for i in range(k)) == eq[j]
-                    for j in range(len(rays)))
                 if not (okr and oks):
                     failures.append({"r": list(r), "s": list(s),
                                      "reason": "factorization mismatch"})
                     continue
                 witnesses.append(KernelWitness(
-                    r=r, s=s, shifts=shifts, q=q,
-                    cofactor_r=tuple(pr), cofactor_s=tuple(ps)))
+                    r=r, s=s, shifts=vsub(r[n:], s[n:]), q=q,
+                    cofactor_r=pr, cofactor_s=ps))
     return OracleReport(checked=checked, failures=tuple(failures),
                         witnesses=tuple(witnesses))
 
@@ -236,6 +230,11 @@ def revalidate_witness(t, w: KernelWitness) -> bool:
     return True
 
 
+def _divides(a, b) -> bool:
+    """Does the monomial with exponents a divide the one with exponents b?"""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def boundary_equality_check(t, bound: int = 12) -> OracleReport:
     """Interior characters are exactly the ones the boundary ideal sees.
 
@@ -245,8 +244,7 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
     """
     if not t.datum.boundary:
         raise ValueError("boundary comparison needs a boundary datum")
-    n, k = t.n, t.k
-    rays = t.rays
+    n = t.n
     yexps, exps = t.pairings.y_exps, t.pairings.exps
     z_mask, zs_mask = t.pairings.boundary_mask, t.pairings.zero_tail_mask
     sigma_rays = t.datum.sigma.rays
@@ -256,14 +254,8 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
         u = u_t[:n]
         interior = all(dot(u, rho) >= 1 for rho in sigma_rays)
         e = exps(u_t)
-        in_ideal = all(e[j] >= z_mask[j] for j in range(len(rays)))
-        if not in_ideal:
-            for i in range(k):
-                if all(e[j] >= yexps[i][j] for j in range(len(rays))) \
-                        and all(e[j] >= zs_mask[j]
-                                for j in range(len(rays))):
-                    in_ideal = True
-                    break
+        in_ideal = _divides(z_mask, e) or (
+            _divides(zs_mask, e) and any(_divides(y, e) for y in yexps))
         if interior != in_ideal:
             failures.append({"u_tilde": list(u_t),
                              "interior": interior,

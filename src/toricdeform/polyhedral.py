@@ -253,8 +253,6 @@ class Cone:
 # ---------------------------------------------------------------------------
 # Polyhedra
 
-_EMPTY_MARK = "empty"
-
 
 @dataclass(frozen=True)
 class MinResult:

@@ -306,3 +306,64 @@ def vertex_splits_oracle(v, vertex_lists, max_nonlattice=1):
         if tuple(sum(col, Fraction(0)) for col in zip(*parts)) == target:
             out.append(tuple(parts))
     return out
+
+
+def degree_zero_oracle(n, rays, yexps, zexps, points):
+    """The per-ray degree-zero recipe on a given list of character points.
+
+    Buckets the points by their first n coordinates in order of first
+    appearance.  For each pair r, s of a bucket it drops the positive
+    shifts of r onto q and factors both Cox monomials ray by ray against
+    the slot tables yexps and zexps.  Returns (checked, failures,
+    witnesses), a witness being (r, s, shifts, q, cofactor_r, cofactor_s).
+    """
+    k = len(yexps)
+
+    def exps(v):
+        return tuple(dot(v, ray) for ray in rays)
+
+    buckets = {}
+    for p in points:
+        buckets.setdefault(p[:n], []).append(p)
+    checked = 0
+    failures = []
+    witnesses = []
+    for group in buckets.values():
+        for a in range(len(group)):
+            for b in range(a, len(group)):
+                r, s = group[a], group[b]
+                checked += 1
+                shifts = tuple(r[n + i] - s[n + i] for i in range(k))
+                q = list(r)
+                for i in range(k):
+                    if shifts[i] > 0:
+                        q[n + i] -= shifts[i]
+                q = tuple(q)
+                eq = exps(q)
+                if any(e < 0 for e in eq):
+                    failures.append({"r": list(r), "s": list(s),
+                                     "reason": "q outside the dual cone",
+                                     "q": list(q)})
+                    continue
+                pr = list(exps(r))
+                ps = list(exps(s))
+                for i in range(k):
+                    for j in range(len(rays)):
+                        pr[j] -= max(shifts[i], 0) * yexps[i][j]
+                        ps[j] -= max(-shifts[i], 0) * yexps[i][j]
+                if any(e < 0 for e in pr + ps):
+                    failures.append({"r": list(r), "s": list(s),
+                                     "reason": "cofactor not a monomial"})
+                    continue
+                ok = all(
+                    pr[j] + sum(max(shifts[i], 0) * zexps[i][j]
+                                for i in range(k)) == eq[j]
+                    and ps[j] + sum(max(-shifts[i], 0) * zexps[i][j]
+                                    for i in range(k)) == eq[j]
+                    for j in range(len(rays)))
+                if not ok:
+                    failures.append({"r": list(r), "s": list(s),
+                                     "reason": "factorization mismatch"})
+                    continue
+                witnesses.append((r, s, shifts, q, tuple(pr), tuple(ps)))
+    return checked, failures, witnesses

@@ -126,6 +126,17 @@ def test_condition_iv_prime_failure():
     assert "(iv')" in failed_labels(d)
 
 
+def test_condition_iv_prime_names_a_line_in_q():
+    # with a line in a summand, Q has no vertices to split, only
+    # representatives, so (iv') reports the line instead of a verdict
+    for d in hexagon_data():
+        data = d.to_json()
+        data["summands"][0]["lines"] = [[0, 1, 0]]
+        got = {c.label: c for c in validate_datum(datum_from_json(data)).failed()}
+        assert "(i)" in got
+        assert got["(iv')"].witness == "Q has a line"
+
+
 def test_condition_iv_failure_needs_boundary_flag():
     q0 = point(1, 1)
     q1 = seg((0, 0), (Fraction(1, 2), 0))

@@ -1,10 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
 A pure-stdlib lint: each ``src/toricdeform/*.py`` except ``__init__.py``
 (which re-exports on purpose) is parsed with ``ast``, and a name bound by
 an ``import`` or ``from ... import`` that no expression of the module
-loads is an error.  It catches the leftovers of a refactor, such as a
-helper import kept after its last call was deleted.
+loads is an error.  So is a module-level ``_func``, ``_Class`` or
+``_CONST`` that no package module loads or imports, other than from
+inside its own definition.  Both catch the leftovers of a refactor, such
+as a helper import kept after its last call was deleted, or a helper
+whose last caller was deleted.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricdeform"
+SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -30,6 +35,43 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def orphaned_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level private name in the
+    sources that no module loads, counting a load inside the name's own
+    top-level definition (recursion) as no use."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    found = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    found = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    found = {alias.name for alias in node.names}
+                else:
+                    continue
+                used |= found - {owner}
+    out = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                names = [node.id for node in ast.walk(top)
+                         if isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Store)]
+            else:
+                continue
+            out += [(module, top.lineno, name) for name in names
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in used]
+    return sorted(out)
+
+
 def test_module_list_is_nonempty():
     assert any(p.name == "datum.py" for p in MODULES)
 
@@ -37,6 +79,21 @@ def test_module_list_is_nonempty():
 def test_lint_flags_an_unused_import():
     source = "from .lattice import dot, vadd\nimport sys\n\nx = dot\n"
     assert unused_imports(source) == [(1, "vadd"), (2, "sys")]
+
+
+def test_lint_flags_an_orphaned_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n\ndef _used():\n    return _LIMIT\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                "class _Orphan:\n    pass\n",
+        "b.py": "from .a import _used\n\nx = _used()\n",
+    }
+    assert orphaned_private_names(sources) == [
+        ("a.py", 6, "_recursive"), ("a.py", 9, "_Orphan")]
+
+
+def test_no_orphaned_private_names():
+    assert orphaned_private_names(SOURCES) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

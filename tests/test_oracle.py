@@ -3,12 +3,14 @@ ideal-equality certificates."""
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from toricdeform.datum import build_datum, build_tilde
 from toricdeform.oracle import (
     KernelWitness,
+    _character_points,
     boundary_equality_check,
     degree_zero_equality_check,
     hilbert_basis,
@@ -19,12 +21,17 @@ from toricdeform.polyhedral import Cone, convex_hull
 from toricdeform.presets import (
     ca1_datum,
     ca1_sigma,
+    hexagon_data,
     p2_p114_family,
     toy_plane_datum,
 )
 
 import corpus
-from oracles import saturation_closure_ok, semigroup_generators_oracle
+from oracles import (
+    degree_zero_oracle,
+    saturation_closure_ok,
+    semigroup_generators_oracle,
+)
 
 
 ORTHANT = Cone.from_generators(2, [(1, 0), (0, 1)])
@@ -82,17 +89,22 @@ def test_hilbert_rejects_bad_cones():
 
 def test_hilbert_against_brute_oracle():
     r = corpus.rng(921)
-    done = 0
-    while done < 6:
-        rank = 2 if done % 2 else 3
-        c = corpus.random_pointed_cone(r, rank)
-        hb = hilbert_basis(c, bound=8)
+    cases = [(2 if i % 2 else 3, 8, 5) for i in range(6)]
+    # rank 4, and bounds below the certificate bound (truncated runs); the
+    # extra cones are simplicial, which keeps Fourier-Motzkin cheap
+    cases += [(rank, bound, rank) for rank in (2, 3, 4)
+              for bound in (0, 3, 7, 12) for _ in range(3)]
+    truncated = 0
+    for rank, bound, max_rays in cases:
+        c = corpus.random_pointed_cone(r, rank, max_rays=max_rays)
+        hb = hilbert_basis(c, bound=bound)
         facets = c.dual().rays
-        want = semigroup_generators_oracle(facets, hb.functional, 8)
+        want = semigroup_generators_oracle(facets, hb.functional, bound)
         assert hb.generators == want
-        assert saturation_closure_ok(facets, hb.functional, 8,
+        assert saturation_closure_ok(facets, hb.functional, bound,
                                      hb.generators)
-        done += 1
+        truncated += not hb.complete
+    assert truncated >= 30
 
 
 def test_hilbert_json():
@@ -198,6 +210,49 @@ def test_witness_json():
     assert data["checked"] == rep.checked and data["failures"] == []
     one = rep.witnesses[0].to_json()
     assert set(one) == {"r", "s", "shifts", "q", "cofactor_r", "cofactor_s"}
+
+
+def assert_degree_zero_matches_reference(t, bound):
+    rep = degree_zero_equality_check(t, bound=bound)
+    p = t.pairings
+    want = degree_zero_oracle(t.n, p.rays, p.y_exps, p.z_exps,
+                              _character_points(t, bound))
+    assert (rep.checked, list(rep.failures),
+            [dataclasses.astuple(w) for w in rep.witnesses]) == want
+    return rep
+
+
+def test_degree_zero_against_reference():
+    data = [ca1_datum(p) for p in range(6)]
+    data += [toy_plane_datum(), *hexagon_data()]
+    data += corpus.random_valid_data(1017, 6)
+    tildes = [build_tilde(d) for d in data] + [p2_p114_family().induced.tilde]
+    for t in tildes:
+        for bound in (3, 6, 10):
+            assert_degree_zero_matches_reference(t, bound)
+
+
+def test_degree_zero_failure_reasons_match_reference():
+    # an extra ray outside the cone puts q outside the dual cone, y
+    # exponents above any character's leave a negative cofactor, and a
+    # raised z exponent misses exps(q)
+    t = build_tilde(ca1_datum(1))
+    p = t.pairings
+    bound = 6
+    outside = dataclasses.replace(
+        p, rays=p.rays + (tuple(-x for x in p.rays[0]),))
+    high_y = SimpleNamespace(
+        rays=p.rays, exps=p.exps, z_exps=p.z_exps,
+        y_exps=(tuple(y + bound + 1 for y in p.y_exps[0]),) + p.y_exps[1:])
+    high_z = SimpleNamespace(
+        rays=p.rays, exps=p.exps, y_exps=p.y_exps,
+        z_exps=(tuple(z + 1 for z in p.z_exps[0]),) + p.z_exps[1:])
+    for table, reason in ((outside, "q outside the dual cone"),
+                          (high_y, "cofactor not a monomial"),
+                          (high_z, "factorization mismatch")):
+        rep = assert_degree_zero_matches_reference(
+            dataclasses.replace(t, pairings=table), bound)
+        assert reason in {f["reason"] for f in rep.failures}
 
 
 # ------------------------------------------------------------ boundary
