@@ -15,7 +15,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import cokernel_map, dot, matrix_rank
+from .lattice import (
+    as_int_vector, cokernel_map, dot, matrix_rank, vector_from_json)
 
 
 class NegativeExponentError(ValueError):
@@ -160,8 +161,8 @@ class CoxPolynomial:
         terms = []
         for item in data["terms"]:
             coeff, param = _parse_coeff(item["coeff"])
-            terms.append(Term(coeff=coeff, param=param,
-                              exps=tuple(int(e) for e in item["exps"])))
+            exps = as_int_vector(vector_from_json(item["exps"], "term exponents"))
+            terms.append(Term(coeff=coeff, param=param, exps=exps))
         return cls(terms=tuple(terms))
 
 

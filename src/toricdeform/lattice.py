@@ -124,10 +124,6 @@ def primitive(u: Sequence) -> IntVector:
     return tuple(a // g for a in ints)
 
 
-def fraction_vector(u: Sequence) -> RationalVector:
-    return tuple(Fraction(a) for a in u)
-
-
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -216,23 +212,6 @@ def solve_rational(rows: Sequence[Sequence], rhs: Sequence):
                 q = m[i][col]
                 m[i] = [a - q * b for a, b in zip(m[i], m[col])]
     return tuple(m[i][n] for i in range(n))
-
-
-def project_off_rowspan(v: Sequence, basis: Sequence[Sequence]) -> RationalVector:
-    """Orthogonal projection of v onto the complement of span(basis rows).
-
-    The basis rows must be linearly independent.  Used to pick canonical
-    representatives of rays modulo a lineality space.
-    """
-    if not basis:
-        return fraction_vector(v)
-    gram = [[Fraction(dot(bi, bj)) for bj in basis] for bi in basis]
-    rhs = [Fraction(dot(bi, v)) for bi in basis]
-    coeffs = solve_rational(gram, rhs)
-    out = fraction_vector(v)
-    for c, b in zip(coeffs, basis):
-        out = vsub(out, vscale(c, fraction_vector(b)))
-    return out
 
 
 # ---------------------------------------------------------------------------

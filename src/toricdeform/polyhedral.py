@@ -23,7 +23,6 @@ from .lattice import (
     is_zero,
     matrix_rank,
     primitive,
-    project_off_rowspan,
     saturate_rowspan,
     vadd,
     vector_from_json,
@@ -95,20 +94,31 @@ def dual_description(rank: int, normals: Sequence[tuple]):
     return [r for r, _ in rays], lineality
 
 
-def _canonical_vrep(rank: int, rays: Sequence[tuple], lineality: Sequence[tuple]):
-    """Canonicalize a (rays, lineality) pair.
+def _reject(v: Sequence, ortho: Sequence[tuple]) -> tuple:
+    # primitive positive multiple of v's orthogonal projection off
+    # span(ortho), whose rows are pairwise orthogonal
+    for b in ortho:
+        vb = dot(v, b)
+        if vb:
+            bb = dot(b, b)
+            v = primitive(tuple(bb * x - vb * y for x, y in zip(v, b)))
+    return primitive(v)
+
+
+def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
+    """Canonicalize a (rays, lineality) pair, in integers only.
 
     The lineality basis becomes the Hermite basis of its saturated lattice;
     each ray class is represented by the primitive integer vector on its
-    orthogonal projection away from the lineality span.  This makes both
+    orthogonal projection away from the lineality span, rejected step by
+    step off an integer Gram-Schmidt basis of that span.  This makes both
     parts functions of the cone as a set.
     """
-    if lineality:
-        lines = saturate_rowspan(lineality)
-        pointed = sorted({primitive(project_off_rowspan(r, lines)) for r in rays})
-    else:
-        lines = ()
-        pointed = sorted({primitive(r) for r in rays})
+    lines = saturate_rowspan(lineality)
+    ortho = []
+    for l in lines:
+        ortho.append(_reject(l, ortho))
+    pointed = sorted({_reject(r, ortho) for r in rays})
     return tuple(pointed), tuple(lines)
 
 
@@ -152,13 +162,19 @@ def _json_rank(data: dict, vectors: Sequence[tuple], what: str) -> int:
     return rank
 
 
+def _require_rank(rank: int, vectors: Sequence[tuple], what: str) -> None:
+    for v in vectors:
+        if len(v) != rank:
+            raise ValueError("%s %r does not live in rank %d" % (what, v, rank))
+
+
 def _vh_pipeline(rank: int, gens: Sequence[tuple]):
     """V-data -> (pointed rays, lines, pointed facets, facet lines).
     H-data -> the same four parts of its dual, i.e. the halves swapped."""
     du_r, du_l = dual_description(rank, gens)
-    fac_p, fac_l = _canonical_vrep(rank, du_r, du_l)
+    fac_p, fac_l = _canonical_vrep(du_r, du_l)
     pr, pl = dual_description(rank, _fold(fac_p, fac_l))
-    pointed, lines = _canonical_vrep(rank, pr, pl)
+    pointed, lines = _canonical_vrep(pr, pl)
     return pointed, lines, fac_p, fac_l
 
 
@@ -191,9 +207,7 @@ class Cone:
     @classmethod
     def from_generators(cls, rank: int, generators: Iterable[Sequence]) -> "Cone":
         gens = tuple(tuple(g) for g in generators)
-        for g in gens:
-            if len(g) != rank:
-                raise ValueError("generator %r does not live in rank %d" % (g, rank))
+        _require_rank(rank, gens, "generator")
         clean = sorted({primitive(g) for g in gens if not is_zero(g)})
         pointed, lines, fac_p, fac_l = _vh_pipeline(rank, clean)
         return cls(rank, pointed, lines, fac_p, fac_l)
@@ -201,6 +215,7 @@ class Cone:
     @classmethod
     def from_inequalities(cls, rank: int, normals: Iterable[Sequence]) -> "Cone":
         raw = tuple(tuple(n) for n in normals)
+        _require_rank(rank, raw, "normal")
         clean = sorted({primitive(n) for n in raw if not is_zero(n)})
         fac_p, fac_l, pointed, lines = _vh_pipeline(rank, clean)
         return cls(rank, pointed, lines, fac_p, fac_l)
@@ -294,8 +309,7 @@ class Polyhedron:
         rs = [tuple(r) for r in rays]
         if not pts:
             raise ValueError("empty input: a hull needs at least one point")
-        if any(len(x) != rank for x in pts + rs):
-            raise ValueError("a point or ray does not live in rank %d" % rank)
+        _require_rank(rank, pts + rs, "point or ray")
         gens = {primitive(p + (1,)) for p in pts}
         for r in rs:
             if is_zero(r):
@@ -306,9 +320,11 @@ class Polyhedron:
 
     @classmethod
     def from_inequalities(cls, rank: int, inequalities: Iterable[tuple]) -> "Polyhedron":
+        ineqs = [(tuple(u), c) for u, c in inequalities]
+        _require_rank(rank, [u for u, _ in ineqs], "normal")
         normals = set()
-        for u, c in inequalities:
-            row = tuple(u) + (c,)
+        for u, c in ineqs:
+            row = u + (c,)
             if is_zero(row[:-1]):
                 if row[-1] < 0:
                     return cls.empty(rank)

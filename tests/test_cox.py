@@ -149,6 +149,8 @@ def test_polynomial_json_roundtrip():
     t = build_tilde(ca1_datum())
     for f in (*binomials(t), *trinomials(t), boundary_monomial(t)):
         assert CoxPolynomial.from_json(f.to_json()).terms == f.terms
+    with pytest.raises(ValueError, match="non-integral coordinate 5/2"):
+        CoxPolynomial.from_json({"terms": [{"coeff": "+1", "exps": [2.5, 1]}]})
 
 
 def test_degenerate_monomial_flag():

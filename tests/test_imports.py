@@ -1,14 +1,18 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level private name is used somewhere in the package, and every
+module-level public function is used by the package, the tests or the
+demos.
 
 A pure-stdlib lint: each ``src/toricdeform/*.py`` except ``__init__.py``
 (which re-exports on purpose) is parsed with ``ast``, and a name bound by
 an ``import`` or ``from ... import`` that no expression of the module
 loads is an error.  So is a module-level ``_func``, ``_Class`` or
 ``_CONST`` that no package module loads or imports, other than from
-inside its own definition.  Both catch the leftovers of a refactor, such
-as a helper import kept after its last call was deleted, or a helper
-whose last caller was deleted.
+inside its own definition, and so is a module-level public function that
+no package module other than ``__init__.py``, no test and no demo loads
+or imports.  All three catch the leftovers of a refactor, such as a
+helper import kept after its last call was deleted, or a helper whose
+last caller was deleted.
 """
 
 import ast
@@ -16,9 +20,14 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricdeform"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "toricdeform"
 SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# __init__.py re-exports every public name, which is no use of it
+CALLERS = {str(p.relative_to(ROOT)): p.read_text()
+           for p in MODULES + sorted(ROOT.glob("tests/*.py"))
+           + sorted(ROOT.glob("demos/*.py"))}
 
 
 def unused_imports(source: str) -> list:
@@ -35,13 +44,12 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def orphaned_private_names(sources: dict) -> list:
-    """(module, line, name) of each module-level private name in the
-    sources that no module loads, counting a load inside the name's own
-    top-level definition (recursion) as no use."""
-    trees = {name: ast.parse(src) for name, src in sources.items()}
+def loaded_names(sources: dict) -> set:
+    """Names the sources load, read as an attribute or import, counting a
+    load inside the name's own top-level definition (recursion) as no
+    use."""
     used = set()
-    for tree in trees.values():
+    for tree in map(ast.parse, sources.values()):
         for top in tree.body:
             owner = getattr(top, "name", None)
             for node in ast.walk(top):
@@ -54,9 +62,16 @@ def orphaned_private_names(sources: dict) -> list:
                 else:
                     continue
                 used |= found - {owner}
+    return used
+
+
+def orphaned_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level private name in the
+    sources that no module loads."""
+    used = loaded_names(sources)
     out = []
-    for module, tree in trees.items():
-        for top in tree.body:
+    for module, src in sources.items():
+        for top in ast.parse(src).body:
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
                                 ast.ClassDef)):
                 names = [top.name]
@@ -70,6 +85,17 @@ def orphaned_private_names(sources: dict) -> list:
                     if name.startswith("_") and not name.startswith("__")
                     and name not in used]
     return sorted(out)
+
+
+def orphaned_public_functions(sources: dict, callers: dict) -> list:
+    """(module, line, name) of each module-level public function in the
+    sources that no caller loads."""
+    used = loaded_names(callers)
+    return sorted((module, top.lineno, top.name)
+                  for module, src in sources.items()
+                  for top in ast.parse(src).body
+                  if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not top.name.startswith("_") and top.name not in used)
 
 
 def test_module_list_is_nonempty():
@@ -94,6 +120,19 @@ def test_lint_flags_an_orphaned_private_name():
 
 def test_no_orphaned_private_names():
     assert orphaned_private_names(SOURCES) == []
+
+
+def test_lint_flags_an_orphaned_public_function():
+    source = ("def used():\n    pass\n\n"
+              "def recursive(n):\n    return recursive(n - 1)\n\n"
+              "def orphan():\n    pass\n\nclass Public:\n    pass\n")
+    callers = {"a.py": source, "test_a.py": "from a import used\n\nused()\n"}
+    assert orphaned_public_functions({"a.py": source}, callers) == [
+        ("a.py", 4, "recursive"), ("a.py", 7, "orphan")]
+
+
+def test_no_orphaned_public_functions():
+    assert orphaned_public_functions(SOURCES, CALLERS) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

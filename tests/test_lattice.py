@@ -21,7 +21,6 @@ from toricdeform.lattice import (
     matmul,
     matrix_rank,
     primitive,
-    project_off_rowspan,
     smith_normal_form,
     solve_rational,
 )
@@ -268,10 +267,3 @@ def test_solve_rational():
     sol = solve_rational([[2, 0], [0, 4]], (1, 2))
     assert sol == (Fraction(1, 2), Fraction(1, 2))
     assert solve_rational([[1, 1], [2, 2]], (1, 3)) is None
-
-
-def test_project_off_rowspan():
-    v = project_off_rowspan((3, 4), [(1, 0)])
-    assert v == (Fraction(0), Fraction(4))
-    v = project_off_rowspan((1, 1, 5), [(1, 0, 0), (0, 1, 0)])
-    assert v == (Fraction(0), Fraction(0), Fraction(5))

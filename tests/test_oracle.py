@@ -233,26 +233,30 @@ def test_degree_zero_against_reference():
 
 
 def test_degree_zero_failure_reasons_match_reference():
-    # an extra ray outside the cone puts q outside the dual cone, y
-    # exponents above any character's leave a negative cofactor, and a
-    # raised z exponent misses exps(q)
+    # an extra ray outside the cone puts q outside the dual cone, and the
+    # extra ray (-1, 0, 0, -1) also leaves a negative cofactor; y or z
+    # exponents that no longer differ by the ray tails are refused
     t = build_tilde(ca1_datum(1))
     p = t.pairings
     bound = 6
     outside = dataclasses.replace(
         p, rays=p.rays + (tuple(-x for x in p.rays[0]),))
+    negative = dataclasses.replace(p, rays=p.rays + ((-1, 0, 0, -1),))
+    for table, reason in ((outside, "q outside the dual cone"),
+                          (negative, "cofactor not a monomial")):
+        rep = assert_degree_zero_matches_reference(
+            dataclasses.replace(t, pairings=table), bound)
+        assert reason in {f["reason"] for f in rep.failures}
     high_y = SimpleNamespace(
         rays=p.rays, exps=p.exps, z_exps=p.z_exps,
         y_exps=(tuple(y + bound + 1 for y in p.y_exps[0]),) + p.y_exps[1:])
     high_z = SimpleNamespace(
         rays=p.rays, exps=p.exps, y_exps=p.y_exps,
         z_exps=(tuple(z + 1 for z in p.z_exps[0]),) + p.z_exps[1:])
-    for table, reason in ((outside, "q outside the dual cone"),
-                          (high_y, "cofactor not a monomial"),
-                          (high_z, "factorization mismatch")):
-        rep = assert_degree_zero_matches_reference(
-            dataclasses.replace(t, pairings=table), bound)
-        assert reason in {f["reason"] for f in rep.failures}
+    for table in (high_y, high_z):
+        with pytest.raises(ValueError, match="differ from the ray tails"):
+            degree_zero_equality_check(
+                dataclasses.replace(t, pairings=table), bound)
 
 
 # ------------------------------------------------------------ boundary

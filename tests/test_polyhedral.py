@@ -59,6 +59,19 @@ def test_cone_with_line_spans():
     assert c.facets == ((0, 1),)
 
 
+def test_ray_representative_is_orthogonal_projection():
+    # the Hermite basis (1, 0, -1, 0), (0, 1, 1, 0) is not orthogonal, so
+    # subtracting each basis row's own projection would land elsewhere
+    c = Cone.from_generators(3, [(1, 1, 0), (-1, -1, 0), (1, 0, 1)])
+    assert c.lines == ((1, 1, 0),)
+    assert c.pointed_rays == ((1, -1, 2),)
+    c = Cone.from_generators(4, [(1, 1, 0, 0), (-1, -1, 0, 0), (0, 1, 1, 0),
+                                 (0, -1, -1, 0), (1, 0, 0, 1)])
+    assert c.lines == ((1, 0, -1, 0), (0, 1, 1, 0))
+    assert c.pointed_rays == ((1, -1, 1, 3),)
+    assert all(dot(r, l) == 0 for r in c.pointed_rays for l in c.lines)
+
+
 def test_zero_cone():
     c = Cone.from_generators(3, [])
     assert c.rays == ()
@@ -166,8 +179,12 @@ def test_cone_json_roundtrip():
 
 
 def test_cone_rejects_bad_rank():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\) does not live in rank 2"):
         Cone.from_generators(2, [(1, 0, 0)])
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\) does not live in rank 2"):
+        Cone.from_inequalities(2, [(1, 0, 0)])
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\) does not live in rank 2"):
+        Polyhedron.from_inequalities(2, [((1, 0, 0), 1)])
 
 
 # ------------------------------------------------- double description
