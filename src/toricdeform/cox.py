@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import (
-    as_int_vector, cokernel_map, dot, matrix_rank, vector_from_json)
+    as_fraction, as_int_vector, cokernel_map, dot, matrix_rank, vector_from_json)
 
 
 class NegativeExponentError(ValueError):
@@ -111,11 +111,12 @@ class CoxPolynomial:
         return out
 
     def substitute(self, values: dict) -> "CoxPolynomial":
-        """Specialize parameters to exact rationals; drops vanished terms."""
+        """Specialize parameters to ints or Fractions (floats raise
+        TypeError); drops vanished terms."""
         merged = []
         for t in self.terms:
             if t.param is not None and t.param in values:
-                c = t.coeff * Fraction(values[t.param])
+                c = t.coeff * as_fraction(values[t.param])
                 t = Term(coeff=c, param=None, exps=t.exps)
             if t.coeff == 0:
                 continue

@@ -12,7 +12,6 @@ w~ = w - sum_i floor(min over Q_i of w) e_i*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cox import PairingData
@@ -158,7 +157,8 @@ class ValidationReport:
 
 
 def _fmt_point(v) -> str:
-    return "(" + ", ".join(str(Fraction(x)) for x in v) + ")"
+    # an int prints as the integral Fraction does
+    return "(" + ", ".join(map(str, v)) + ")"
 
 
 def decompose_vertex(q: Polyhedron, v, summands) -> Optional[tuple]:
@@ -172,9 +172,11 @@ def decompose_vertex(q: Polyhedron, v, summands) -> Optional[tuple]:
     None if they do not add up to v or two of them are non-lattice.  A q
     with lines has no vertices, only representatives, and no unique split.
     """
+    h = primitive(tuple(v) + (1,))  # (d*v, d), so tightness reads in integers
+    dv, d = h[:-1], h[-1]
     u = (0,) * q.rank
     for a, c in q.inequalities:
-        if dot(a, v) + c == 0:
+        if dot(a, dv) + c * d == 0:
             u = vadd(u, a)
     try:
         parts = tuple(min_functional(s, u).argmin for s in summands)
@@ -192,11 +194,11 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     results = []
     sigma, q, w = d.sigma, d.q, d.w
 
-    # (i) Q inside sigma, tested on the positive multiple primitive(v) of a
-    # vertex, in integers; the zero vector lies in every cone
+    # (i) Q inside sigma, tested on the positive multiple d*v of a vertex
+    # v, read off its homogeneous row; the zero vector lies in every cone
     bad = None
-    for v in q.vertices:
-        if any(v) and not sigma.contains(primitive(v)):
+    for v, h in zip(q.vertices, q.homogeneous):
+        if any(v) and not sigma.contains(h[:-1]):
             bad = "vertex " + _fmt_point(v)
             break
     if bad is None:
@@ -354,13 +356,11 @@ def build_tilde(d: DeformationDatum) -> TildeData:
     w_tilde = tuple(d.w) + tuple(-f for f in floors)
 
     rays = cone.rays
-    prov = []
-    for r in rays:
-        tags = []
-        for g, tag in tagged:
-            if any(g) and primitive(g) == r:
-                tags.append(tag)
-        prov.append(tuple(tags))
+    tags = {}
+    for g, tag in tagged:
+        if any(g):
+            tags.setdefault(primitive(g), []).append(tag)
+    prov = [tuple(tags.get(r, ())) for r in rays]
     pairings = PairingData(n=n, k=k, rays=rays, w_tilde=w_tilde)
     return TildeData(datum=d, cone=cone, n=n, k=k, w_tilde=w_tilde,
                      rays=rays, pairings=pairings,

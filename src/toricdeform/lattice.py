@@ -5,11 +5,12 @@ no floating point is ever introduced.  Vectors are immutable tuples,
 matrices are tuples of row tuples.
 
 Number contract: a coordinate is an int or a Fraction, normalised
-(primitive) and cast (as_int, as_int_vector) here only, through its
-.numerator and .denominator; an int has both, with denominator 1.  JSON
-becomes Fractions at one boundary, vector_from_json, under every payload
-reader.  Floats are not accepted: primitive, which every cone and
-polyhedron constructor calls on its input, raises TypeError for them.
+(primitive) and cast (as_int, as_int_vector, as_fraction) here only,
+through its .numerator and .denominator; an int has both, with
+denominator 1.  JSON becomes Fractions at one boundary, vector_from_json,
+under every payload reader.  Floats are not accepted: primitive, which
+every cone and polyhedron constructor calls on its input, and as_fraction,
+which reads every other rational parameter, raise TypeError for them.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ def as_int(a) -> int:
     if a.denominator != 1:
         raise ValueError("non-integral coordinate %s" % (a,))
     return a.numerator
+
+
+def as_fraction(a) -> Fraction:
+    """An int or Fraction as a Fraction; any other type, floats included,
+    raises TypeError."""
+    try:
+        return Fraction(a.numerator, a.denominator)
+    except AttributeError:
+        raise TypeError("a rational must be an int or Fraction, got %r" % (a,)) from None
 
 
 def as_int_vector(u: Sequence) -> IntVector:
@@ -194,24 +204,6 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def solve_rational(rows: Sequence[Sequence], rhs: Sequence):
-    """Solve A x = b exactly over Q for square A; None when A is singular."""
-    n = len(rows)
-    m = [[Fraction(a) for a in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [a / p for a in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                q = m[i][col]
-                m[i] = [a - q * b for a, b in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .cox import (
 )
 from .datum import DeformationDatum, build_datum
 from .lattice import (
-    as_int_vector, dot, primitive, vadd, vneg, vscale, vsub)
+    as_fraction, as_int_vector, dot, primitive, vadd, vneg, vscale, vsub)
 from .polyhedral import (
     Cone,
     Fan,
@@ -349,7 +349,10 @@ class FiberReport:
 
 
 def normalize_parameter_point(point) -> tuple:
-    vals = [Fraction(x) for x in point]
+    """The primitive integer triple on the ray of [a:b:c], first nonzero
+    entry positive.  Entries are ints, Fractions or "p/q" strings; floats
+    raise TypeError."""
+    vals = [Fraction(x) if isinstance(x, str) else as_fraction(x) for x in point]
     if len(vals) != 3 or all(x == 0 for x in vals):
         raise ValueError("need a homogeneous triple, not all zero")
     ints = primitive(vals)

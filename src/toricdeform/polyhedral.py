@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .lattice import (
     ZeroVectorError,
+    as_fraction,
     as_int_vector,
     dot,
     identity_matrix,
@@ -282,15 +283,22 @@ class Polyhedron:
     Canonical data: vertices are Fraction tuples sorted lexicographically,
     recession rays and lines are primitive integer tuples, inequalities are
     jointly-primitive integer pairs (normal, offset) meaning
-    <normal, x> + offset >= 0.  The empty polyhedron carries the single
-    inconsistent inequality (0, -1).
+    <normal, x> + offset >= 0.  The field homogeneous holds, at the index
+    of each vertex v, the primitive integer row (d*v, d) with d > 0 that
+    the double description gives for it, so functionals are evaluated on
+    vertices in integers.  The empty polyhedron has no vertices and no
+    rows, and carries the single inconsistent inequality (0, -1).
     """
 
-    __slots__ = ("rank", "vertices", "rays", "lines", "inequalities", "_hash")
+    __slots__ = ("rank", "vertices", "homogeneous", "rays", "lines", "inequalities",
+                 "_hash")
 
-    def __init__(self, rank, vertices, rays, lines, inequalities):
+    def __init__(self, rank, homogeneous, rays, lines, inequalities):
+        pairs = sorted((tuple(Fraction(x, h[-1]) for x in h[:-1]), tuple(h))
+                       for h in homogeneous)
         self.rank = rank
-        self.vertices = tuple(tuple(Fraction(x) for x in v) for v in vertices)
+        self.vertices = tuple(v for v, _ in pairs)
+        self.homogeneous = tuple(h for _, h in pairs)
         self.rays = tuple(tuple(r) for r in rays)
         self.lines = tuple(tuple(l) for l in lines)
         self.inequalities = tuple((tuple(u), int(c)) for u, c in inequalities)
@@ -336,12 +344,7 @@ class Polyhedron:
 
     @classmethod
     def _from_homogeneous(cls, rank, pointed, lines, fac_p, fac_l):
-        verts, rec = [], []
-        for r in pointed:
-            if r[-1] > 0:
-                verts.append(tuple(Fraction(x, r[-1]) for x in r[:-1]))
-            else:
-                rec.append(r[:-1])
+        verts = [r for r in pointed if r[-1] > 0]
         if not verts:
             return cls.empty(rank)
         plines = [l[:-1] for l in lines]  # lineality is orthogonal to the height normal
@@ -351,7 +354,8 @@ class Polyhedron:
             if f == height:
                 continue
             ineqs.append((f[:-1], f[-1]))
-        return cls(rank, sorted(verts), sorted(rec), plines, sorted(ineqs))
+        rec = [r[:-1] for r in pointed if r[-1] == 0]
+        return cls(rank, verts, sorted(rec), plines, sorted(ineqs))
 
     # -- basic queries
 
@@ -390,8 +394,9 @@ class Polyhedron:
             self.rays + self.lines + tuple(vneg(l) for l in self.lines))
 
     def scale(self, factor) -> "Polyhedron":
-        """Dilate a bounded polyhedron by a positive rational factor."""
-        f = Fraction(factor)
+        """Dilate a bounded polyhedron by a positive rational factor (an int
+        or a Fraction; floats raise TypeError)."""
+        f = as_fraction(factor)
         if f <= 0:
             raise ValueError("scale factor must be positive")
         if self.is_empty:
@@ -402,7 +407,8 @@ class Polyhedron:
             self.rank, [tuple(f * x for x in v) for v in self.vertices])
 
     def lattice_vertices(self) -> tuple:
-        return tuple(as_int_vector(v) for v in self.vertices)
+        return tuple(h[:-1] if h[-1] == 1 else as_int_vector(v)
+                     for v, h in zip(self.vertices, self.homogeneous))
 
     def to_json(self) -> dict:
         data = {
@@ -473,13 +479,15 @@ def min_functional(p: Polyhedron, u: Sequence) -> MinResult:
     for l in p.lines:
         if dot(u, l) != 0:
             raise UnboundedError("UnboundedBelow: functional varies along a line")
+    # candidates a / d with a = <u, d*v>, compared by cross-multiplying;
+    # vertices come lex-sorted, so the first least one is the lex-least
     best = None
-    arg = None
-    for v in p.vertices:
-        val = Fraction(dot(u, v))
-        if best is None or val < best or (val == best and v < arg):
-            best, arg = val, v
-    return MinResult(value=best, floor=math.floor(best), argmin=arg)
+    for i, h in enumerate(p.homogeneous):
+        a, d = dot(u, h[:-1]), h[-1]
+        if best is None or a * best[1] < best[0] * d:
+            best, arg = (a, d), i
+    value = Fraction(*best)
+    return MinResult(value=value, floor=math.floor(value), argmin=p.vertices[arg])
 
 
 def lattice_points(p: Polyhedron) -> tuple:

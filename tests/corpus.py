@@ -27,33 +27,25 @@ def random_vector(r, rank, lo=-4, hi=4):
 
 
 def random_unimodular(r, rank, steps=8):
+    """A random unimodular matrix and its inverse, as a product of
+    elementary row operations and the product of their inverses."""
     m = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    inv = [row[:] for row in m]
     for _ in range(steps):
         i, j = r.sample(range(rank), 2)
         c = r.choice([-2, -1, 1, 2])
+        # row j += c * row i on m; column i -= c * column j on inv
         for col in range(rank):
             m[j][col] += c * m[i][col]
+        for row in inv:
+            row[i] -= c * row[j]
         if r.random() < 0.3:
             k = r.randrange(rank)
             for col in range(rank):
                 m[k][col] = -m[k][col]
-    return tuple(tuple(row) for row in m)
-
-
-def unimodular_inverse(u):
-    # adjugate works since det is +-1; keep it integral throughout
-    rank = len(u)
-    from toricdeform.lattice import determinant, solve_rational
-
-    cols = []
-    for j in range(rank):
-        e = tuple(1 if i == j else 0 for i in range(rank))
-        sol = solve_rational([list(row) for row in u], e)
-        cols.append(tuple(int(x) for x in sol))
-    inv = tuple(tuple(cols[j][i] for j in range(rank)) for i in range(rank))
-    det = determinant([list(r) for r in u])
-    assert det in (1, -1)
-    return inv
+            for row in inv:
+                row[k] = -row[k]
+    return tuple(map(tuple, m)), tuple(map(tuple, inv))
 
 
 def random_pointed_cone(r, rank, max_rays=5, full_dim=True):
@@ -172,8 +164,7 @@ def random_datum_zonotope(r, rank):
         if not sigma.is_strongly_convex() or sigma.dimension() != rank:
             continue
         w = tuple([0] * base_rank) + (-1,)
-        u = random_unimodular(r, rank)
-        u_inv = unimodular_inverse(u)
+        u, u_inv = random_unimodular(r, rank)
         sigma_t = transform_cone(u, sigma)
         summands_t = [transform_polyhedron(u, p) for p in lifted]
         w_t = functional_after(u_inv, w)

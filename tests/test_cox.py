@@ -113,6 +113,11 @@ def test_substitute_merges_and_cancels():
     assert f.substitute({"t1": 1}).terms == ()
     g = f.substitute({"t1": -2})
     assert g.terms == (Term(Fraction(3), None, (1, 0)),)
+    assert f.substitute({"t1": Fraction(1, 2)}).terms == (
+        Term(Fraction(1, 2), None, (1, 0)),)
+    for bad in (0.1, 1.0):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            f.substitute({"t1": bad})
 
 
 def test_proportional_up_to_scalar():

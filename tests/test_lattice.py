@@ -9,6 +9,7 @@ import pytest
 from toricdeform.lattice import (
     AbelianGroupPresentation,
     ZeroVectorError,
+    as_fraction,
     as_int,
     as_int_vector,
     cokernel,
@@ -22,7 +23,6 @@ from toricdeform.lattice import (
     matrix_rank,
     primitive,
     smith_normal_form,
-    solve_rational,
 )
 
 from oracles import _int_det, invariant_factors_oracle, rational_rank
@@ -121,6 +121,11 @@ def test_number_path_edge_cases():
     assert as_int(-7) == -7
     with pytest.raises(ValueError, match="non-integral"):
         as_int(Fraction(1, 2))
+    assert as_fraction(3) == 3 and type(as_fraction(3)) is Fraction
+    assert as_fraction(Fraction(-2, 4)) == Fraction(-1, 2)
+    for bad in (0.5, 1.0, "1/2", None):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            as_fraction(bad)
 
 
 def test_smith_normal_form_single_row():
@@ -262,8 +267,3 @@ def test_matrix_rank_matches_reference():
         a = random_matrix(r, r.randint(1, 4), r.randint(1, 4), -5, 5)
         assert matrix_rank(a) == rational_rank(a)
 
-
-def test_solve_rational():
-    sol = solve_rational([[2, 0], [0, 4]], (1, 2))
-    assert sol == (Fraction(1, 2), Fraction(1, 2))
-    assert solve_rational([[1, 1], [2, 2]], (1, 3)) is None

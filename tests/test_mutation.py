@@ -379,6 +379,10 @@ def test_parameter_point_normalization():
     assert normalize_parameter_point((0, 0, 5)) == (0, 0, 1)
     with pytest.raises(ValueError):
         normalize_parameter_point((0, 0, 0))
+    assert normalize_parameter_point((Fraction(1, 2), 1, -1)) == (1, 2, -2)
+    for floats in ((0.1, 1, -1), (0.0, 0, 0), (1, 2, 3.0)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            normalize_parameter_point(floats)
 
 
 def test_fiber_kinds_on_p114():
@@ -400,6 +404,8 @@ def test_fiber_scaling_invariance():
     b = specialize_fiber(fam, ("0", "-1/2", "1/2"))
     assert a.point == b.point
     assert a.polynomial.proportional(b.polynomial)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        specialize_fiber(fam, (0.1, 1, -1))
 
 
 def test_deleted_base_points():

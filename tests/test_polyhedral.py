@@ -392,6 +392,10 @@ def test_translate_and_scale():
         (Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(0)),
     )
+    assert p.scale(3) == convex_hull(2, [(0, 0), (6, 0), (0, 6)])
+    for bad in (0.1, 0.5, "1/2"):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            p.scale(bad)
 
 
 def test_translate_keeps_lower_dimensional_form_canonical():
@@ -411,6 +415,14 @@ def test_min_functional_frozen():
     assert res.value == Fraction(-1)
     assert res.floor == -1
     assert res.argmin == (Fraction(-1, 2), Fraction(1, 2), Fraction(0))
+    # ties go to the lex-least vertex
+    square = convex_hull(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert min_functional(square, (0, 1)).argmin == (0, 0)
+    assert min_functional(square, (-1, 0)).argmin == (1, 0)
+    edge = convex_hull(2, [(Fraction(1, 2), 1), (Fraction(-1, 3), 1), (0, 2)])
+    res = min_functional(edge, (Fraction(0), Fraction(1, 2)))
+    assert res.value == Fraction(1, 2) and res.floor == 0
+    assert res.argmin == (Fraction(-1, 3), Fraction(1))
 
 
 def test_min_functional_against_fm():
@@ -432,6 +444,108 @@ def test_min_functional_unbounded():
         min_functional(p, (-1, 0))
     res = min_functional(p, (1, 1))
     assert res.value == 0
+
+
+# ------------------------------------------------------ homogeneous rows
+
+
+def _row_cases(seed):
+    """Seeded polyhedra in ranks 1-5: rational vertices, recession rays,
+    lines, lower-dimensional hulls, inequality systems and empty ones."""
+    r = corpus.rng(seed)
+    out = [Polyhedron.empty(3),
+           Polyhedron.from_inequalities(2, [((1, 0), 0), ((-1, 0), -1)])]
+    for rank in range(1, 6):
+        for _ in range(6):
+            pts = [tuple(_small_rational(r) for _ in range(rank))
+                   for _ in range(r.randint(1, rank + 2))]
+            rays = [corpus.random_vector(r, rank, -2, 2)
+                    for _ in range(r.randint(0, 2))]
+            out.append(Polyhedron.from_points_and_rays(rank, pts, rays))
+            line = corpus.random_vector(r, rank, -2, 2)
+            out.append(Polyhedron.from_points_and_rays(
+                rank, pts, [line, tuple(-x for x in line)]))
+            ineqs = [(corpus.random_vector(r, rank, -3, 3), r.randint(-3, 3))
+                     for _ in range(rank + 2)]
+            out.append(Polyhedron.from_inequalities(rank, ineqs))
+        for dim in range(rank):
+            out.append(_flat_polytope(r, rank, dim))
+    return out
+
+
+def test_homogeneous_rows_match_vertices():
+    kinds = set()
+    for p in _row_cases(1201):
+        assert len(p.homogeneous) == len(p.vertices)
+        for v, h in zip(p.vertices, p.homogeneous):
+            assert all(type(x) is int for x in h)
+            assert h[-1] > 0 and math.gcd(*h) == 1
+            assert tuple(Fraction(x, h[-1]) for x in h[:-1]) == v
+        if p.is_lattice:
+            assert p.lattice_vertices() == tuple(
+                tuple(int(x) for x in v) for v in p.vertices)
+            assert all(type(x) is int for v in p.lattice_vertices() for x in v)
+        else:
+            with pytest.raises(ValueError, match="non-integral"):
+                p.lattice_vertices()
+        kinds.add("empty" if p.is_empty else "lines" if p.lines
+                  else "rays" if p.rays
+                  else "flat" if p.affine_dimension() < p.rank else "full")
+        if not p.is_lattice:
+            kinds.add("rational")
+    assert kinds == {"empty", "lines", "rays", "flat", "full", "rational"}
+    assert Polyhedron.empty(2).homogeneous == ()
+
+
+def _min_reference(p, u):
+    """The Fraction loop over p.vertices: least value, lex-least argmin."""
+    best = arg = None
+    for v in p.vertices:
+        val = Fraction(dot(u, v))
+        if best is None or val < best or (val == best and v < arg):
+            best, arg = val, v
+    return best, math.floor(best), arg
+
+
+def test_min_functional_against_fraction_reference():
+    r = corpus.rng(1202)
+    ties = 0
+    for p in _row_cases(1202):
+        if p.is_empty:
+            continue
+        # facet normals tie on every vertex of their facet
+        functionals = [u for u, _ in p.inequalities]
+        functionals += [corpus.random_vector(r, p.rank, -3, 3) for _ in range(3)]
+        functionals += [tuple(Fraction(x, r.choice((1, 2, 3))) for x in u)
+                        for u in functionals[-2:]]
+        for u in functionals:
+            if any(dot(u, x) < 0 for x in p.rays) or any(dot(u, x) for x in p.lines):
+                with pytest.raises(UnboundedError, match="UnboundedBelow"):
+                    min_functional(p, u)
+                continue
+            res = min_functional(p, u)
+            assert (res.value, res.floor, res.argmin) == _min_reference(p, u)
+            assert type(res.value) is Fraction and type(res.floor) is int
+            ties += sum(dot(u, v) == res.value for v in p.vertices) > 1
+        with pytest.raises(ValueError, match="length mismatch in dot: %d vs %d"
+                           % (p.rank + 1, p.rank)):
+            min_functional(p, (1,) * (p.rank + 1))
+    assert ties > 50
+
+
+def test_min_functional_builds_one_fraction(monkeypatch):
+    q = _flat_polytope(corpus.rng(1203), 4, 4)
+    assert len(q.vertices) > 3 and not q.is_lattice
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    min_functional(q, (1, -2, 3, 1))
+    assert len(made) == 1
 
 
 def test_lattice_points_segment():
