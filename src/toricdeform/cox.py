@@ -320,7 +320,6 @@ class CoxSystem:
     rank: int
     rays: tuple
     grading: object  # CokernelMap
-    parameters: tuple = ()
 
     @property
     def group(self):
@@ -332,7 +331,7 @@ class CoxSystem:
         return tuple(d[0][0] if d[0] else 0 for d in self.grading.degrees)
 
 
-def cox_system(rays: Sequence, rank: int, parameters=()) -> CoxSystem:
+def cox_system(rays: Sequence, rank: int) -> CoxSystem:
     rays = tuple(tuple(r) for r in rays)
     for r in rays:
         if len(r) != rank:
@@ -341,8 +340,7 @@ def cox_system(rays: Sequence, rank: int, parameters=()) -> CoxSystem:
         raise ValueError(
             "rays do not span; the quotient would pick up a torus factor")
     return CoxSystem(rank=rank, rays=rays,
-                     grading=cokernel_map([list(r) for r in rays]),
-                     parameters=tuple(parameters))
+                     grading=cokernel_map([list(r) for r in rays]))
 
 
 def term_degree(sys: CoxSystem, t: Term):

@@ -12,6 +12,7 @@ w~ = w - sum_i floor(min over Q_i of w) e_i*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cox import PairingData
@@ -262,17 +263,19 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
             "(v)", "min of w over Q exists and is >= -1", False,
             "w unbounded below on Q"))
 
-    # (vi) vertices of the level -1 slice of sigma lie on rays through Q
-    ineqs = [(f, 0) for f in sigma.facets]
-    ineqs.append((tuple(w), 1))
-    ineqs.append((tuple(-x for x in w), -1))
-    level = Polyhedron.from_inequalities(d.rank, ineqs)
+    # (vi) vertices of the level -1 slice of sigma lie on rays through Q;
+    # sigma is pointed and full-dimensional, so the slice has one vertex
+    # r / -<w, r> per ray r with <w, r> < 0, and r spans the same ray
+    slice_vertices = []
+    for r in sigma.rays:
+        a = dot(w, r)
+        if a < 0:
+            slice_vertices.append((tuple(Fraction(x, -a) for x in r), r))
     bad = None
-    if not level.is_empty:
-        for v in level.vertices:
-            if not membership_scaling(q, primitive(v)):  # <w, v> = -1, so v != 0
-                bad = "slice vertex " + _fmt_point(v)
-                break
+    for v, r in sorted(slice_vertices):
+        if not membership_scaling(q, r):
+            bad = "slice vertex " + _fmt_point(v)
+            break
     results.append(ConditionResult(
         "(vi)", "every vertex of the level -1 slice of the cone "
         "lies in R+ Q", bad is None, bad))
@@ -386,30 +389,20 @@ class TildeStructureReport:
 
 def check_tilde_structure(t: TildeData) -> TildeStructureReport:
     """Strong convexity, full dimension n+k, and the slice property: the
-    enlarged cone meets N_R x 0 exactly in the original cone."""
+    enlarged cone meets N_R x 0 exactly in the original cone.
+
+    The slice is the rank-n cone cut out by the first n coordinates of the
+    enlarged cone's facet rows; its canonical rays are compared with the
+    original cone's."""
     n, k = t.n, t.k
     sc = t.cone.is_strongly_convex()
     dim_ok = t.cone.dimension() == n + k
-    # intersect with the coordinate subspace by forcing the tail to zero
-    ineqs = list(t.cone.facets)
-    for i in range(k):
-        e = tuple(1 if j == n + i else 0 for j in range(n + k))
-        ineqs.append(e)
-        ineqs.append(tuple(-x for x in e))
-    meet = Cone.from_inequalities(n + k, ineqs)
-    detail = ""
-    slice_ok = True
-    for r in meet.rays:
-        if any(r[n:]):
-            slice_ok = False
-            detail = "slice ray with nonzero tail " + _fmt_point(r)
-            break
-    if slice_ok:
-        projected = tuple(sorted(r[:n] for r in meet.rays))
-        expected = tuple(sorted(t.datum.sigma.rays))
-        slice_ok = projected == expected
-        if not slice_ok:
-            detail = "slice rays %s != cone rays %s" % (projected, expected)
+    # (x, 0) lies in the enlarged cone iff <f[:n], x> >= 0 for every folded
+    # facet row f, so the slice is a cone in rank n
+    meet = Cone.from_inequalities(n, [f[:n] for f in t.cone.facets])
+    expected = t.datum.sigma.rays
+    slice_ok = meet.rays == expected
+    detail = "" if slice_ok else "slice rays %s != cone rays %s" % (meet.rays, expected)
     return TildeStructureReport(strongly_convex=sc, dimension_ok=dim_ok,
                                 slice_ok=slice_ok, detail=detail)
 

@@ -181,31 +181,6 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
     return rank
 
 
-def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form and friends
 

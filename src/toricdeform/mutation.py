@@ -265,7 +265,7 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
             "normal fan rays %s differ from the predicted list %s"
             % (fan.rays, predicted))
 
-    sys = cox_system(fan.rays, n + 1, parameters=("a", "b", "c"))
+    sys = cox_system(fan.rays, n + 1)
     index = {r: j for j, r in enumerate(fan.rays)}
     m = len(fan.rays)
 

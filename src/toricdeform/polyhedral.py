@@ -28,7 +28,6 @@ from .lattice import (
     vadd,
     vector_from_json,
     vneg,
-    vsub,
 )
 
 
@@ -380,10 +379,10 @@ class Polyhedron:
     def affine_dimension(self) -> int:
         if self.is_empty:
             return -1
-        v0 = self.vertices[0]
-        rows = [vsub(v, v0) for v in self.vertices[1:]]
-        rows += list(self.rays) + list(self.lines)
-        return matrix_rank(rows)
+        # the cone over p x {1}, spanned by the integer rows, has one more
+        # dimension than p
+        rows = [r + (0,) for r in self.rays + self.lines]
+        return matrix_rank(list(self.homogeneous) + rows) - 1
 
     def translate(self, vec: Sequence) -> "Polyhedron":
         # rebuilt, as a shift would break the Hermite basis of the equations
@@ -540,28 +539,30 @@ def lattice_points(p: Polyhedron) -> tuple:
 def membership_scaling(q: Polyhedron, v: Sequence) -> bool:
     """True iff some positive scaling v / lam lies in q (i.e. v is in R+ . q).
 
-    With 0 not in q, v = 0 is never scalable.
+    A row <u, x> + c >= 0 bounds lam from below by -<u, v> / c if c > 0
+    and from above by <u, v> / -c if c < 0.  Each bound stays an integer
+    pair (num, den) with den > 0, and bounds are compared by
+    cross-multiplying.  With 0 not in q, v = 0 is never scalable.
     """
     if is_zero(v):
         return False
-    lower = []
-    upper = []
+    lo = (0, 1)  # lam > 0 in any case
+    hi = None
     for u, c in q.inequalities:
-        s = Fraction(dot(u, v))
+        s = dot(u, v)
         if c == 0:
             if s < 0:
                 return False
         elif c > 0:
-            lower.append(-s / c)
-        else:
-            upper.append(s / -c)
-    if not upper:
+            if -s * lo[1] > lo[0] * c:
+                lo = (-s, c)
+        elif hi is None or s * hi[1] < hi[0] * -c:
+            hi = (s, -c)
+    if hi is None:
         return True
-    hi = min(upper)
-    lo = max(lower) if lower else Fraction(0)
-    if lo > 0:
-        return lo <= hi
-    return hi > 0
+    if lo[0] > 0:
+        return lo[0] * hi[1] <= hi[0] * lo[1]
+    return hi[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +608,12 @@ def normal_fan(p: Polyhedron) -> Fan:
         raise UnboundedError("Unbounded: normal fan needs a polytope")
     if p.affine_dimension() != p.rank:
         raise ValueError("normal fan needs a full-dimensional polytope")
-    rays = sorted(primitive(u) for u, _ in p.inequalities)
+    normals = [primitive(u) for u, _ in p.inequalities]
+    rays = sorted(normals)
     index = {r: i for i, r in enumerate(rays)}
+    rows = [(u, c, index[r]) for (u, c), r in zip(p.inequalities, normals)]
     cones = set()
-    for v in p.vertices:
-        tight = tuple(sorted(index[primitive(u)] for u, c in p.inequalities
-                             if dot(u, v) + c == 0))
-        cones.add(tight)
+    for h in p.homogeneous:  # (d*v, d): v is tight on a row iff <u, d*v> + c*d == 0
+        dv, d = h[:-1], h[-1]
+        cones.add(tuple(sorted(i for u, c, i in rows if dot(u, dv) + c * d == 0)))
     return Fan(rank=p.rank, rays=tuple(rays), maximal_cones=tuple(sorted(cones)))

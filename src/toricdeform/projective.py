@@ -253,8 +253,7 @@ def projective_tilde(v: PolarizedToricVariety,
     w_cox = tuple(t.w_tilde[:n]) + tuple(t.w_tilde[n + 1:])
     pd = PairingData(n=n, k=k,
                      rays=tuple(vt.fan.rays), w_tilde=w_cox)
-    sys = cox_system(pd.rays, n + k,
-                     parameters=tuple("t%d" % (i + 1) for i in range(k)))
+    sys = cox_system(pd.rays, n + k)
     bs = binomials(pd)
     ts = trinomials(pd)
     mono = None

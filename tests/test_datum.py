@@ -1,6 +1,7 @@
 """Deformation data: structural rejection, the six conditions, the
 enlarged cone, and the floor-min identity."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -19,9 +20,12 @@ from toricdeform.datum import (
     require_valid,
     validate_datum,
 )
+from toricdeform.lattice import primitive
 from toricdeform.polyhedral import (
-    Cone, Polyhedron, convex_hull, lattice_points, minkowski_sum)
-from toricdeform.presets import ca1_datum, hexagon_data, toy_plane_datum
+    Cone, Polyhedron, convex_hull, lattice_points, membership_scaling,
+    minkowski_sum)
+from toricdeform.presets import (
+    ca1_datum, hexagon_data, p2_p114_family, toy_plane_datum)
 
 import corpus
 import oracles
@@ -154,6 +158,50 @@ def test_condition_v_failure():
 def test_condition_vi_failure():
     d = build_datum(orthant(), [point(0, 1), point(1, 0)], (0, -1))
     assert failed_labels(d) == ("(vi)",)
+
+
+def _level_slice_reference(d, w):
+    """Vertices of the level -1 slice of sigma as a polyhedron of its own."""
+    ineqs = [(f, 0) for f in d.sigma.facets]
+    ineqs += [(tuple(w), 1), (tuple(-x for x in w), -1)]
+    return Polyhedron.from_inequalities(d.rank, ineqs).vertices
+
+
+def test_condition_vi_slice_vertices_match_level_polyhedron():
+    r = corpus.rng(1310)
+    data = corpus.random_valid_data(1310, 10) + [
+        ca1_datum(), toy_plane_datum(), *hexagon_data(),
+        p2_p114_family().induced_datum]
+    outcomes = set()
+    for d in data:
+        for w in [d.w] + [corpus.random_vector(r, d.rank, -3, 3) for _ in range(4)]:
+            level = _level_slice_reference(d, w)
+            derived = sorted(tuple(Fraction(x, -oracles.dot(w, ray)) for x in ray)
+                             for ray in d.sigma.rays if oracles.dot(w, ray) < 0)
+            assert tuple(derived) == level
+            bad = next((v for v in level
+                        if not membership_scaling(d.q, primitive(v))), None)
+            vi = validate_datum(dataclasses.replace(d, w=w)).conditions[-1]
+            assert vi.label == "(vi)"
+            assert (vi.passed, vi.witness) == (
+                (True, None) if bad is None
+                else (False, "slice vertex (%s)" % ", ".join(map(str, bad))))
+            outcomes.add((vi.passed, len(level) > 1))
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_condition_vi_witness_is_the_lex_least_slice_vertex():
+    # rays (1, 0) < (1, 2), but their slice vertices (1, 0) > (1/3, 2/3);
+    # R+ Q is the ray through (2, 1), which misses both
+    sigma = Cone.from_generators(2, [(1, 0), (1, 2)])
+    d = build_datum(sigma, [point(Fraction(2, 3), Fraction(1, 3)), point(0, 0)],
+                    (-1, -1))
+    report = validate_datum(d)
+    assert [c.label for c in report.failed()] == ["(vi)"]
+    assert report.conditions[-1].witness == "slice vertex (1/3, 2/3)"
+    assert str(report).splitlines()[-1] == (
+        "FAIL (vi): every vertex of the level -1 slice of the cone lies in "
+        "R+ Q [witness: slice vertex (1/3, 2/3)]")
 
 
 def test_require_valid_raises_with_report():
@@ -297,6 +345,17 @@ def test_tilde_structure_on_corpus():
         t = build_tilde(d)
         struct = check_tilde_structure(t)
         assert struct.ok, struct.detail
+
+
+def test_tilde_structure_reports_slice_mismatch():
+    t = build_tilde(toy_plane_datum())
+    assert check_tilde_structure(t).ok
+    wrong = dataclasses.replace(
+        t.datum, sigma=Cone.from_generators(2, [(1, 0), (1, 2)]))
+    struct = check_tilde_structure(dataclasses.replace(t, datum=wrong))
+    assert struct.slice_ok is False and not struct.ok
+    assert struct.detail == (
+        "slice rays ((0, 1), (1, 0)) != cone rays ((1, 0), (1, 2))")
 
 
 def test_positive_pairing_at_most_one_per_ray():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricdeform.lattice import ZeroVectorError
+from toricdeform.lattice import ZeroVectorError, primitive
 from toricdeform.polyhedral import (
     Cone,
     Polyhedron,
@@ -533,9 +533,7 @@ def test_min_functional_against_fraction_reference():
     assert ties > 50
 
 
-def test_min_functional_builds_one_fraction(monkeypatch):
-    q = _flat_polytope(corpus.rng(1203), 4, 4)
-    assert len(q.vertices) > 3 and not q.is_lattice
+def _count_fractions(monkeypatch):
     made = []
     new = Fraction.__new__
 
@@ -544,6 +542,13 @@ def test_min_functional_builds_one_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_min_functional_builds_one_fraction(monkeypatch):
+    q = _flat_polytope(corpus.rng(1203), 4, 4)
+    assert len(q.vertices) > 3 and not q.is_lattice
+    made = _count_fractions(monkeypatch)
     min_functional(q, (1, -2, 3, 1))
     assert len(made) == 1
 
@@ -694,6 +699,69 @@ def test_membership_scaling_against_sampling():
         assert got == expected
 
 
+def _scaling_reference(q, v):
+    """The Fraction loop: each bound -<u, v> / c built as a Fraction."""
+    if not any(v):
+        return False
+    lower = []
+    upper = []
+    for u, c in q.inequalities:
+        s = Fraction(dot(u, v))
+        if c == 0:
+            if s < 0:
+                return False
+        elif c > 0:
+            lower.append(-s / c)
+        else:
+            upper.append(s / -c)
+    if not upper:
+        return True
+    hi = min(upper)
+    lo = max(lower) if lower else Fraction(0)
+    if lo > 0:
+        return lo <= hi
+    return hi > 0
+
+
+def test_membership_scaling_against_fraction_reference():
+    r = corpus.rng(1301)
+    cases = _row_cases(1301)
+    for rank in range(1, 5):
+        for _ in range(4):
+            # a vertex at 0 gives rows with c = 0
+            pts = [(0,) * rank, corpus.random_vector(r, rank, -2, 2)]
+            rays = [corpus.random_vector(r, rank, -2, 2) for _ in range(r.randint(0, rank))]
+            cases.append(Polyhedron.from_points_and_rays(rank, pts, rays))
+    kinds = set()
+    verdicts = set()
+    for q in cases:
+        vs = [corpus.random_vector(r, q.rank, -3, 3) for _ in range(6)]
+        vs += [h[:-1] for h in q.homogeneous] + list(q.rays) + list(q.lines)
+        vs += [tuple(Fraction(x, 2) for x in v) for v in vs[:2]]
+        vs.append((0,) * q.rank)
+        for v in vs:
+            got = membership_scaling(q, v)
+            assert got == _scaling_reference(q, v), (q, v)
+            verdicts.add(got)
+        kinds.add("empty" if q.is_empty else "lines" if q.lines
+                  else "rays" if q.rays else "bounded")
+        if any(c == 0 and any(u) for u, c in q.inequalities):
+            kinds.add("c = 0")
+    assert kinds == {"empty", "lines", "rays", "bounded", "c = 0"}
+    assert verdicts == {True, False}
+
+
+def test_membership_scaling_and_normal_fan_build_no_fraction(monkeypatch):
+    q = _flat_polytope(corpus.rng(1302), 3, 3)
+    assert q.affine_dimension() == 3 and not q.is_lattice
+    vs = [h[:-1] for h in q.homogeneous] + [(1, 0, 0), (0, -1, 2)]
+    made = _count_fractions(monkeypatch)
+    normal_fan(q)
+    for v in vs:
+        membership_scaling(q, v)
+    assert made == []
+
+
 def test_normal_fan_triangle():
     tri = convex_hull(2, [(0, 0), (1, 0), (0, 1)])
     fan = normal_fan(tri)
@@ -717,6 +785,39 @@ def test_normal_fan_hexagon():
         (1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1),
     }
     assert len(fan.maximal_cones) == 6
+
+
+def _normal_fan_reference(p):
+    """The Fraction loop: every incidence tested on the vertex itself."""
+    rays = sorted(primitive(u) for u, _ in p.inequalities)
+    index = {r: i for i, r in enumerate(rays)}
+    cones = {tuple(sorted(index[primitive(u)] for u, c in p.inequalities
+                          if dot(u, v) + c == 0)) for v in p.vertices}
+    return tuple(rays), tuple(sorted(cones))
+
+
+def test_normal_fan_against_fraction_reference():
+    r = corpus.rng(1303)
+    checked = 0
+    for rank in range(1, 5):
+        for _ in range(8):
+            p = _flat_polytope(r, rank, rank)
+            if p.affine_dimension() != rank:
+                continue
+            fan = normal_fan(p)
+            assert (fan.rays, fan.maximal_cones) == _normal_fan_reference(p)
+            checked += 1
+    assert checked > 15
+
+
+def test_affine_dimension_against_vertex_differences():
+    for p in _row_cases(1304):
+        if p.is_empty:
+            assert p.affine_dimension() == -1
+            continue
+        v0 = p.vertices[0]
+        rows = [tuple(a - b for a, b in zip(v, v0)) for v in p.vertices[1:]]
+        assert p.affine_dimension() == rational_rank(rows + list(p.rays + p.lines))
 
 
 def test_normal_fan_requires_bounded_full_dim():
