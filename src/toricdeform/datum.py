@@ -11,13 +11,14 @@ w~ = w - sum_i floor(min over Q_i of w) e_i*.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cox import PairingData
 from .lattice import (
-    as_int_vector, dot, is_integral, primitive, vadd, vector_from_json, vsub)
+    as_int_vector, dot, is_integral, primitive, vadd, vector_from_json, vscale, vsub)
 from .polyhedral import (
     Cone,
     Polyhedron,
@@ -172,6 +173,9 @@ def decompose_vertex(q: Polyhedron, v, summands) -> Optional[tuple]:
     (Fukuda, J. Symb. Comput. 38, 2004).  Returns those minimizers, or
     None if they do not add up to v or two of them are non-lattice.  A q
     with lines has no vertices, only representatives, and no unique split.
+    The test runs on the primitive rows (d_i*p_i, d_i): over L = lcm(d,
+    d_0, ..., d_k) the parts add up to v iff the sum of (L/d_i)*(d_i*p_i)
+    is (L/d)*(d*v), and p_i is non-lattice iff d_i > 1.
     """
     h = primitive(tuple(v) + (1,))  # (d*v, d), so tightness reads in integers
     dv, d = h[:-1], h[-1]
@@ -180,13 +184,15 @@ def decompose_vertex(q: Polyhedron, v, summands) -> Optional[tuple]:
         if dot(a, dv) + c * d == 0:
             u = vadd(u, a)
     try:
-        parts = tuple(min_functional(s, u).argmin for s in summands)
+        mins = [min_functional(s, u) for s in summands]
     except UnboundedError:
         return None
-    if (tuple(map(sum, zip(*parts))) != tuple(v)
-            or sum(not is_integral(p) for p in parts) > 1):
+    rows = [m.row for m in mins]
+    den = math.lcm(d, *(r[-1] for r in rows))
+    total = tuple(map(sum, zip(*(vscale(den // r[-1], r[:-1]) for r in rows))))
+    if total != vscale(den // d, dv) or sum(r[-1] > 1 for r in rows) > 1:
         return None
-    return parts
+    return tuple(m.argmin for m in mins)
 
 
 def validate_datum(d: DeformationDatum) -> ValidationReport:

@@ -9,8 +9,9 @@ Number contract: a coordinate is an int or a Fraction, normalised
 through its .numerator and .denominator; an int has both, with
 denominator 1.  JSON becomes Fractions at one boundary, vector_from_json,
 under every payload reader.  Floats are not accepted: primitive, which
-every cone and polyhedron constructor calls on its input, and as_fraction,
-which reads every other rational parameter, raise TypeError for them.
+every cone and polyhedron constructor calls on its input, as_int, through
+which the normal forms read their entries, and as_fraction, which reads
+every other rational parameter, raise TypeError for them.
 """
 
 from __future__ import annotations
@@ -62,8 +63,14 @@ def is_integral(u: Sequence) -> bool:
 
 
 def as_int(a) -> int:
-    """Cast an integral int or Fraction to a plain int; error if it is not integral."""
-    if a.denominator != 1:
+    """Cast an integral int or Fraction to a plain int; a non-integral one
+    raises ValueError, and any other type, floats included, TypeError."""
+    try:
+        den = a.denominator
+    except AttributeError:
+        raise TypeError("a lattice coordinate must be an int or Fraction, got %r"
+                        % (a,)) from None
+    if den != 1:
         raise ValueError("non-integral coordinate %s" % (a,))
     return a.numerator
 
@@ -112,23 +119,29 @@ def vector_from_json(v, what: str) -> RationalVector:
 
 
 def content(u: Sequence[int]) -> int:
-    """gcd of the coordinates (non-negative)."""
-    return math.gcd(*[int(a) for a in u]) if u else 0
+    """gcd of the int coordinates (non-negative); a Fraction raises TypeError."""
+    return math.gcd(*u)
 
 
 def primitive(u: Sequence) -> IntVector:
     """Primitive integer vector spanning the same ray (positive multiple of u).
 
     Accepts int or Fraction coordinates; any other type raises TypeError.
-    The zero vector has no direction.
+    All-int input (bools included) is divided by its gcd alone; only a
+    vector with a Fraction is first scaled by the lcm of its denominators.
+    The result is plain ints.  The zero vector has no direction.
     """
     try:
-        den = math.lcm(*[a.denominator for a in u])
-    except AttributeError:
-        raise TypeError("coordinates must be int or Fraction, got %r"
-                        % (tuple(u),)) from None
-    ints = [a.numerator * (den // a.denominator) for a in u]
-    g = math.gcd(*ints)
+        g = math.gcd(*u)  # a Fraction or a float raises TypeError here
+        ints = u
+    except TypeError:
+        try:
+            den = math.lcm(*[a.denominator for a in u])
+        except AttributeError:
+            raise TypeError("coordinates must be int or Fraction, got %r"
+                            % (tuple(u),)) from None
+        ints = [a.numerator * (den // a.denominator) for a in u]
+        g = math.gcd(*ints)
     if g == 0:
         raise ZeroVectorError("ZeroVector: the zero vector spans no ray")
     return tuple(a // g for a in ints)
@@ -216,11 +229,11 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     D is diagonal with non-negative entries d_1 | d_2 | ... .  The pivot at
     each step is the smallest-absolute-value nonzero entry of the remaining
     block (ties broken by row then column index), which makes the reduction
-    deterministic.
+    deterministic.  Entries are cast by as_int: a non-integral one raises.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    m = [[int(x) for x in row] for row in a]
+    m = [list(map(as_int, row)) for row in a]
     if any(len(r) != ncols for r in m):
         raise ValueError("ragged matrix")
     u = [list(r) for r in identity_matrix(nrows)]
@@ -365,9 +378,10 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
     """Row-style Hermite normal form of a full-row-rank integer matrix.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    The result is the canonical basis of the row lattice.
+    The result is the canonical basis of the row lattice.  Entries are
+    cast by as_int: a non-integral one raises.
     """
-    work = [list(map(int, r)) for r in rows]
+    work = [list(map(as_int, r)) for r in rows]
     nrows = len(work)
     if nrows == 0:
         return ()

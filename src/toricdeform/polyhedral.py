@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -19,7 +20,6 @@ from .lattice import (
     as_fraction,
     as_int_vector,
     dot,
-    identity_matrix,
     is_integral,
     is_zero,
     matrix_rank,
@@ -39,9 +39,18 @@ class UnboundedError(ValueError):
 # Double description
 
 
+def _reduce(v) -> tuple:
+    # primitive for a nonzero int row: a gcd, no denominators
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
 def dual_description(rank: int, normals: Sequence[tuple]):
     """Extreme rays and lineality basis of {x : <a, x> >= 0 for all a}.
 
+    The normals are integer rows of length rank; the package's callers
+    pass primitive ones (each runs primitive on its input), and every ray
+    and lineality row stays a primitive int tuple, reduced by a gcd alone.
     Processes the inequalities incrementally.  State invariant: the current
     cone equals lin(lineality) + cone(rays), with rays extreme and pairwise
     distinct modulo the lineality space, and bit i of a ray's mask is set iff
@@ -53,25 +62,26 @@ def dual_description(rank: int, normals: Sequence[tuple]):
     its own 2-face, so new rays never repeat.  Returns (rays, lineality)
     uncanonicalized.
     """
-    lineality = [tuple(r) for r in identity_matrix(rank)]
+    _require_rank(rank, normals, "normal")
+    lineality = [(0,) * i + (1,) + (0,) * (rank - 1 - i) for i in range(rank)]
     rays: list = []  # (ray, mask) pairs
     for n, a in enumerate(normals):
         bit = 1 << n
-        vals = [dot(a, l) for l in lineality]
+        vals = [sum(map(mul, a, l)) for l in lineality]
         if any(vals):
             i0 = next(i for i, v in enumerate(vals) if v)
             l0 = lineality[i0] if vals[i0] > 0 else vneg(lineality[i0])
             al0 = abs(vals[i0])
-            new_lin = [primitive(tuple(al0 * x - v * y for x, y in zip(l, l0))) if v else l
+            new_lin = [_reduce([al0 * x - v * y for x, y in zip(l, l0)]) if v else l
                        for i, (l, v) in enumerate(zip(lineality, vals)) if i != i0]
             new_rays = []
             for r, m in rays:  # shifting along l0 makes r tight on a
-                ar = dot(a, r)
-                rp = primitive(tuple(al0 * x - ar * y for x, y in zip(r, l0))) if ar else r
+                ar = sum(map(mul, a, r))
+                rp = _reduce([al0 * x - ar * y for x, y in zip(r, l0)]) if ar else r
                 new_rays.append((rp, m | bit))
             lineality, rays = new_lin, new_rays + [(l0, bit - 1)]  # l0 was a line
         else:
-            vs = [dot(a, r) for r, _ in rays]
+            vs = [sum(map(mul, a, r)) for r, _ in rays]
             if min(vs, default=0) >= 0:
                 rays = [(r, m if v else m | bit) for (r, m), v in zip(rays, vs)]
                 continue
@@ -79,6 +89,7 @@ def dual_description(rank: int, normals: Sequence[tuple]):
             neg = [t for t, v in enumerate(vs) if v < 0]
             zero = [(r, m | bit) for (r, m), v in zip(rays, vs) if v == 0]
             need = rank - len(lineality) - 2
+            masks = [m for _, m in rays]
             combos = []
             for tp in pos:
                 rp, mp = rays[tp]
@@ -86,9 +97,9 @@ def dual_description(rank: int, normals: Sequence[tuple]):
                     rn, mn = rays[tn]
                     common = mp & mn
                     if common.bit_count() < need or any(
-                            m & common == common for t, (_, m) in enumerate(rays) if t != tp and t != tn):
+                            m & common == common for t, m in enumerate(masks) if t != tp and t != tn):
                         continue
-                    s = primitive(tuple(vs[tp] * x - vs[tn] * y for x, y in zip(rn, rp)))
+                    s = _reduce([vs[tp] * x - vs[tn] * y for x, y in zip(rn, rp)])
                     combos.append((s, common | bit))
             rays = [rays[t] for t in pos] + zero + combos
     return [r for r, _ in rays], lineality
@@ -271,9 +282,14 @@ class Cone:
 
 @dataclass(frozen=True)
 class MinResult:
+    """The minimum of a functional over a polyhedron: its exact value, its
+    floor, the lex-least vertex attaining it, and that vertex's primitive
+    homogeneous row (d*v, d) from Polyhedron.homogeneous."""
+
     value: Fraction
     floor: int
     argmin: tuple
+    row: tuple
 
 
 class Polyhedron:
@@ -457,15 +473,31 @@ def convex_hull(rank: int, points: Iterable[Sequence], rays: Iterable[Sequence] 
 
 
 def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
+    """a + b, hulled from homogeneous integer rows.
+
+    The candidate for the vertices u of a and v of b, with rows (d*u, d)
+    and (e*v, e), is (e*d*u + d*e*v, d*e), the row of u + v up to a
+    positive factor; the rays, and each line with both signs, are rows
+    ending in 0.  One cone hull of these rows gives the sum, so no Fraction
+    is built before the result's own vertices.
+    """
     if a.rank != b.rank:
         raise ValueError("rank mismatch in Minkowski sum")
     if a.is_empty or b.is_empty:
         return Polyhedron.empty(a.rank)
-    pts = [vadd(u, v) for u in a.vertices for v in b.vertices]
-    rays = list(a.rays) + list(b.rays)
-    for l in list(a.lines) + list(b.lines):
-        rays += [l, vneg(l)]
-    return Polyhedron.from_points_and_rays(a.rank, pts, rays)
+    rows = []
+    for g in a.homogeneous:
+        du, d = g[:-1], g[-1]
+        for h in b.homogeneous:
+            e = h[-1]  # zip(du, h) stops before it
+            rows.append(tuple(e * x + d * y for x, y in zip(du, h)) + (d * e,))
+    for r in a.rays + b.rays:
+        rows.append(r + (0,))
+    for l in a.lines + b.lines:
+        rows += [l + (0,), vneg(l) + (0,)]
+    c = Cone.from_generators(a.rank + 1, rows)
+    return Polyhedron._from_homogeneous(a.rank, c.pointed_rays, c.lines,
+                                        c.pointed_facets, c.facet_lines)
 
 
 def min_functional(p: Polyhedron, u: Sequence) -> MinResult:
@@ -486,7 +518,8 @@ def min_functional(p: Polyhedron, u: Sequence) -> MinResult:
         if best is None or a * best[1] < best[0] * d:
             best, arg = (a, d), i
     value = Fraction(*best)
-    return MinResult(value=value, floor=math.floor(value), argmin=p.vertices[arg])
+    return MinResult(value=value, floor=math.floor(value), argmin=p.vertices[arg],
+                     row=p.homogeneous[arg])
 
 
 def lattice_points(p: Polyhedron) -> tuple:

@@ -20,10 +20,10 @@ from toricdeform.datum import (
     require_valid,
     validate_datum,
 )
-from toricdeform.lattice import primitive
+from toricdeform.lattice import is_integral, primitive, vscale
 from toricdeform.polyhedral import (
-    Cone, Polyhedron, convex_hull, lattice_points, membership_scaling,
-    minkowski_sum)
+    Cone, Polyhedron, UnboundedError, convex_hull, lattice_points, membership_scaling,
+    min_functional, minkowski_sum)
 from toricdeform.presets import (
     ca1_datum, hexagon_data, p2_p114_family, toy_plane_datum)
 
@@ -254,6 +254,47 @@ def test_decompose_vertex_against_brute_force():
             outcomes["split" if want else "none"] += 1
             if not want and oracles.vertex_splits_oracle(v, vertex_lists, len(summands)):
                 outcomes["two non-lattice"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _decompose_reference(q, v, summands):
+    """The Fraction check decompose_vertex made before it read rows: the
+    argmin vertices must add up to v, at most one of them non-lattice."""
+    h = primitive(tuple(v) + (1,))
+    u = (0,) * q.rank
+    for a, c in q.inequalities:
+        if oracles.dot(a, h[:-1]) + c * h[-1] == 0:
+            u = tuple(x + y for x, y in zip(u, a))
+    try:
+        parts = tuple(min_functional(s, u).argmin for s in summands)
+    except UnboundedError:
+        return None
+    if (tuple(map(sum, zip(*parts))) != tuple(v)
+            or sum(not is_integral(p) for p in parts) > 1):
+        return None
+    return parts
+
+
+def test_decompose_vertex_against_fraction_reference():
+    """The row check agrees with the Fraction sums on valid data, the
+    presets and hand-broken splits: a summand moved by half a unit (off
+    the lattice) or by a unit, and two half-integral segments."""
+    data = corpus.random_valid_data(4418, 12, (2, 3, 4))
+    data += [ca1_datum(), toy_plane_datum(), *hexagon_data()]
+    half = [convex_hull(2, [(0, 0), (Fraction(1, 2), 0)])] * 2
+    cases = [(minkowski_sum(*half), half)]
+    for d in data:
+        shift = (1,) + (0,) * (d.q.rank - 1)
+        cases.append((d.q, d.summands))
+        cases.append((d.q, (d.summands[0].translate(vscale(Fraction(1, 2), shift)),)
+                      + d.summands[1:]))
+        cases.append((d.q, d.summands[:-1] + (d.summands[-1].translate(shift),)))
+    outcomes = {"split": 0, "none": 0}
+    for q, summands in cases:
+        for v in q.vertices:
+            want = _decompose_reference(q, v, summands)
+            assert decompose_vertex(q, v, summands) == want, (q, v, summands)
+            outcomes["split" if want else "none"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
 

@@ -14,6 +14,7 @@ from toricdeform.lattice import (
     as_int_vector,
     cokernel,
     cokernel_map,
+    content,
     elementary_divisors,
     hermite_normal_form,
     integer_kernel,
@@ -65,10 +66,13 @@ def ref_is_integral(u):
 
 def random_exact_vector(r):
     """Mixed int / Fraction coordinates: zeros, negatives, large values,
-    integral Fractions and proper fractions."""
+    bools, integral Fractions and proper fractions."""
     out = []
     for _ in range(r.randint(1, 6)):
-        kind = r.randrange(6)
+        kind = r.randrange(7)
+        if kind == 6:
+            out.append(r.random() < 0.5)
+            continue
         if kind == 0:
             out.append(0)
         elif kind == 1:
@@ -87,10 +91,14 @@ def random_exact_vector(r):
 
 def test_number_path_matches_fraction_reference():
     r = random.Random(911)
+    kinds = set()
     for _ in range(3000):
         u = random_exact_vector(r)
         if r.random() < 0.05:
             u = tuple(0 * a for a in u)
+        types = {type(a) for a in u}
+        kinds.add("bool" if bool in types else "int" if types == {int}
+                  else "Fraction" if types == {Fraction} else "mixed")
         if ref_is_integral(u):
             assert is_integral(u)
             cast = as_int_vector(u)
@@ -109,6 +117,7 @@ def test_number_path_matches_fraction_reference():
         got = primitive(u)
         assert got == expected
         assert all(type(a) is int for a in got)
+    assert kinds == {"bool", "int", "Fraction", "mixed"}
 
 
 def test_number_path_edge_cases():
@@ -125,6 +134,30 @@ def test_number_path_edge_cases():
     for bad in (0.5, 1.0, "1/2", None):
         with pytest.raises(TypeError, match="int or Fraction"):
             as_fraction(bad)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            as_int(bad)
+    for bad in ((0.5, 1), (1, 2.0)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            primitive(bad)
+    assert primitive((True, False, True)) == (1, 0, 1)
+    assert all(type(a) is int for a in primitive((True, 2)) + primitive((4, 6)))
+    assert content((4, -6, 0)) == 2 and content(()) == 0
+    with pytest.raises(TypeError):
+        content((Fraction(3, 2), 3))
+    # the normal forms cast through as_int: a non-integral entry raises,
+    # never truncates (x/2 + y = 0 has kernel (2, -1), not (1, 0))
+    for nonintegral in (integer_kernel, cokernel, smith_normal_form, hermite_normal_form):
+        with pytest.raises(ValueError, match="non-integral coordinate 1/2"):
+            nonintegral([[Fraction(1, 2), 1]])
+    with pytest.raises(ValueError, match="non-integral coordinate 3/2"):
+        cokernel([[Fraction(3, 2), 0], [0, 2]])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        smith_normal_form([[1.5, 2]])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        hermite_normal_form([[1, 2.0]])
+    assert integer_kernel([[Fraction(2), 4]]) == integer_kernel([[2, 4]]) == ((2, -1),)
+    assert all(type(x) is int for r in smith_normal_form([[Fraction(2), 4]]) for row in r
+               for x in row)
 
 
 def test_smith_normal_form_single_row():

@@ -534,6 +534,9 @@ def test_min_functional_against_fraction_reference():
 
 
 def _count_fractions(monkeypatch):
+    """Record every Fraction built: through __new__, and on Python 3.12+
+    also through _from_coprime_ints, which builds arithmetic results
+    without calling __new__."""
     made = []
     new = Fraction.__new__
 
@@ -542,6 +545,13 @@ def _count_fractions(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
+    coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if coprime is not None:
+        def counting_coprime(cls, *args):
+            made.append(args)
+            return coprime.__func__(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
     return made
 
 
@@ -551,6 +561,51 @@ def test_min_functional_builds_one_fraction(monkeypatch):
     made = _count_fractions(monkeypatch)
     min_functional(q, (1, -2, 3, 1))
     assert len(made) == 1
+
+
+def _minkowski_reference(a, b):
+    """The Fraction hull: every pairwise vertex sum, the rays and +/- lines."""
+    if a.is_empty or b.is_empty:
+        return Polyhedron.empty(a.rank)
+    pts = [tuple(x + y for x, y in zip(u, v)) for u in a.vertices for v in b.vertices]
+    rays = list(a.rays + b.rays)
+    for l in a.lines + b.lines:
+        rays += [l, tuple(-x for x in l)]
+    return Polyhedron.from_points_and_rays(a.rank, pts, rays)
+
+
+def test_minkowski_sum_against_fraction_reference():
+    r = corpus.rng(1204)
+    by_rank = {}
+    for p in _row_cases(1204):
+        if p.rank <= 4:
+            by_rank.setdefault(p.rank, []).append(p)
+    kinds = set()
+    for rank, ps in sorted(by_rank.items()):
+        ps.append(convex_hull(rank, [tuple(_small_rational(r) for _ in range(rank))]))
+        for a in ps:
+            b = r.choice(ps)
+            got, want = minkowski_sum(a, b), _minkowski_reference(a, b)
+            assert got == want and got.homogeneous == want.homogeneous, (a, b)
+            for p in (a, b):
+                kinds.add("empty" if p.is_empty else "lines" if p.lines
+                          else "rays" if p.rays else "point" if len(p.vertices) == 1
+                          else "flat" if p.affine_dimension() < rank else "full")
+                if not p.is_lattice:
+                    kinds.add("rational")
+    assert kinds == {"empty", "lines", "rays", "point", "flat", "full", "rational"}
+
+
+def test_minkowski_sum_builds_only_its_vertices(monkeypatch):
+    r = corpus.rng(1205)
+    a, b = _flat_polytope(r, 3, 3), _flat_polytope(r, 3, 2)
+    assert not a.is_lattice and not b.is_lattice
+    made = _count_fractions(monkeypatch)
+    Fraction(1, 2) + Fraction(1, 3)  # the count sees arithmetic results too
+    assert len(made) == 3
+    del made[:]
+    s = minkowski_sum(a, b)
+    assert len(s.vertices) > 3 and len(made) == s.rank * len(s.vertices)
 
 
 def test_lattice_points_segment():
