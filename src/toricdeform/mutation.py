@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cox import (
     CoxPolynomial,
     CoxSystem,
     Term,
-    cox_system,
     disjoint_support_regular_sequence,
     is_homogeneous,
     monomial,
@@ -70,6 +70,11 @@ class FanoPolytope:
     def vertices(self) -> tuple:
         return self.polytope.lattice_vertices()
 
+    @cached_property
+    def points(self) -> tuple:
+        """The lattice points of P, enumerated once and sorted."""
+        return lattice_points(self.polytope)
+
 
 def validate_fano(p: Polyhedron) -> FanoPolytope:
     check_fano_polytope(p)
@@ -92,10 +97,10 @@ class MutationDatum:
     hmax: int
 
 
-def _slices(p: Polyhedron, w) -> dict:
-    """Lattice points of p grouped by height <w, x>, each group sorted."""
+def _slices(fano: FanoPolytope, w) -> dict:
+    """Lattice points of P grouped by height <w, x>, each group sorted."""
     out = {}
-    for x in lattice_points(p):
+    for x in fano.points:
         out.setdefault(dot(w, x), []).append(x)
     return out
 
@@ -104,18 +109,15 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
                             factor: Polyhedron) -> MutationDatum:
     """Factor every negative-height slice, or fail naming the height.
 
-    The slices are point sets: the lattice points of P at each height.
-    The factor candidate G_h at height h is the hull of the lattice points
-    x with x + (-h)f in the slice for every vertex f of F, i.e. the
-    lattice points of the region D_h of translations with x + (-h)F
-    inside the slice's lattice hull.  Both defining inclusions are then
-    re-checked by set lookups, with no hull of the sum G_h + (-h)F:
-    every x + t, for x a vertex of G_h and t = (-h)f, is a lattice point
-    of the slice (these include every vertex of the sum, so the sum lies
-    in P); and every vertex v of P at height h is g + t with g a lattice
-    point of D_h.  The second test is exact: once the sum lies in P, a
-    vertex v of P inside it is a vertex of the sum, so v = g + t with g a
-    vertex of G_h.
+    The slices are point sets: the lattice points of P, enumerated once
+    (``FanoPolytope.points``), at each height.  G_h is the hull of the
+    lattice points x with x + (-h)f in the slice for every vertex f of F:
+    the lattice points of the region D_h of translations with x + (-h)F
+    inside the slice's lattice hull.  G_h + (-h)F lies in P by
+    construction of D_h, with no hull of the sum: every vertex of G_h is
+    such an x.  The other inclusion is a set lookup, and exact: a vertex
+    v of P at height h inside the sum is a vertex of the sum, so it is
+    g + (-h)f with g a vertex of G_h, a lattice point of D_h.
     """
     n = fano.n
     if len(w) != n:
@@ -135,24 +137,19 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
                 "factor vertex %s does not pair to zero with the direction"
                 % (tuple(v),))
 
-    heights = [dot(w, v) for v in fano.vertices()]
-    hmin, hmax = min(heights), max(heights)
-    slices = _slices(fano.polytope, w)
+    heights = {v: dot(w, v) for v in fano.vertices()}
+    hmin, hmax = min(heights.values()), max(heights.values())
+    slices = _slices(fano, w)
     layers = []
     fverts = factor.lattice_vertices()
     for h in range(hmin, 0):
-        at_h = tuple(v for v in fano.vertices() if dot(w, v) == h)
+        at_h = tuple(v for v, hv in heights.items() if hv == h)
         spts = slices.get(h, [])
         in_slice = set(spts)
         shifts = [vscale(-h, f) for f in fverts]
         gpts = [x for x in (vsub(s, shifts[0]) for s in spts)
                 if all(vadd(x, t) in in_slice for t in shifts)]
         g = convex_hull(n, gpts) if gpts else None
-        for x in g.lattice_vertices() if g else ():
-            for y in (vadd(x, t) for t in shifts):
-                if y not in in_slice:
-                    raise MutationDatumError(
-                        h, "witness escapes the slice hull at %s" % (y,))
         in_g = set(gpts)
         for v in at_h:
             if not any(vsub(v, t) in in_g for t in shifts):
@@ -171,7 +168,7 @@ def mutate(fano: FanoPolytope, d: MutationDatum) -> FanoPolytope:
     """
     n = fano.n
     fverts = d.factor.lattice_vertices()
-    slices = _slices(fano.polytope, d.w)
+    slices = _slices(fano, d.w)
     upper = [vadd(s, vscale(h, f))
              for h in range(0, d.hmax + 1) for s in slices.get(h, [])
              for f in fverts]
@@ -238,6 +235,13 @@ def induced_boundary_datum(fano: FanoPolytope,
 
 
 def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
+    """Glue P and its mutation into Q~; read the a,b,c pencil off its fan.
+
+    The cone over P and the Cox system are the induced construction's,
+    the latter read after the ray-set check (both ray tuples are sorted).
+    The predicted-ray, ray-set, homogeneity, disjoint-support and
+    ``_cross_check_equations`` checks stay independent.
+    """
     n = fano.n
     mutated = mutate(fano, d)
     upper = tuple(sorted(
@@ -265,7 +269,6 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
             "normal fan rays %s differ from the predicted list %s"
             % (fan.rays, predicted))
 
-    sys = cox_system(fan.rays, n + 1)
     index = {r: j for j, r in enumerate(fan.rays)}
     m = len(fan.rays)
 
@@ -285,23 +288,22 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
         [(v + (0,), 1) for v in upper]
         + [(v + (dot(d.w, v),), 1) for v in lower]))
 
-    ok, _ = is_homogeneous(sys, trinomial)
-    if not ok:
-        raise MutationFamilyError("trinomial is not grading-homogeneous")
     if not disjoint_support_regular_sequence([trinomial], mono):
         raise MutationFamilyError("trinomial and monomial share a variable "
                                   "in every term")
 
     datum = induced_boundary_datum(fano, d)
-    v_pol = PolarizedToricVariety.from_fano_polytope(fano.polytope)
-    induced = projective_tilde(v_pol, datum)
+    induced = projective_tilde(
+        PolarizedToricVariety.from_cone(datum.sigma), datum)
     if set(induced.fan.rays) != set(fan.rays):
         raise MutationFamilyError(
             "induced construction produced different ambient rays")
+    if not is_homogeneous(induced.cox, trinomial)[0]:
+        raise MutationFamilyError("trinomial is not grading-homogeneous")
     _cross_check_equations(induced, trinomial, mono)
 
     return MutationFamily(fano=fano, datum=d, mutated=mutated,
-                          q_tilde=q_tilde, fan=fan, cox=sys,
+                          q_tilde=q_tilde, fan=fan, cox=induced.cox,
                           trinomial=trinomial, monomial=mono,
                           induced=induced, induced_datum=datum,
                           upper_vertices=upper, lower_vertices=lower)

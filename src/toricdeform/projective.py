@@ -23,7 +23,7 @@ from .cox import (
     trinomials,
 )
 from .datum import DeformationDatum, TildeData, _fmt_point, build_tilde, require_valid
-from .lattice import content, dot, is_integral, primitive
+from .lattice import as_fraction, content, dot, is_integral, primitive
 from .polyhedral import Cone, Fan, Polyhedron
 
 
@@ -135,10 +135,8 @@ class PolarizedToricVariety:
         by re-deriving the fan from the resulting cone."""
         if len(phi) != len(fan.rays):
             raise ValueError("need one value per fan ray")
-        gens = []
-        for rho, val in zip(fan.rays, phi):
-            gens.append(tuple(val.denominator * x for x in rho)
-                        + (-val.numerator,))
+        gens = [tuple(val.denominator * x for x in rho) + (-val.numerator,)
+                for rho, val in zip(fan.rays, map(as_fraction, phi))]
         tau = Cone.from_generators(fan.rank + 1, gens)
         v = cls.from_cone(tau)
         if v.fan.rays != tuple(sorted(fan.rays)) or set(
@@ -220,7 +218,6 @@ class ProjectiveTilde:
     binomials: tuple
     trinomials: tuple
     boundary: Optional[object]
-    q_tilde: Polyhedron
 
     @property
     def fan(self) -> Fan:
@@ -264,5 +261,4 @@ def projective_tilde(v: PolarizedToricVariety,
                 "Q-divisor")
         mono = boundary_monomial(pd)
     return ProjectiveTilde(variety=vt, tilde=t, pairings=pd, cox=sys,
-                           binomials=bs, trinomials=ts, boundary=mono,
-                           q_tilde=polytope_in_M(vt))
+                           binomials=bs, trinomials=ts, boundary=mono)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from toricdeform.cox import (
+    cox_system,
     disjoint_support_regular_sequence,
     is_homogeneous,
     pretty,
@@ -27,6 +28,9 @@ from toricdeform.lattice import dot, primitive, vadd, vneg, vscale, vsub
 from toricdeform.polyhedral import (
     Cone, Polyhedron, convex_hull, lattice_points, minkowski_sum)
 from toricdeform.presets import p2_p114_alias, p2_p114_inputs, p2_polytope
+
+from toricdeform.projective import PolarizedToricVariety, projective_tilde
+import toricdeform.mutation as mutation_module
 
 import corpus
 
@@ -345,6 +349,49 @@ def test_family_vertex_split():
     fam = mutation_family(fano, d)
     assert set(fam.upper_vertices) == {(0, 1)}
     assert set(fam.lower_vertices) == {(-1, -1)}
+
+
+def test_pencil_shares_the_induced_cone_and_cox_system():
+    # the references for what mutation_family reuses of the induced
+    # construction instead of computing it again
+    fano, d, _ = p114_setup()
+    cases = corpus.random_mutation_cases(10) + [(fano, d)] + _rank3_cases()
+    assert len(cases) == 47
+    for fano, d in cases:
+        fam = mutation_family(fano, d)
+        assert fam.cox == cox_system(fam.fan.rays, fano.n + 1), d.w
+        tau = PolarizedToricVariety.from_fano_polytope(fano.polytope).tau
+        assert fam.induced_datum.sigma == tau, d.w
+
+
+def test_pencil_enumerates_each_polytope_once(monkeypatch):
+    enumerated = []
+
+    def counting_lattice_points(p):
+        enumerated.append(p)
+        return lattice_points(p)
+
+    monkeypatch.setattr(mutation_module, "lattice_points",
+                        counting_lattice_points)
+    built = []
+    from_inequalities = Polyhedron.from_inequalities
+
+    def counting_from_inequalities(rank, inequalities):
+        built.append(rank)
+        return from_inequalities(rank, inequalities)
+
+    monkeypatch.setattr(Polyhedron, "from_inequalities",
+                        staticmethod(counting_from_inequalities))
+    p, w, f = p2_p114_inputs()
+    fano = validate_fano(p)
+    d = validate_mutation_datum(fano, w, f)
+    mutate(fano, d)
+    fam = mutation_family(fano, d)
+    assert enumerated == [fano.polytope]
+    assert built == [3]  # the glued polytope Q~ of the pencil
+    v = PolarizedToricVariety.from_cone(fam.induced_datum.sigma)
+    projective_tilde(v, fam.induced_datum)
+    assert built == [3]
 
 
 # ------------------------------------------------------------ induced

@@ -48,6 +48,13 @@ def test_p2_three_routes_agree():
     c = PolarizedToricVariety.from_support_function(a.fan, a.phi_values)
     assert a.tau == b.tau == c.tau
     assert a.fan.rays == b.fan.rays == c.fan.rays
+    ints = PolarizedToricVariety.from_support_function(a.fan, (-1, -1, -1))
+    assert ints.tau == a.tau
+    # the lattice number contract: a float or a string is a TypeError
+    for bad in (-1.0, "-1/2"):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            PolarizedToricVariety.from_support_function(
+                a.fan, (bad,) + a.phi_values[1:])
 
 
 def test_p2_polytope_in_M():
@@ -149,8 +156,8 @@ def test_projective_tilde_frozen_rays():
     assert sorted(pt.cox.weights()) == [1, 1, 1, 2]
     assert len(pt.trinomials) == 1 and len(pt.binomials) == 1
     assert pt.boundary is not None
-    assert pt.q_tilde.is_bounded
-    assert pt.q_tilde.affine_dimension() == 3
+    assert polytope_in_M(pt.variety).is_bounded
+    assert polytope_in_M(pt.variety).affine_dimension() == 3
 
 
 def test_projective_tilde_equations_specialize():
