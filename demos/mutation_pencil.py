@@ -26,11 +26,9 @@ def main():
     print("P:", sorted(fano.vertices()), " w:", w,
           " F:", sorted((int(x), int(y)) for x, y in factor.vertices))
     for layer in d.witnesses:
-        part = layer.factor_part
         print("   height %d factors off %s" % (
             layer.height,
-            "nothing" if part is None else sorted(
-                tuple(map(int, v)) for v in part.vertices)))
+            sorted(tuple(map(int, v)) for v in layer.factor_part.vertices)))
 
     mut = mutate(fano, d)
     print("mutant:", sorted(mut.vertices()))

@@ -1,10 +1,13 @@
 """Mutations of Fano polytopes and the induced one-parameter pencil.
 
 A mutation datum on a Fano polytope P is a primitive direction w plus a
-lattice polytope F orthogonal to w.  At every negative height h the
-slice of P must factor as G_h + (-h)F up to lattice hulls; the mutation
-rebuilds the polytope from the factors below level zero and from the
-shifted slices above.  The pencil glues the original and mutated
+lattice polytope F orthogonal to w.  Every vertex v of P at a negative
+height h must be covered: v = g + (-h)f for a vertex f of F and a
+lattice point g with g + (-h)F inside P.  The mutation is the hull of
+those g and of the vertices u + <w, u>f of P above level zero shifted
+along F; it does not depend on which admissible factors are chosen
+(Akhtar-Coates-Galkin-Kasprzyk, SIGMA 8 (2012) 094), so the vertices of
+P and F are all it reads.  The pencil glues the original and mutated
 polytopes into one polytope Q~ one dimension up; its normal fan carries
 a trinomial a,b,c family whose distinguished fibers recover both toric
 pairs.
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .cox import (
@@ -33,7 +35,6 @@ from .polyhedral import (
     Fan,
     Polyhedron,
     convex_hull,
-    lattice_points,
     normal_fan,
 )
 from .projective import (
@@ -70,11 +71,6 @@ class FanoPolytope:
     def vertices(self) -> tuple:
         return self.polytope.lattice_vertices()
 
-    @cached_property
-    def points(self) -> tuple:
-        """The lattice points of P, enumerated once and sorted."""
-        return lattice_points(self.polytope)
-
 
 def validate_fano(p: Polyhedron) -> FanoPolytope:
     check_fano_polytope(p)
@@ -83,8 +79,12 @@ def validate_fano(p: Polyhedron) -> FanoPolytope:
 
 @dataclass(frozen=True)
 class WitnessLayer:
+    """The factor G_h at a negative height h that holds a vertex of P:
+    the hull of the lattice points g covering a vertex v = g + (-h)f of P
+    at h, with g + (-h)F inside P."""
+
     height: int
-    factor_part: Optional[Polyhedron]  # G_h; None for an empty layer
+    factor_part: Polyhedron  # G_h
     polytope_vertices: tuple  # vertices of P at this height
 
 
@@ -92,32 +92,22 @@ class WitnessLayer:
 class MutationDatum:
     w: tuple
     factor: Polyhedron
-    witnesses: tuple  # WitnessLayer per height hmin..-1
+    witnesses: tuple  # WitnessLayer per negative vertex height, increasing
     hmin: int
     hmax: int
 
 
-def _slices(fano: FanoPolytope, w) -> dict:
-    """Lattice points of P grouped by height <w, x>, each group sorted."""
-    out = {}
-    for x in fano.points:
-        out.setdefault(dot(w, x), []).append(x)
-    return out
-
-
 def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
                             factor: Polyhedron) -> MutationDatum:
-    """Factor every negative-height slice, or fail naming the height.
+    """Cover every vertex of P at a negative height, or fail naming the
+    height.
 
-    The slices are point sets: the lattice points of P, enumerated once
-    (``FanoPolytope.points``), at each height.  G_h is the hull of the
-    lattice points x with x + (-h)f in the slice for every vertex f of F:
-    the lattice points of the region D_h of translations with x + (-h)F
-    inside the slice's lattice hull.  G_h + (-h)F lies in P by
-    construction of D_h, with no hull of the sum: every vertex of G_h is
-    such an x.  The other inclusion is a set lookup, and exact: a vertex
-    v of P at height h inside the sum is a vertex of the sum, so it is
-    g + (-h)f with g a vertex of G_h, a lattice point of D_h.
+    A vertex v at height h is covered iff some vertex f of F gives
+    g = v - (-h)f with g + (-h)f' in P for every vertex f' of F; then
+    g + (-h)F lies in the slice of P at h, by convexity.  G_h is the hull
+    of the covering g, so v is a vertex of G_h + (-h)F inside P.  Heights
+    that hold no vertex of P get no layer: an empty factor is admissible
+    there, and the mutation does not depend on the choice.
     """
     n = fano.n
     if len(w) != n:
@@ -137,59 +127,43 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
                 "factor vertex %s does not pair to zero with the direction"
                 % (tuple(v),))
 
-    heights = {v: dot(w, v) for v in fano.vertices()}
-    hmin, hmax = min(heights.values()), max(heights.values())
-    slices = _slices(fano, w)
-    layers = []
+    by_height = {}
+    for v in fano.vertices():
+        by_height.setdefault(dot(w, v), []).append(v)
     fverts = factor.lattice_vertices()
-    for h in range(hmin, 0):
-        at_h = tuple(v for v, hv in heights.items() if hv == h)
-        spts = slices.get(h, [])
-        in_slice = set(spts)
+    layers = []
+    for h in sorted(x for x in by_height if x < 0):
         shifts = [vscale(-h, f) for f in fverts]
-        gpts = [x for x in (vsub(s, shifts[0]) for s in spts)
-                if all(vadd(x, t) in in_slice for t in shifts)]
-        g = convex_hull(n, gpts) if gpts else None
-        in_g = set(gpts)
-        for v in at_h:
-            if not any(vsub(v, t) in in_g for t in shifts):
+        cover = []
+        for v in by_height[h]:
+            found = [g for g in (vsub(v, t) for t in shifts)
+                     if all(fano.polytope.contains(vadd(g, s))
+                            for s in shifts)]
+            if not found:
                 raise MutationDatumError(h, "uncovered vertex %s" % (v,))
-        layers.append(WitnessLayer(h, g, at_h))
+            cover += found
+        layers.append(
+            WitnessLayer(h, convex_hull(n, cover), tuple(by_height[h])))
     return MutationDatum(w=w, factor=factor, witnesses=tuple(layers),
-                         hmin=hmin, hmax=hmax)
+                         hmin=min(by_height), hmax=max(by_height))
 
 
 def mutate(fano: FanoPolytope, d: MutationDatum) -> FanoPolytope:
-    """Hull of the negative-height factors and the shifted upper slices.
+    """Hull of the factors G_h and of u + <w, u>f for the vertices u of P
+    at heights >= 0 and f of F; the result must again be Fano.
 
-    The result must again be Fano, and must not depend on the witness
-    choice: it is recomputed with the smallest admissible factors (hulls
-    of the vertex-covering translates) and compared.
+    No hull of P above level zero is needed: the point at height zero of
+    an edge a -> b with h_a < 0 < h_b, a = g_a + (-h_a)f, is
+    lam*g_a + (1 - lam)(b + h_b f) with lam = h_b / (h_b - h_a).
     """
-    n = fano.n
     fverts = d.factor.lattice_vertices()
-    slices = _slices(fano, d.w)
-    upper = [vadd(s, vscale(h, f))
-             for h in range(0, d.hmax + 1) for s in slices.get(h, [])
-             for f in fverts]
-    canonical, minimal = [], []
-    for layer in d.witnesses:
-        g = layer.factor_part
-        if g is None:
-            continue
-        canonical.extend(g.lattice_vertices())
-        # alternative minimal witness: only translates that actually
-        # cover a vertex of P at this height
-        for v in layer.polytope_vertices:
-            for f in fverts:
-                cand = vsub(v, vscale(-layer.height, f))
-                if g.contains(cand):
-                    minimal.append(cand)
-    mut = convex_hull(n, canonical + upper)
-    if convex_hull(n, minimal + upper) != mut:
-        raise MutationFamilyError(
-            "mutation depends on the witness choice; factors are not sound")
-    return validate_fano(mut)
+    pts = [g for layer in d.witnesses
+           for g in layer.factor_part.lattice_vertices()]
+    for u in fano.vertices():
+        h = dot(d.w, u)
+        if h >= 0:
+            pts += [vadd(u, vscale(h, f)) for f in fverts]
+    return validate_fano(convex_hull(fano.n, pts))
 
 
 @dataclass(frozen=True)
@@ -220,8 +194,6 @@ def induced_boundary_datum(fano: FanoPolytope,
         n + 1, [v + (1,) for v in fano.vertices()])
     gpts = []
     for layer in d.witnesses:
-        if layer.factor_part is None:
-            continue
         s = Fraction(1, -layer.height)
         for v in layer.factor_part.vertices:
             gpts.append(tuple(x * s for x in v) + (s,))

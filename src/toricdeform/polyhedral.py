@@ -235,6 +235,19 @@ class Cone:
         return Cone(self.rank, self.pointed_facets, self.facet_lines,
                     self.pointed_rays, self.lines)
 
+    def permuted(self, perm: Sequence[int]) -> "Cone":
+        """The image under x -> (x[perm[0]], x[perm[1]], ...), with no
+        double description: a permutation is orthogonal, so it maps rays
+        and facet normals alike and commutes with the projection in
+        _canonical_vrep, which only has to sort and re-basis the lines."""
+        def move(rows):
+            return [tuple(r[i] for i in perm) for r in rows]
+
+        return Cone(self.rank,
+                    *_canonical_vrep(move(self.pointed_rays), move(self.lines)),
+                    *_canonical_vrep(move(self.pointed_facets),
+                                     move(self.facet_lines)))
+
     def contains(self, v: Sequence) -> bool:
         return (all(dot(f, v) >= 0 for f in self.pointed_facets)
                 and all(dot(l, v) == 0 for l in self.facet_lines))

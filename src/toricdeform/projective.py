@@ -244,9 +244,7 @@ def projective_tilde(v: PolarizedToricVariety,
     if not t.cone.interior_contains(e0_tilde):
         raise OriginNotInteriorError("enlarged cone lost interiority")
     perm = list(range(n)) + list(range(n + 1, n + 1 + k)) + [n]
-    permuted = [tuple(r[i] for i in perm) for r in t.cone.rays]
-    tau_tilde = Cone.from_generators(n + 1 + k, permuted)
-    vt = PolarizedToricVariety.from_cone(tau_tilde)
+    vt = PolarizedToricVariety.from_cone(t.cone.permuted(perm))
     w_cox = tuple(t.w_tilde[:n]) + tuple(t.w_tilde[n + 1:])
     pd = PairingData(n=n, k=k,
                      rays=tuple(vt.fan.rays), w_tilde=w_cox)

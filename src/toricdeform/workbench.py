@@ -259,7 +259,6 @@ def _cmd_mutate(args):
             "witnesses": [
                 {"height": layer.height,
                  "factor_vertices":
-                     None if layer.factor_part is None else
                      [[str(Fraction(x)) for x in v]
                       for v in layer.factor_part.vertices]}
                 for layer in d.witnesses],
@@ -268,13 +267,9 @@ def _cmd_mutate(args):
         lines = ["mutated polytope: conv{%s}"
                  % ", ".join(_fmt_point(v) for v in sorted(mut.vertices()))]
         for layer in d.witnesses:
-            if layer.factor_part is None:
-                lines.append("  height %d: empty" % layer.height)
-            else:
-                lines.append("  height %d: conv{%s}" % (
-                    layer.height,
-                    ", ".join(_fmt_point(v)
-                              for v in layer.factor_part.vertices)))
+            lines.append("  height %d: conv{%s}" % (
+                layer.height,
+                ", ".join(_fmt_point(v) for v in layer.factor_part.vertices)))
         out = "\n".join(lines)
     return 0, out
 

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: subset enumeration for cone
 conversion, Fourier-Motzkin elimination for feasibility and optimization,
 gcds of minors for invariant factors, pairwise-sum saturation for
-semigroup generators.  Slow but transparent on the small inputs the tests
-feed it.  Nothing in this module imports the package under test.
+semigroup generators, every slice and every translate for mutations.
+Slow but transparent on the small inputs the tests feed it.  Nothing in
+this module imports the package under test.
 """
 
 from __future__ import annotations
@@ -367,3 +368,45 @@ def degree_zero_oracle(n, rays, yexps, zexps, points):
                     continue
                 witnesses.append((r, s, shifts, q, tuple(pr), tuple(ps)))
     return checked, failures, witnesses
+
+
+def mutation_point_sets(points, vertices, w, fverts):
+    """A mutation on lattice point sets: every slice, every translate.
+
+    points are the lattice points of P, vertices its vertices in the order
+    the verdict scans them, fverts the vertices of F.  At every height h
+    from hmin to -1, G_h is the set of lattice points x with x + (-h)f in
+    the slice for every f in fverts, and a vertex of P at h that is no
+    x + (-h)f is uncovered.  Returns (message, factors, cloud): the
+    NoFactorAtHeight message of the first uncovered vertex, or None;
+    {h: sorted G_h} over the heights whose G_h is nonempty; and the points
+    whose hull is the mutation, every G_h together with s + hf for the
+    points s at heights h >= 0 and every f in fverts.
+    """
+    slices = {}
+    for x in points:
+        slices.setdefault(dot(w, x), set()).add(tuple(x))
+    heights = [dot(w, v) for v in vertices]
+    factors = {}
+    for h in range(min(heights), 0):
+        spts = slices.get(h, set())
+        shifts = [tuple(-h * c for c in f) for f in fverts]
+        gpts = sorted(
+            x for x in (tuple(a - b for a, b in zip(s, shifts[0]))
+                        for s in spts)
+            if all(tuple(a + b for a, b in zip(x, t)) in spts
+                   for t in shifts))
+        in_g = set(gpts)
+        for v, hv in zip(vertices, heights):
+            if hv == h and not any(
+                    tuple(a - b for a, b in zip(v, t)) in in_g
+                    for t in shifts):
+                return ("NoFactorAtHeight %d: uncovered vertex %s"
+                        % (h, tuple(v)), None, None)
+        if gpts:
+            factors[h] = gpts
+    cloud = [g for gpts in factors.values() for g in gpts]
+    cloud += [tuple(a + h * b for a, b in zip(s, f))
+              for h, spts in slices.items() if h >= 0
+              for s in sorted(spts) for f in fverts]
+    return None, factors, cloud

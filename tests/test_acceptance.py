@@ -292,9 +292,6 @@ def _rechosen_witnesses(fano, d):
     fverts = [tuple(int(x) for x in v) for v in d.factor.vertices]
     layers = []
     for layer in d.witnesses:
-        if layer.factor_part is None or not layer.polytope_vertices:
-            layers.append(layer)
-            continue
         cover = []
         for v in layer.polytope_vertices:
             for f in fverts:
@@ -302,11 +299,8 @@ def _rechosen_witnesses(fano, d):
                              for i in range(fano.n))
                 if layer.factor_part.contains(cand):
                     cover.append(cand)
-        if cover:
-            layers.append(dataclasses.replace(
-                layer, factor_part=convex_hull(fano.n, cover)))
-        else:
-            layers.append(layer)
+        layers.append(dataclasses.replace(
+            layer, factor_part=convex_hull(fano.n, cover)))
     return dataclasses.replace(d, witnesses=tuple(layers))
 
 

@@ -3,6 +3,8 @@ over P^1, induced boundary data and fiber specialization."""
 
 import dataclasses
 import itertools
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,9 @@ from toricdeform.cox import (
     pretty,
 )
 from toricdeform.mutation import (
+    MutationDatum,
     MutationDatumError,
+    WitnessLayer,
     OutsideVError,
     induced_boundary_datum,
     mutate,
@@ -33,6 +37,7 @@ from toricdeform.projective import PolarizedToricVariety, projective_tilde
 import toricdeform.mutation as mutation_module
 
 import corpus
+import oracles
 
 
 def p114_setup():
@@ -113,9 +118,9 @@ def test_p114_inverse_recovers_triangle():
     mut = mutate(fano, d)
     dinv = validate_mutation_datum(mut, (1, -2), f)
     assert dinv.hmin == -2
-    by_h = {layer.height: layer for layer in dinv.witnesses}
-    assert set(map(tuple, by_h[-2].factor_part.vertices)) == {(0, 1)}
-    assert by_h[-1].factor_part is None
+    # height -1 holds no vertex of the mutant, so it has no layer
+    assert [layer.height for layer in dinv.witnesses] == [-2]
+    assert set(map(tuple, dinv.witnesses[0].factor_part.vertices)) == {(0, 1)}
     assert mutate(mut, dinv).polytope == fano.polytope
 
 
@@ -180,13 +185,26 @@ def _with_inverses(cases):
 
 
 def test_factor_parts_match_polyhedral_reference():
+    # G_h lies in the polyhedral reference G_h (the hull of every
+    # admissible lattice translate), G_h + (-h)F lies in P and covers
+    # every vertex of P at h, and only the heights holding a vertex of P
+    # have a layer
     fano, d, _ = p114_setup()
     cases = _with_inverses(corpus.random_mutation_cases(10) + [(fano, d)])
     assert len(cases) == 22
     for fano, d in cases:
         want = _reference_factor_parts(fano, d)
-        got = {layer.height: layer.factor_part for layer in d.witnesses}
-        assert got == want, (fano.vertices(), d.w, d.factor.vertices)
+        heights = sorted({dot(d.w, v) for v in fano.vertices()})
+        assert [layer.height for layer in d.witnesses] == [
+            h for h in heights if h < 0]
+        for layer in d.witnesses:
+            g, h = layer.factor_part, layer.height
+            assert all(want[h].contains(x) for x in g.vertices), (
+                fano.vertices(), d.w, h)
+            summed = minkowski_sum(g, convex_hull(fano.n, [
+                vscale(-h, f) for f in d.factor.lattice_vertices()]))
+            assert all(fano.polytope.contains(x) for x in summed.vertices)
+            assert all(summed.contains(v) for v in layer.polytope_vertices)
 
 
 def _hull_verdict(fano, w, factor):
@@ -244,24 +262,168 @@ OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
               (0, 0, -1)]
 
 
-def _rank3_cases():
-    """Every valid (w, segment conv(0, e)) with w, e in {-1, 0, 1}^3 on
-    the simplex and the octahedron."""
+def _rank3_triples():
+    """Every (P, w, segment conv(0, e)) with w, e in {-1, 0, 1}^3 and
+    <w, e> = 0, on the simplex and the octahedron."""
     units = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
+    return [(fano, w, convex_hull(3, [(0, 0, 0), e]))
+            for fano in (validate_fano(convex_hull(3, verts))
+                         for verts in (SIMPLEX_3, OCTAHEDRON))
+            for w in units for e in units if not dot(w, e)]
+
+
+def _rank3_cases():
+    """The valid rank-3 triples, as (P, datum)."""
     cases = []
-    for verts in (SIMPLEX_3, OCTAHEDRON):
-        fano = validate_fano(convex_hull(3, verts))
-        for w in units:
-            for e in units:
-                if dot(w, e):
-                    continue
-                try:
-                    d = validate_mutation_datum(
-                        fano, w, convex_hull(3, [(0, 0, 0), e]))
-                except MutationDatumError:
-                    continue
-                cases.append((fano, d))
+    for fano, w, factor in _rank3_triples():
+        try:
+            cases.append((fano, validate_mutation_datum(fano, w, factor)))
+        except MutationDatumError:
+            continue
     return cases
+
+
+def _corpus_triples():
+    """The small Fano polygons x the directions x segment factors of
+    lattice length 1-3, then the rank-3 triples."""
+    out = []
+    for fano in corpus.small_fano_polygons():
+        for w in corpus.DIRECTIONS:
+            perp = primitive((-w[1], w[0]))
+            out += [(fano, w, convex_hull(2, [(0, 0), vscale(m, perp)]))
+                    for m in (1, 2, 3)]
+    return out + _rank3_triples()
+
+
+class _PointSetReference:
+    """The mutation on lattice point sets (oracles.mutation_point_sets),
+    with the lattice points of each polytope enumerated once by the
+    package-free oracle."""
+
+    def __init__(self):
+        self._points = {}
+
+    def __call__(self, fano, w, factor):
+        """(message, datum, mutation): the reference verdict, and for a
+        valid triple a MutationDatum with one layer per height whose
+        reference G_h is nonempty, and the hull of the reference cloud."""
+        key = fano.vertices()
+        if key not in self._points:
+            self._points[key] = oracles.brute_lattice_points(
+                fano.n, list(fano.polytope.inequalities))
+        msg, factors, cloud = oracles.mutation_point_sets(
+            self._points[key], key, w, factor.lattice_vertices())
+        if msg is not None:
+            return msg, None, None
+        heights = [dot(w, v) for v in key]
+        layers = tuple(
+            WitnessLayer(h, convex_hull(fano.n, gpts),
+                         tuple(v for v in key if dot(w, v) == h))
+            for h, gpts in sorted(factors.items()))
+        datum = MutationDatum(w=tuple(w), factor=factor, witnesses=layers,
+                              hmin=min(heights), hmax=max(heights))
+        return None, datum, validate_fano(convex_hull(fano.n, cloud))
+
+
+def _verdict(fano, w, factor):
+    try:
+        return None, validate_mutation_datum(fano, w, factor)
+    except MutationDatumError as e:
+        return str(e), None
+
+
+def test_mutations_match_point_set_reference():
+    reference = _PointSetReference()
+    counts = {"valid": 0, "rejected": 0}
+    for fano, w, factor in _corpus_triples():
+        want_msg, _, want = reference(fano, w, factor)
+        msg, d = _verdict(fano, w, factor)
+        assert msg == want_msg, (fano.vertices(), w, factor.vertices)
+        if d is None:
+            counts["rejected"] += 1
+            continue
+        counts["valid"] += 1
+        mut = mutate(fano, d)
+        assert mut.polytope == want.polytope, (fano.vertices(), w)
+        inv_msg, _, inv_want = reference(mut, vneg(w), factor)
+        msg, dinv = _verdict(mut, vneg(w), factor)
+        assert msg is None and inv_msg is None, (mut.vertices(), w)
+        back = mutate(mut, dinv)
+        assert back.polytope == inv_want.polytope == fano.polytope
+    assert counts == {"valid": 197, "rejected": 1507}
+
+
+def _large_unimodular(r, rank):
+    """A random unimodular matrix with entries between 10^6 and 10^8, and
+    its inverse."""
+    while True:
+        u, u_inv = corpus.random_unimodular(r, rank, steps=64)
+        if 10 ** 6 <= max(abs(x) for row in u for x in row) <= 10 ** 8:
+            return u, u_inv
+
+
+def test_mutations_are_unimodular_covariant():
+    # x -> Ux sends P, F to UP, UF and w to w U^-1: every verdict, failing
+    # height and mutated polytope must follow, with no reference needed
+    r = corpus.rng(1609)
+    moved = {}
+    counts = {"valid": 0, "rejected": 0}
+    for fano, w, factor in _corpus_triples():
+        n, key = fano.n, fano.vertices()
+        if key not in moved:
+            u, u_inv = _large_unimodular(r, n)
+            moved[key] = u, u_inv, validate_fano(
+                convex_hull(n, [corpus.matmul_vec(u, v) for v in key]))
+        u, u_inv, ufano = moved[key]
+        ufactor = convex_hull(n, [corpus.matmul_vec(u, f)
+                                  for f in factor.lattice_vertices()])
+        uw = corpus.functional_after(u_inv, w)
+        verdicts = []
+        for p, pw, pf in ((fano, w, factor), (ufano, uw, ufactor)):
+            try:
+                verdicts.append(validate_mutation_datum(p, pw, pf))
+            except MutationDatumError as e:
+                verdicts.append(e.height)
+        d, ud = verdicts
+        if isinstance(d, int):
+            assert ud == d, (key, w, factor.vertices)
+            counts["rejected"] += 1
+            continue
+        want = convex_hull(n, [corpus.matmul_vec(u, v)
+                               for v in mutate(fano, d).vertices()])
+        assert mutate(ufano, ud).polytope == want, (key, w)
+        counts["valid"] += 1
+    assert counts == {"valid": 197, "rejected": 1507}
+
+
+def _pencil_outputs(fam):
+    fibres = [specialize_fiber(fam, point) for point in ((0, 1, -1),
+                                                          (1, 0, -1))]
+    return (fam.fan.rays, fam.weights(), fam.trinomial, fam.monomial,
+            fam.induced.tilde.cone, fam.q_tilde,
+            [(f.polynomial, f.matched) for f in fibres])
+
+
+def test_pencils_match_point_set_reference():
+    # the factors differ (the reference has layers at heights without a
+    # vertex, and G_h from every admissible translate), the pencil does not
+    reference = _PointSetReference()
+    cases, other_factors = 0, 0
+    for fano, w, factor in _corpus_triples():
+        if reference(fano, w, factor)[1] is None:
+            continue
+        mut = mutate(fano, validate_mutation_datum(fano, w, factor))
+        for p, u in ((fano, w), (mut, vneg(w))):
+            d = validate_mutation_datum(p, u, factor)
+            ref_datum = reference(p, u, factor)[1]
+            got = _pencil_outputs(mutation_family(p, d))
+            assert got == _pencil_outputs(mutation_family(p, ref_datum)), (
+                p.vertices(), u)
+            assert got[-1][0][1] is True and got[-1][1][1] is True
+            cases += 1
+            other_factors += d.witnesses != ref_datum.witnesses
+    assert cases == 2 * 197
+    assert other_factors > 0
 
 
 def _covering_witnesses(fano, d):
@@ -364,15 +526,20 @@ def test_pencil_shares_the_induced_cone_and_cox_system():
         assert fam.induced_datum.sigma == tau, d.w
 
 
-def test_pencil_enumerates_each_polytope_once(monkeypatch):
+def test_pencil_enumerates_no_lattice_points(monkeypatch):
+    # validation, the mutation, the pencil and both special fibres read
+    # the vertices of P and F alone
     enumerated = []
 
     def counting_lattice_points(p):
         enumerated.append(p)
         return lattice_points(p)
 
-    monkeypatch.setattr(mutation_module, "lattice_points",
-                        counting_lattice_points)
+    assert not hasattr(mutation_module, "lattice_points")
+    for module in list(sys.modules.values()):
+        if getattr(module, "lattice_points", None) is lattice_points:
+            monkeypatch.setattr(module, "lattice_points",
+                                counting_lattice_points)
     built = []
     from_inequalities = Polyhedron.from_inequalities
 
@@ -387,11 +554,13 @@ def test_pencil_enumerates_each_polytope_once(monkeypatch):
     d = validate_mutation_datum(fano, w, f)
     mutate(fano, d)
     fam = mutation_family(fano, d)
-    assert enumerated == [fano.polytope]
     assert built == [3]  # the glued polytope Q~ of the pencil
     v = PolarizedToricVariety.from_cone(fam.induced_datum.sigma)
     projective_tilde(v, fam.induced_datum)
     assert built == [3]
+    for point in ((0, 1, -1), (1, 0, -1)):
+        assert specialize_fiber(fam, point).matched is True
+    assert enumerated == []
 
 
 # ------------------------------------------------------------ induced
@@ -478,3 +647,89 @@ def test_fiber_report_json():
     assert data["point"] == ["0", "1", "-1"]
     assert data["matched"] is True
     assert "terms" in data["polynomial"]
+
+
+# ------------------------------------------------------------ the Markov tree
+#
+# Mutating the fan triangle of P^2 at its edges walks the Markov tree:
+# every triangle is the fan polygon of P(a^2, b^2, c^2) with
+# a^2 + b^2 + c^2 = 3abc (Hacking-Prokhorov, Compositio Math. 146, 2010),
+# and an edge at lattice distance m from the origin faces the vertex of
+# weight m^2.  The weights come from the Cox system alone, an oracle
+# independent of the mutation code; the coordinates grow without bound.
+
+
+def _edge_data(verts):
+    """(w, F, height, opposite vertex) per edge of a lattice triangle: w
+    the primitive inner normal, F the primitive segment along the edge,
+    height the edge's lattice distance from the origin."""
+    out = []
+    for i in range(3):
+        a, b, c = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
+        e = primitive(vsub(b, a))
+        w = (-e[1], e[0])
+        if dot(w, c) < dot(w, a):
+            w = vneg(w)
+        out.append((w, convex_hull(2, [(0, 0), e]), -dot(w, a), c))
+    return out
+
+
+def _check_markov_node(fano):
+    verts = fano.vertices()
+    assert len(verts) == 3, verts
+    weights = cox_system(verts, 2).weights()
+    assert all(x > 0 for x in weights) or all(x < 0 for x in weights)
+    roots = {v: math.isqrt(abs(x)) for v, x in zip(verts, weights)}
+    assert all(r * r == abs(x) for r, x in zip(roots.values(), weights))
+    a, b, c = roots.values()
+    assert a * a + b * b + c * c == 3 * a * b * c, verts
+    for _, _, height, opposite in _edge_data(verts):
+        assert height == roots[opposite], verts
+    return tuple(sorted(roots.values()))
+
+
+def _markov_step(fano, w, factor, height):
+    """Mutate at one edge; check the pencil's special fibres and the
+    inverse mutation, and return the child triangle."""
+    d = validate_mutation_datum(fano, w, factor)
+    assert d.hmin == -height
+    fam = mutation_family(fano, d)
+    for point in ((0, 1, -1), (1, 0, -1)):
+        assert specialize_fiber(fam, point).matched is True, fano.vertices()
+    child = fam.mutated
+    dinv = validate_mutation_datum(child, vneg(w), factor)
+    assert mutate(child, dinv).polytope == fano.polytope
+    return child
+
+
+def test_markov_tree_to_depth_four():
+    level = [validate_fano(p2_polytope())]
+    triples = {_check_markov_node(level[0])}
+    nodes = 1
+    for _ in range(4):
+        level = [_markov_step(fano, w, factor, height)
+                 for fano in level
+                 for w, factor, height, _ in _edge_data(fano.vertices())]
+        nodes += len(level)
+        triples |= {_check_markov_node(fano) for fano in level}
+    assert nodes == 121
+    assert {(1, 1, 1), (1, 1, 2), (1, 2, 5), (1, 5, 13), (2, 5, 29),
+            (1, 13, 34), (5, 13, 194), (5, 29, 433)} <= triples
+
+
+def test_markov_pell_branch():
+    # keep the Markov number 2 and replace the other non-maximal one: the
+    # triples (1, 1, 2), (1, 2, 5), (2, 5, 29), (2, 29, 169), ...
+    fano = validate_fano(p2_polytope())
+    triple = _check_markov_node(fano)
+    for step in range(1, 31):
+        w, factor, height, _ = min(
+            (e for e in _edge_data(fano.vertices()) if e[2] != 2),
+            key=lambda e: e[2])
+        fano = _markov_step(fano, w, factor, height)
+        rest = list(triple)
+        rest.remove(height)
+        triple = _check_markov_node(fano)
+        assert triple == tuple(sorted(rest + [3 * rest[0] * rest[1] - height]))
+        assert step < 3 or triple[0] == 2
+    assert 10 ** 20 < height < 10 ** 21  # |hmin| at step 30

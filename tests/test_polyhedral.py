@@ -115,12 +115,12 @@ def test_cone_rays_against_oracle():
         assert rebuilt == c
 
 
-def degenerate_generator_sets(seed, count):
-    """Generator sets in ranks 2-5, drawn in the span of 1..rank random
-    vectors: lower-dimensional and non-pointed cones come up often."""
+def degenerate_generator_sets(seed, count, ranks=(2, 3, 4, 5)):
+    """Generator sets in the given ranks, drawn in the span of 1..rank
+    random vectors: lower-dimensional and non-pointed cones come up often."""
     r = corpus.rng(seed)
     for _ in range(count):
-        rank = r.choice([2, 3, 4, 5])
+        rank = r.choice(ranks)
         basis = [corpus.random_vector(r, rank, -2, 2)
                  for _ in range(r.randint(1, rank))]
         gens = []
@@ -149,6 +149,27 @@ def test_cone_from_inequalities_is_dual_of_generators():
         assert (h.rank, h.pointed_rays, h.lines, h.pointed_facets, h.facet_lines) \
             == (d.rank, d.pointed_rays, d.lines, d.pointed_facets, d.facet_lines)
         assert h.dimension() == rational_rank(h.rays)
+
+
+def test_cone_permuted_against_hull():
+    # the permuted canonical parts against a fresh double description of
+    # the permuted rays, in all five parts
+    r = corpus.rng(106)
+    kinds = set()
+    for rank, gens in degenerate_generator_sets(107, 3000, ranks=(1, 2, 3, 4, 5)):
+        c = Cone.from_generators(rank, gens)
+        perm = list(range(rank))
+        r.shuffle(perm)
+        got = c.permuted(perm)
+        want = Cone.from_generators(
+            rank, [tuple(x[i] for i in perm) for x in c.rays])
+        assert (got.rank, got.pointed_rays, got.lines, got.pointed_facets,
+                got.facet_lines) == (want.rank, want.pointed_rays, want.lines,
+                                     want.pointed_facets, want.facet_lines)
+        kinds.add((rank, c.dimension() == rank, c.is_strongly_convex()))
+    assert {k[0] for k in kinds} == {1, 2, 3, 4, 5}
+    assert {k[1:] for k in kinds} == {(True, True), (True, False),
+                                     (False, True), (False, False)}
 
 
 def test_cone_double_dual_identity():
