@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import (
@@ -81,8 +82,9 @@ class PairingData:
         return tuple(int(not any(e)) for e in self.e_pairings)
 
     def exps(self, v) -> tuple:
-        """Cox exponents of the character v: (<v, ray_j>)_j."""
-        return tuple(dot(v, r) for r in self.rays)
+        """Cox exponents of the character v (of length n + k):
+        (<v, ray_j>)_j."""
+        return tuple(sum(map(mul, v, r)) for r in self.rays)
 
 
 @dataclass(frozen=True)

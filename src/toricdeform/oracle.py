@@ -5,18 +5,22 @@ and decides ideal membership only through the constructive certificates
 (cofactor monomials and divisibility of exponent vectors), never by
 general reduction.  Hilbert bases reduce each point against the
 generators found so far, which is exact up to the bound (see
-``hilbert_basis``).  The degree-zero check computes the exponent sums of
-each drop vector once per call, in a table keyed by that vector.  The
-reports are approximations by design: they certify no failure below the
-bound, not a full proof.
+``hilbert_basis``).  The degree-zero check tables the exponent sums of
+the drops once per call, keyed by the shift r[n:] - s[n:] between the
+two characters of a pair, and reads both cofactors and the exponents of
+q off one entry.  The inner loops run on plain int tuples with ``map``;
+the Cox exponents of a character are computed once per point, never per
+pair.  The reports are approximations by design: they certify no
+failure below the bound, not a full proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, mul, sub
 from typing import Optional, Sequence
 
-from .lattice import as_int_vector, dot, vadd, vsub
+from .lattice import as_int_vector, dot, vsub
 from .polyhedral import Cone, Polyhedron, lattice_points
 
 
@@ -76,13 +80,13 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
             raise ValueError(
                 "functional %s is not strictly positive on the cone"
                 % (functional,))
-    graded = sorted((dot(functional, p), p)
+    graded = sorted((sum(map(mul, functional, p)), p)
                     for p in _graded_points(c, functional, bound) if any(p))
     ptset = {p for _, p in graded}
     gens = []
     for _, p in graded:
         for g in gens:
-            if vsub(p, g) in ptset:
+            if tuple(map(sub, p, g)) in ptset:
                 break
         else:
             gens.append(p)
@@ -147,13 +151,16 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     For each pair r, s the recipe takes q = r[:n] plus the componentwise
     min of the two tails, checks q stays in the dual cone, and factors
     both Cox monomials with explicit cofactors; a failure of either is
-    reported.  Side x drops c = x[n:] - q[n:] onto q (a^+ for r, a^- for
-    s).  The per-ray sums of c against the y and z exponents depend on c
-    alone, and a bucket's pairs share few drops, so each call keeps them
-    in a table keyed by c.  Since y_i - z_i is the i-th tail row of the
-    rays (checked once per call; ValueError otherwise), exps is linear
-    and exps(q) = exps(r) - sum c_i y_i + sum c_i z_i is read off r's
-    table entry.
+    reported.  With the shift d = r[n:] - s[n:], r drops d^+ onto q and s
+    drops d^-.  Each call tables, keyed by d, the per-ray sums Y(d^+),
+    Z(d^+) and Y(d^-) of those drops against the y and z exponents, so a
+    pair costs one lookup and one subtraction per side:
+    cofactor_r = exps(r) - Y(d^+) and cofactor_s = exps(s) - Y(d^-).
+    Since y_i - z_i is the i-th tail row of the rays, exps is linear and
+    exps(q) = cofactor_r + Z(d^+).  The z exponents are >= 0, so
+    exps(q) >= cofactor_r: cofactors with no negative entry already put q
+    in the dual cone, and exps(q) is summed only when a cofactor has one.
+    Both facts are checked once per call (ValueError otherwise).
     """
     n = t.n
     exps, rays = t.pairings.exps, t.pairings.rays
@@ -161,17 +168,21 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     tails = tuple(tuple(r[n + i] for r in rays) for i in range(t.k))
     if tuple(map(vsub, y_exps, z_exps)) != tails:
         raise ValueError("y minus z exponents differ from the ray tails")
+    if any(z < 0 for row in z_exps for z in row):
+        raise ValueError("negative z exponent")
     ray_ys = tuple(zip(*y_exps))
     ray_zs = tuple(zip(*z_exps))
-    drops = {}
+    by_shift = {}
 
-    def drop(x, q):
-        # per ray, (sum c_i y_i, sum c_i z_i) for c = x[n:] - q[n:]
-        c = vsub(x[n:], q[n:])
-        if c not in drops:
-            drops[c] = (tuple(dot(c, y) for y in ray_ys),
-                        tuple(dot(c, z) for z in ray_zs))
-        return drops[c]
+    def tabulate(d):
+        # d^+, then per ray Y(d^+), Z(d^+) and Y(d^-)
+        up = tuple(x if x > 0 else 0 for x in d)
+        dn = tuple(-x if x < 0 else 0 for x in d)
+        entry = (up, tuple(sum(map(mul, up, y)) for y in ray_ys),
+                 tuple(sum(map(mul, up, z)) for z in ray_zs),
+                 tuple(sum(map(mul, dn, y)) for y in ray_ys))
+        by_shift[d] = entry
+        return entry
 
     buckets = {}
     for p in _character_points(t, bound):
@@ -179,27 +190,26 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     checked = 0
     failures = []
     witnesses = []
-    for group in buckets.values():
-        group = [(p, exps(p)) for p in group]
-        for a, (r, er) in enumerate(group):
-            for s, es in group[a:]:
-                checked += 1
-                q = r[:n] + tuple(map(min, r[n:], s[n:]))
-                ys, zs = drop(r, q)
-                pr = vsub(er, ys)
-                if any(e < 0 for e in vadd(pr, zs)):
-                    failures.append({"r": list(r), "s": list(s),
-                                     "reason": "q outside the dual cone",
-                                     "q": list(q)})
+    for head, group in buckets.items():
+        checked += len(group) * (len(group) + 1) // 2
+        group = [(p, p[n:], exps(p)) for p in group]
+        for a, (r, rt, er) in enumerate(group):
+            for s, st, es in group[a:]:
+                d = tuple(map(sub, rt, st))
+                up, ys_up, zs_up, ys_dn = by_shift.get(d) or tabulate(d)
+                q = head + tuple(map(sub, rt, up))  # tails' minimum
+                pr = tuple(map(sub, er, ys_up))
+                ps = tuple(map(sub, es, ys_dn))
+                if min(pr) < 0 or min(ps) < 0:
+                    if min(map(add, pr, zs_up)) < 0:  # exps(q)
+                        failures.append({"r": list(r), "s": list(s),
+                                         "reason": "q outside the dual cone",
+                                         "q": list(q)})
+                    else:
+                        failures.append({"r": list(r), "s": list(s),
+                                         "reason": "cofactor not a monomial"})
                     continue
-                ps = vsub(es, drop(s, q)[0])
-                if any(e < 0 for e in pr + ps):
-                    failures.append({"r": list(r), "s": list(s),
-                                     "reason": "cofactor not a monomial"})
-                    continue
-                witnesses.append(KernelWitness(
-                    r=r, s=s, shifts=vsub(r[n:], s[n:]), q=q,
-                    cofactor_r=pr, cofactor_s=ps))
+                witnesses.append(KernelWitness(r, s, d, q, pr, ps))
     return OracleReport(checked=checked, failures=tuple(failures),
                         witnesses=tuple(witnesses))
 
@@ -232,7 +242,7 @@ def revalidate_witness(t, w: KernelWitness) -> bool:
 
 def _divides(a, b) -> bool:
     """Does the monomial with exponents a divide the one with exponents b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def boundary_equality_check(t, bound: int = 12) -> OracleReport:
@@ -252,7 +262,7 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
     failures = []
     for u_t in pts:
         u = u_t[:n]
-        interior = all(dot(u, rho) >= 1 for rho in sigma_rays)
+        interior = all(sum(map(mul, u, rho)) >= 1 for rho in sigma_rays)
         e = exps(u_t)
         in_ideal = _divides(z_mask, e) or (
             _divides(zs_mask, e) and any(_divides(y, e) for y in yexps))

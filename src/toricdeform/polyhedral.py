@@ -562,7 +562,7 @@ def lattice_points(p: Polyhedron) -> tuple:
         lo = hi = None
         for u, c in levels[i]:
             a = u[i]
-            rhs = -c - sum(x * y for x, y in zip(u, point))  # zip stops at the prefix
+            rhs = -c - sum(map(mul, u, point))  # map stops at the prefix
             if a > 0:
                 b = -(-rhs // a)
                 if lo is None or b > lo:

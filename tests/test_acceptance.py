@@ -25,6 +25,7 @@ from toricdeform.datum import (
     validate_datum,
 )
 from toricdeform.mutation import (
+    WitnessLayer,
     mutate,
     mutation_family,
     specialize_fiber,
@@ -286,22 +287,21 @@ def test_criterion_6_convexity_properties():
     _verdict(6, "convexity kernel properties", bad)
 
 
-def _rechosen_witnesses(fano, d):
-    """The same mutation datum with each factor witness replaced by the
-    hull of the vertex-covering translates only."""
-    fverts = [tuple(int(x) for x in v) for v in d.factor.vertices]
-    layers = []
-    for layer in d.witnesses:
-        cover = []
-        for v in layer.polytope_vertices:
-            for f in fverts:
-                cand = tuple(v[i] - (-layer.height) * f[i]
-                             for i in range(fano.n))
-                if layer.factor_part.contains(cand):
-                    cover.append(cand)
-        layers.append(dataclasses.replace(
-            layer, factor_part=convex_hull(fano.n, cover)))
-    return dataclasses.replace(d, witnesses=tuple(layers))
+def _reference_witnesses(fano, d):
+    """The same mutation datum with each factor G_h replaced by the hull
+    of every admissible lattice translate (oracles.mutation_point_sets),
+    at every negative height where there is one."""
+    verts = fano.vertices()
+    points = oracles.brute_lattice_points(
+        fano.n, list(fano.polytope.inequalities))
+    msg, factors, _ = oracles.mutation_point_sets(
+        points, verts, d.w, d.factor.lattice_vertices())
+    assert msg is None, msg
+    layers = tuple(
+        WitnessLayer(h, convex_hull(fano.n, gpts),
+                     tuple(v for v in verts if oracles.dot(d.w, v) == h))
+        for h, gpts in sorted(factors.items()))
+    return dataclasses.replace(d, witnesses=layers)
 
 
 def test_criterion_7_mutation_properties():
@@ -311,21 +311,26 @@ def test_criterion_7_mutation_properties():
         d = validate_mutation_datum(fano, (-1, 2),
                                     convex_hull(2, [(0, 0), (2, 1)]))
         cases = [(fano, d)] + corpus.random_mutation_cases(10)
+        other_factors = 0
         for i, (f, md) in enumerate(cases):
             mut = mutate(f, md)
             dinv = validate_mutation_datum(
                 mut, tuple(-x for x in md.w), md.factor)
             if mutate(mut, dinv).polytope != f.polytope:
                 bad.append("case %d does not invert" % i)
-            alt = mutate(f, _rechosen_witnesses(f, md))
-            if alt.polytope != mut.polytope:
-                bad.append("case %d depends on the witness choice" % i)
+            for g, gd, want in ((f, md, mut), (mut, dinv, f)):
+                alt_datum = _reference_witnesses(g, gd)
+                other_factors += alt_datum.witnesses != gd.witnesses
+                if mutate(g, alt_datum).polytope != want.polytope:
+                    bad.append("case %d depends on the witness choice" % i)
             for g, gd in ((f, md), (mut, dinv)):
                 fam = mutation_family(g, gd)
                 if not disjoint_support_regular_sequence(
                         (fam.trinomial,), fam.monomial):
                     bad.append("case %d trinomial/monomial share "
                                "a variable" % i)
+        if not other_factors:
+            bad.append("no case offers a second witness choice")
     except Exception as e:
         bad.append("crashed: %r" % e)
     _verdict(7, "mutation properties", bad)

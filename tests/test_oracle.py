@@ -227,9 +227,13 @@ def test_degree_zero_against_reference():
     data += [toy_plane_datum(), *hexagon_data()]
     data += corpus.random_valid_data(1017, 6)
     tildes = [build_tilde(d) for d in data] + [p2_p114_family().induced.tilde]
+    mixed = 0  # witnesses whose shift has a positive and a negative entry
     for t in tildes:
         for bound in (3, 6, 10):
-            assert_degree_zero_matches_reference(t, bound)
+            rep = assert_degree_zero_matches_reference(t, bound)
+            mixed += sum(min(w.shifts) < 0 < max(w.shifts)
+                         for w in rep.witnesses)
+    assert mixed > 0
 
 
 def test_degree_zero_failure_reasons_match_reference():
@@ -257,6 +261,73 @@ def test_degree_zero_failure_reasons_match_reference():
         with pytest.raises(ValueError, match="differ from the ray tails"):
             degree_zero_equality_check(
                 dataclasses.replace(t, pairings=table), bound)
+
+
+def _failure_sides(t, rep):
+    """Count the failures of rep by branch, by the reference's per-ray
+    arithmetic: q outside the dual cone, a negative cofactor on r's side
+    with q inside, a negative cofactor on s's side only; and how many of
+    them have a shift with entries of both signs."""
+    n, p = t.n, t.pairings
+    out = {"outside": 0, "cofactor_r": 0, "cofactor_s": 0, "mixed": 0}
+    for f in rep.failures:
+        r, s = tuple(f["r"]), tuple(f["s"])
+        shifts = tuple(a - b for a, b in zip(r[n:], s[n:]))
+        out["mixed"] += min(shifts) < 0 < max(shifts)
+        if f["reason"] == "q outside the dual cone":
+            out["outside"] += 1
+            continue
+        pr = [e - sum(max(a, 0) * y[j] for a, y in zip(shifts, p.y_exps))
+              for j, e in enumerate(p.exps(r))]
+        out["cofactor_r" if min(pr) < 0 else "cofactor_s"] += 1
+    return out
+
+
+def test_degree_zero_failure_branches_match_reference():
+    # hexagon-a (k = 2) with the first ray negated as an extra ray: every
+    # failure branch of the pair loop occurs, with shifts of mixed sign
+    t = build_tilde(hexagon_data()[0])
+    p = t.pairings
+    table = dataclasses.replace(
+        p, rays=p.rays + (tuple(-x for x in p.rays[0]),))
+    doctored = dataclasses.replace(t, pairings=table)
+    for bound in (3, 6):
+        rep = assert_degree_zero_matches_reference(doctored, bound)
+        sides = _failure_sides(doctored, rep)
+        assert all(sides.values()), (bound, sides)
+
+
+def test_degree_zero_refuses_negative_z_exponents():
+    # y and z both lowered at one entry still differ by the ray tails, but
+    # a negative z exponent would let q leave the dual cone unseen
+    t = build_tilde(ca1_datum(1))
+    p = t.pairings
+    low = SimpleNamespace(
+        rays=p.rays, exps=p.exps,
+        y_exps=(tuple(y - 1 for y in p.y_exps[0]),) + p.y_exps[1:],
+        z_exps=(tuple(z - 1 for z in p.z_exps[0]),) + p.z_exps[1:])
+    with pytest.raises(ValueError, match="negative z exponent"):
+        degree_zero_equality_check(dataclasses.replace(t, pairings=low), 6)
+
+
+def test_degree_zero_reads_exponents_once_per_point():
+    # exps runs once per character point, never once per pair
+    t = build_tilde(hexagon_data()[0])
+    p = t.pairings
+    calls = []
+
+    def exps(v):
+        calls.append(v)
+        return p.exps(v)
+
+    counted = SimpleNamespace(rays=p.rays, exps=exps, y_exps=p.y_exps,
+                              z_exps=p.z_exps)
+    bound = 6
+    rep = degree_zero_equality_check(
+        dataclasses.replace(t, pairings=counted), bound)
+    points = _character_points(t, bound)
+    assert sorted(calls) == sorted(points)
+    assert rep.checked > 2 * len(points)
 
 
 # ------------------------------------------------------------ boundary
@@ -298,3 +369,40 @@ def test_boundary_detects_wrong_interior_side():
     bad = rep.failures[0]
     assert set(bad) == {"u_tilde", "interior", "in_ideal"}
     assert bad["interior"] != bad["in_ideal"]
+
+
+# ------------------------------------------------------------ covariance
+
+
+def _moved_datum(r, d):
+    """d under x -> Ux for a random unimodular U with entries between 10^3
+    and 10^4: sigma and the summands move by U, w by U^-1 on the right."""
+    while True:
+        u, u_inv = corpus.random_unimodular(r, d.rank, steps=32)
+        if 10 ** 3 <= max(abs(x) for row in u for x in row) <= 10 ** 4:
+            break
+    return build_datum(
+        corpus.transform_cone(u, d.sigma),
+        [corpus.transform_polyhedron(u, q) for q in d.summands],
+        corpus.functional_after(u_inv, d.w), boundary=d.boundary)
+
+
+def test_oracles_are_unimodular_covariant():
+    # characters move by the dual map, which keeps the grading, the buckets
+    # and every factorization: counts and verdicts must not change.  Large
+    # entries of U widen the intervals lattice_points lifts through
+    r = corpus.rng(1723)
+    bound = 8
+    want = {"cA1": (791, 495), "hexagon-a": (1187, 371),
+            "toy-plane": (495, 165)}
+    for name, d in (("cA1", ca1_datum()), ("hexagon-a", hexagon_data()[0]),
+                    ("toy-plane", toy_plane_datum())):
+        got = []
+        for datum in (d, _moved_datum(r, d)):
+            t = build_tilde(datum)
+            zero = degree_zero_equality_check(t, bound)
+            edge = boundary_equality_check(t, bound)
+            assert zero.ok and edge.ok, name
+            assert len(zero.witnesses) == zero.checked
+            got.append((zero.checked, edge.checked))
+        assert got == [want[name]] * 2, name
