@@ -4,6 +4,10 @@ Everything here works on tuples of Python ints or fractions.Fraction;
 no floating point is ever introduced.  Vectors are immutable tuples,
 matrices are tuples of row tuples.
 
+One elimination, the Hermite normal form, gives rank, integer kernels and
+saturation.  The Smith normal form runs only where its own output is the
+product: elementary divisors and the class-group grading of cokernel_map.
+
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector, as_fraction) here only,
 through its .numerator and .denominator; an int has both, with
@@ -157,41 +161,12 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:
-    """Rank over Q, by fraction-free Gaussian elimination on integer input.
+    """Rank over Q: the number of rows of the Hermite normal form.
 
-    Rows may contain Fractions; each row is scaled to integers first
+    Rows may contain Fractions; primitive scales each to integers first
     (scaling does not change the rank).
     """
-    work = []
-    for r in rows:
-        if not is_zero(r):
-            work.append(list(primitive(r)))
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(work):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        p = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col] != 0:
-                q = work[i][col]
-                work[i] = [p * a - q * b for a, b in zip(work[i], work[rank])]
-                g = math.gcd(*work[i])
-                if g > 1:
-                    work[i] = [a // g for a in work[i]]
-        rank += 1
-        col += 1
-    return rank
+    return len(hermite_normal_form([primitive(r) for r in rows if not is_zero(r)]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +320,18 @@ def elementary_divisors(a: Sequence[Sequence[int]]) -> tuple:
 def integer_kernel(a: Sequence[Sequence[int]]) -> tuple:
     """Basis of {x in Z^n : A x = 0}, in Hermite normal form.
 
-    The basis spans a saturated sublattice.  The Smith transform's columns
-    can carry large entries, and a second Smith form fed with them (as in
-    saturate_rowspan) compounds their growth; the Hermite basis of the same
-    lattice keeps them small.
+    The Hermite form of [A^T | I_n] is U [A^T | I_n] with U unimodular; its
+    rows whose A^T part vanishes are the rows u of U with A u = 0.  They
+    are a basis of the (saturated) kernel lattice, already in Hermite form.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if nrows == 0:
-        return tuple(identity_matrix(ncols))
-    _, d, v = smith_normal_form(a)
-    lim = min(nrows, ncols)
-    basis = []
-    for j in range(ncols):
-        if j >= lim or d[j][j] == 0:
-            basis.append(tuple(v[i][j] for i in range(ncols)))
-    return hermite_normal_form(basis)
+    if not a:
+        return ()
+    m, n = len(a), len(a[0])
+    if any(len(r) != n for r in a):
+        raise ValueError("ragged matrix")
+    stacked = [list(col) + [int(i == j) for j in range(n)]
+               for i, col in enumerate(zip(*a))]
+    return tuple(r[m:] for r in hermite_normal_form(stacked) if not any(r[:m]))
 
 
 def saturate_rowspan(rows: Sequence[Sequence[int]]) -> tuple:
@@ -375,11 +346,12 @@ def saturate_rowspan(rows: Sequence[Sequence[int]]) -> tuple:
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
-    """Row-style Hermite normal form of a full-row-rank integer matrix.
+    """Row-style Hermite normal form of any integer matrix: its nonzero rows.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    The result is the canonical basis of the row lattice.  Entries are
-    cast by as_int: a non-integral one raises.
+    The result is the canonical basis of the row lattice; a rank-deficient
+    input loses its zero rows, so the length is the rank.  Entries are cast
+    by as_int: a non-integral one raises.
     """
     work = [list(map(as_int, r)) for r in rows]
     nrows = len(work)

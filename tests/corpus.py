@@ -3,13 +3,17 @@
 All generators take an explicit ``random.Random`` so every test run sees
 the same cases.  Geometry objects are built through the public library
 API; their claimed properties are always verified against the reference
-implementations in :mod:`oracles`, never assumed.
+implementations in :mod:`oracles`, never assumed.  ``within`` runs one
+call under a time budget, so a stalling case fails instead of hanging.
 """
 
 from __future__ import annotations
 
 import random
+import signal
 from fractions import Fraction
+
+import pytest
 
 from toricdeform.lattice import primitive
 from toricdeform.polyhedral import Cone, Polyhedron, convex_hull, minkowski_sum
@@ -17,6 +21,27 @@ from toricdeform.polyhedral import Cone, Polyhedron, convex_hull, minkowski_sum
 
 def rng(seed):
     return random.Random(seed)
+
+
+class _Timeout(Exception):
+    pass
+
+
+def within(seconds, fn, *args):
+    """fn(*args) under a SIGALRM budget: running past it fails the test
+    rather than hanging it."""
+    def expire(*_):
+        raise _Timeout()
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    except _Timeout:
+        pytest.fail("%s%r ran past %s s" % (fn.__name__, args, seconds))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def random_vector(r, rank, lo=-4, hi=4):

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import corpus
+from toricdeform import lattice
+from toricdeform.cox import cox_system
 from toricdeform.lattice import (
     AbelianGroupPresentation,
     ZeroVectorError,
@@ -22,8 +25,10 @@ from toricdeform.lattice import (
     matmul,
     matrix_rank,
     primitive,
+    saturate_rowspan,
     smith_normal_form,
 )
+from toricdeform.polyhedral import Cone
 
 from oracles import _int_det, invariant_factors_oracle, rational_rank
 
@@ -156,6 +161,8 @@ def test_number_path_edge_cases():
     with pytest.raises(TypeError, match="int or Fraction"):
         hermite_normal_form([[1, 2.0]])
     assert integer_kernel([[Fraction(2), 4]]) == integer_kernel([[2, 4]]) == ((2, -1),)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        integer_kernel([[1, 2], [3]])
     assert all(type(x) is int for r in smith_normal_form([[Fraction(2), 4]]) for row in r
                for x in row)
 
@@ -222,13 +229,31 @@ def test_hermite_normal_form_canonical_random():
                 assert 0 <= h[above][piv] < row[piv]
 
 
+def dependent_matrix(r, rows, cols, lo, hi):
+    """A random matrix whose rows past a random rank are small integer
+    combinations of the rows before them."""
+    rank = r.randint(1, rows)
+    a = random_matrix(r, rank, cols, lo, hi)
+    for _ in range(rows - rank):
+        cs = [r.randint(-3, 3) for _ in a]
+        a.append([sum(c * row[j] for c, row in zip(cs, a)) for j in range(cols)])
+    r.shuffle(a)
+    return a
+
+
+def widened_matrices(r, count):
+    """Shapes up to 5 x 7, two-digit entries, with dependent rows."""
+    return [dependent_matrix(r, r.randint(1, 5), r.randint(2, 7), -99, 99)
+            for _ in range(count)]
+
+
 def test_integer_kernel_is_saturated():
     r = random.Random(904)
-    for _ in range(200):
-        m = r.randint(1, 3)
-        n = r.randint(2, 4)
-        a = random_matrix(r, m, n, -5, 5)
-        ker = integer_kernel(a)
+    small = [random_matrix(r, r.randint(1, 3), r.randint(2, 4), -5, 5)
+             for _ in range(200)]
+    for a in small + widened_matrices(random.Random(908), 60):
+        m, n = len(a), len(a[0])
+        ker = corpus.within(1, integer_kernel, a)
         for v in ker:
             assert all(
                 sum(a[i][j] * v[j] for j in range(n)) == 0 for i in range(m)
@@ -290,4 +315,26 @@ def test_matrix_rank_matches_reference():
     for _ in range(150):
         a = random_matrix(r, r.randint(1, 4), r.randint(1, 4), -5, 5)
         assert matrix_rank(a) == rational_rank(a)
+    r = random.Random(909)
+    for a in widened_matrices(r, 100):
+        assert corpus.within(1, matrix_rank, a) == rational_rank(a)
+        # dividing a row by an integer keeps the rank
+        frac = [[Fraction(x, r.randint(1, 7)) for x in row] for row in a]
+        assert corpus.within(1, matrix_rank, frac) == rational_rank(frac)
+
+
+def test_smith_normal_form_runs_only_for_class_groups(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    a = [[2, 4, -6, 1], [1, 2, -3, 0], [3, 6, -9, 1]]
+    assert integer_kernel(a) and saturate_rowspan(a) and matrix_rank(a) == 2
+    assert Cone.from_generators(4, [(1, 2, 0, -3), (0, 5, 1, 1)]).dimension() == 2
+    assert calls == []
+    cox_system(((1, 0), (0, 1), (-1, -1)), 2)
+    assert len(calls) == 1
 

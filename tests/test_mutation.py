@@ -261,20 +261,23 @@ OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
               (0, 0, -1)]
 
 
-def _rank3_triples():
+CUBE = list(itertools.product((-1, 1), repeat=3))
+
+
+def _rank3_triples(polytopes=(SIMPLEX_3, OCTAHEDRON)):
     """Every (P, w, segment conv(0, e)) with w, e in {-1, 0, 1}^3 and
-    <w, e> = 0, on the simplex and the octahedron."""
+    <w, e> = 0, on the simplex and the octahedron by default."""
     units = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
     return [(fano, w, convex_hull(3, [(0, 0, 0), e]))
             for fano in (validate_fano(convex_hull(3, verts))
-                         for verts in (SIMPLEX_3, OCTAHEDRON))
+                         for verts in polytopes)
             for w in units for e in units if not dot(w, e)]
 
 
-def _rank3_cases():
+def _rank3_cases(polytopes=(SIMPLEX_3, OCTAHEDRON)):
     """The valid rank-3 triples, as (P, datum)."""
     cases = []
-    for fano, w, factor in _rank3_triples():
+    for fano, w, factor in _rank3_triples(polytopes):
         try:
             cases.append((fano, validate_mutation_datum(fano, w, factor)))
         except MutationDatumError:
@@ -443,6 +446,22 @@ def test_rank3_mutations():
         assert ref_datum.witnesses == d.witnesses, d.w
         fam = mutation_family(fano, d)
         assert specialize_fiber(fam, (1, 0, -1)).matched is True, d.w
+    # on the cube the slices are wider: for some cases the reference G_h
+    # differs from the covering hull, and the mutation must not notice
+    cube_cases = _rank3_cases([CUBE])
+    other_factors = 0
+    for fano, d in cube_cases:
+        ref_datum = reference(fano, d.w, d.factor)[1]
+        if ref_datum.witnesses == d.witnesses:
+            continue
+        other_factors += 1
+        mut = mutate(fano, d)
+        assert mutate(fano, ref_datum).polytope == mut.polytope, d.w
+        fam = mutation_family(fano, ref_datum)
+        assert specialize_fiber(fam, (1, 0, -1)).matched is True, d.w
+        dinv = validate_mutation_datum(mut, vneg(d.w), d.factor)
+        assert mutate(mut, dinv).polytope == fano.polytope, d.w
+    assert len(cube_cases) == 48 and other_factors > 0
 
 
 # ------------------------------------------------------------ the pencil

@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import signal
 from fractions import Fraction
 
 import pytest
@@ -690,42 +689,53 @@ def test_lattice_points_match_box_scan_every_dimension():
     assert lattice_free > 0
 
 
-class _Timeout(Exception):
-    pass
-
-
-def _hull_within(seconds, rank, pts):
-    def expire(*_):
-        raise _Timeout()
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return convex_hull(rank, pts)
-    except _Timeout:
-        pytest.fail("convex_hull(%d, %r) ran past %s s" % (rank, pts, seconds))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+def _random_rational_points(r, rank, count, bound, dens):
+    return [tuple(Fraction(r.randint(-bound, bound), r.choice(dens))
+                  for _ in range(rank))
+            for _ in range(count)]
 
 
 def test_lower_dimensional_hull_lineality_stays_small():
-    # saturating the lineality of a lower-dimensional hull runs two Smith
-    # normal forms in a row; the second must not see entries that grow with
-    # every row swap
+    # saturating the lineality of a lower-dimensional hull takes the kernel
+    # of a kernel; neither may see entries that grow with every row swap
     f = Fraction
-    p = _hull_within(5, 4, [(1, -4, 0, -3), (f(-4, 3), f(2, 3), f(2, 3), 2),
-                            (0, f(-3, 2), f(-4, 3), 0)])
+    p = corpus.within(5, convex_hull, 4, [
+        (1, -4, 0, -3), (f(-4, 3), f(2, 3), f(2, 3), 2), (0, f(-3, 2), f(-4, 3), 0)])
     assert p.affine_dimension() == 2 and len(p.vertices) == 3
     r = corpus.rng(5)
     for _ in range(150):
         rank = r.choice([4, 5])
         dens = r.choice([(1,), (1, 1, 2, 3)])
-        pts = [tuple(Fraction(r.randint(-4, 4), r.choice(dens))
-                     for _ in range(rank))
-               for _ in range(r.randint(2, rank))]
-        hull = _hull_within(2, rank, pts)
+        pts = _random_rational_points(r, rank, r.randint(2, rank), 4, dens)
+        hull = corpus.within(2, convex_hull, rank, pts)
         assert all(hull.contains(x) for x in pts)
+    # rank 6-7 with two-digit entries: a Smith-based saturation stalled here
+    r = corpus.rng(6)
+    for _ in range(60):
+        rank = r.choice([6, 7])
+        pts = _random_rational_points(r, rank, r.randint(2, rank), 99, (1, 2, 3))
+        hull = corpus.within(2, convex_hull, rank, pts)
+        assert all(hull.contains(x) for x in pts)
+        assert hull.affine_dimension() == rational_rank(
+            [[a - b for a, b in zip(x, pts[0])] for x in pts[1:]])
+
+
+def _check_lower_dimensional_cone(rank, gens):
+    c = corpus.within(2, Cone.from_generators, rank, gens)
+    assert c.dimension() == rational_rank(gens)
+    assert len(c.facet_lines) == rank - c.dimension()
+    assert all(dot(h, g) == 0 for h in c.facet_lines for g in gens)
+
+
+def test_lower_dimensional_cone_in_high_rank():
+    _check_lower_dimensional_cone(6, [(-31, -71, 60, -52, -11, -25),
+                                      (-82, -57, -59, -34, 36, -56)])
+    r = corpus.rng(7)
+    for _ in range(60):
+        rank = r.randint(4, 7)
+        _check_lower_dimensional_cone(rank, [
+            corpus.random_vector(r, rank, -99, 99)
+            for _ in range(r.randint(1, rank - 1))])
 
 
 def test_lattice_points_unbounded_raises():
