@@ -334,15 +334,17 @@ class CoxSystem:
 
 
 def cox_system(rays: Sequence, rank: int) -> CoxSystem:
+    """Grade one variable per ray by the cokernel of the ray map; the rays
+    span iff its free rank is len(rays) - rank, read off the same Smith form."""
     rays = tuple(tuple(r) for r in rays)
     for r in rays:
         if len(r) != rank:
             raise ValueError("ray length %d != rank %d" % (len(r), rank))
-    if matrix_rank(rays) != rank:
+    grading = cokernel_map([list(r) for r in rays])
+    if len(rays) - grading.group.free_rank != rank:
         raise ValueError(
             "rays do not span; the quotient would pick up a torus factor")
-    return CoxSystem(rank=rank, rays=rays,
-                     grading=cokernel_map([list(r) for r in rays]))
+    return CoxSystem(rank=rank, rays=rays, grading=grading)
 
 
 def term_degree(sys: CoxSystem, t: Term):

@@ -66,7 +66,10 @@ class OutsideVError(ValueError):
 @dataclass(frozen=True)
 class FanoPolytope:
     polytope: Polyhedron
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.polytope.rank
 
     def vertices(self) -> tuple:
         return self.polytope.lattice_vertices()
@@ -74,7 +77,7 @@ class FanoPolytope:
 
 def validate_fano(p: Polyhedron) -> FanoPolytope:
     check_fano_polytope(p)
-    return FanoPolytope(polytope=p, n=p.rank)
+    return FanoPolytope(polytope=p)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,7 @@ from .lattice import (
     as_fraction,
     as_int_vector,
     dot,
-    is_integral,
     is_zero,
-    matrix_rank,
     primitive,
     saturate_rowspan,
     vadd,
@@ -319,9 +317,9 @@ class Polyhedron:
     """
 
     __slots__ = ("rank", "vertices", "homogeneous", "rays", "lines", "inequalities",
-                 "_hash")
+                 "_dimension", "_hash")
 
-    def __init__(self, rank, homogeneous, rays, lines, inequalities):
+    def __init__(self, rank, homogeneous, rays, lines, inequalities, dimension):
         pairs = sorted((tuple(Fraction(x, h[-1]) for x in h[:-1]), tuple(h))
                        for h in homogeneous)
         self.rank = rank
@@ -330,13 +328,14 @@ class Polyhedron:
         self.rays = tuple(tuple(r) for r in rays)
         self.lines = tuple(tuple(l) for l in lines)
         self.inequalities = tuple((tuple(u), int(c)) for u, c in inequalities)
+        self._dimension = dimension
         self._hash = None
 
     # -- constructors
 
     @classmethod
     def empty(cls, rank: int) -> "Polyhedron":
-        return cls(rank, (), (), (), (((0,) * rank, -1),))
+        return cls(rank, (), (), (), (((0,) * rank, -1),), -1)
 
     @classmethod
     def from_points_and_rays(cls, rank: int, points: Iterable[Sequence],
@@ -383,7 +382,8 @@ class Polyhedron:
                 continue
             ineqs.append((f[:-1], f[-1]))
         rec = [r[:-1] for r in pointed if r[-1] == 0]
-        return cls(rank, verts, sorted(rec), plines, sorted(ineqs))
+        # the cone over p x {1} has dimension rank + 1 - len(fac_l), one more than p
+        return cls(rank, verts, sorted(rec), plines, sorted(ineqs), rank - len(fac_l))
 
     # -- basic queries
 
@@ -397,8 +397,8 @@ class Polyhedron:
 
     @property
     def is_lattice(self) -> bool:
-        """True if every vertex is a lattice point."""
-        return all(is_integral(v) for v in self.vertices)
+        """True if every vertex is a lattice point: every row (d*v, d) has d = 1."""
+        return all(h[-1] == 1 for h in self.homogeneous)
 
     def contains(self, x: Sequence) -> bool:
         if self.is_empty:
@@ -406,12 +406,8 @@ class Polyhedron:
         return all(dot(u, x) + c >= 0 for u, c in self.inequalities)
 
     def affine_dimension(self) -> int:
-        if self.is_empty:
-            return -1
-        # the cone over p x {1}, spanned by the integer rows, has one more
-        # dimension than p
-        rows = [r + (0,) for r in self.rays + self.lines]
-        return matrix_rank(list(self.homogeneous) + rows) - 1
+        """-1 when empty; recorded by the hull, so no elimination runs."""
+        return self._dimension
 
     def translate(self, vec: Sequence) -> "Polyhedron":
         # rebuilt, as a shift would break the Hermite basis of the equations

@@ -199,8 +199,15 @@ def test_inhomogeneous_detected():
 
 
 def test_cox_system_rejects_nonspanning_rays():
-    with pytest.raises(ValueError, match="span"):
-        cox_system(((1, 0), (2, 0)), 2)
+    for rays, rank in [
+            (((1, 0), (2, 0)), 2),  # parallel
+            (((1, 0, 0), (0, 1, 0), (-1, -1, 0), (2, 3, 0)), 3),  # in a plane
+            (((1, 0, 0), (0, 1, 0)), 3),  # fewer rays than the rank
+            ((), 2)]:  # no rays
+        with pytest.raises(ValueError) as err:
+            cox_system(rays, rank)
+        assert str(err.value) == (
+            "rays do not span; the quotient would pick up a torus factor")
 
 
 # ------------------------------------------------------------ regularity

@@ -114,13 +114,28 @@ def test_condition_ii_failure():
     assert "(ii)" in failed_labels(d)
 
 
-def test_condition_iii_failure():
-    # assembled by hand; the constructor recomputes the sum and would
-    # never store a mismatched total
+def test_condition_iii_holds_by_construction():
+    # Q is the sum of the summands, never a field: a mismatched datum
+    # cannot be built, and a mismatched total is refused on the way in
     good = build_datum(orthant(), [point(1, 1), point(0, 0)], (0, -1))
-    bad = DeformationDatum(sigma=good.sigma, summands=good.summands,
-                           q=point(2, 2), w=good.w, boundary=False)
-    assert "(iii)" in failed_labels(bad)
+    with pytest.raises(TypeError, match="'q'"):
+        DeformationDatum(sigma=good.sigma, summands=good.summands,
+                         q=point(2, 2), w=good.w, boundary=False)
+    moved = dataclasses.replace(
+        good, summands=(point(1, 1), seg((0, 0), (1, 0))))
+    assert good.q == point(1, 1)
+    assert moved.q == seg((1, 1), (2, 1)) == minkowski_sum(*moved.summands)
+    with pytest.raises(DatumStructureError,
+                       match="supplied total polyhedron != sum of summands"):
+        build_datum(orthant(), good.summands, good.w, total=point(2, 2))
+    data = dict(good.to_json(), Q=point(2, 2).to_json())
+    with pytest.raises(DatumStructureError,
+                       match="supplied total polyhedron != sum of summands"):
+        datum_from_json(data)
+    assert datum_from_json(dict(data, Q=point(1, 1).to_json())) == good
+    for d in (good, moved):
+        row = validate_datum(d).conditions[2]
+        assert (row.label, row.passed, row.witness) == ("(iii)", True, None)
 
 
 def test_condition_iv_prime_failure():

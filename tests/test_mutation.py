@@ -55,6 +55,16 @@ def test_fano_validation_rejects():
         validate_fano(convex_hull(2, [(2, 0), (0, 2), (-2, -2)]))
 
 
+def test_fano_rank_is_the_polytope_rank():
+    # n is read off the polytope, never stored beside it
+    for p in (p2_polytope(), convex_hull(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                              (-1, -1, -1)])):
+        fano = validate_fano(p)
+        assert fano.n == fano.polytope.rank == p.rank
+        with pytest.raises(TypeError):
+            type(fano)(polytope=p, n=p.rank + 1)
+
+
 def test_datum_rejects_nonprimitive_direction():
     fano = validate_fano(p2_polytope())
     with pytest.raises(ValueError, match="primitive"):

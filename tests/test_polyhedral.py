@@ -897,13 +897,26 @@ def test_normal_fan_against_fraction_reference():
 
 
 def test_affine_dimension_against_vertex_differences():
-    for p in _row_cases(1304):
+    # the dimension is recorded by each constructor's hull: the seeded
+    # cases, their Minkowski sums, translates and (bounded) scales
+    r = corpus.rng(1304)
+    cases = _row_cases(1304)
+    made = list(cases)
+    for p in cases:
+        made.append(minkowski_sum(p, r.choice([q for q in cases if q.rank == p.rank])))
+        made.append(p.translate(tuple(_small_rational(r) for _ in range(p.rank))))
+        if p.is_bounded:
+            made.append(p.scale(Fraction(r.randint(1, 5), r.randint(1, 3))))
+    kinds = set()
+    for p in made:
         if p.is_empty:
             assert p.affine_dimension() == -1
             continue
         v0 = p.vertices[0]
         rows = [tuple(a - b for a, b in zip(v, v0)) for v in p.vertices[1:]]
         assert p.affine_dimension() == rational_rank(rows + list(p.rays + p.lines))
+        kinds.add("flat" if p.affine_dimension() < p.rank else "full")
+    assert kinds == {"flat", "full"}
 
 
 def test_normal_fan_requires_bounded_full_dim():

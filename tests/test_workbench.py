@@ -150,6 +150,22 @@ def test_file_payload_exit_codes(capsys, tmp_path, argv, payload, code,
         assert report in out and err == ""
 
 
+# "Q" is (2, 2), the summands sum to (0, 1): condition (iii) can only fail
+# here, on the way in, since a datum computes its own Q
+WRONG_TOTAL = {"sigma": {"rays": [[1, 0], [0, 1]]},
+               "summands": [[[0, 1]], [[0, 0]]], "w": [0, -1],
+               "boundary": True, "Q": [[2, 2]]}
+
+
+@pytest.mark.parametrize("command",
+                         ["validate-datum", "tilde", "equations", "oracle"])
+def test_wrong_total_is_usage_error(capsys, tmp_path, command):
+    path = write_json(tmp_path, "payload.json", WRONG_TOTAL)
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == "error: supplied total polyhedron != sum of summands\n"
+
+
 NON_LATTICE_TRIANGLE = [[[1, 2], 0], [0, 1], [-1, -1]]
 
 
