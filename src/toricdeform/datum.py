@@ -309,15 +309,30 @@ def require_valid(d: DeformationDatum) -> ValidationReport:
 
 @dataclass(frozen=True)
 class TildeData:
+    """The enlarged cone of a datum.  n, k, w_tilde and the rays (in the
+    cone's canonical order) are read from pairings, their one owner."""
+
     datum: DeformationDatum
     cone: Cone  # in rank n + k
-    n: int
-    k: int
-    w_tilde: tuple
-    rays: tuple  # canonical ray order of the cone
-    pairings: PairingData  # e_i* and w~ pairings of the rays
+    pairings: PairingData  # the rays with their e_i* and w~ pairings
     provenance: tuple  # per ray, tuple of human-readable origin tags
     floors: tuple  # floor(min over Q_i of w) for i = 1..k
+
+    @property
+    def n(self) -> int:
+        return self.pairings.n
+
+    @property
+    def k(self) -> int:
+        return self.pairings.k
+
+    @property
+    def w_tilde(self) -> tuple:
+        return self.pairings.w_tilde
+
+    @property
+    def rays(self) -> tuple:
+        return self.pairings.rays
 
     def to_json(self) -> dict:
         return {
@@ -368,9 +383,8 @@ def build_tilde(d: DeformationDatum) -> TildeData:
         if any(g):
             tags.setdefault(primitive(g), []).append(tag)
     prov = [tuple(tags.get(r, ())) for r in rays]
-    pairings = PairingData(n=n, k=k, rays=rays, w_tilde=w_tilde)
-    return TildeData(datum=d, cone=cone, n=n, k=k, w_tilde=w_tilde,
-                     rays=rays, pairings=pairings,
+    return TildeData(datum=d, cone=cone,
+                     pairings=PairingData(n=n, k=k, rays=rays, w_tilde=w_tilde),
                      provenance=tuple(prov), floors=tuple(floors))
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 IntVector = tuple  # tuple[int, ...]
@@ -35,26 +37,27 @@ class ZeroVectorError(ValueError):
 
 
 def dot(u: Sequence, v: Sequence):
-    """Pairing <u, v>.  Lengths must agree."""
+    """Pairing <u, v>, as sum(map(mul, u, v)) (math.sumprod is 3.12+).
+    Lengths must agree: map alone would stop at the shorter one."""
     if len(u) != len(v):
         raise ValueError("length mismatch in dot: %d vs %d" % (len(u), len(v)))
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u: Sequence) -> tuple:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def vscale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
+    return tuple(map(mul, repeat(c), u))
 
 
 def is_zero(u: Sequence) -> bool:

@@ -141,8 +141,10 @@ class OracleReport:
 
 
 def _character_points(t, bound: int) -> tuple:
-    total = tuple(sum(xi[i] for xi in t.rays) for i in range(t.n + t.k))
-    return _graded_points(t.cone.dual(), total, bound)
+    # graded by the sum of the enlarged cone's own rays
+    c = t.cone
+    total = tuple(sum(xi[i] for xi in c.rays) for i in range(c.rank))
+    return _graded_points(c.dual(), total, bound)
 
 
 def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:

@@ -37,10 +37,15 @@ class UnboundedError(ValueError):
 # Double description
 
 
-def _reduce(v) -> tuple:
-    # primitive for a nonzero int row: a gcd, no denominators
+def _reduce(v: tuple) -> tuple:
+    # primitive for an int row by a gcd alone: a row whose gcd is 1 comes
+    # back as it is, and the zero row has no direction
     g = math.gcd(*v)
-    return tuple(x // g for x in v)
+    if g == 1:
+        return v
+    if not g:
+        raise ZeroVectorError("ZeroVector: the zero vector spans no ray")
+    return tuple([x // g for x in v])
 
 
 def dual_description(rank: int, normals: Sequence[tuple]):
@@ -48,85 +53,115 @@ def dual_description(rank: int, normals: Sequence[tuple]):
 
     The normals are integer rows of length rank; the package's callers
     pass primitive ones (each runs primitive on its input), and every ray
-    and lineality row stays a primitive int tuple, reduced by a gcd alone.
-    Processes the inequalities incrementally.  State invariant: the current
-    cone equals lin(lineality) + cone(rays), with rays extreme and pairwise
-    distinct modulo the lineality space, and bit i of a ray's mask is set iff
-    the i-th normal vanishes on it.  Processed normals vanish on the
-    lineality space, so masks are tight sets modulo lineality.  A positive
-    and a negative ray are adjacent iff their common tight set has at least
-    rank - dim(lin) - 2 members and no third ray is tight on all of it (the
-    combinatorial test of Fukuda & Prodon, 1996); each adjacent pair spans
-    its own 2-face, so new rays never repeat.  Returns (rays, lineality)
-    uncanonicalized.
+    and lineality row is a primitive tuple of plain ints, reduced by a gcd
+    alone, whatever the normals are.  Processes the inequalities
+    incrementally.  State invariant: the current cone equals
+    lin(lineality) + cone(rays), with rays extreme and pairwise distinct
+    modulo the lineality space, and bit i of masks[t], the int kept beside
+    rays[t], is set iff the i-th normal vanishes on that ray.  Processed
+    normals vanish on the lineality space, so masks are tight sets modulo
+    lineality.  A positive and a negative ray are adjacent iff their common
+    tight set has at least rank - dim(lin) - 2 members and no third ray is
+    tight on all of it (the combinatorial test of Fukuda & Prodon, 1996):
+    the pair itself is tight on it, so the test counts the masks that
+    contain it and stops at the third.  Each adjacent pair spans its own
+    2-face, so new rays never repeat.  One pass over the signs lays out the
+    next ray list: the positive rays, then the tight ones, then the new
+    combinations.  Returns (rays, lineality) uncanonicalized.
     """
     _require_rank(rank, normals, "normal")
     lineality = [(0,) * i + (1,) + (0,) * (rank - 1 - i) for i in range(rank)]
-    rays: list = []  # (ray, mask) pairs
+    rays: list = []
+    masks: list = []  # masks[t] is the tight set of rays[t]
     for n, a in enumerate(normals):
         bit = 1 << n
         vals = [sum(map(mul, a, l)) for l in lineality]
         if any(vals):
-            i0 = next(i for i, v in enumerate(vals) if v)
-            l0 = lineality[i0] if vals[i0] > 0 else vneg(lineality[i0])
-            al0 = abs(vals[i0])
-            new_lin = [_reduce([al0 * x - v * y for x, y in zip(l, l0)]) if v else l
-                       for i, (l, v) in enumerate(zip(lineality, vals)) if i != i0]
+            i0 = 0
+            while not vals[i0]:
+                i0 += 1
+            l0, al0 = lineality.pop(i0), vals.pop(i0)
+            if al0 < 0:
+                l0, al0 = vneg(l0), -al0
+            lineality = [_reduce(tuple([al0 * x - v * y for x, y in zip(l, l0)])) if v else l
+                         for l, v in zip(lineality, vals)]
             new_rays = []
-            for r, m in rays:  # shifting along l0 makes r tight on a
+            for r in rays:  # shifting along l0 makes r tight on a
                 ar = sum(map(mul, a, r))
-                rp = _reduce([al0 * x - ar * y for x, y in zip(r, l0)]) if ar else r
-                new_rays.append((rp, m | bit))
-            lineality, rays = new_lin, new_rays + [(l0, bit - 1)]  # l0 was a line
-        else:
-            vs = [sum(map(mul, a, r)) for r, _ in rays]
-            if min(vs, default=0) >= 0:
-                rays = [(r, m if v else m | bit) for (r, m), v in zip(rays, vs)]
-                continue
-            pos = [t for t, v in enumerate(vs) if v > 0]
-            neg = [t for t, v in enumerate(vs) if v < 0]
-            zero = [(r, m | bit) for (r, m), v in zip(rays, vs) if v == 0]
-            need = rank - len(lineality) - 2
-            masks = [m for _, m in rays]
-            combos = []
-            for tp in pos:
-                rp, mp = rays[tp]
-                for tn in neg:
-                    rn, mn = rays[tn]
-                    common = mp & mn
-                    if common.bit_count() < need or any(
-                            m & common == common for t, m in enumerate(masks) if t != tp and t != tn):
-                        continue
-                    s = _reduce([vs[tp] * x - vs[tn] * y for x, y in zip(rn, rp)])
-                    combos.append((s, common | bit))
-            rays = [rays[t] for t in pos] + zero + combos
-    return [r for r, _ in rays], lineality
+                new_rays.append(_reduce(tuple([al0 * x - ar * y for x, y in zip(r, l0)]))
+                                if ar else r)
+            new_rays.append(l0)  # l0 was a line
+            rays = new_rays
+            masks = [m | bit for m in masks]
+            masks.append(bit - 1)
+            continue
+        vs = [sum(map(mul, a, r)) for r in rays]
+        if min(vs, default=0) >= 0:
+            masks = [m if v else m | bit for m, v in zip(masks, vs)]
+            continue
+        new_rays, new_masks, zero_rays, zero_masks, pos, neg = [], [], [], [], [], []
+        for t in zip(rays, masks, vs):
+            r, m, v = t
+            if v > 0:
+                new_rays.append(r)
+                new_masks.append(m)
+                pos.append(t)
+            elif v:
+                neg.append(t)
+            else:
+                zero_rays.append(r)
+                zero_masks.append(m | bit)
+        new_rays += zero_rays
+        new_masks += zero_masks
+        need = rank - len(lineality) - 2
+        for rp, mp, vp in pos:
+            for rn, mn, vn in neg:
+                common = mp & mn
+                if common.bit_count() < need:
+                    continue
+                hits = 0
+                for m in masks:
+                    if m & common == common:
+                        hits += 1
+                        if hits == 3:
+                            break
+                else:  # no third ray: the pair is adjacent
+                    new_rays.append(_reduce(tuple([vp * x - vn * y for x, y in zip(rn, rp)])))
+                    new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return rays, lineality
 
 
-def _reject(v: Sequence, ortho: Sequence[tuple]) -> tuple:
-    # primitive positive multiple of v's orthogonal projection off
-    # span(ortho), whose rows are pairwise orthogonal
-    for b in ortho:
-        vb = dot(v, b)
+def _reject(v: tuple, ortho: Sequence[tuple]) -> tuple:
+    # primitive positive multiple of the primitive int row v's orthogonal
+    # projection off span(ortho); ortho holds pairs (b, <b, b>) of pairwise
+    # orthogonal rows b.  A zero projection raises ZeroVectorError.
+    for b, bb in ortho:
+        vb = sum(map(mul, v, b))
         if vb:
-            bb = dot(b, b)
-            v = primitive(tuple(bb * x - vb * y for x, y in zip(v, b)))
-    return primitive(v)
+            v = _reduce(tuple([bb * x - vb * y for x, y in zip(v, b)]))
+    return v
 
 
 def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
     """Canonicalize a (rays, lineality) pair, in integers only.
 
-    The lineality basis becomes the Hermite basis of its saturated lattice;
-    each ray class is represented by the primitive integer vector on its
-    orthogonal projection away from the lineality span, rejected step by
-    step off an integer Gram-Schmidt basis of that span.  This makes both
+    The rays must be primitive tuples of plain ints, as dual_description
+    returns them and canonical cones keep them.  The lineality basis
+    becomes the Hermite basis of its saturated lattice; each ray class is
+    represented by the primitive integer vector on its orthogonal
+    projection away from the lineality span, rejected step by step off an
+    integer Gram-Schmidt basis of that span.  With no lineality every ray
+    is its own representative and nothing is saturated.  This makes both
     parts functions of the cone as a set.
     """
+    if not lineality:
+        return tuple(sorted(set(rays))), ()
     lines = saturate_rowspan(lineality)
     ortho = []
     for l in lines:
-        ortho.append(_reject(l, ortho))
+        b = _reject(l, ortho)
+        ortho.append((b, sum(map(mul, b, b))))
     pointed = sorted({_reject(r, ortho) for r in rays})
     return tuple(pointed), tuple(lines)
 

@@ -73,6 +73,15 @@ def random_unimodular(r, rank, steps=8):
     return tuple(map(tuple, m)), tuple(map(tuple, inv))
 
 
+def large_unimodular(r, rank):
+    """random_unimodular with 32 steps, drawn until its largest entry lies
+    between 10^3 and 10^4: big integers through every layer, still fast."""
+    while True:
+        u, u_inv = random_unimodular(r, rank, steps=32)
+        if 10 ** 3 <= max(abs(x) for row in u for x in row) <= 10 ** 4:
+            return u, u_inv
+
+
 def random_pointed_cone(r, rank, max_rays=5, full_dim=True):
     while True:
         count = r.randint(rank, max_rays)
@@ -109,6 +118,16 @@ def transform_polyhedron(u, p):
     verts = [matmul_vec(u, v) for v in p.vertices]
     rays = [matmul_vec(u, v) for v in p.rays]
     return Polyhedron.from_points_and_rays(p.rank, verts, rays)
+
+
+def transform_datum(u, u_inv, d):
+    """d under x -> Ux: sigma and the summands move by U, w by U^-1 on the
+    right."""
+    from toricdeform.datum import build_datum
+
+    return build_datum(transform_cone(u, d.sigma),
+                       [transform_polyhedron(u, q) for q in d.summands],
+                       functional_after(u_inv, d.w), boundary=d.boundary)
 
 
 def functional_after(u_inv, w):

@@ -24,6 +24,7 @@ from toricdeform.cox import (
     trinomials,
 )
 from toricdeform.datum import build_tilde
+from toricdeform.lattice import integer_kernel
 from toricdeform.presets import (
     ca1_alias,
     ca1_datum,
@@ -208,6 +209,36 @@ def test_cox_system_rejects_nonspanning_rays():
             cox_system(rays, rank)
         assert str(err.value) == (
             "rays do not span; the quotient would pick up a torus factor")
+
+
+def test_cox_system_is_unimodular_covariant():
+    # a change of N by U with entries between 10^3 and 10^4 moves the rays
+    # of an enlarged cone by diag(U, I_k), here in the same order: the ray
+    # matrix is multiplied by an invertible one, so the class group, the
+    # relations among the rays and the degree-zero exponents stay.  The
+    # printed weights depend on the Smith basis when the free rank is 2 or
+    # more, so they are compared only at free rank 1
+    r = corpus.rng(1904)
+    cases = [(build_tilde(d).rays, d.rank)
+             for d in (ca1_datum(), toy_plane_datum(), *hexagon_data())]
+    cases += [(p.vertices(), 2) for p in corpus.small_fano_polygons(12)]
+    free_ranks = set()
+    for rays, n in cases:
+        u, _ = corpus.large_unimodular(r, n)
+        moved = [corpus.matmul_vec(u, x[:n]) + tuple(x[n:]) for x in rays]
+        rank = len(rays[0])
+        a, b = cox_system(rays, rank), cox_system(moved, rank)
+        assert a.group == b.group
+        relations = integer_kernel(list(zip(*rays)))
+        assert integer_kernel(list(zip(*moved))) == relations
+        assert all(corpus.matmul_vec(list(zip(*moved)), c) == (0,) * rank for c in relations)
+        free = [[[deg[0][i] for deg in s.grading.degrees] for i in range(s.group.free_rank)]
+                for s in (a, b)]
+        assert integer_kernel(free[0]) == integer_kernel(free[1])
+        if a.group.free_rank == 1:
+            assert a.weights() == b.weights()
+        free_ranks.add(a.group.free_rank)
+    assert 1 in free_ranks and max(free_ranks) >= 2
 
 
 # ------------------------------------------------------------ regularity

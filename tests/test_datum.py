@@ -175,6 +175,33 @@ def test_condition_vi_failure():
     assert failed_labels(d) == ("(vi)",)
 
 
+def failing_data():
+    """One datum per failing condition, as in the tests above."""
+    half = Fraction(1, 2)
+    return [
+        build_datum(orthant(), [point(-1, 2), point(0, 0)], (1, 0)),
+        build_datum(orthant(), [seg((0, 0), (1, 0)), seg((0, 0), (0, 1))], (0, -1)),
+        build_datum(orthant(), [point(half, half), seg((0, 0), (half, 0))], (1, 0)),
+        build_datum(orthant(), [point(1, 1), seg((0, 0), (half, 0))], (1, 0),
+                    boundary=True),
+        build_datum(orthant(), [point(2, 0), point(0, 1)], (-1, 0)),
+        build_datum(orthant(), [point(0, 1), point(1, 0)], (0, -1)),
+    ]
+
+
+def test_validate_datum_is_unimodular_covariant():
+    # every condition is invariant under x -> Ux, w -> w U^-1: with entries
+    # of U between 10^3 and 10^4 each row keeps its verdict
+    r = corpus.rng(1901)
+    failed = set()
+    for d in [ca1_datum(3), toy_plane_datum(), *hexagon_data(), *failing_data()]:
+        moved = corpus.transform_datum(*corpus.large_unimodular(r, d.rank), d)
+        want = [(c.label, c.passed) for c in validate_datum(d).conditions]
+        assert [(c.label, c.passed) for c in validate_datum(moved).conditions] == want
+        failed.update(label for label, passed in want if not passed)
+    assert failed == {"(i)", "(ii)", "(iv')", "(iv)", "(v)", "(vi)"}
+
+
 def _level_slice_reference(d, w):
     """Vertices of the level -1 slice of sigma as a polyhedron of its own."""
     ineqs = [(f, 0) for f in d.sigma.facets]
@@ -428,6 +455,22 @@ def test_zero_pairing_rays_project_to_cone_rays():
         for ray, tail in zip(t.rays, t.pairings.e_pairings):
             if all(x == 0 for x in tail):
                 assert ray[:t.n] in sigma_rays
+
+
+def test_build_tilde_is_unimodular_covariant():
+    # with d moved by U, the enlarged cone moves by diag(U, I_k): its rays
+    # map onto the moved rays, w~ moves by U^-1 on its first n entries, and
+    # the floors stay
+    r = corpus.rng(1902)
+    for d in [ca1_datum(3), toy_plane_datum(), *hexagon_data(),
+              *corpus.random_valid_data(1903, 4)]:
+        u, u_inv = corpus.large_unimodular(r, d.rank)
+        t, moved = build_tilde(d), build_tilde(corpus.transform_datum(u, u_inv, d))
+        n = d.rank
+        assert moved.rays == tuple(sorted(corpus.matmul_vec(u, x[:n]) + x[n:] for x in t.rays))
+        assert moved.w_tilde == corpus.functional_after(u_inv, t.w_tilde[:n]) + t.w_tilde[n:]
+        assert moved.floors == t.floors
+        assert check_tilde_structure(moved).ok
 
 
 # ------------------------------------------------------- floor-min

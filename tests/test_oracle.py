@@ -252,10 +252,10 @@ def test_degree_zero_failure_reasons_match_reference():
             dataclasses.replace(t, pairings=table), bound)
         assert reason in {f["reason"] for f in rep.failures}
     high_y = SimpleNamespace(
-        rays=p.rays, exps=p.exps, z_exps=p.z_exps,
+        n=p.n, k=p.k, rays=p.rays, exps=p.exps, z_exps=p.z_exps,
         y_exps=(tuple(y + bound + 1 for y in p.y_exps[0]),) + p.y_exps[1:])
     high_z = SimpleNamespace(
-        rays=p.rays, exps=p.exps, y_exps=p.y_exps,
+        n=p.n, k=p.k, rays=p.rays, exps=p.exps, y_exps=p.y_exps,
         z_exps=(tuple(z + 1 for z in p.z_exps[0]),) + p.z_exps[1:])
     for table in (high_y, high_z):
         with pytest.raises(ValueError, match="differ from the ray tails"):
@@ -303,7 +303,7 @@ def test_degree_zero_refuses_negative_z_exponents():
     t = build_tilde(ca1_datum(1))
     p = t.pairings
     low = SimpleNamespace(
-        rays=p.rays, exps=p.exps,
+        n=p.n, k=p.k, rays=p.rays, exps=p.exps,
         y_exps=(tuple(y - 1 for y in p.y_exps[0]),) + p.y_exps[1:],
         z_exps=(tuple(z - 1 for z in p.z_exps[0]),) + p.z_exps[1:])
     with pytest.raises(ValueError, match="negative z exponent"):
@@ -320,8 +320,8 @@ def test_degree_zero_reads_exponents_once_per_point():
         calls.append(v)
         return p.exps(v)
 
-    counted = SimpleNamespace(rays=p.rays, exps=exps, y_exps=p.y_exps,
-                              z_exps=p.z_exps)
+    counted = SimpleNamespace(n=p.n, k=p.k, rays=p.rays, exps=exps,
+                              y_exps=p.y_exps, z_exps=p.z_exps)
     bound = 6
     rep = degree_zero_equality_check(
         dataclasses.replace(t, pairings=counted), bound)
@@ -374,20 +374,8 @@ def test_boundary_detects_wrong_interior_side():
 # ------------------------------------------------------------ covariance
 
 
-def _moved_datum(r, d):
-    """d under x -> Ux for a random unimodular U with entries between 10^3
-    and 10^4: sigma and the summands move by U, w by U^-1 on the right."""
-    while True:
-        u, u_inv = corpus.random_unimodular(r, d.rank, steps=32)
-        if 10 ** 3 <= max(abs(x) for row in u for x in row) <= 10 ** 4:
-            break
-    return build_datum(
-        corpus.transform_cone(u, d.sigma),
-        [corpus.transform_polyhedron(u, q) for q in d.summands],
-        corpus.functional_after(u_inv, d.w), boundary=d.boundary)
-
-
 def test_oracles_are_unimodular_covariant():
+    # d moved by a unimodular U with entries between 10^3 and 10^4:
     # characters move by the dual map, which keeps the grading, the buckets
     # and every factorization: counts and verdicts must not change.  Large
     # entries of U widen the intervals lattice_points lifts through
@@ -398,7 +386,7 @@ def test_oracles_are_unimodular_covariant():
     for name, d in (("cA1", ca1_datum()), ("hexagon-a", hexagon_data()[0]),
                     ("toy-plane", toy_plane_datum())):
         got = []
-        for datum in (d, _moved_datum(r, d)):
+        for datum in (d, corpus.transform_datum(*corpus.large_unimodular(r, d.rank), d)):
             t = build_tilde(datum)
             zero = degree_zero_equality_check(t, bound)
             edge = boundary_equality_check(t, bound)

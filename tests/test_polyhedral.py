@@ -12,6 +12,7 @@ from toricdeform.polyhedral import (
     Cone,
     Polyhedron,
     UnboundedError,
+    _canonical_vrep,
     convex_hull,
     dual_description,
     lattice_points,
@@ -28,6 +29,7 @@ from oracles import (
     brute_rays_from_normals,
     dot,
     fm_minimize,
+    prim,
     rational_kernel,
     rational_rank,
 )
@@ -69,6 +71,52 @@ def test_ray_representative_is_orthogonal_projection():
     assert c.lines == ((1, 0, -1, 0), (0, 1, 1, 0))
     assert c.pointed_rays == ((1, -1, 1, 3),)
     assert all(dot(r, l) == 0 for r in c.pointed_rays for l in c.lines)
+    # against Fraction Gram-Schmidt, on the unprojected rays that the double
+    # description gives for both hull passes, and on permuted cones
+    r = corpus.rng(110)
+    seen = set()
+    for _ in range(150):
+        rank = r.randint(2, 5)
+        # lines in x_last = 0, the other generators above it: 0-3 lines
+        lines = [corpus.random_vector(r, rank - 1, -3, 3) + (0,)
+                 for _ in range(r.randint(0, min(3, rank - 1)))]
+        gens = [corpus.random_vector(r, rank - 1, -3, 3) + (r.randint(1, 3),)
+                for _ in range(r.randint(1, rank + 1))]
+        gens += lines + [tuple(-x for x in l) for l in lines]
+        c = Cone.from_generators(rank, gens)
+        perm = list(range(rank))
+        r.shuffle(perm)
+        p = c.permuted(perm)
+        for rows, got, got_lines, moved in (
+                (gens, c.pointed_facets, c.facet_lines, p.pointed_facets),
+                (c.facets, c.pointed_rays, c.lines, p.pointed_rays)):
+            rays, lin = dual_description(rank, rows)
+            assert rational_rank(list(got_lines) + lin) == len(got_lines) == len(lin)
+            assert got == tuple(sorted({projection_reference(v, lin) for v in rays}))
+            assert moved == tuple(sorted({
+                projection_reference([v[i] for i in perm], [[l[i] for i in perm] for l in lin])
+                for v in rays}))
+        seen.add(len(c.lines))
+    assert seen == {0, 1, 2, 3}
+    with pytest.raises(ZeroVectorError):  # a ray in the lineality span
+        _canonical_vrep([(1, 2, 0)], [(1, 0, 0), (0, 1, 0)])
+
+
+def projection_reference(v, lines):
+    """The primitive integer vector on v's orthogonal projection off
+    span(lines), by Gram-Schmidt in Fractions."""
+    basis = []
+    for l in lines:
+        e = [Fraction(x) for x in l]
+        for b in basis:
+            e = [x - dot(e, b) / dot(b, b) * y for x, y in zip(e, b)]
+        if any(e):
+            basis.append(e)
+    w = [Fraction(x) for x in v]
+    for b in basis:
+        w = [x - dot(w, b) / dot(b, b) * y for x, y in zip(w, b)]
+    den = math.lcm(*[x.denominator for x in w])
+    return prim([int(x * den) for x in w])
 
 
 def test_zero_cone():
@@ -248,8 +296,13 @@ def pointed_part(rank, normals):
 
 def check_dual_description(rank, normals, expected):
     """dual_description returns as many rays as the expected extreme-ray
-    list, each extreme and on its own face, and a basis of the kernel."""
+    list, each extreme and on its own face, and a basis of the kernel;
+    every ray and lineality row is a primitive tuple of plain ints, which
+    canonicalization takes for granted."""
     rays, lines = dual_description(rank, normals)
+    for v in rays + lines:
+        assert type(v) is tuple and len(v) == rank
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1, v
     assert len(lines) == rank - rational_rank(normals) == rational_rank(lines)
     assert all(dot(a, l) == 0 for a in normals for l in lines)
     faces = set()
@@ -261,18 +314,23 @@ def check_dual_description(rank, normals, expected):
     assert len(faces) == len(rays) == len(expected)
 
 
+def check_against_subset_enumeration(rank, rows):
+    """Both hull directions on rows against the subset enumeration; returns
+    (full rank, pointed dual) for the caller's coverage count."""
+    expected = pointed_part(rank, rows)
+    check_dual_description(rank, rows, expected)
+    h = Cone.from_inequalities(rank, rows)
+    assert h.pointed_rays == expected
+    assert Cone.from_generators(rank, rows).pointed_facets == expected
+    if rational_rank(rows) == rank:
+        assert h.dual().facets == brute_facets_from_rays(rank, rows)
+    return rational_rank(rows) == rank, rational_rank(expected) == rational_rank(rows)
+
+
 def test_dual_description_against_subset_enumeration():
     kinds = set()
     for rank, rows in dd_inputs(106, 250):
-        expected = pointed_part(rank, rows)
-        check_dual_description(rank, rows, expected)
-        h = Cone.from_inequalities(rank, rows)
-        assert h.pointed_rays == expected
-        assert Cone.from_generators(rank, rows).pointed_facets == expected
-        if rational_rank(rows) == rank:
-            assert h.dual().facets == brute_facets_from_rays(rank, rows)
-        kinds.add((rank, rational_rank(rows) == rank,
-                   rational_rank(expected) == rational_rank(rows)))
+        kinds.add((rank,) + check_against_subset_enumeration(rank, rows))
     # every rank 2-6 occurs; lineality and lower-dimensional cones both occur
     assert {k[0] for k in kinds} == {2, 3, 4, 5, 6}
     assert {k[1:] for k in kinds} == {(True, True), (True, False), (False, True), (False, False)}
@@ -291,6 +349,41 @@ def test_dual_description_degenerate_polytope_cones():
             for _ in range(3):
                 r.shuffle(rows)
                 check_dual_description(rank, rows, expected)
+
+
+def datum_shaped_inputs(seed, count):
+    """Hull inputs shaped like a datum's in rank 3: a polygon of 1-5
+    lattice points in [-2, 2]^2 lifted to height 0 or 1, often collinear
+    and so lower-dimensional, or its pairwise sums with a second polygon
+    of 1-3 points, a Minkowski candidate set that keeps its interior
+    points.  Each comes homogenized to (p, 1) in rank 4, and as rank-3
+    generators with the origin dropped."""
+    r = corpus.rng(seed)
+
+    def polygon(size):
+        h = r.randint(0, 1)
+        if r.random() < 0.5:  # on a random lattice line
+            a, d = corpus.random_vector(r, 2, -2, 2), corpus.random_vector(r, 2, -1, 1)
+            return [(a[0] + t * d[0], a[1] + t * d[1], h)
+                    for t in r.sample(range(-2, 3), r.randint(1, 3))]
+        return [corpus.random_vector(r, 2, -2, 2) + (h,) for _ in range(r.randint(1, size))]
+
+    for _ in range(count):
+        pts = polygon(5)
+        if r.random() < 0.5:
+            pts = [tuple(x + y for x, y in zip(p, q)) for p in pts for q in polygon(3)]
+        yield 4, [p + (1,) for p in pts]
+        pts = [p for p in pts if any(p)]
+        if pts:
+            yield 3, pts
+
+
+def test_dual_description_on_datum_shaped_inputs():
+    kinds = set()
+    for rank, rows in datum_shaped_inputs(109, 100):
+        kinds.add((rank,) + check_against_subset_enumeration(rank, rows))
+    assert {k[0] for k in kinds} == {3, 4}
+    assert {k[1:] for k in kinds} == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ----------------------------------------------------------- polyhedra
