@@ -5,13 +5,18 @@ and decides ideal membership only through the constructive certificates
 (cofactor monomials and divisibility of exponent vectors), never by
 general reduction.  Hilbert bases reduce each point against the
 generators found so far, which is exact up to the bound (see
-``hilbert_basis``).  The degree-zero check tables the exponent sums of
-the drops once per call, keyed by the shift r[n:] - s[n:] between the
-two characters of a pair, and reads both cofactors and the exponents of
-q off one entry.  The inner loops run on plain int tuples with ``map``;
-the Cox exponents of a character are computed once per point, never per
-pair.  The reports are approximations by design: they certify no
-failure below the bound, not a full proof.
+``hilbert_basis``).  ``lattice_points`` hands the characters over in
+runs (one prefix, consecutive last coordinates), and the Cox exponents
+are computed once per run: each further point of a run adds the
+exponents of the last unit vector to its predecessor's.  The boundary
+check decides interiority once per N-part.  The degree-zero check
+tables the exponent sums of the drops once per call, keyed by the shift
+r[n:] - s[n:] between the two characters of a pair, and reads both
+cofactors and the exponents of q off one entry; for a one-signed shift
+one side drops nothing and reuses its character's exponents and their
+sign.  The inner loops run on plain int tuples with ``map``.  The
+reports are approximations by design: they certify no failure below the
+bound, not a full proof.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ def _require_pointed_full(c: Cone) -> None:
 
 
 def _graded_points(c: Cone, functional, bound: int) -> tuple:
+    if bound < 0:
+        raise ValueError("bound must be non-negative, got %d" % bound)
     ineqs = [(u, 0) for u in c.dual().rays]
     ineqs.append((tuple(-x for x in functional), bound))
     return lattice_points(Polyhedron.from_inequalities(c.rank, ineqs))
@@ -147,6 +154,28 @@ def _character_points(t, bound: int) -> tuple:
     return _graded_points(c.dual(), total, bound)
 
 
+def _with_exps(points, exps):
+    """Pair each point with its Cox exponents, one exps call per run.
+
+    A point that repeats its predecessor's prefix with a last coordinate
+    one higher steps the predecessor's exponents by the exponents of the
+    last unit vector; any other point calls exps.  Only the linearity of
+    exps is assumed, so this is exact in any order; the lex order of
+    lattice_points makes every point after a run's first a step.
+    """
+    col = head = last = None
+    for p in points:
+        h = p[:-1]
+        if h == head and p[-1] == last + 1:
+            e = tuple(map(add, e, col))
+        else:
+            e = exps(p)
+            if col is None:
+                col = exps((0,) * len(h) + (1,))
+        yield p, e
+        head, last = h, p[-1]
+
+
 def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     """Characters with equal N-projection must differ by the binomials.
 
@@ -156,13 +185,19 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     reported.  With the shift d = r[n:] - s[n:], r drops d^+ onto q and s
     drops d^-.  Each call tables, keyed by d, the per-ray sums Y(d^+),
     Z(d^+) and Y(d^-) of those drops against the y and z exponents, so a
-    pair costs one lookup and one subtraction per side:
+    pair costs one lookup and at most one subtraction per side:
     cofactor_r = exps(r) - Y(d^+) and cofactor_s = exps(s) - Y(d^-).
-    Since y_i - z_i is the i-th tail row of the rays, exps is linear and
-    exps(q) = cofactor_r + Z(d^+).  The z exponents are >= 0, so
-    exps(q) >= cofactor_r: cofactors with no negative entry already put q
-    in the dual cone, and exps(q) is summed only when a cofactor has one.
-    Both facts are checked once per call (ValueError otherwise).
+    A one-signed shift drops nothing on one side (the table keeps that Y
+    as None): that side's cofactor is its character's exponents, whose
+    sign is read once per point, and q is s when d >= 0 and r when
+    d <= 0; only a mixed shift builds q from the tails' minimum.  The
+    exponents themselves cost one exps call per run of characters (see
+    ``_with_exps``).  Since y_i - z_i is the i-th tail row of the rays,
+    exps is linear and exps(q) = cofactor_r + Z(d^+).  The z exponents
+    are >= 0, so exps(q) >= cofactor_r: cofactors with no negative entry
+    already put q in the dual cone, and exps(q) is summed only when a
+    cofactor has one.  Both facts are checked once per call (ValueError
+    otherwise).
     """
     n = t.n
     exps, rays = t.pairings.exps, t.pairings.rays
@@ -177,32 +212,40 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     by_shift = {}
 
     def tabulate(d):
-        # d^+, then per ray Y(d^+), Z(d^+) and Y(d^-)
+        # d^+, then per ray Y(d^+), Z(d^+) and Y(d^-); a zero drop's Y is None
         up = tuple(x if x > 0 else 0 for x in d)
         dn = tuple(-x if x < 0 else 0 for x in d)
-        entry = (up, tuple(sum(map(mul, up, y)) for y in ray_ys),
+        entry = (up,
+                 tuple(sum(map(mul, up, y)) for y in ray_ys) if any(up) else None,
                  tuple(sum(map(mul, up, z)) for z in ray_zs),
-                 tuple(sum(map(mul, dn, y)) for y in ray_ys))
+                 tuple(sum(map(mul, dn, y)) for y in ray_ys) if any(dn) else None)
         by_shift[d] = entry
         return entry
 
     buckets = {}
-    for p in _character_points(t, bound):
-        buckets.setdefault(p[:n], []).append(p)
+    for p, e in _with_exps(_character_points(t, bound), exps):
+        buckets.setdefault(p[:n], []).append((p, p[n:], e, min(e) >= 0))
     checked = 0
     failures = []
     witnesses = []
     for head, group in buckets.items():
         checked += len(group) * (len(group) + 1) // 2
-        group = [(p, p[n:], exps(p)) for p in group]
-        for a, (r, rt, er) in enumerate(group):
-            for s, st, es in group[a:]:
+        for a, (r, rt, er, ok_r) in enumerate(group):
+            for s, st, es, ok_s in group[a:]:
                 d = tuple(map(sub, rt, st))
                 up, ys_up, zs_up, ys_dn = by_shift.get(d) or tabulate(d)
-                q = head + tuple(map(sub, rt, up))  # tails' minimum
-                pr = tuple(map(sub, er, ys_up))
-                ps = tuple(map(sub, es, ys_dn))
-                if min(pr) < 0 or min(ps) < 0:
+                if ys_up is None:  # d <= 0: the tails' minimum is r's
+                    q, pr, pr_ok = r, er, ok_r
+                else:  # q is s when d >= 0, else the tails' minimum
+                    q = s if ys_dn is None else head + tuple(map(sub, rt, up))
+                    pr = tuple(map(sub, er, ys_up))
+                    pr_ok = min(pr) >= 0
+                if ys_dn is None:
+                    ps, ps_ok = es, ok_s
+                else:
+                    ps = tuple(map(sub, es, ys_dn))
+                    ps_ok = min(ps) >= 0
+                if not (pr_ok and ps_ok):
                     if min(map(add, pr, zs_up)) < 0:  # exps(q)
                         failures.append({"r": list(r), "s": list(s),
                                          "reason": "q outside the dual cone",
@@ -253,6 +296,8 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
     A character passes through the ideal either because the full
     boundary monomial divides it, or because some y_i divides it along
     with the variables sitting over the rays of the base cone.
+    Interiority reads only the N-part, so it is decided once per N-part;
+    with k >= 1 the last coordinate is a tail one, and a run shares it.
     """
     if not t.datum.boundary:
         raise ValueError("boundary comparison needs a boundary datum")
@@ -262,10 +307,11 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
     sigma_rays = t.datum.sigma.rays
     pts = _character_points(t, bound)
     failures = []
-    for u_t in pts:
-        u = u_t[:n]
-        interior = all(sum(map(mul, u, rho)) >= 1 for rho in sigma_rays)
-        e = exps(u_t)
+    u = None
+    for u_t, e in _with_exps(pts, exps):
+        if u_t[:n] != u:
+            u = u_t[:n]
+            interior = all(sum(map(mul, u, rho)) >= 1 for rho in sigma_rays)
         in_ideal = _divides(z_mask, e) or (
             _divides(zs_mask, e) and any(_divides(y, e) for y in yexps))
         if interior != in_ideal:

@@ -574,22 +574,24 @@ def lattice_points(p: Polyhedron) -> tuple:
     coordinates, and the last level is p's own inequalities.  With the
     prefix x_0..x_{i-1} fixed, every row reads a * x_i >= rhs, so x_i runs
     over an integer interval; a prefix outside a projection is never
-    extended.  x_i increases at every level, so the output is sorted.
+    extended.  The last level emits its whole interval at once, as the run
+    prefix + (x,) for each x in it.  x_i increases at every level, so the
+    output is sorted.
     """
     if p.is_empty:
         return ()
     if not p.is_bounded:
         raise UnboundedError("Unbounded: lattice point enumeration needs a polytope")
+    if not p.rank:
+        return ((),)
     levels = [Polyhedron.from_points_and_rays(i, {v[:i] for v in p.vertices}).inequalities
               for i in range(1, p.rank)]
     levels.append(p.inequalities)
+    last = p.rank - 1
     out = []
     point = []
 
     def lift(i):
-        if i == p.rank:
-            out.append(tuple(point))
-            return
         lo = hi = None
         for u, c in levels[i]:
             a = u[i]
@@ -604,6 +606,10 @@ def lattice_points(p: Polyhedron) -> tuple:
                     hi = b
             elif rhs > 0:
                 return
+        if i == last:
+            prefix = tuple(point)
+            out.extend([prefix + (x,) for x in range(lo, hi + 1)])
+            return
         for x in range(lo, hi + 1):
             point.append(x)
             lift(i + 1)

@@ -370,6 +370,37 @@ def degree_zero_oracle(n, rays, yexps, zexps, points):
     return checked, failures, witnesses
 
 
+def boundary_oracle(n, rays, sigma_rays, points):
+    """The boundary comparison one point at a time, from the rays alone.
+
+    A point is interior iff its first n coordinates pair to at least 1
+    with every ray of sigma.  Its Cox monomial lies in the boundary ideal
+    iff the boundary monomial (the rays whose tail has no positive entry)
+    divides it, or the variables over sigma's rays (zero tail) and some
+    y_i (the positive parts of the i-th tail entries) both do.  Returns
+    (checked, failures).
+    """
+    k = len(rays[0]) - n
+    tails = [ray[n:] for ray in rays]
+
+    def divides(a, e):
+        return all(x <= y for x, y in zip(a, e))
+
+    full = [int(all(x <= 0 for x in tail)) for tail in tails]
+    over_sigma = [int(not any(tail)) for tail in tails]
+    ys = [[max(tail[i], 0) for tail in tails] for i in range(k)]
+    failures = []
+    for p in points:
+        e = [dot(p, ray) for ray in rays]
+        interior = all(dot(p[:n], rho) >= 1 for rho in sigma_rays)
+        in_ideal = divides(full, e) or (
+            divides(over_sigma, e) and any(divides(y, e) for y in ys))
+        if interior != in_ideal:
+            failures.append({"u_tilde": list(p), "interior": interior,
+                             "in_ideal": in_ideal})
+    return len(points), failures
+
+
 def mutation_point_sets(points, vertices, w, fverts):
     """A mutation on lattice point sets: every slice, every translate.
 

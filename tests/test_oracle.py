@@ -2,6 +2,8 @@
 ideal-equality certificates."""
 
 import dataclasses
+import functools
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,6 +13,7 @@ from toricdeform.datum import build_datum, build_tilde
 from toricdeform.oracle import (
     KernelWitness,
     _character_points,
+    _with_exps,
     boundary_equality_check,
     degree_zero_equality_check,
     hilbert_basis,
@@ -28,6 +31,7 @@ from toricdeform.presets import (
 
 import corpus
 from oracles import (
+    boundary_oracle,
     degree_zero_oracle,
     saturation_closure_ok,
     semigroup_generators_oracle,
@@ -105,6 +109,11 @@ def test_hilbert_against_brute_oracle():
                                      hb.generators)
         truncated += not hb.complete
     assert truncated >= 30
+
+
+def test_hilbert_refuses_negative_bound():
+    with pytest.raises(ValueError, match="bound must be non-negative, got -1"):
+        hilbert_basis(ORTHANT, bound=-1)
 
 
 def test_hilbert_json():
@@ -310,9 +319,8 @@ def test_degree_zero_refuses_negative_z_exponents():
         degree_zero_equality_check(dataclasses.replace(t, pairings=low), 6)
 
 
-def test_degree_zero_reads_exponents_once_per_point():
-    # exps runs once per character point, never once per pair
-    t = build_tilde(hexagon_data()[0])
+def _counting(t):
+    """t with an exps that records every vector it is called on."""
     p = t.pairings
     calls = []
 
@@ -321,13 +329,91 @@ def test_degree_zero_reads_exponents_once_per_point():
         return p.exps(v)
 
     counted = SimpleNamespace(n=p.n, k=p.k, rays=p.rays, exps=exps,
-                              y_exps=p.y_exps, z_exps=p.z_exps)
+                              y_exps=p.y_exps, z_exps=p.z_exps,
+                              boundary_mask=p.boundary_mask,
+                              zero_tail_mask=p.zero_tail_mask)
+    return dataclasses.replace(t, pairings=counted), calls
+
+
+def _runs(points):
+    """Lex-sorted points split into runs: one prefix, consecutive last
+    coordinates."""
+    runs = []
+    for x in points:
+        if runs and runs[-1][-1][:-1] == x[:-1] and runs[-1][-1][-1] + 1 == x[-1]:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    return runs
+
+
+def test_degree_zero_reads_exponents_once_per_point():
+    # both oracles call exps once on the last unit vector (the step along a
+    # run), then at most once per character point and at least once per
+    # run, never once per pair
+    t = build_tilde(hexagon_data()[0])
     bound = 6
-    rep = degree_zero_equality_check(
-        dataclasses.replace(t, pairings=counted), bound)
     points = _character_points(t, bound)
-    assert sorted(calls) == sorted(points)
-    assert rep.checked > 2 * len(points)
+    runs = _runs(points)
+    assert len(runs) < len(points)
+    unit = (0,) * (t.n + t.k - 1) + (1,)
+    checked = []
+    for check in (degree_zero_equality_check, boundary_equality_check):
+        counted, calls = _counting(t)
+        checked.append(check(counted, bound).checked)
+        per_point = Counter(calls)
+        assert per_point[unit] >= 1
+        per_point[unit] -= 1
+        per_point = +per_point
+        assert set(per_point) <= set(points) and max(per_point.values()) == 1
+        assert all(any(x in per_point for x in run) for run in runs)
+    assert checked[0] > 2 * len(points) and checked[1] == len(points)
+
+
+def _moved(seed, data):
+    """Each datum moved by a unimodular map with entries in [10^3, 10^4]."""
+    r = corpus.rng(seed)
+    return [corpus.transform_datum(*corpus.large_unimodular(r, d.rank), d)
+            for d in data]
+
+
+@functools.lru_cache(maxsize=None)
+def _run_ladder():
+    """Tildes with bounds that give long last-level runs: the presets and
+    seeded random data, then cA1, toy-plane and hexagon-a moved by large
+    unimodular maps.  The moved tildes keep their runs (the maps act on
+    the N-part) but make lattice_points visit many empty prefixes, so
+    they come last, at lower bounds."""
+    data = [ca1_datum(p) for p in (1, 2, 3)]
+    data += [toy_plane_datum(), *hexagon_data()]
+    data += corpus.random_valid_data(2113, 6)
+    tildes = [build_tilde(d) for d in data]
+    tildes.append(p2_p114_family().induced.tilde)
+    ladder = [(t, 8 if t.k > 1 else 12) for t in tildes]
+    moved = _moved(1723, [ca1_datum(2), toy_plane_datum(), hexagon_data()[0]])
+    moved = [build_tilde(d) for d in moved]
+    return tuple(ladder + [(t, 4 if t.k > 1 else 6) for t in moved])
+
+
+def test_stepped_exponents_match_exps():
+    # the step is exact in any order; lex order only makes it frequent
+    sample = corpus.rng(2137).sample
+    stepped = 0
+    for t, bound in _run_ladder():
+        exps = t.pairings.exps
+        points = list(_character_points(t, bound))
+        stepped += len(points) - len(_runs(points))
+        for order in (points, points[::-1], sample(points, len(points))):
+            assert list(_with_exps(order, exps)) == [(x, exps(x)) for x in order]
+    assert stepped > 1000
+
+
+def test_degree_zero_witnesses_on_long_runs():
+    # every witness of the stepped exponents re-checks by plain arithmetic
+    for t, bound in _run_ladder():
+        rep = degree_zero_equality_check(t, bound)
+        assert rep.ok and len(rep.witnesses) == rep.checked
+        assert all(revalidate_witness(t, w) for w in rep.witnesses)
 
 
 # ------------------------------------------------------------ boundary
@@ -357,6 +443,43 @@ def test_boundary_needs_boundary_datum():
         boundary_equality_check(build_tilde(d))
 
 
+def test_boundary_refuses_negative_bound():
+    t = build_tilde(ca1_datum(3))
+    for check in (degree_zero_equality_check, boundary_equality_check):
+        with pytest.raises(ValueError, match="bound must be non-negative, got -1"):
+            check(t, -1)
+
+
+def _boundary_matches_reference(t, bound):
+    rep = boundary_equality_check(t, bound)
+    want = boundary_oracle(t.n, t.pairings.rays, t.datum.sigma.rays,
+                           _character_points(t, bound))
+    assert (rep.checked, list(rep.failures)) == want
+    return rep
+
+
+def _narrowed(t):
+    """t with its base cone moved toward its first ray: the interior
+    verdict changes on some N-parts, the divisibility side does not."""
+    sigma = t.datum.sigma
+    rays = [tuple(map(sum, zip(rho, sigma.rays[0]))) for rho in sigma.rays[1:]]
+    narrow = Cone.from_generators(sigma.rank, [sigma.rays[0], *rays])
+    return dataclasses.replace(
+        t, datum=dataclasses.replace(t.datum, sigma=narrow))
+
+
+def test_boundary_matches_per_point_reference():
+    # the interior verdict is computed once per N-part; the reference
+    # decides every point on its own, also on narrowed base cones (the
+    # unmoved tildes, where enumeration is cheap)
+    ladder = _run_ladder()
+    for t, bound in ladder:
+        assert _boundary_matches_reference(t, bound).ok
+    mismatched = [len(_boundary_matches_reference(_narrowed(t), bound).failures)
+                  for t, bound in ladder[:-3]]
+    assert sum(map(bool, mismatched)) >= len(mismatched) // 2
+
+
 def test_boundary_detects_wrong_interior_side():
     # swap in a different base cone; the divisibility side stays put, so
     # the comparison must report mismatches
@@ -364,8 +487,9 @@ def test_boundary_detects_wrong_interior_side():
     skew_sigma = Cone.from_generators(2, [(1, 0), (1, 2)])
     skew_datum = dataclasses.replace(t.datum, sigma=skew_sigma)
     doctored = dataclasses.replace(t, datum=skew_datum)
-    rep = boundary_equality_check(doctored, bound=6)
+    rep = _boundary_matches_reference(doctored, bound=6)
     assert not rep.ok
+    assert not _boundary_matches_reference(doctored, bound=16).ok
     bad = rep.failures[0]
     assert set(bad) == {"u_tilde", "interior", "in_ideal"}
     assert bad["interior"] != bad["in_ideal"]
