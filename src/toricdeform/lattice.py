@@ -158,11 +158,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    bt = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def matrix_rank(rows: Iterable[Sequence]) -> int:
     """Rank over Q: the number of rows of the Hermite normal form.
 

@@ -14,16 +14,19 @@ tables the exponent sums of the drops once per call, keyed by the shift
 r[n:] - s[n:] between the two characters of a pair, and reads both
 cofactors and the exponents of q off one entry; for a one-signed shift
 one side drops nothing and reuses its character's exponents and their
-sign.  The inner loops run on plain int tuples with ``map``.  The
-reports are approximations by design: they certify no failure below the
-bound, not a full proof.
+sign.  A passing pair keeps one ``KernelWitness``, a named tuple with
+no per-instance dict, whose shift is the table entry's own tuple; for a
+one-signed shift that leaves one new cofactor per pair, as q and the
+other cofactor are reused.  The inner loops run on plain int tuples with
+``map``.  The reports are approximations by design: they certify no
+failure below the bound, not a full proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, le, mul, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lattice import as_int_vector, dot, vsub
 from .polyhedral import Cone, Polyhedron, lattice_points
@@ -53,9 +56,13 @@ def _require_pointed_full(c: Cone) -> None:
         raise ValueError("cone is not full-dimensional")
 
 
-def _graded_points(c: Cone, functional, bound: int) -> tuple:
+def _require_bound(bound: int) -> None:
     if bound < 0:
         raise ValueError("bound must be non-negative, got %d" % bound)
+
+
+def _graded_points(c: Cone, functional, bound: int) -> tuple:
+    _require_bound(bound)
     ineqs = [(u, 0) for u in c.dual().rays]
     ineqs.append((tuple(-x for x in functional), bound))
     return lattice_points(Polyhedron.from_inequalities(c.rank, ineqs))
@@ -106,6 +113,7 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
 def interior_points(c: Cone, bound: int = 12) -> tuple:
     """Lattice points with every facet pairing between 1 and the bound."""
     _require_pointed_full(c)
+    _require_bound(bound)
     ineqs = []
     for u in c.dual().rays:
         ineqs.append((u, -1))
@@ -117,8 +125,7 @@ def interior_points(c: Cone, bound: int = 12) -> tuple:
 # Ideal-equality checks on the extended cone
 
 
-@dataclass(frozen=True)
-class KernelWitness:
+class KernelWitness(NamedTuple):
     r: tuple
     s: tuple
     shifts: tuple  # a_i = r[n+i] - s[n+i]
@@ -187,10 +194,12 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     Z(d^+) and Y(d^-) of those drops against the y and z exponents, so a
     pair costs one lookup and at most one subtraction per side:
     cofactor_r = exps(r) - Y(d^+) and cofactor_s = exps(s) - Y(d^-).
-    A one-signed shift drops nothing on one side (the table keeps that Y
-    as None): that side's cofactor is its character's exponents, whose
-    sign is read once per point, and q is s when d >= 0 and r when
-    d <= 0; only a mixed shift builds q from the tails' minimum.  The
+    The entry also keeps d, and each witness takes that tuple as its
+    shifts, so the witnesses of one shift share it.  A one-signed shift
+    drops nothing on one side (the table keeps that Y as None): that
+    side's cofactor is its character's exponents, whose sign is read
+    once per point, and q is s when d >= 0 and r when d <= 0; only a
+    mixed shift builds q from the tails' minimum.  The
     exponents themselves cost one exps call per run of characters (see
     ``_with_exps``).  Since y_i - z_i is the i-th tail row of the rays,
     exps is linear and exps(q) = cofactor_r + Z(d^+).  The z exponents
@@ -212,10 +221,11 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     by_shift = {}
 
     def tabulate(d):
-        # d^+, then per ray Y(d^+), Z(d^+) and Y(d^-); a zero drop's Y is None
+        # d itself (every witness of the shift shares it), d^+, then per
+        # ray Y(d^+), Z(d^+) and Y(d^-); a zero drop's Y is None
         up = tuple(x if x > 0 else 0 for x in d)
         dn = tuple(-x if x < 0 else 0 for x in d)
-        entry = (up,
+        entry = (d, up,
                  tuple(sum(map(mul, up, y)) for y in ray_ys) if any(up) else None,
                  tuple(sum(map(mul, up, z)) for z in ray_zs),
                  tuple(sum(map(mul, dn, y)) for y in ray_ys) if any(dn) else None)
@@ -233,7 +243,7 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
         for a, (r, rt, er, ok_r) in enumerate(group):
             for s, st, es, ok_s in group[a:]:
                 d = tuple(map(sub, rt, st))
-                up, ys_up, zs_up, ys_dn = by_shift.get(d) or tabulate(d)
+                d, up, ys_up, zs_up, ys_dn = by_shift.get(d) or tabulate(d)
                 if ys_up is None:  # d <= 0: the tails' minimum is r's
                     q, pr, pr_ok = r, er, ok_r
                 else:  # q is s when d >= 0, else the tails' minimum

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .lattice import (
     ZeroVectorError,
@@ -212,13 +212,18 @@ def _require_rank(rank: int, vectors: Sequence[tuple], what: str) -> None:
             raise ValueError("%s %r does not live in rank %d" % (what, v, rank))
 
 
+def _canonical_dual(rank: int, rows: Collection[tuple]):
+    """Canonical (pointed rays, lines) of {x : <a, x> >= 0 for every row a}:
+    one double description pass, then _canonical_vrep.  The rows need be
+    neither primitive nor distinct."""
+    return _canonical_vrep(*dual_description(rank, rows))
+
+
 def _vh_pipeline(rank: int, gens: Sequence[tuple]):
     """V-data -> (pointed rays, lines, pointed facets, facet lines).
     H-data -> the same four parts of its dual, i.e. the halves swapped."""
-    du_r, du_l = dual_description(rank, gens)
-    fac_p, fac_l = _canonical_vrep(du_r, du_l)
-    pr, pl = dual_description(rank, _fold(fac_p, fac_l))
-    pointed, lines = _canonical_vrep(pr, pl)
+    fac_p, fac_l = _canonical_dual(rank, gens)
+    pointed, lines = _canonical_dual(rank, _fold(fac_p, fac_l))
     return pointed, lines, fac_p, fac_l
 
 
@@ -566,14 +571,25 @@ def min_functional(p: Polyhedron, u: Sequence) -> MinResult:
                      row=p.homogeneous[arg])
 
 
+def _level_inequalities(p: Polyhedron, i: int) -> list:
+    """The inequalities (u, c) of the hull of p's vertices projected to
+    their first i coordinates: the canonical facets of the cone over the
+    rows (d*v[:i], d), less the height row, as Polyhedron.from_points_and_rays
+    would list them, from one double description pass and no Polyhedron."""
+    fac_p, fac_l = _canonical_dual(i + 1, {h[:i] + h[-1:] for h in p.homogeneous})
+    height = (0,) * i + (1,)
+    return [(f[:-1], f[-1]) for f in _fold(fac_p, fac_l) if f != height]
+
+
 def lattice_points(p: Polyhedron) -> tuple:
     """All lattice points of a bounded polyhedron, sorted lexicographically.
 
     Project-and-lift enumeration (as in Normaliz): level i holds the
     inequalities of the hull of the vertices projected to the first i + 1
-    coordinates, and the last level is p's own inequalities.  With the
-    prefix x_0..x_{i-1} fixed, every row reads a * x_i >= rhs, so x_i runs
-    over an integer interval; a prefix outside a projection is never
+    coordinates (_level_inequalities: one double description pass, no
+    hull), and the last level is p's own inequalities.  With the prefix
+    x_0..x_{i-1} fixed, every row reads a * x_i >= rhs, so x_i runs over
+    an integer interval; a prefix outside a projection is never
     extended.  The last level emits its whole interval at once, as the run
     prefix + (x,) for each x in it.  x_i increases at every level, so the
     output is sorted.
@@ -584,8 +600,7 @@ def lattice_points(p: Polyhedron) -> tuple:
         raise UnboundedError("Unbounded: lattice point enumeration needs a polytope")
     if not p.rank:
         return ((),)
-    levels = [Polyhedron.from_points_and_rays(i, {v[:i] for v in p.vertices}).inequalities
-              for i in range(1, p.rank)]
+    levels = [_level_inequalities(p, i) for i in range(1, p.rank)]
     levels.append(p.inequalities)
     last = p.rank - 1
     out = []

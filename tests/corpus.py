@@ -114,6 +114,11 @@ def matmul_vec(m, v):
     return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in m)
 
 
+def matmul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
 def transform_polyhedron(u, p):
     verts = [matmul_vec(u, v) for v in p.vertices]
     rays = [matmul_vec(u, v) for v in p.rays]

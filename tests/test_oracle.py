@@ -130,6 +130,13 @@ def test_orthant_interior_points():
                                                 (2, 2)}
 
 
+def test_interior_points_rejects_negative_bound():
+    # the same check as every other bounded enumerator; bound 0 is empty
+    with pytest.raises(ValueError, match="bound must be non-negative, got -1"):
+        interior_points(ORTHANT, -1)
+    assert interior_points(ORTHANT, 0) == ()
+
+
 def test_ca1_interior_membership():
     pts = set(interior_points(ca1_sigma().dual(), 4))
     assert (0, 1, 1) in pts
@@ -206,9 +213,9 @@ def test_tampered_witness_rejected():
     t = build_tilde(ca1_datum(1))
     rep = degree_zero_equality_check(t, bound=6)
     w = rep.witnesses[-1]
-    bumped = dataclasses.replace(w, q=tuple(x + 1 for x in w.q))
+    bumped = w._replace(q=tuple(x + 1 for x in w.q))
     assert not revalidate_witness(t, bumped)
-    shifted = dataclasses.replace(w, shifts=tuple(s + 2 for s in w.shifts))
+    shifted = w._replace(shifts=tuple(s + 2 for s in w.shifts))
     assert not revalidate_witness(t, shifted)
 
 
@@ -221,13 +228,50 @@ def test_witness_json():
     assert set(one) == {"r", "s", "shifts", "q", "cofactor_r", "cofactor_s"}
 
 
+def test_kernel_witness_contract():
+    # a tuple record: immutable, hashable, keyword-constructible, with the
+    # fields, their order and the JSON keys it always had
+    fields = ("r", "s", "shifts", "q", "cofactor_r", "cofactor_s")
+    assert KernelWitness._fields == fields
+    w = KernelWitness(r=(0, 1, 0), s=(0, 1, 1), shifts=(-1,), q=(0, 1, 0),
+                      cofactor_r=(1, 0, 0), cofactor_s=(0, 0, 1))
+    with pytest.raises(AttributeError):
+        w.q = (0, 0, 0)
+    same = KernelWitness(*tuple(w))
+    assert same == w and hash(same) == hash(w) and len({w, same}) == 1
+    assert w == tuple(w)  # equality is tuple equality
+    assert w != w._replace(q=(0, 1, 1))
+    assert list(w.to_json()) == list(fields)
+    assert w.to_json()["shifts"] == [-1]
+    # the oracle-sweep benchmark's degree-zero rungs at their top bounds,
+    # whose witnesses include those of every lower bound
+    rungs = [(ca1_datum(p), 12) for p in (1, 2, 3, 4)]
+    rungs += [(hexagon_data()[0], 10), (toy_plane_datum(), 16), (ca1_datum(3), 20)]
+    for d, bound in rungs:
+        t = build_tilde(d)
+        rep = degree_zero_equality_check(t, bound)
+        assert rep.ok and len(rep.witnesses) == rep.checked
+        assert all(type(w) is KernelWitness for w in rep.witnesses)
+        assert all(revalidate_witness(t, w) for w in rep.witnesses)
+    assert rep.checked == 29458
+
+
+def test_witnesses_share_their_shift():
+    # one shift tuple per distinct shift, whatever the number of pairs
+    t = build_tilde(ca1_datum(3))
+    rep = degree_zero_equality_check(t, 12)
+    shifts = {id(w.shifts) for w in rep.witnesses}
+    assert len(shifts) == len({w.shifts for w in rep.witnesses})
+    assert len(shifts) < rep.checked
+
+
 def assert_degree_zero_matches_reference(t, bound):
     rep = degree_zero_equality_check(t, bound=bound)
     p = t.pairings
     want = degree_zero_oracle(t.n, p.rays, p.y_exps, p.z_exps,
                               _character_points(t, bound))
     assert (rep.checked, list(rep.failures),
-            [dataclasses.astuple(w) for w in rep.witnesses]) == want
+            [tuple(w) for w in rep.witnesses]) == want
     return rep
 
 

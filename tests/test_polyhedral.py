@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from toricdeform import polyhedral
 from toricdeform.lattice import ZeroVectorError, primitive
 from toricdeform.polyhedral import (
     Cone,
     Polyhedron,
     UnboundedError,
     _canonical_vrep,
+    _level_inequalities,
     convex_hull,
     dual_description,
     lattice_points,
@@ -780,6 +782,49 @@ def test_lattice_points_match_box_scan_every_dimension():
             assert empty.is_empty and lattice_points(empty) == ()
     assert seen == {(rank, d) for rank in range(1, 6) for d in range(rank + 1)}
     assert lattice_free > 0
+
+
+def test_level_inequalities_match_projected_hulls():
+    # each level of lattice_points: the inequality set of the hull of the
+    # vertices cut to their first i coordinates, with no duplicate row
+    r = corpus.rng(512)
+    rational = 0
+    for rank in range(1, 6):
+        for dim in range(rank + 1):
+            for _ in range({4: 16, 5: 10}.get(rank, 30)):
+                p = _flat_polytope(r, rank, dim)
+                rational += not p.is_lattice
+                for i in range(1, rank):
+                    got = _level_inequalities(p, i)
+                    hull = Polyhedron.from_points_and_rays(i, {v[:i] for v in p.vertices})
+                    assert len(set(got)) == len(got)
+                    assert set(got) == set(hull.inequalities), (p, i)
+    assert rational > 0
+
+
+def test_lattice_points_builds_no_hull(monkeypatch):
+    # one double description pass per projected level, and no Polyhedron
+    r = corpus.rng(513)
+    ps = [_flat_polytope(r, rank, dim) for rank in range(1, 6) for dim in range(rank + 1)]
+    hulls, passes = [], []
+    hull = Polyhedron.from_points_and_rays.__func__
+    dd = polyhedral.dual_description
+
+    def counted_hull(cls, *args, **kwargs):
+        hulls.append(args)
+        return hull(cls, *args, **kwargs)
+
+    def counted_dd(*args):
+        passes.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(Polyhedron, "from_points_and_rays", classmethod(counted_hull))
+    monkeypatch.setattr(polyhedral, "dual_description", counted_dd)
+    for p in ps:
+        del passes[:]
+        assert lattice_points(p) == _box_scan(p)
+        assert len(passes) == p.rank - 1
+    assert hulls == []
 
 
 def _random_rational_points(r, rank, count, bound, dens):
