@@ -51,10 +51,10 @@ def _reduce(v: tuple) -> tuple:
 def dual_description(rank: int, normals: Sequence[tuple]):
     """Extreme rays and lineality basis of {x : <a, x> >= 0 for all a}.
 
-    The normals are integer rows of length rank; the package's callers
-    pass primitive ones (each runs primitive on its input), and every ray
-    and lineality row is a primitive tuple of plain ints, reduced by a gcd
-    alone, whatever the normals are.  Processes the inequalities
+    The normals are integer rows of length rank; they may be
+    non-primitive and parallel (lattice_points passes cut homogeneous
+    rows), and every ray and lineality row is a primitive tuple of plain
+    ints, reduced by a gcd alone, whatever the normals are.  Processes the inequalities
     incrementally.  State invariant: the current cone equals
     lin(lineality) + cone(rays), with rays extreme and pairwise distinct
     modulo the lineality space, and bit i of masks[t], the int kept beside
@@ -225,6 +225,13 @@ def _vh_pipeline(rank: int, gens: Sequence[tuple]):
     fac_p, fac_l = _canonical_dual(rank, gens)
     pointed, lines = _canonical_dual(rank, _fold(fac_p, fac_l))
     return pointed, lines, fac_p, fac_l
+
+
+def _split_inequalities(rank: int, fac_p: Sequence[tuple], fac_l: Sequence[tuple]) -> list:
+    """The sorted rows (u, c), read <u, x> + c >= 0, of the canonical facets
+    of a cone over a polyhedron x {1} in rank + 1, less the height row."""
+    height = (0,) * rank + (1,)
+    return sorted((f[:-1], f[-1]) for f in _fold(fac_p, fac_l) if f != height)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +422,10 @@ class Polyhedron:
         if not verts:
             return cls.empty(rank)
         plines = [l[:-1] for l in lines]  # lineality is orthogonal to the height normal
-        height = (0,) * rank + (1,)
-        ineqs = []
-        for f in _fold(fac_p, fac_l):
-            if f == height:
-                continue
-            ineqs.append((f[:-1], f[-1]))
         rec = [r[:-1] for r in pointed if r[-1] == 0]
+        ineqs = _split_inequalities(rank, fac_p, fac_l)
         # the cone over p x {1} has dimension rank + 1 - len(fac_l), one more than p
-        return cls(rank, verts, sorted(rec), plines, sorted(ineqs), rank - len(fac_l))
+        return cls(rank, verts, sorted(rec), plines, ineqs, rank - len(fac_l))
 
     # -- basic queries
 
@@ -574,11 +576,10 @@ def min_functional(p: Polyhedron, u: Sequence) -> MinResult:
 def _level_inequalities(p: Polyhedron, i: int) -> list:
     """The inequalities (u, c) of the hull of p's vertices projected to
     their first i coordinates: the canonical facets of the cone over the
-    rows (d*v[:i], d), less the height row, as Polyhedron.from_points_and_rays
-    would list them, from one double description pass and no Polyhedron."""
+    rows (d*v[:i], d), as Polyhedron.from_points_and_rays would list them,
+    from one double description pass and no Polyhedron."""
     fac_p, fac_l = _canonical_dual(i + 1, {h[:i] + h[-1:] for h in p.homogeneous})
-    height = (0,) * i + (1,)
-    return [(f[:-1], f[-1]) for f in _fold(fac_p, fac_l) if f != height]
+    return _split_inequalities(i, fac_p, fac_l)
 
 
 def lattice_points(p: Polyhedron) -> tuple:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricdeform.lattice import primitive
+from toricdeform.lattice import dot, primitive
 from toricdeform.polyhedral import Cone, Polyhedron, convex_hull, minkowski_sum
 
 
@@ -115,8 +115,9 @@ def matmul_vec(m, v):
 
 
 def matmul(a, b):
+    # dot raises on a length mismatch, so a factor of the wrong shape fails
     cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def transform_polyhedron(u, p):

@@ -243,17 +243,6 @@ def test_kernel_witness_contract():
     assert w != w._replace(q=(0, 1, 1))
     assert list(w.to_json()) == list(fields)
     assert w.to_json()["shifts"] == [-1]
-    # the oracle-sweep benchmark's degree-zero rungs at their top bounds,
-    # whose witnesses include those of every lower bound
-    rungs = [(ca1_datum(p), 12) for p in (1, 2, 3, 4)]
-    rungs += [(hexagon_data()[0], 10), (toy_plane_datum(), 16), (ca1_datum(3), 20)]
-    for d, bound in rungs:
-        t = build_tilde(d)
-        rep = degree_zero_equality_check(t, bound)
-        assert rep.ok and len(rep.witnesses) == rep.checked
-        assert all(type(w) is KernelWitness for w in rep.witnesses)
-        assert all(revalidate_witness(t, w) for w in rep.witnesses)
-    assert rep.checked == 29458
 
 
 def test_witnesses_share_their_shift():
@@ -453,11 +442,17 @@ def test_stepped_exponents_match_exps():
 
 
 def test_degree_zero_witnesses_on_long_runs():
-    # every witness of the stepped exponents re-checks by plain arithmetic
-    for t, bound in _run_ladder():
+    # every witness of the stepped exponents is a KernelWitness and re-checks
+    # by plain arithmetic; after the ladder come the oracle-sweep benchmark's
+    # degree-zero rungs that it lacks, the last its top one
+    tops = [(ca1_datum(4), 12), (hexagon_data()[0], 10), (toy_plane_datum(), 16),
+            (ca1_datum(3), 20)]
+    for t, bound in _run_ladder() + tuple((build_tilde(d), b) for d, b in tops):
         rep = degree_zero_equality_check(t, bound)
         assert rep.ok and len(rep.witnesses) == rep.checked
+        assert all(type(w) is KernelWitness for w in rep.witnesses)
         assert all(revalidate_witness(t, w) for w in rep.witnesses)
+    assert rep.checked == 29458
 
 
 # ------------------------------------------------------------ boundary
