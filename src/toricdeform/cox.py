@@ -17,7 +17,9 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import (
-    as_fraction, as_int_vector, cokernel_map, dot, matrix_rank, vector_from_json)
+    AbelianGroupPresentation, as_fraction, as_int_vector, cokernel, dot,
+    hermite_normal_form, matrix_rank, smith_normal_form, vector_from_json,
+    vneg)
 
 
 class NegativeExponentError(ValueError):
@@ -319,52 +321,65 @@ def disjoint_support_regular_sequence(polys: Sequence[CoxPolynomial],
 
 @dataclass(frozen=True)
 class CoxSystem:
+    """One variable per ray, graded by Z^rays modulo the relations
+    {(<ray_j, m>)_j : m in M}, kept as their Hermite basis."""
+
     rank: int
     rays: tuple
-    grading: object  # CokernelMap
+    relations: tuple
 
-    @property
-    def group(self):
-        return self.grading.group
+    @cached_property
+    def group(self) -> AbelianGroupPresentation:
+        return cokernel(self.rays)
 
     def weights(self) -> tuple:
-        """Free-part first coordinates; the usual weight vector when the
-        group is Z."""
-        return tuple(d[0][0] if d[0] else 0 for d in self.grading.degrees)
+        """Per variable, its first free coordinate in the Smith basis of
+        the ray matrix: the first free row of U, positive at its first
+        nonzero entry.  The usual weight vector when the group is Z; zeros
+        when it is finite."""
+        if len(self.rays) == self.rank:
+            return (0,) * self.rank
+        u, _ = smith_normal_form(self.rays)
+        # the rays span, so D's nonzero entries are its first `rank`
+        row = u[self.rank]
+        return vneg(row) if next(x for x in row if x) < 0 else row
 
 
 def cox_system(rays: Sequence, rank: int) -> CoxSystem:
     """Grade one variable per ray by the cokernel of the ray map; the rays
-    span iff its free rank is len(rays) - rank, read off the same Smith form."""
+    span iff its relations have rank `rank`, read off their Hermite form."""
     rays = tuple(tuple(r) for r in rays)
     for r in rays:
         if len(r) != rank:
             raise ValueError("ray length %d != rank %d" % (len(r), rank))
-    grading = cokernel_map([list(r) for r in rays])
-    if len(rays) - grading.group.free_rank != rank:
+    relations = hermite_normal_form(list(zip(*rays)))
+    if len(relations) != rank:
         raise ValueError(
             "rays do not span; the quotient would pick up a torus factor")
-    return CoxSystem(rank=rank, rays=rays, grading=grading)
+    return CoxSystem(rank=rank, rays=rays, relations=relations)
 
 
-def term_degree(sys: CoxSystem, t: Term):
-    fr = sys.group.free_rank
-    tor = sys.group.torsion
-    free = [0] * fr
-    tors = [0] * len(tor)
-    for j, e in enumerate(t.exps):
-        f, tt = sys.grading.degree(j)
-        for i in range(fr):
-            free[i] += e * f[i]
-        for i in range(len(tor)):
-            tors[i] = (tors[i] + e * tt[i]) % tor[i]
-    return tuple(free), tuple(tors)
+def term_degree(sys: CoxSystem, t: Term) -> tuple:
+    """The degree of t's monomial as its class representative: the
+    exponents reduced by the Hermite relations, each pivot coordinate into
+    [0, pivot).  Two monomials have equal degree iff their representatives
+    agree, torsion included."""
+    e = list(t.exps)
+    if len(e) != len(sys.rays):
+        raise ValueError("%d exponents for %d variables" % (len(e), len(sys.rays)))
+    for row in sys.relations:
+        p = next(j for j, x in enumerate(row) if x)
+        q = e[p] // row[p]
+        if q:
+            e = [a - q * b for a, b in zip(e, row)]
+    return tuple(e)
 
 
 def is_homogeneous(sys: CoxSystem, f: CoxPolynomial):
-    """(flag, degree); parameters carry degree zero."""
+    """(flag, degree), the degree as term_degree's representative;
+    parameters carry degree zero."""
     if not f.terms:
-        return True, ((), ())
+        return True, (0,) * len(sys.rays)
     degs = [term_degree(sys, t) for t in f.terms]
     if all(d == degs[0] for d in degs):
         return True, degs[0]

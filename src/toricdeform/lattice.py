@@ -4,9 +4,11 @@ Everything here works on tuples of Python ints or fractions.Fraction;
 no floating point is ever introduced.  Vectors are immutable tuples,
 matrices are tuples of row tuples.
 
-One elimination, the Hermite normal form, gives rank, integer kernels and
-saturation.  The Smith normal form runs only where its own output is the
-product: elementary divisors and the class-group grading of cokernel_map.
+One elimination, the Hermite normal form, gives rank, integer kernels,
+saturation and the relations of a cokernel.  The Smith normal form runs
+only where its own output is the product: elementary divisors (cokernel
+takes them of a Hermite basis) and the transform U behind the printed Cox
+weights (cox.CoxSystem.weights).
 
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector, as_fraction) here only,
@@ -176,10 +178,8 @@ def _swap_rows(m, u, i, j):
     u[i], u[j] = u[j], u[i]
 
 
-def _swap_cols(m, v, i, j):
+def _swap_cols(m, i, j):
     for row in m:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
         row[i], row[j] = row[j], row[i]
 
 
@@ -189,20 +189,20 @@ def _addmul_row(m, u, dst, src, q):
     u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
 
 
-def _addmul_col(m, v, dst, src, q):
+def _addmul_col(m, dst, src, q):
     for row in m:
-        row[dst] += q * row[src]
-    for row in v:
         row[dst] += q * row[src]
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]):
-    """Smith normal form: returns (U, D, V) with U a V = D, U and V unimodular.
+    """Smith normal form: returns (U, D) with U a V = D for some unimodular
+    V, U unimodular.
 
     D is diagonal with non-negative entries d_1 | d_2 | ... .  The pivot at
     each step is the smallest-absolute-value nonzero entry of the remaining
     block (ties broken by row then column index), which makes the reduction
-    deterministic.  Entries are cast by as_int: a non-integral one raises.
+    deterministic.  The column operations (V) are applied to D only.
+    Entries are cast by as_int: a non-integral one raises.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -210,7 +210,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     if any(len(r) != ncols for r in m):
         raise ValueError("ragged matrix")
     u = [list(r) for r in identity_matrix(nrows)]
-    v = [list(r) for r in identity_matrix(ncols)]
 
     t = 0
     limit = min(nrows, ncols)
@@ -228,7 +227,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
         if bi != t:
             _swap_rows(m, u, t, bi)
         if bj != t:
-            _swap_cols(m, v, t, bj)
+            _swap_cols(m, t, bj)
         while True:
             # clear column t
             dirty = False
@@ -245,9 +244,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
                 if m[t][j] != 0:
                     q = m[t][j] // m[t][t]
                     if q:
-                        _addmul_col(m, v, j, t, -q)
+                        _addmul_col(m, j, t, -q)
                     if m[t][j] != 0:
-                        _swap_cols(m, v, t, j)
+                        _swap_cols(m, t, j)
                         dirty = True
             if not dirty:
                 break
@@ -279,19 +278,12 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
                 for row in m:
                     ci, cj = row[i], row[i + 1]
                     row[i], row[i + 1] = q00 * ci + q10 * cj, q01 * ci + q11 * cj
-                for row in v:
-                    ci, cj = row[i], row[i + 1]
-                    row[i], row[i + 1] = q00 * ci + q10 * cj, q01 * ci + q11 * cj
                 if m[i][i] != g or m[i + 1][i + 1] != lc:
                     raise ArithmeticError(
                         "Smith normal form: divisibility fix-up did not "
                         "reach diag(gcd, lcm)")
                 changed = True
-    return (
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in m),
-        tuple(tuple(r) for r in v),
-    )
+    return tuple(tuple(r) for r in u), tuple(tuple(r) for r in m)
 
 
 def _bezout(a: int, b: int):
@@ -310,7 +302,7 @@ def _bezout(a: int, b: int):
 
 
 def elementary_divisors(a: Sequence[Sequence[int]]) -> tuple:
-    _, d, _ = smith_normal_form(a)
+    _, d = smith_normal_form(a)
     lim = min(len(d), len(d[0]) if d else 0)
     return tuple(d[i][i] for i in range(lim))
 
@@ -403,49 +395,17 @@ class AbelianGroupPresentation:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class CokernelMap:
-    """Cokernel of an integer matrix A (m rows): Z^m -> Z^m / im(A).
-
-    degrees[i] is the image of the i-th standard basis vector, split as
-    (free part, torsion residues).  Free coordinates are sign-normalized so
-    that the first nonzero degree entry in each free coordinate is positive;
-    torsion residues are reduced into [0, d).
-    """
-
-    group: AbelianGroupPresentation
-    degrees: tuple  # per basis vector: (tuple free, tuple torsion)
-
-    def degree(self, i: int):
-        return self.degrees[i]
-
-
 def cokernel(a: Sequence[Sequence[int]]) -> AbelianGroupPresentation:
-    """Presentation of Z^rows / image(A), A acting on column vectors."""
-    return cokernel_map(a).group
+    """Presentation of Z^rows / image(A), A acting on column vectors.
 
-
-def cokernel_map(a: Sequence[Sequence[int]]) -> CokernelMap:
+    The image is the row lattice of A^T.  Row operations keep the
+    elementary divisors, so the Smith form runs on its Hermite basis, which
+    has only rank(A) rows, not on A.
+    """
     nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u, d, _ = smith_normal_form(a) if nrows else (identity_matrix(0), (), ())
-    lim = min(nrows, ncols)
-    diag = [d[i][i] for i in range(lim)]
-    free_idx = [i for i in range(nrows) if i >= lim or diag[i] == 0]
-    tors_idx = [i for i in range(lim) if diag[i] >= 2]
-    tors = tuple(diag[i] for i in tors_idx)
-    group = AbelianGroupPresentation(free_rank=len(free_idx), torsion=tors)
-
-    # degree of e_j = column j of U, projected to free/torsion coordinates
-    free_rows = [list(u[i]) for i in free_idx]
-    # sign-normalize each free coordinate: first nonzero entry positive
-    for r in free_rows:
-        lead = next((x for x in r if x != 0), 0)
-        if lead < 0:
-            r[:] = [-x for x in r]
-    degrees = []
-    for j in range(nrows):
-        free = tuple(r[j] for r in free_rows)
-        t = tuple(u[i][j] % diag[i] for i in tors_idx)
-        degrees.append((free, t))
-    return CokernelMap(group=group, degrees=tuple(degrees))
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("ragged matrix")
+    h = hermite_normal_form(list(zip(*a)))
+    return AbelianGroupPresentation(
+        free_rank=nrows - len(h),
+        torsion=tuple(d for d in elementary_divisors(h) if d >= 2))

@@ -138,3 +138,19 @@ def test_no_orphaned_public_functions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_statements(source: str) -> list:
+    """Lines of the assert statements in the source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_lint_flags_an_assert_statement():
+    source = "def f(x):\n    assert x > 0, x\n    return x\n\nassert f(1)\n"
+    assert assert_statements(source) == [2, 5]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_no_assert_statements(name):
+    assert assert_statements(SOURCES[name]) == []

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import corpus
-from toricdeform import lattice
-from toricdeform.cox import cox_system
+from toricdeform import cox, lattice
+from toricdeform.cox import Term, cox_system, is_homogeneous, term_degree
 from toricdeform.lattice import (
     AbelianGroupPresentation,
     ZeroVectorError,
@@ -16,7 +16,6 @@ from toricdeform.lattice import (
     as_int,
     as_int_vector,
     cokernel,
-    cokernel_map,
     content,
     elementary_divisors,
     hermite_normal_form,
@@ -160,21 +159,36 @@ def test_number_path_edge_cases():
     with pytest.raises(TypeError, match="int or Fraction"):
         hermite_normal_form([[1, 2.0]])
     assert integer_kernel([[Fraction(2), 4]]) == integer_kernel([[2, 4]]) == ((2, -1),)
-    with pytest.raises(ValueError, match="ragged matrix"):
-        integer_kernel([[1, 2], [3]])
+    for ragged in (integer_kernel, cokernel, smith_normal_form):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            ragged([[1, 2], [3]])
     assert all(type(x) is int for r in smith_normal_form([[Fraction(2), 4]]) for row in r
                for x in row)
 
 
+def smith_rows_check(a, u, d):
+    """U is unimodular and U a = D V^-1 for a unimodular V: row i of U a
+    is d_i times a primitive row, and those rows are saturated together."""
+    ua = corpus.matmul(u, tuple(map(tuple, a)))
+    assert _int_det(list(map(list, u))) in (1, -1)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    diag += [0] * (len(a) - len(diag))
+    assert [content(row) for row in ua] == diag
+    scaled = [[x // g for x in row] for row, g in zip(ua, diag) if g]
+    if scaled:
+        assert invariant_factors_oracle(scaled) == (1,) * len(scaled)
+
+
 def test_smith_normal_form_single_row():
-    u, d, v = smith_normal_form([[4, 6]])
+    u, d = smith_normal_form([[4, 6]])
     assert d == ((2, 0),)
-    assert corpus.matmul(corpus.matmul(u, ((4, 6),)), v) == d
+    smith_rows_check([[4, 6]], u, d)
 
 
 def test_smith_normal_form_divisibility_fix():
-    u, d, v = smith_normal_form([[2, 0], [0, 3]])
+    u, d = smith_normal_form([[2, 0], [0, 3]])
     assert d == ((1, 0), (0, 6))
+    smith_rows_check([[2, 0], [0, 3]], u, d)
 
 
 def test_smith_normal_form_properties_random():
@@ -183,10 +197,9 @@ def test_smith_normal_form_properties_random():
         m = r.randint(1, 4)
         n = r.randint(1, 4)
         a = random_matrix(r, m, n)
-        u, d, v = smith_normal_form(a)
-        assert corpus.matmul(corpus.matmul(u, tuple(map(tuple, a))), v) == d
-        assert _int_det(list(map(list, u))) in (1, -1)
-        assert _int_det(list(map(list, v))) in (1, -1)
+        u, d = smith_normal_form(a)
+        assert len(d) == m and all(len(row) == n for row in d)
+        smith_rows_check(a, u, d)
         diag = [d[i][i] for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
@@ -278,35 +291,69 @@ def test_cokernel_torsion():
     assert str(AbelianGroupPresentation(0, ())) == "0"
 
 
-def test_cokernel_map_kills_relations():
-    # the image of A is spanned by its columns; each column must map to
-    # zero in the quotient grading
-    r = random.Random(905)
+def test_cokernel_matches_minor_gcds():
+    r = random.Random(906)
     for _ in range(200):
-        m = r.randint(1, 4)
+        a = random_matrix(r, r.randint(1, 5), r.randint(1, 4), -6, 6)
+        factors = invariant_factors_oracle(a)
+        assert cokernel(a) == AbelianGroupPresentation(
+            len(a) - len(factors), tuple(x for x in factors if x >= 2))
+    assert cokernel([]) == AbelianGroupPresentation(0, ())
+    assert cokernel([[], []]) == AbelianGroupPresentation(2, ())
+
+
+def in_row_lattice(rows, x):
+    """x in the row lattice of rows, by ranks and minor gcds: adding x keeps
+    the rank and the product of the invariant factors (the index)."""
+    grown = list(rows) + [list(x)]
+    return (rational_rank(grown) == rational_rank(rows)
+            and math.prod(invariant_factors_oracle(grown))
+            == math.prod(invariant_factors_oracle(rows)))
+
+
+def test_cox_system_degrees_kill_relations():
+    # the relations (<ray_j, m>)_j are the integer combinations of the
+    # columns of the ray matrix: two exponent vectors get the same degree
+    # iff their difference is one, and the degree is a reduced
+    # representative of the class
+    r = random.Random(905)
+    spanning = 0
+    for _ in range(200):
+        m = r.randint(1, 5)
         n = r.randint(1, 4)
         a = random_matrix(r, m, n, -6, 6)
-        cm = cokernel_map(a)
-        fr = cm.group.free_rank
-        tor = cm.group.torsion
-        for c in range(n):
-            img_free = [0] * fr
-            img_tor = [0] * len(tor)
-            for i in range(m):
-                free, tors = cm.degree(i)
-                for t in range(fr):
-                    img_free[t] += a[i][c] * free[t]
-                for t in range(len(tor)):
-                    img_tor[t] += a[i][c] * tors[t]
-            assert all(x == 0 for x in img_free)
-            assert all(x % d == 0 for x, d in zip(img_tor, tor))
+        if rational_rank(a) < n:
+            with pytest.raises(ValueError, match="rays do not span"):
+                cox_system(a, n)
+            continue
+        spanning += 1
+        sys = cox_system(a, n)
+        cols = [list(c) for c in zip(*a)]
+        assert sys.group == cokernel(a)
+        e = tuple(r.randint(0, 9) for _ in range(m))
+        deg = term_degree(sys, Term(Fraction(1), None, e))
+        for row in sys.relations:
+            p = next(j for j, x in enumerate(row) if x)
+            assert 0 <= deg[p] < row[p]
+        for _ in range(4):
+            j = r.randrange(m)
+            delta = r.choice([(0,) * m, tuple(int(i == j) for i in range(m)),
+                              tuple(r.randint(-2, 2) for _ in range(m))])
+            coeffs = [r.randint(-2, 2) for _ in cols]
+            rel = [sum(k * c[i] for k, c in zip(coeffs, cols)) for i in range(m)]
+            f = tuple(x + y + z for x, y, z in zip(e, rel, delta))
+            same = term_degree(sys, Term(Fraction(1), None, f)) == deg
+            assert same == in_row_lattice(cols, delta), (a, delta)
+        flag, zero = is_homogeneous(sys, cox.CoxPolynomial(terms=()))
+        assert flag and zero == (0,) * m
+    assert spanning >= 100
 
 
-def test_cokernel_map_degrees_are_normalized():
-    cm = cokernel_map([[0, 1, 0], [-1, -1, -1], [0, 0, 1], [2, 1, 1]])
-    assert cm.group == AbelianGroupPresentation(1, ())
-    assert [d[0] for d in cm.degrees] == [(1,), (2,), (1,), (1,)]
-    assert all(d[1] == () for d in cm.degrees)
+def test_cox_system_weights_are_normalized():
+    sys = cox_system([[0, 1, 0], [-1, -1, -1], [0, 0, 1], [2, 1, 1]], 3)
+    assert sys.group == AbelianGroupPresentation(1, ())
+    assert sys.weights() == (1, 2, 1, 1)
+    assert cox_system([[1, 0], [0, 1]], 2).weights() == (0, 0)
 
 
 def test_matrix_rank_matches_reference():
@@ -323,17 +370,25 @@ def test_matrix_rank_matches_reference():
 
 
 def test_smith_normal_form_runs_only_for_class_groups(monkeypatch):
+    # the Cox system and its degrees run the Hermite form alone; the group
+    # runs the Smith form on that Hermite basis, and only the printed
+    # weights read the Smith basis of the rays
     calls = []
 
     def counting(a):
-        calls.append(a)
+        calls.append(tuple(map(tuple, a)))
         return smith_normal_form(a)
 
     monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    monkeypatch.setattr(cox, "smith_normal_form", counting)
     a = [[2, 4, -6, 1], [1, 2, -3, 0], [3, 6, -9, 1]]
     assert integer_kernel(a) and saturate_rowspan(a) and matrix_rank(a) == 2
     assert Cone.from_generators(4, [(1, 2, 0, -3), (0, 5, 1, 1)]).dimension() == 2
     assert calls == []
-    cox_system(((1, 0), (0, 1), (-1, -1)), 2)
-    assert len(calls) == 1
-
+    sys = cox_system(((1, 0), (0, 1), (-1, -1)), 2)
+    assert term_degree(sys, Term(Fraction(1), None, (1, 2, 0))) == (0, 0, 3)
+    assert calls == []
+    assert sys.group == AbelianGroupPresentation(1, ())
+    assert calls == [sys.relations] == [((1, 0, -1), (0, 1, -1))]
+    assert sys.weights() == (1, 1, 1)
+    assert calls[1:] == [sys.rays]

@@ -511,6 +511,28 @@ def test_p3_family_from_point_factor():
     assert mono[fam.fan.rays.index((0, 0, 1))] == 0
 
 
+def test_family_weights_pinned():
+    # weights() prints the first free row of the Smith transform of the
+    # fan's rays; at free rank 2 or more that basis is an implementation
+    # choice, and the mutation-census benchmark prints it, so its values
+    # on 5-7 rays (one with torsion) are pinned here
+    hexagon = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
+    cases = [
+        ([(-1, -2), (-1, 2), (1, 0), (1, 2)], (0, -1), (1, 0),
+         (1, 1, 2, 2, 0), "Z + Z + Z/2"),
+        ([(-1, -1), (-1, 0), (0, 1), (1, -2)], (1, -1), (1, 1),
+         (2, -3, -3, -1, 0), "Z + Z"),
+        ([(-1, -2), (-1, 2), (1, 0), (1, 2)], (-1, 1), (-1, -1),
+         (2, 1, 0, 1, 3, 0), "Z + Z + Z"),
+        (hexagon, (-1, 1), (-1, -1), (1, -1, 0, 1, 0, 0, 0), "Z + Z + Z + Z"),
+    ]
+    for verts, w, f, weights, group in cases:
+        fano = validate_fano(convex_hull(2, verts))
+        fam = mutation_family(
+            fano, validate_mutation_datum(fano, w, convex_hull(2, [(0, 0), f])))
+        assert (fam.weights(), str(fam.cox.group)) == (weights, group), w
+
+
 def test_family_polynomials_regular_and_homogeneous():
     cases = corpus.random_mutation_cases(10)
     for fano, d in cases:
