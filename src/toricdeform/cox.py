@@ -17,9 +17,9 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import (
-    AbelianGroupPresentation, as_fraction, as_int_vector, cokernel, dot,
-    hermite_normal_form, matrix_rank, smith_normal_form, vector_from_json,
-    vneg)
+    AbelianGroupPresentation, as_fraction, as_int_vector, dot,
+    elementary_divisors, hermite_normal_form, matrix_rank, smith_normal_form,
+    vector_from_json, vneg)
 
 
 class NegativeExponentError(ValueError):
@@ -330,7 +330,10 @@ class CoxSystem:
 
     @cached_property
     def group(self) -> AbelianGroupPresentation:
-        return cokernel(self.rays)
+        """Free rank len(rays) - rank; torsion the elementary divisors >= 2
+        of the stored Hermite relations."""
+        return AbelianGroupPresentation(len(self.rays) - self.rank, tuple(
+            d for d in elementary_divisors(self.relations) if d >= 2))
 
     def weights(self) -> tuple:
         """Per variable, its first free coordinate in the Smith basis of
@@ -405,17 +408,23 @@ class AliasTable:
     @classmethod
     def from_pairs(cls, pairs, all_rays) -> "AliasTable":
         """pairs: ordered (ray, name); rays absent from pairs keep default
-        names and print after the aliased ones in canonical order."""
+        names and print after the aliased ones in canonical order.  A ray
+        listed twice, or a name that two rays would print, default names
+        included, raises ValueError."""
         listed = [tuple(r) for r, _ in pairs]
         names = {tuple(r): str(nm) for r, nm in pairs}
         all_rays = [tuple(r) for r in all_rays]
-        for r in listed:
+        for j, r in enumerate(listed):
             if r not in all_rays:
                 raise ValueError("alias for unknown ray %s" % (r,))
+            if r in listed[:j]:
+                raise ValueError("ray %s is aliased twice" % (r,))
         order = listed + [r for r in all_rays if r not in listed]
-        return cls(rays=tuple(order),
-                   names=tuple(names.get(r, "x%d" % all_rays.index(r))
-                               for r in order))
+        printed = tuple(names.get(r, "x%d" % all_rays.index(r)) for r in order)
+        for j, nm in enumerate(printed):
+            if nm in printed[:j]:
+                raise ValueError("name %r is given to two rays" % nm)
+        return cls(rays=tuple(order), names=printed)
 
     @classmethod
     def from_json(cls, data, all_rays) -> "AliasTable":

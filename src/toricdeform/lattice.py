@@ -7,8 +7,9 @@ matrices are tuples of row tuples.
 One elimination, the Hermite normal form, gives rank, integer kernels,
 saturation and the relations of a cokernel.  The Smith normal form runs
 only where its own output is the product: elementary divisors (cokernel
-takes them of a Hermite basis) and the transform U behind the printed Cox
-weights (cox.CoxSystem.weights).
+and cox.CoxSystem.group take them of a Hermite basis) and the transform U
+behind the printed Cox weights (cox.CoxSystem.weights).  It is one pivot
+loop, re-entered from step i wherever d_i does not divide d_{i+1}.
 
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector, as_fraction) here only,
@@ -194,26 +195,14 @@ def _addmul_col(m, dst, src, q):
         row[dst] += q * row[src]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]):
-    """Smith normal form: returns (U, D) with U a V = D for some unimodular
-    V, U unimodular.
-
-    D is diagonal with non-negative entries d_1 | d_2 | ... .  The pivot at
-    each step is the smallest-absolute-value nonzero entry of the remaining
-    block (ties broken by row then column index), which makes the reduction
-    deterministic.  The column operations (V) are applied to D only.
-    Entries are cast by as_int: a non-integral one raises.
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [list(map(as_int, row)) for row in a]
-    if any(len(r) != ncols for r in m):
-        raise ValueError("ragged matrix")
-    u = [list(r) for r in identity_matrix(nrows)]
-
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
+def _eliminate(m, u, t):
+    """The pivot loop from step t on: each step moves the smallest nonzero
+    entry (by absolute value, ties by row then column) of the trailing
+    block to (t, t) and clears its row and column by Euclid, applying the
+    row operations to u too.  It stops at an all-zero trailing block."""
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    for t in range(t, min(nrows, ncols)):
         # locate the smallest nonzero entry of the trailing block
         best = None
         for i in range(t, nrows):
@@ -222,7 +211,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
                 if x != 0 and (best is None or abs(x) < abs(best[0])):
                     best = (x, i, j)
         if best is None:
-            break
+            return
         _, bi, bj = best
         if bi != t:
             _swap_rows(m, u, t, bi)
@@ -253,52 +242,38 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit - 1):
-            a_, b_ = m[i][i], m[i + 1][i + 1]
-            if a_ and b_ and b_ % a_ != 0:
-                g = math.gcd(a_, b_)
-                lc = a_ * b_ // g
-                # x*a + y*b = g
-                x, y = _bezout(a_, b_)
-                # P * diag(a,b) * Q = diag(g, lcm); apply P to rows, Q to cols
-                p00, p01, p10, p11 = x, y, -b_ // g, a_ // g
-                q00, q01, q10, q11 = 1, -y * b_ // g, 1, x * a_ // g
-                r0 = [p00 * mi + p01 * mj for mi, mj in zip(m[i], m[i + 1])]
-                r1 = [p10 * mi + p11 * mj for mi, mj in zip(m[i], m[i + 1])]
-                m[i], m[i + 1] = r0, r1
-                r0 = [p00 * mi + p01 * mj for mi, mj in zip(u[i], u[i + 1])]
-                r1 = [p10 * mi + p11 * mj for mi, mj in zip(u[i], u[i + 1])]
-                u[i], u[i + 1] = r0, r1
-                for row in m:
-                    ci, cj = row[i], row[i + 1]
-                    row[i], row[i + 1] = q00 * ci + q10 * cj, q01 * ci + q11 * cj
-                if m[i][i] != g or m[i + 1][i + 1] != lc:
-                    raise ArithmeticError(
-                        "Smith normal form: divisibility fix-up did not "
-                        "reach diag(gcd, lcm)")
-                changed = True
-    return tuple(tuple(r) for r in u), tuple(tuple(r) for r in m)
 
 
-def _bezout(a: int, b: int):
-    """x, y with x*a + y*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+def smith_normal_form(a: Sequence[Sequence[int]]):
+    """Smith normal form: returns (U, D) with U a V = D for some unimodular
+    V, U unimodular.
+
+    D is diagonal with non-negative entries d_1 | d_2 | ... .  One
+    deterministic pivot loop (_eliminate) diagonalizes; where d_i does not
+    divide d_{i+1}, column i+1 is added to column i and the loop runs again
+    from step i.  The column operations (V) are applied to D only.  Entries
+    are cast by as_int: a non-integral one raises.
+    """
+    m = [list(map(as_int, row)) for row in a]
+    if any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    u = [list(r) for r in identity_matrix(len(m))]
+    _eliminate(m, u, 0)
+    # A rerun from i leaves the diagonal before i alone and ends with (i, i)
+    # below d_i: its pivot search sees d_i or a smaller entry, and d_{i+1},
+    # now at (i+1, i), leaves a nonzero remainder mod d_i.  So the diagonal
+    # falls lexicographically and the loop ends.  The rows of m from the
+    # rank on are zero after the first pass, and a rerun only searches,
+    # clears and flips rows with a nonzero entry, so those rows of u (the
+    # first of them gives cox.CoxSystem.weights) are the first pass's.
+    steps = range(min(len(m), len(m[0]) if m else 0) - 1)
+    while True:
+        i = next((i for i in steps
+                  if m[i][i] and m[i + 1][i + 1] % m[i][i]), None)
+        if i is None:
+            return tuple(tuple(r) for r in u), tuple(tuple(r) for r in m)
+        _addmul_col(m, i, i + 1, 1)
+        _eliminate(m, u, i)
 
 
 def elementary_divisors(a: Sequence[Sequence[int]]) -> tuple:

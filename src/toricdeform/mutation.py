@@ -223,11 +223,12 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
         v for v in fano.vertices() if dot(d.w, v) >= 0))
     lower = tuple(sorted(
         v for v in mutated.vertices() if dot(d.w, v) < 0))
-    fverts = d.factor.lattice_vertices()
+    # the lifted normals: (v, 0) above w = 0, (v, <w, v>) below, (f, 1)
+    up = [v + (0,) for v in upper]
+    down = [v + (dot(d.w, v),) for v in lower]
+    top = [f + (1,) for f in d.factor.lattice_vertices()]
 
-    ineqs = [(v + (0,), 1) for v in upper]
-    ineqs += [(v + (dot(d.w, v),), 1) for v in lower]
-    ineqs += [(f + (1,), 0) for f in fverts]
+    ineqs = [(r, 1) for r in up + down] + [(r, 0) for r in top]
     q_tilde = Polyhedron.from_inequalities(n + 1, ineqs)
     if q_tilde.is_empty or not q_tilde.is_bounded:
         raise MutationFamilyError("glued polytope is not bounded")
@@ -235,10 +236,7 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
         raise MutationFamilyError("glued polytope is not full-dimensional")
 
     fan = normal_fan(q_tilde)
-    predicted = tuple(sorted(
-        set(v + (0,) for v in upper)
-        | set(v + (dot(d.w, v),) for v in lower)
-        | set(f + (1,) for f in fverts)))
+    predicted = tuple(sorted(set(up + down + top)))
     if fan.rays != predicted:
         raise MutationFamilyError(
             "normal fan rays %s differ from the predicted list %s"
@@ -253,15 +251,12 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
             out[index[ray]] = e
         return tuple(out)
 
-    a_term = Term(Fraction(1), "a",
-                  exps((v + (0,), dot(d.w, v)) for v in upper))
-    b_term = Term(Fraction(1), "b",
-                  exps((v + (dot(d.w, v),), -dot(d.w, v)) for v in lower))
-    c_term = Term(Fraction(1), "c", exps((f + (1,), 1) for f in fverts))
+    a_term = Term(Fraction(1), "a", exps(
+        (r, dot(d.w, v)) for r, v in zip(up, upper)))
+    b_term = Term(Fraction(1), "b", exps((r, -r[-1]) for r in down))
+    c_term = Term(Fraction(1), "c", exps((r, 1) for r in top))
     trinomial = CoxPolynomial(terms=(a_term, b_term, c_term))
-    mono = monomial(exps(
-        [(v + (0,), 1) for v in upper]
-        + [(v + (dot(d.w, v),), 1) for v in lower]))
+    mono = monomial(exps((r, 1) for r in up + down))
 
     if not disjoint_support_regular_sequence([trinomial], mono):
         raise MutationFamilyError("trinomial and monomial share a variable "

@@ -125,7 +125,8 @@ def _resolve(args, kind):
             return _READERS[kind](data), None
         except ValueError as e:
             raise InputError(str(e))
-    found = presets.preset(kind, args.input, args.p)
+    found = presets.preset(kind, args.input,
+                           *((args.p,) if "p" in args else ()))
     if found is None:
         raise InputError("no such file or preset: %s" % args.input)
     return found
@@ -408,13 +409,28 @@ _COMMANDS = {
 }
 
 
+# the flags beyond --format and fiber's --point, with the commands that
+# read them
+_FLAGS = {
+    "--bound": (dict(type=int, default=12,
+                     help="degree bound for enumerations"),
+                ("hilbert-basis", "oracle")),
+    "--p": (dict(type=int, default=3, help="exponent for the cA1 preset"),
+            ("validate-datum", "tilde", "equations", "oracle",
+             "verify-example")),
+    "--alias": (dict(help="JSON file with variable names per ray"),
+                ("equations", "family", "fiber")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricdeform",
         description="exact toric deformation workbench")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        # no prefix matching: fiber's --p would otherwise read as --point
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == "verify-example":
             sp.add_argument("name",
                             help="one of: %s" % ", ".join(
@@ -426,12 +442,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="homogeneous parameter point a:b:c")
         sp.add_argument("--format", choices=("json", "pretty"),
                         default="pretty", help="output format")
-        sp.add_argument("--bound", type=int, default=12,
-                        help="degree bound for enumerations")
-        sp.add_argument("--p", type=int, default=3,
-                        help="exponent for the cA1 preset")
-        sp.add_argument("--alias", default=None,
-                        help="JSON file with variable names per ray")
+        for flag, (spec, users) in _FLAGS.items():
+            if name in users:
+                sp.add_argument(flag, **spec)
     return parser
 
 
@@ -443,7 +456,7 @@ def main(argv=None) -> int:
     handler, _ = _COMMANDS[args.command]
     try:
         for flag in ("p", "bound"):
-            if getattr(args, flag) < 0:
+            if getattr(args, flag, 0) < 0:
                 raise InputError("--%s must be non-negative" % flag)
         code, out = handler(args)
     except InputError as e:

@@ -361,6 +361,21 @@ def test_alias_unknown_ray_rejected():
         AliasTable.from_pairs([((9, 9, 9), "bad")], t.rays)
 
 
+def test_alias_ray_listed_twice_rejected():
+    t = build_tilde(ca1_datum())
+    with pytest.raises(ValueError, match="aliased twice"):
+        AliasTable.from_pairs([(t.rays[3], "A"), (t.rays[3], "B")], t.rays)
+
+
+def test_alias_name_given_to_two_rays_rejected():
+    t = build_tilde(ca1_datum())
+    with pytest.raises(ValueError, match="'A' is given to two rays"):
+        AliasTable.from_pairs([(t.rays[0], "A"), (t.rays[3], "A")], t.rays)
+    # a default name counts: ray 0 keeps x0 while ray 3 is called x0
+    with pytest.raises(ValueError, match="'x0' is given to two rays"):
+        AliasTable.from_pairs([(t.rays[3], "x0")], t.rays)
+
+
 def test_pretty_coefficients():
     rays = ((1, 0), (0, 1))
     f = CoxPolynomial(terms=(

@@ -191,6 +191,46 @@ def test_smith_normal_form_divisibility_fix():
     smith_rows_check([[2, 0], [0, 3]], u, d)
 
 
+def test_smith_normal_form_chain_step():
+    # the first pass gives diag(2, 3); adding column 1 to column 0 and
+    # running the pivot loop again from step 0 gives diag(1, 6), and the
+    # free row of U is the first pass's
+    a = ((2, 0), (0, 3), (-2, -3))
+    u, d = smith_normal_form(a)
+    assert d == ((1, 0), (0, 6), (0, 0))
+    assert u[2] == (1, 1, 1)
+    smith_rows_check(a, u, d)
+    sys = cox_system(a, 2)
+    assert str(sys.group) == "Z + Z/6"
+    assert sys.weights() == (1, 1, 1)
+
+
+# Rays drawn from random.Random(913) (entries in [-9, 9], 2-3 more rays
+# than the rank) whose first Smith pass breaks d_1 | d_2 | ...; the
+# weights were recorded when the chain came from a 2x2 Bezout transform.
+# A chain step that touched the free rows of U would move them.
+CHAIN_STEP_WEIGHTS = [
+    (((-6, 2, -1), (-6, -3, 0), (-4, -2, -5), (2, -6, 9), (1, -7, 2)),
+     "Z + Z + Z/3", (107, -96, 0, -5, 76)),
+    (((1, 1, -9, 0), (-6, 5, -2, -6), (2, 6, 6, 2), (3, 1, -5, 2),
+      (-1, -1, -3, -5), (2, 6, 0, 0), (5, -5, 3, 5)),
+     "Z + Z + Z + Z/2", (5333, -1926, 1880, -6783, 350, 25, 0)),
+    (((-5, 2, -5), (-9, 6, 3), (8, 4, 2), (9, 6, -9), (5, 5, 1)),
+     "Z + Z + Z/6", (201, -11, 360, -66, -276)),
+    (((2, 0), (-8, -7), (-4, -2), (4, 6)),
+     "Z + Z + Z/2", (6, -2, 7, 0)),
+]
+
+
+@pytest.mark.parametrize("rays, group, weights", CHAIN_STEP_WEIGHTS)
+def test_weights_pinned_through_the_chain_step(rays, group, weights):
+    sys = cox_system(rays, len(rays[0]))
+    assert str(sys.group) == group
+    assert sys.weights() == weights
+    u, d = smith_normal_form(rays)
+    smith_rows_check(rays, u, d)
+
+
 def test_smith_normal_form_properties_random():
     r = random.Random(901)
     for _ in range(350):

@@ -66,16 +66,62 @@ def test_undecodable_file_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["--p", "--bound"])
-@pytest.mark.parametrize("command", sorted(workbench._COMMANDS))
-def test_negative_flag_is_usage_error(capsys, command, flag):
+def run_rejected_by_parser(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        workbench.main(list(argv))
+    cap = capsys.readouterr()
+    return exc.value.code, cap.out, cap.err
+
+
+# the flags each command reads beyond --format (and fiber's --point)
+DECLARED = {
+    "--p": {"validate-datum", "tilde", "equations", "oracle", "verify-example"},
+    "--bound": {"hilbert-basis", "oracle"},
+    "--alias": {"equations", "family", "fiber"},
+}
+
+
+def command_argv(command):
     argv = [command, "cA1" if command == "verify-example" else "p2-p114"]
     if command == "fiber":
         argv += ["--point", "1:1:1"]
-    code, out, err = run(capsys, *argv, flag, "-1")
+    return argv
+
+
+@pytest.mark.parametrize("flag", ["--p", "--bound"])
+@pytest.mark.parametrize("command", sorted(workbench._COMMANDS))
+def test_negative_flag_is_usage_error(capsys, command, flag):
+    # main rejects a negative value of a declared flag; a command that
+    # does not declare the flag rejects it in the parser
+    argv = command_argv(command) + [flag, "-1"]
+    if command in DECLARED[flag]:
+        code, out, err = run(capsys, *argv)
+        assert err == "error: %s must be non-negative\n" % flag
+    else:
+        code, out, err = run_rejected_by_parser(capsys, *argv)
+        assert "unrecognized arguments: %s -1" % flag in err
     assert code == 2
     assert out == ""
-    assert err == "error: %s must be non-negative\n" % flag
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for flag, value in (("--p", "7"), ("--bound", "3"), ("--alias", "x.json"))
+    for command in sorted(workbench._COMMANDS)
+    if command not in DECLARED[flag]])
+def test_undeclared_flag_is_usage_error(capsys, command, flag, value):
+    code, out, err = run_rejected_by_parser(
+        capsys, *command_argv(command), flag, value)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: %s %s" % (flag, value) in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for flag, users in DECLARED.items() for command in users])
+def test_declared_flag_is_read(command, flag):
+    args = workbench._PARSER.parse_args(command_argv(command) + [flag, "5"])
+    assert getattr(args, flag[2:]) == (5 if flag != "--alias" else "5")
 
 
 P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]],
@@ -258,6 +304,20 @@ def test_bad_alias_file(capsys, tmp_path):
     code, _, err = run(capsys, "equations", "cA1", "--alias", path)
     assert code == 2
     assert "bad alias table" in err
+
+
+@pytest.mark.parametrize("aliases, message", [
+    ([{"ray": [1, 0, 0, 1], "name": "x0"}],
+     "error: bad alias table: name 'x0' is given to two rays\n"),
+    ([{"ray": [1, 0, 0, 1], "name": "A"}, {"ray": [1, 0, 0, 1], "name": "B"}],
+     "error: bad alias table: ray (1, 0, 0, 1) is aliased twice\n"),
+])
+def test_ambiguous_alias_table_is_usage_error(capsys, tmp_path, aliases,
+                                              message):
+    path = write_json(tmp_path, "alias.json", {"aliases": aliases})
+    code, out, err = run(capsys, "equations", "cA1", "--alias", path)
+    assert code == 2 and out == ""
+    assert err == message
 
 
 def test_equations_from_datum_file(capsys, tmp_path):
