@@ -1,7 +1,8 @@
 """Brute-force certificates behind the algebra.
 
-hilbert_basis enumerates irreducible semigroup elements with an honest
-completeness certificate.  The two equality checks compare ideal
+hilbert_basis computes the irreducible semigroup elements exactly, from
+the fundamental parallelepipeds of a triangulation of the cone, and
+reports whether its degree bound reached the certificate bound.  The two equality checks compare ideal
 membership against monomial factorization, character by character, and
 record a witness for every pair they confirm.
 """

@@ -351,6 +351,32 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
     return tuple(tuple(r) for r in work[:row])
 
 
+def _scaled_inverse(rows: Sequence[Sequence[int]]):
+    """(d, X) with d = |det G| > 0 and X = d * G^-1, for a square nonsingular
+    integer matrix G, from one fraction-free (Bareiss) Gauss-Jordan pass on
+    [G | I].  Each step divides by the previous pivot exactly, as every
+    entry is then a minor of [G | I]; the last pivot is det(G) up to the
+    sign of the row swaps, and X is the right block, its sign fixed."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                a = m[i][k]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    if prev < 0:
+        return -prev, tuple(tuple(-x for x in r[n:]) for r in m)
+    return prev, tuple(tuple(r[n:]) for r in m)
+
+
 # ---------------------------------------------------------------------------
 # Cokernel presentations (divisor class groups, gradings)
 

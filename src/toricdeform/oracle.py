@@ -1,15 +1,17 @@
-"""Bounded brute-force checks for the semigroup side of the pipeline.
+"""Exact Hilbert bases and bounded brute-force checks for the semigroup
+side of the pipeline.
 
-Everything here enumerates lattice points up to an explicit degree bound
-and decides ideal membership only through the constructive certificates
-(cofactor monomials and divisibility of exponent vectors), never by
-general reduction.  Hilbert bases reduce each point against the
-generators found so far, which is exact up to the bound (see
-``hilbert_basis``).  ``lattice_points`` hands the characters over in
-runs (one prefix, consecutive last coordinates), and the Cox exponents
-are computed once per run: each further point of a run adds the
-exponents of the last unit vector to its predecessor's.  The boundary
-check decides interiority once per N-part.  The degree-zero check
+Hilbert bases are exact: the candidates are the lattice points of the
+fundamental parallelepipeds of a triangulation, so their number is set
+by the cone, and a degree bound only filters the output (see
+``hilbert_basis``).  The equality checks enumerate characters up to an
+explicit degree bound and decide ideal membership only through the
+constructive certificates (cofactor monomials and divisibility of
+exponent vectors), never by general reduction.  ``lattice_points``
+hands the characters over in runs (one prefix, consecutive last
+coordinates), and the Cox exponents are computed once per run: each
+further point of a run adds the exponents of the last unit vector to its
+predecessor's.  The boundary check decides interiority once per N-part.  The degree-zero check
 tables the exponent sums of the drops once per call, keyed by the shift
 r[n:] - s[n:] between the two characters of a pair, and reads both
 cofactors and the exponents of q off one entry; for a one-signed shift
@@ -18,17 +20,17 @@ sign.  A passing pair keeps one ``KernelWitness``, a named tuple with
 no per-instance dict, whose shift is the table entry's own tuple; for a
 one-signed shift that leaves one new cofactor per pair, as q and the
 other cofactor are reused.  The inner loops run on plain int tuples with
-``map``.  The reports are approximations by design: they certify no
-failure below the bound, not a full proof.
+``map``.  The equality reports are approximations by design: they
+certify no failure below the bound, not a full proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, mul, sub
+from operator import add, ge, le, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .lattice import as_int_vector, dot, vsub
+from .lattice import _scaled_inverse, as_int_vector, hermite_normal_form, vsub
 from .polyhedral import Cone, Polyhedron, lattice_points
 
 
@@ -57,54 +59,113 @@ def _require_pointed_full(c: Cone) -> None:
 
 
 def _require_bound(bound: int) -> None:
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise TypeError("bound must be an int, got %r" % (bound,))
     if bound < 0:
         raise ValueError("bound must be non-negative, got %d" % bound)
 
 
-def _graded_points(c: Cone, functional, bound: int) -> tuple:
-    _require_bound(bound)
-    ineqs = [(u, 0) for u in c.dual().rays]
-    ineqs.append((tuple(-x for x in functional), bound))
-    return lattice_points(Polyhedron.from_inequalities(c.rank, ineqs))
+def _pulling_simplices(rank: int, rays: tuple, normals, dim: int):
+    """Ray tuples of a pulling triangulation of the pointed cone of
+    dimension dim spanned by its extreme rays, whose facet normals (within
+    its span) are the normals: the first ray is pulled, i.e. joined to a
+    triangulation of each facet that does not contain it.  A facet's rays
+    are its tight set; only a facet with more rays than its dimension
+    needs its own facets, from a hull, so rank 3 runs none."""
+    if len(rays) == dim:
+        yield rays
+        return
+    apex = rays[0]
+    for u in normals:
+        if not sum(map(mul, u, apex)):
+            continue
+        face = tuple(r for r in rays if not sum(map(mul, u, r)))
+        inner = (Cone.from_generators(rank, face).pointed_facets
+                 if len(face) > dim - 1 else ())
+        for s in _pulling_simplices(rank, face, inner, dim - 1):
+            yield (apex,) + s
+
+
+def _parallelepiped(gens: tuple, values: tuple, bound: int):
+    """(value, point) for the nonzero lattice points of sum_i [0, 1) g_i
+    with value at most the bound, the g_i linearly independent rows and
+    values[i] the functional on g_i.
+
+    The points are frac(a G^-1) G, one for each coset a of Z^n / ZG,
+    and the cosets are the box prod [0, h_ii) of the Hermite diagonal of
+    G.  With X = d G^-1 from one fraction-free pass, the coefficients are
+    c = a X mod d, built coordinate by coordinate of the box, and the
+    point is sum c_i g_i / d, divided exactly."""
+    d, inv = _scaled_inverse(gens)
+    coeffs = [(0,) * len(gens)]
+    for i, (h, row) in enumerate(zip(hermite_normal_form(gens), inv)):
+        step = coeffs
+        for _ in range(1, h[i]):
+            step = [tuple([(x + y) % d for x, y in zip(c, row)]) for c in step]
+            coeffs += step
+    top = bound * d
+    cols = tuple(zip(*gens))
+    for c in coeffs:
+        v = sum(map(mul, c, values))
+        if v and v <= top:
+            yield v // d, tuple([sum(map(mul, c, col)) // d for col in cols])
 
 
 def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
                   bound: int = 12) -> HilbertBasis:
-    """Irreducible semigroup generators of the cone's lattice points.
+    """Irreducible semigroup generators of the cone's lattice points, up
+    to the bound.
 
-    Enumerates all points with functional value up to the bound and, in
-    order of value, strips every point p from which some generator g
-    found so far leaves a nonzero point p - g.  Testing only generators
-    is exact: the functional is positive on every nonzero point, so in a
-    split p = a + b the part a has a smaller value and is itself a sum of
-    earlier generators, one of which, g, leaves p - g = (a - g) + b.
+    Exact, after Bruns and Koch (2001) and Bruns and Ichim (2010), in
+    three steps.  A pulling triangulation (_pulling_simplices) covers the
+    cone by simplicial cones on its extreme rays.  An irreducible point
+    lies in one of them, and there it is a ray or a point of the
+    fundamental parallelepiped (_parallelepiped): any other point of a
+    simplicial cone leaves a point of it after subtracting one of its
+    rays.  So the rays and the parallelepiped points, kept when their
+    functional value is at most the bound, hold every basis element under
+    it.  In order of value, a candidate p is stripped when
+    some generator g found so far leaves p - g in the cone, which is read
+    off the facet pairings, <u, p> >= <u, g> for every facet u.  That
+    keeps exactly the irreducible candidates: a reducible point p = a + b
+    has a basis element g of smaller value with a - g in the cone, so
+    p - g = (a - g) + b is a cone point, and g is under the bound too.
+    So the filter is exact for every bound, and the result is the
+    irreducible points of value at most the bound.  The cost is the sum of
+    |det| over the simplices, set by the cone, not by the bound, plus one
+    hull per non-simplicial facet of dimension 3 or more that the
+    triangulation descends into (none in rank 3).
+
     The certificate bound is the functional's total on the primitive ray
-    generators; any basis element lies under it, so reaching it proves
-    the list complete.
+    generators; any basis element lies under it (it lies in some
+    parallelepiped), so a bound that reaches it returns the whole basis.
     """
     _require_pointed_full(c)
+    _require_bound(bound)
     if functional is None:
         facets = c.dual().rays
         functional = tuple(sum(u[i] for u in facets)
                            for i in range(c.rank))
     else:
         functional = as_int_vector(functional)
-    for ray in c.rays:
-        if dot(functional, ray) <= 0:
-            raise ValueError(
-                "functional %s is not strictly positive on the cone"
-                % (functional,))
-    graded = sorted((sum(map(mul, functional, p)), p)
-                    for p in _graded_points(c, functional, bound) if any(p))
-    ptset = {p for _, p in graded}
+        if len(functional) != c.rank:
+            raise ValueError("functional has length %d, cone has rank %d"
+                             % (len(functional), c.rank))
+    values = {r: sum(map(mul, functional, r)) for r in c.rays}
+    if any(v <= 0 for v in values.values()):
+        raise ValueError("functional %s is not strictly positive on the cone"
+                         % (functional,))
+    found = {(v, r) for r, v in values.items() if v <= bound}
+    for s in _pulling_simplices(c.rank, c.rays, c.pointed_facets, c.rank):
+        found.update(_parallelepiped(s, tuple(values[r] for r in s), bound))
     gens = []
-    for _, p in graded:
-        for g in gens:
-            if tuple(map(sub, p, g)) in ptset:
-                break
-        else:
+    gen_pairings = []
+    for _, p in sorted(found):
+        pairings = tuple([sum(map(mul, u, p)) for u in c.pointed_facets])
+        if not any(all(map(ge, pairings, g)) for g in gen_pairings):
             gens.append(p)
-    cert = sum(dot(functional, r) for r in c.rays)
+            gen_pairings.append(pairings)
+    cert = sum(values.values())
     return HilbertBasis(cone=c, generators=tuple(sorted(gens)),
                         functional=functional, bound=bound,
                         certificate_bound=cert, complete=bound >= cert)
@@ -155,10 +216,14 @@ class OracleReport:
 
 
 def _character_points(t, bound: int) -> tuple:
-    # graded by the sum of the enlarged cone's own rays
+    # the characters u of the dual cone with <total, u> <= bound, graded by
+    # the sum of the enlarged cone's own rays
+    _require_bound(bound)
     c = t.cone
     total = tuple(sum(xi[i] for xi in c.rays) for i in range(c.rank))
-    return _graded_points(c.dual(), total, bound)
+    ineqs = [(xi, 0) for xi in c.rays]
+    ineqs.append((tuple(-x for x in total), bound))
+    return lattice_points(Polyhedron.from_inequalities(c.rank, ineqs))
 
 
 def _with_exps(points, exps):

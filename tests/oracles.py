@@ -5,7 +5,9 @@ conversion, Fourier-Motzkin elimination for feasibility and optimization,
 gcds of minors for invariant factors, pairwise-sum saturation for
 semigroup generators, every slice and every translate for mutations.
 Slow but transparent on the small inputs the tests feed it.  Nothing in
-this module imports the package under test.
+this module imports the package under test, except graded_hilbert_basis:
+the bounded enumeration that hilbert_basis ran before it triangulated,
+kept as a differential reference on the package's own lattice_points.
 """
 
 from __future__ import annotations
@@ -270,6 +272,32 @@ def semigroup_generators_oracle(facets, functional, bound):
         if not dec:
             gens.append(p)
     return tuple(sorted(gens))
+
+
+def graded_hilbert_basis(cone, functional, bound):
+    """hilbert_basis by bounded enumeration, as the package computed it
+    before it triangulated: every lattice point with functional value up
+    to the bound, reduced in order of value against the generators found
+    so far (p is stripped when p - g is one of the enumerated points).
+    Returns the HilbertBasis that hilbert_basis must equal, certificate
+    fields included; the cost grows with the bound."""
+    from toricdeform.oracle import HilbertBasis
+    from toricdeform.polyhedral import Polyhedron, lattice_points
+
+    functional = tuple(functional)
+    ineqs = [(u, 0) for u in cone.dual().rays]
+    ineqs.append((tuple(-x for x in functional), bound))
+    pts = lattice_points(Polyhedron.from_inequalities(cone.rank, ineqs))
+    graded = sorted((dot(functional, p), p) for p in pts if any(p))
+    ptset = {p for _, p in graded}
+    gens = []
+    for _, p in graded:
+        if not any(tuple(x - y for x, y in zip(p, g)) in ptset for g in gens):
+            gens.append(p)
+    cert = sum(dot(functional, r) for r in cone.rays)
+    return HilbertBasis(cone=cone, generators=tuple(sorted(gens)),
+                        functional=functional, bound=bound,
+                        certificate_bound=cert, complete=bound >= cert)
 
 
 def saturation_closure_ok(facets, functional, bound, gens):

@@ -3,6 +3,7 @@ ideal-equality certificates."""
 
 import dataclasses
 import functools
+import math
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -33,6 +34,7 @@ import corpus
 from oracles import (
     boundary_oracle,
     degree_zero_oracle,
+    graded_hilbert_basis,
     saturation_closure_ok,
     semigroup_generators_oracle,
 )
@@ -74,6 +76,9 @@ def test_custom_functional():
     assert set(hb.generators) == {(1, 0), (0, 1)}
     with pytest.raises(ValueError, match="strictly positive"):
         hilbert_basis(ORTHANT, functional=(1, 0))
+    with pytest.raises(ValueError,
+                       match="functional has length 3, cone has rank 2"):
+        hilbert_basis(ORTHANT, functional=(1, 1, 1))
 
 
 def test_hilbert_rejects_non_integral_functional():
@@ -111,9 +116,82 @@ def test_hilbert_against_brute_oracle():
     assert truncated >= 30
 
 
+def _pair_cone(t):
+    """The cone of pairs (r, s) of characters of t with equal N-part, in
+    rank n + 2k: for each ray rho of the enlarged cone, the rows
+    (rho[:n], rho[n:], 0) and (rho[:n], 0, rho[n:])."""
+    n, zero = t.n, (0,) * t.k
+    rows = []
+    for rho in t.cone.rays:
+        rows += [rho[:n] + rho[n:] + zero, rho[:n] + zero + rho[n:]]
+    return Cone.from_inequalities(n + 2 * t.k, rows)
+
+
+def _pair_cones():
+    return [_pair_cone(build_tilde(d))
+            for d in (ca1_datum(), toy_plane_datum(), hexagon_data()[0])]
+
+
+def test_hilbert_against_graded_reference():
+    # the reference enumerates every point up to the bound, at a cost that
+    # grows like bound^rank, so rank-4/5 cones are drawn until the quota of
+    # simplicial and non-simplicial cones with certificate bound at most
+    # cap is met; the hexagon-a pair cone (18 s for the reference at its
+    # certificate bound 60) stops at 30, and
+    # test_hilbert_basis_within_budget covers 60
+    r = corpus.rng(2510)
+    quota = {(2, True): 10, (3, True): 4, (3, False): 8, (4, True): 6,
+             (4, False): 6, (5, True): 4, (5, False): 3}
+    caps = {4: 300, 5: 150}
+    cones = []
+    for (rank, simplicial), count in quota.items():
+        while count:
+            c = corpus.random_pointed_cone(r, rank, max_rays=rank + 2)
+            if ((len(c.rays) == rank) == simplicial
+                    and hilbert_basis(c, bound=0).certificate_bound
+                    <= caps.get(rank, math.inf)):
+                cones.append(c)
+                count -= 1
+    cones += _pair_cones()
+    for c in cones:
+        cert = hilbert_basis(c, bound=0).certificate_bound
+        for bound in (0, 1, cert // 2, cert):
+            if c.rank == 7 and bound > 30:
+                continue
+            hb = hilbert_basis(c, bound=bound)
+            want = graded_hilbert_basis(c, hb.functional, bound)
+            assert hb.to_json() == want.to_json(), (c, bound)
+
+
+def test_hilbert_basis_within_budget():
+    # the hexagon-a pair cone: rank 7, certificate bound 60; the bounded
+    # enumeration needed 18 s there, while its pulling triangulation has 36
+    # unimodular simplices, whose parallelepipeds hold no nonzero point
+    c = _pair_cones()[2]
+    assert c.rank == 7
+    hb = corpus.within(1, hilbert_basis, c, None, 60)
+    assert hb.complete and hb.certificate_bound == 60
+    want = graded_hilbert_basis(c, hb.functional, 30)
+    assert hb.generators == want.generators and len(want.generators) == 15
+
+
 def test_hilbert_refuses_negative_bound():
     with pytest.raises(ValueError, match="bound must be non-negative, got -1"):
         hilbert_basis(ORTHANT, bound=-1)
+
+
+@pytest.mark.parametrize("bound", [2.0, True])
+def test_bound_must_be_an_int(bound):
+    # a float or a bool is no lattice number: every bounded entry point
+    # raises TypeError before it enumerates
+    t = build_tilde(ca1_datum(3))
+    calls = [functools.partial(hilbert_basis, ORTHANT),
+             functools.partial(interior_points, ORTHANT),
+             functools.partial(degree_zero_equality_check, t),
+             functools.partial(boundary_equality_check, t)]
+    for call in calls:
+        with pytest.raises(TypeError, match="bound must be an int"):
+            call(bound=bound)
 
 
 def test_hilbert_json():
