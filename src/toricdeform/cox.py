@@ -9,7 +9,6 @@ emitters take a PairingData, or any object that carries one as
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -17,9 +16,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import (
-    AbelianGroupPresentation, as_fraction, as_int_vector, dot,
-    elementary_divisors, hermite_normal_form, matrix_rank, smith_normal_form,
-    vector_from_json, vneg)
+    AbelianGroupPresentation, as_fraction, dot, elementary_divisors,
+    hermite_normal_form, matrix_rank, smith_normal_form, vneg)
 
 
 class NegativeExponentError(ValueError):
@@ -137,38 +135,19 @@ class CoxPolynomial:
         return CoxPolynomial(terms=tuple(merged))
 
     def proportional(self, other: "CoxPolynomial") -> bool:
-        """Equal up to a nonzero rational scalar, ignoring term order."""
-        if len(self.terms) != len(other.terms):
-            return False
-        mine = {(t.param, t.exps): t.coeff for t in self.terms}
-        theirs = {(t.param, t.exps): t.coeff for t in other.terms}
+        """Equal up to a nonzero rational scalar, ignoring term order, after
+        merging like terms and dropping zero ones (substitute({}))."""
+        mine = {(t.param, t.exps): t.coeff for t in self.substitute({}).terms}
+        theirs = {(t.param, t.exps): t.coeff for t in other.substitute({}).terms}
         if set(mine) != set(theirs):
             return False
-        ratio = None
-        for key, c in mine.items():
-            d = theirs[key]
-            if (c == 0) != (d == 0):
-                return False
-            r = c / d
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-        return True
+        ratios = {c / theirs[key] for key, c in mine.items()}
+        return len(ratios) <= 1
 
     def to_json(self) -> dict:
         return {"terms": [
             {"coeff": _coeff_string(t), "exps": list(t.exps)}
             for t in self.terms]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CoxPolynomial":
-        terms = []
-        for item in data["terms"]:
-            coeff, param = _parse_coeff(item["coeff"])
-            exps = as_int_vector(vector_from_json(item["exps"], "term exponents"))
-            terms.append(Term(coeff=coeff, param=param, exps=exps))
-        return cls(terms=tuple(terms))
 
 
 def _coeff_string(t: Term) -> str:
@@ -179,26 +158,6 @@ def _coeff_string(t: Term) -> str:
     if mag == 1:
         return sign + t.param
     return "%s%s*%s" % (sign, mag, t.param)
-
-
-_COEFF_RE = re.compile(
-    r"^([+-])(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)?(\d+(?:/\d+)?)?$")
-
-
-def _parse_coeff(s: str):
-    m = _COEFF_RE.match(s.strip())
-    if not m:
-        raise ValueError("bad coefficient %r" % s)
-    sign, mag, param, bare = m.groups()
-    if param is not None:
-        q = Fraction(mag) if mag else Fraction(1)
-    elif bare is not None:
-        q = Fraction(bare)
-    else:
-        raise ValueError("bad coefficient %r" % s)
-    if sign == "-":
-        q = -q
-    return q, param
 
 
 def monomial(exps, coeff=1, param=None) -> CoxPolynomial:
@@ -220,13 +179,11 @@ def binomials(t) -> tuple:
         for y, z in zip(p.y_exps, p.z_exps))
 
 
-def trinomials(t, params: Optional[Sequence[str]] = None) -> tuple:
-    """Binomial plus the parameter term; the third monomial's exponent at
-    ray j is <w~, ray_j> + (negative part of the e_i* pairing).  Negative
-    values mean the input was not a valid datum."""
+def trinomials(t) -> tuple:
+    """Binomial plus the parameter term t_i; the third monomial's exponent
+    at ray j is <w~, ray_j> + (negative part of the e_i* pairing).
+    Negative values mean the input was not a valid datum."""
     p = PairingData.of(t)
-    if params is None:
-        params = tuple("t%d" % (i + 1) for i in range(p.k))
     out = []
     for i, (b, z) in enumerate(zip(binomials(p), p.z_exps)):
         third = tuple(w + e for w, e in zip(p.w_pairings, z))
@@ -234,7 +191,7 @@ def trinomials(t, params: Optional[Sequence[str]] = None) -> tuple:
             if e < 0:
                 raise NegativeExponentError(ray, e, "trinomial %d" % (i + 1))
         out.append(CoxPolynomial(
-            terms=b.terms + (Term(Fraction(-1), params[i], third),)))
+            terms=b.terms + (Term(Fraction(-1), "t%d" % (i + 1), third),)))
     return tuple(out)
 
 

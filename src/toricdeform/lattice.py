@@ -6,10 +6,11 @@ matrices are tuples of row tuples.
 
 One elimination, the Hermite normal form, gives rank, integer kernels,
 saturation and the relations of a cokernel.  The Smith normal form runs
-only where its own output is the product: elementary divisors (cokernel
-and cox.CoxSystem.group take them of a Hermite basis) and the transform U
-behind the printed Cox weights (cox.CoxSystem.weights).  It is one pivot
-loop, re-entered from step i wherever d_i does not divide d_{i+1}.
+only where its own output is the product: elementary divisors
+(cox.CoxSystem.group takes them of its Hermite relations) and the
+transform U behind the printed Cox weights (cox.CoxSystem.weights).  It
+is one pivot loop, re-entered from step i wherever d_i does not divide
+d_{i+1}.
 
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector, as_fraction) here only,
@@ -395,18 +396,3 @@ class AbelianGroupPresentation:
         parts = ["Z"] * self.free_rank + ["Z/%d" % d for d in self.torsion]
         return " + ".join(parts) if parts else "0"
 
-
-def cokernel(a: Sequence[Sequence[int]]) -> AbelianGroupPresentation:
-    """Presentation of Z^rows / image(A), A acting on column vectors.
-
-    The image is the row lattice of A^T.  Row operations keep the
-    elementary divisors, so the Smith form runs on its Hermite basis, which
-    has only rank(A) rows, not on A.
-    """
-    nrows = len(a)
-    if any(len(r) != len(a[0]) for r in a):
-        raise ValueError("ragged matrix")
-    h = hermite_normal_form(list(zip(*a)))
-    return AbelianGroupPresentation(
-        free_rank=nrows - len(h),
-        torsion=tuple(d for d in elementary_divisors(h) if d >= 2))

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, ge, le, mul, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
-from .lattice import _scaled_inverse, as_int_vector, hermite_normal_form, vsub
+from .lattice import _scaled_inverse, hermite_normal_form, vsub
 from .polyhedral import Cone, Polyhedron, lattice_points
 
 
@@ -111,8 +111,7 @@ def _parallelepiped(gens: tuple, values: tuple, bound: int):
             yield v // d, tuple([sum(map(mul, c, col)) // d for col in cols])
 
 
-def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
-                  bound: int = 12) -> HilbertBasis:
+def hilbert_basis(c: Cone, bound: int = 12) -> HilbertBasis:
     """Irreducible semigroup generators of the cone's lattice points, up
     to the bound.
 
@@ -136,25 +135,16 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
     hull per non-simplicial facet of dimension 3 or more that the
     triangulation descends into (none in rank 3).
 
-    The certificate bound is the functional's total on the primitive ray
-    generators; any basis element lies under it (it lies in some
-    parallelepiped), so a bound that reaches it returns the whole basis.
+    The functional is the sum of the facet normals, positive on every
+    nonzero point of a pointed full-dimensional cone.  The certificate
+    bound is the functional's total on the primitive ray generators; any
+    basis element lies under it (it lies in some parallelepiped), so a
+    bound that reaches it returns the whole basis.
     """
     _require_pointed_full(c)
     _require_bound(bound)
-    if functional is None:
-        facets = c.dual().rays
-        functional = tuple(sum(u[i] for u in facets)
-                           for i in range(c.rank))
-    else:
-        functional = as_int_vector(functional)
-        if len(functional) != c.rank:
-            raise ValueError("functional has length %d, cone has rank %d"
-                             % (len(functional), c.rank))
+    functional = tuple(map(sum, zip(*c.pointed_facets)))
     values = {r: sum(map(mul, functional, r)) for r in c.rays}
-    if any(v <= 0 for v in values.values()):
-        raise ValueError("functional %s is not strictly positive on the cone"
-                         % (functional,))
     found = {(v, r) for r, v in values.items() if v <= bound}
     for s in _pulling_simplices(c.rank, c.rays, c.pointed_facets, c.rank):
         found.update(_parallelepiped(s, tuple(values[r] for r in s), bound))
@@ -169,17 +159,6 @@ def hilbert_basis(c: Cone, functional: Optional[Sequence] = None,
     return HilbertBasis(cone=c, generators=tuple(sorted(gens)),
                         functional=functional, bound=bound,
                         certificate_bound=cert, complete=bound >= cert)
-
-
-def interior_points(c: Cone, bound: int = 12) -> tuple:
-    """Lattice points with every facet pairing between 1 and the bound."""
-    _require_pointed_full(c)
-    _require_bound(bound)
-    ineqs = []
-    for u in c.dual().rays:
-        ineqs.append((u, -1))
-        ineqs.append((tuple(-x for x in u), bound))
-    return lattice_points(Polyhedron.from_inequalities(c.rank, ineqs))
 
 
 # ---------------------------------------------------------------------------

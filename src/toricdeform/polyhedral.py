@@ -17,13 +17,11 @@ from typing import Collection, Iterable, Sequence
 
 from .lattice import (
     ZeroVectorError,
-    as_fraction,
     as_int_vector,
     dot,
     is_zero,
     primitive,
     saturate_rowspan,
-    vadd,
     vector_from_json,
     vneg,
 )
@@ -450,27 +448,6 @@ class Polyhedron:
     def affine_dimension(self) -> int:
         """-1 when empty; recorded by the hull, so no elimination runs."""
         return self._dimension
-
-    def translate(self, vec: Sequence) -> "Polyhedron":
-        # rebuilt, as a shift would break the Hermite basis of the equations
-        if self.is_empty:
-            return self
-        return Polyhedron.from_points_and_rays(
-            self.rank, [vadd(v, vec) for v in self.vertices],
-            self.rays + self.lines + tuple(vneg(l) for l in self.lines))
-
-    def scale(self, factor) -> "Polyhedron":
-        """Dilate a bounded polyhedron by a positive rational factor (an int
-        or a Fraction; floats raise TypeError)."""
-        f = as_fraction(factor)
-        if f <= 0:
-            raise ValueError("scale factor must be positive")
-        if self.is_empty:
-            return self
-        if not self.is_bounded:
-            raise UnboundedError("Unbounded: refusing to scale an unbounded polyhedron")
-        return Polyhedron.from_points_and_rays(
-            self.rank, [tuple(f * x for x in v) for v in self.vertices])
 
     def lattice_vertices(self) -> tuple:
         return tuple(h[:-1] if h[-1] == 1 else as_int_vector(v)

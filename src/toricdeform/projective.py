@@ -145,15 +145,6 @@ class PolarizedToricVariety:
                              "on the given fan")
         return v
 
-    def facet_data(self) -> tuple:
-        """Per pointed facet of tau: (normal g, rational slice point u)
-        with the facet inside the hyperplane <u + e0*, .> = 0."""
-        out = []
-        for g in self.tau.pointed_facets:
-            u = tuple(Fraction(x, g[self.n]) for x in g[:self.n])
-            out.append((g, u))
-        return tuple(out)
-
     def to_json(self) -> dict:
         return {"tau": self.tau.to_json()}
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricdeform.lattice import dot, primitive
+from toricdeform.lattice import dot, primitive, vadd, vneg
 from toricdeform.polyhedral import Cone, Polyhedron, convex_hull, minkowski_sum
 
 
@@ -144,6 +144,15 @@ def functional_after(u_inv, w):
     )
 
 
+def translated(p, shift):
+    """p + shift, hulled again from its moved vertices and its rays and
+    lines; the empty polyhedron is its own translate."""
+    if p.is_empty:
+        return p
+    return convex_hull(p.rank, [vadd(v, shift) for v in p.vertices],
+                       p.rays + p.lines + tuple(map(vneg, p.lines)))
+
+
 def random_datum_slice(r, rank):
     """Valid datum from a hyperplane slice of a random cone.
 
@@ -175,7 +184,7 @@ def random_datum_slice(r, rank):
             tuple(r.randint(-2, 2) for _ in range(rank)) for _ in range(k)
         ]
         total_shift = tuple(sum(col) for col in zip(*shifts))
-        q0 = q_total.translate(tuple(-x for x in total_shift))
+        q0 = translated(q_total, vneg(total_shift))
         summands = [q0] + [
             convex_hull(rank, [s]) for s in shifts
         ]

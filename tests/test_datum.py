@@ -328,9 +328,11 @@ def test_decompose_vertex_against_fraction_reference():
     for d in data:
         shift = (1,) + (0,) * (d.q.rank - 1)
         cases.append((d.q, d.summands))
-        cases.append((d.q, (d.summands[0].translate(vscale(Fraction(1, 2), shift)),)
+        cases.append((d.q, (corpus.translated(d.summands[0],
+                                              vscale(Fraction(1, 2), shift)),)
                       + d.summands[1:]))
-        cases.append((d.q, d.summands[:-1] + (d.summands[-1].translate(shift),)))
+        cases.append((d.q, d.summands[:-1]
+                      + (corpus.translated(d.summands[-1], shift),)))
     outcomes = {"split": 0, "none": 0}
     for q, summands in cases:
         for v in q.vertices:

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private name is used somewhere in the package, and every
 module-level public function is used by the package, the tests or the
-demos.
+demos, and also by the package, the demos or the benchmark harness
+alone.
 
 A pure-stdlib lint: each ``src/toricdeform/*.py`` except ``__init__.py``
 (which re-exports on purpose) is parsed with ``ast``, and a name bound by
@@ -10,9 +11,11 @@ loads is an error.  So is a module-level ``_func``, ``_Class`` or
 ``_CONST`` that no package module loads or imports, other than from
 inside its own definition, and so is a module-level public function that
 no package module other than ``__init__.py``, no test and no demo loads
-or imports.  All three catch the leftovers of a refactor, such as a
-helper import kept after its last call was deleted, or a helper whose
-last caller was deleted.
+or imports.  A stricter fourth check drops the tests from the callers
+and adds the benchmark harness (``perfbench/*.py``): a public function
+that only tests call is test code kept in the package.  All four catch
+the leftovers of a refactor, such as a helper import kept after its last
+call was deleted, or a helper whose last caller was deleted.
 """
 
 import ast
@@ -28,6 +31,18 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 CALLERS = {str(p.relative_to(ROOT)): p.read_text()
            for p in MODULES + sorted(ROOT.glob("tests/*.py"))
            + sorted(ROOT.glob("demos/*.py"))}
+PACKAGE_CALLERS = {str(p.relative_to(ROOT)): p.read_text()
+                   for p in MODULES + sorted(ROOT.glob("demos/*.py"))
+                   + sorted(ROOT.glob("perfbench/*.py"))}
+# public functions that only tests call, kept in the package on purpose
+TEST_ONLY = {
+    # the Fischer-Shapiro regular-sequence criterion, a lemma of the paper
+    # that the acceptance tests check on the emitted equations
+    "fischer_shapiro_check",
+    # the floor-of-minima identity of a Minkowski decomposition, a lemma
+    # of the paper that the datum tests check on valid data
+    "floor_min_identity",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -133,6 +148,18 @@ def test_lint_flags_an_orphaned_public_function():
 
 def test_no_orphaned_public_functions():
     assert orphaned_public_functions(SOURCES, CALLERS) == []
+
+
+def test_package_callers_leave_out_the_tests():
+    assert "perfbench/workloads.py" in PACKAGE_CALLERS
+    assert "demos/markov_tree.py" in PACKAGE_CALLERS
+    assert not any(name.startswith("tests/") for name in PACKAGE_CALLERS)
+
+
+def test_no_test_only_public_functions():
+    found = orphaned_public_functions(SOURCES, PACKAGE_CALLERS)
+    assert [entry for entry in found if entry[2] not in TEST_ONLY] == []
+    assert sorted(name for _, _, name in found) == sorted(TEST_ONLY)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,11 +1,10 @@
-"""Semigroup oracles: Hilbert bases, interior points, and the bounded
-ideal-equality certificates."""
+"""Semigroup oracles: Hilbert bases and the bounded ideal-equality
+certificates."""
 
 import dataclasses
 import functools
 import math
 from collections import Counter
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +17,6 @@ from toricdeform.oracle import (
     boundary_equality_check,
     degree_zero_equality_check,
     hilbert_basis,
-    interior_points,
     revalidate_witness,
 )
 from toricdeform.polyhedral import Cone, convex_hull
@@ -69,24 +67,6 @@ def test_truncated_run_reports_incomplete():
     assert set(hb.generators) == {(1, 0), (0, 1)}
     assert not hb.complete
     assert hb.bound == 1 and hb.certificate_bound == 2
-
-
-def test_custom_functional():
-    hb = hilbert_basis(ORTHANT, functional=(1, 2), bound=6)
-    assert set(hb.generators) == {(1, 0), (0, 1)}
-    with pytest.raises(ValueError, match="strictly positive"):
-        hilbert_basis(ORTHANT, functional=(1, 0))
-    with pytest.raises(ValueError,
-                       match="functional has length 3, cone has rank 2"):
-        hilbert_basis(ORTHANT, functional=(1, 1, 1))
-
-
-def test_hilbert_rejects_non_integral_functional():
-    # (1/2, 5/2, 3/2) must not be truncated to (0, 2, 1)
-    with pytest.raises(ValueError, match="non-integral"):
-        hilbert_basis(ca1_sigma().dual(),
-                      functional=(Fraction(1, 2), Fraction(5, 2),
-                                  Fraction(3, 2)))
 
 
 def test_hilbert_rejects_bad_cones():
@@ -169,7 +149,7 @@ def test_hilbert_basis_within_budget():
     # unimodular simplices, whose parallelepipeds hold no nonzero point
     c = _pair_cones()[2]
     assert c.rank == 7
-    hb = corpus.within(1, hilbert_basis, c, None, 60)
+    hb = corpus.within(1, hilbert_basis, c, 60)
     assert hb.complete and hb.certificate_bound == 60
     want = graded_hilbert_basis(c, hb.functional, 30)
     assert hb.generators == want.generators and len(want.generators) == 15
@@ -186,7 +166,6 @@ def test_bound_must_be_an_int(bound):
     # raises TypeError before it enumerates
     t = build_tilde(ca1_datum(3))
     calls = [functools.partial(hilbert_basis, ORTHANT),
-             functools.partial(interior_points, ORTHANT),
              functools.partial(degree_zero_equality_check, t),
              functools.partial(boundary_equality_check, t)]
     for call in calls:
@@ -198,28 +177,6 @@ def test_hilbert_json():
     data = hilbert_basis(ORTHANT).to_json()
     assert data["complete"] is True
     assert sorted(map(tuple, data["generators"])) == [(0, 1), (1, 0)]
-
-
-# ------------------------------------------------------------ interior
-
-
-def test_orthant_interior_points():
-    assert set(interior_points(ORTHANT, 2)) == {(1, 1), (1, 2), (2, 1),
-                                                (2, 2)}
-
-
-def test_interior_points_rejects_negative_bound():
-    # the same check as every other bounded enumerator; bound 0 is empty
-    with pytest.raises(ValueError, match="bound must be non-negative, got -1"):
-        interior_points(ORTHANT, -1)
-    assert interior_points(ORTHANT, 0) == ()
-
-
-def test_ca1_interior_membership():
-    pts = set(interior_points(ca1_sigma().dual(), 4))
-    assert (0, 1, 1) in pts
-    assert (0, 1, 0) not in pts
-    assert (0, 0, 0) not in pts
 
 
 # ------------------------------------------------------------ degree zero

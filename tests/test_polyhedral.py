@@ -496,32 +496,6 @@ def test_minkowski_with_empty_absorbs():
     assert minkowski_sum(p, Polyhedron.empty(2)).is_empty
 
 
-def test_translate_and_scale():
-    p = convex_hull(2, [(0, 0), (2, 0), (0, 2)])
-    q = p.translate((1, 1))
-    assert q.contains((1, 1))
-    assert not q.contains((0, 0))
-    h = p.scale(Fraction(1, 2))
-    assert h.vertices == (
-        (Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(1), Fraction(0)),
-    )
-    assert p.scale(3) == convex_hull(2, [(0, 0), (6, 0), (0, 6)])
-    for bad in (0.1, 0.5, "1/2"):
-        with pytest.raises(TypeError, match="int or Fraction"):
-            p.scale(bad)
-
-
-def test_translate_keeps_lower_dimensional_form_canonical():
-    segment = convex_hull(3, [(1, 0, 0), (0, 1, 0)])
-    moved = segment.translate((1, -1, 2))
-    assert moved == convex_hull(3, [(2, -1, 2), (1, 0, 2)])
-    point = convex_hull(3, [(1, -1, 2)])
-    assert point.translate((0, 0, Fraction(1, 2))) == convex_hull(
-        3, [(1, -1, Fraction(5, 2))])
-
-
 def test_min_functional_frozen():
     q = convex_hull(
         3, [(Fraction(-1, 2), Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 2), 0)]
@@ -1041,9 +1015,13 @@ def test_affine_dimension_against_vertex_differences():
     made = list(cases)
     for p in cases:
         made.append(minkowski_sum(p, r.choice([q for q in cases if q.rank == p.rank])))
-        made.append(p.translate(tuple(_small_rational(r) for _ in range(p.rank))))
+        made.append(corpus.translated(
+            p, tuple(_small_rational(r) for _ in range(p.rank))))
         if p.is_bounded:
-            made.append(p.scale(Fraction(r.randint(1, 5), r.randint(1, 3))))
+            f = Fraction(r.randint(1, 5), r.randint(1, 3))
+            if not p.is_empty:
+                made.append(convex_hull(p.rank, [[f * x for x in v]
+                                                 for v in p.vertices]))
     kinds = set()
     for p in made:
         if p.is_empty:

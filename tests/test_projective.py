@@ -65,12 +65,13 @@ def test_p2_polytope_in_M():
 
 
 def test_facet_data_matches_M_vertices():
+    # each facet normal g of tau, read at e0-height 1, is a vertex of the
+    # moment polytope
     v = PolarizedToricVariety.from_cone(P2_CONE)
-    us = {u for _, u in v.facet_data()}
+    assert all(g[v.n] > 0 for g in v.tau.pointed_facets)
+    us = {tuple(Fraction(x, g[v.n]) for x in g[:v.n])
+          for g in v.tau.pointed_facets}
     assert us == {(-1, -1), (-1, 2), (2, -1)}
-    for g, u in v.facet_data():
-        assert g[v.n] > 0
-        assert tuple(Fraction(x, g[v.n]) for x in g[:v.n]) == u
 
 
 def test_fan_covers_p2_cones():

@@ -461,6 +461,13 @@ def test_verify_examples(capsys, name):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 5])
+def test_verify_ca1_for_every_p(p):
+    # the printer drops a zero exponent and writes z^1 as z, so p = 0 and
+    # p = 1 are the special cases of the expected trinomial
+    assert presets.verify_ca1(p).ok
+
+
 def test_verify_unknown_example(capsys):
     code, _, err = run(capsys, "verify-example", "p3-p115")
     assert code == 2 and "unknown example" in err
