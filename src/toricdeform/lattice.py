@@ -5,12 +5,14 @@ no floating point is ever introduced.  Vectors are immutable tuples,
 matrices are tuples of row tuples.
 
 One elimination, the Hermite normal form, gives rank, integer kernels,
-saturation and the relations of a cokernel.  The Smith normal form runs
-only where its own output is the product: elementary divisors
-(cox.CoxSystem.group takes them of its Hermite relations) and the
-transform U behind the printed Cox weights (cox.CoxSystem.weights).  It
-is one pivot loop, re-entered from step i wherever d_i does not divide
-d_{i+1}.
+saturation, the relations of a cokernel and the fundamental
+parallelepipeds of oracle.hilbert_basis (the Hermite form of a simplex's
+transposed ray matrix, solved row by row modulo its determinant).  The
+Smith normal form runs only where its own output is the product:
+elementary divisors (cox.CoxSystem.group takes them of its Hermite
+relations) and the transform U behind the printed Cox weights
+(cox.CoxSystem.weights).  It is one pivot loop, re-entered from step i
+wherever d_i does not divide d_{i+1}.
 
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector, as_fraction) here only,
@@ -350,32 +352,6 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
         if row == nrows:
             break
     return tuple(tuple(r) for r in work[:row])
-
-
-def _scaled_inverse(rows: Sequence[Sequence[int]]):
-    """(d, X) with d = |det G| > 0 and X = d * G^-1, for a square nonsingular
-    integer matrix G, from one fraction-free (Bareiss) Gauss-Jordan pass on
-    [G | I].  Each step divides by the previous pivot exactly, as every
-    entry is then a minor of [G | I]; the last pivot is det(G) up to the
-    sign of the row swaps, and X is the right block, its sign fixed."""
-    n = len(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[k], m[piv] = m[piv], m[k]
-        top = m[k]
-        p = top[k]
-        for i in range(n):
-            if i != k:
-                a = m[i][k]
-                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-    if prev < 0:
-        return -prev, tuple(tuple(-x for x in r[n:]) for r in m)
-    return prev, tuple(tuple(r[n:]) for r in m)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 side of the pipeline.
 
 Hilbert bases are exact: the candidates are the lattice points of the
-fundamental parallelepipeds of a triangulation, so their number is set
-by the cone, and a degree bound only filters the output (see
+fundamental parallelepipeds of a triangulation, found by a walk that the
+degree bound prunes, so the cost follows the bound (see
 ``hilbert_basis``).  The equality checks enumerate characters up to an
 explicit degree bound and decide ideal membership only through the
 constructive certificates (cofactor monomials and divisibility of
@@ -27,10 +27,11 @@ certify no failure below the bound, not a full proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from operator import add, ge, le, mul, sub
 from typing import NamedTuple
 
-from .lattice import _scaled_inverse, hermite_normal_form, vsub
+from .lattice import hermite_normal_form, vsub
 from .polyhedral import Cone, Polyhedron, lattice_points
 
 
@@ -86,29 +87,39 @@ def _pulling_simplices(rank: int, rays: tuple, normals, dim: int):
             yield (apex,) + s
 
 
-def _parallelepiped(gens: tuple, values: tuple, bound: int):
+def _parallelepiped(gens: tuple, values: tuple, bound: int) -> list:
     """(value, point) for the nonzero lattice points of sum_i [0, 1) g_i
     with value at most the bound, the g_i linearly independent rows and
-    values[i] the functional on g_i.
+    values[i] > 0 the functional on g_i.
 
-    The points are frac(a G^-1) G, one for each coset a of Z^n / ZG,
-    and the cosets are the box prod [0, h_ii) of the Hermite diagonal of
-    G.  With X = d G^-1 from one fraction-free pass, the coefficients are
-    c = a X mod d, built coordinate by coordinate of the box, and the
-    point is sum c_i g_i / d, divided exactly."""
-    d, inv = _scaled_inverse(gens)
-    coeffs = [(0,) * len(gens)]
-    for i, (h, row) in enumerate(zip(hermite_normal_form(gens), inv)):
-        step = coeffs
-        for _ in range(1, h[i]):
-            step = [tuple([(x + y) % d for x, y in zip(c, row)]) for c in step]
-            coeffs += step
-    top = bound * d
+    The points are c G / d, d = |det G|, for the c in [0, d)^n with
+    T c = 0 (mod d), T = V G^T the Hermite form (V unimodular), whose
+    diagonal multiplies to d.  A walk solves T from the last row up: row i
+    leaves c_i one residue mod d / t_ii, never none, as the d points fill
+    all prod t_ii leaves.  The partial value sum c_j values[j] <= bound d
+    caps every level.  The rays go in order of value, so the first level,
+    mostly the widest, meets the tightest cap."""
+    values, gens = zip(*sorted(zip(values, gens)))
     cols = tuple(zip(*gens))
-    for c in coeffs:
-        v = sum(map(mul, c, values))
-        if v and v <= top:
-            yield v // d, tuple([sum(map(mul, c, col)) // d for col in cols])
+    t = hermite_normal_form(cols)
+    d = prod([row[i] for i, row in enumerate(t)])
+    top = bound * d
+    c = [0] * len(gens)
+    out = []
+
+    def walk(i, room):
+        row, v, step = t[i], values[i], d // t[i][i]
+        first = -sum(map(mul, row[i + 1:], c[i + 1:])) // row[i] % step
+        for x in range(first, min(room // v, d - 1) + 1, step):
+            c[i] = x
+            if i:
+                walk(i - 1, room - x * v)
+            elif room - x * v < top:
+                out.append(((top - room + x * v) // d,
+                            tuple([sum(map(mul, c, col)) // d for col in cols])))
+
+    walk(len(gens) - 1, top)
+    return out
 
 
 def hilbert_basis(c: Cone, bound: int = 12) -> HilbertBasis:
@@ -130,10 +141,11 @@ def hilbert_basis(c: Cone, bound: int = 12) -> HilbertBasis:
     has a basis element g of smaller value with a - g in the cone, so
     p - g = (a - g) + b is a cone point, and g is under the bound too.
     So the filter is exact for every bound, and the result is the
-    irreducible points of value at most the bound.  The cost is the sum of
-    |det| over the simplices, set by the cone, not by the bound, plus one
-    hull per non-simplicial facet of dimension 3 or more that the
-    triangulation descends into (none in rank 3).
+    irreducible points of value at most the bound.  The bound prunes each
+    simplex's walk, so the cost follows it: only a bound near the
+    certificate pays the sum of |det| over the simplices.  The
+    triangulation adds one hull per non-simplicial facet of dimension 3 or
+    more that it descends into (none in rank 3).
 
     The functional is the sum of the facet normals, positive on every
     nonzero point of a pointed full-dimensional cone.  The certificate

@@ -665,6 +665,11 @@ class Fan:
         rank = _json_rank(data, rays, "fan")
         if any(len(r) != rank for r in rays):
             raise ValueError("fan rays must all have length %d" % rank)
+        for i, r in enumerate(rays):
+            g = math.gcd(*r)
+            if g != 1 or r in rays[:i]:
+                raise ValueError("fan ray %s is %s" % (list(r), (
+                    "zero" if not g else "not primitive" if g > 1 else "repeated")))
         cones = tuple(tuple(_json_list(c, "fan cone"))
                       for c in _json_list(data["maximal_cones"], "fan cones"))
         bad = [i for c in cones for i in c

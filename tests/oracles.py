@@ -274,6 +274,21 @@ def semigroup_generators_oracle(facets, functional, bound):
     return tuple(sorted(gens))
 
 
+def parallelepiped_points(gens, values, bound):
+    """(value, point), sorted, for the nonzero lattice points of
+    sum_i [0, 1) g_i with value at most the bound, values[i] the value of
+    g_i, by the definition: every c in [0, d)^n, d = |det G|, whose
+    sum c_i g_i is divisible by d, read as the point sum c_i g_i / d."""
+    d = abs(_int_det(gens))
+    out = []
+    for c in itertools.product(range(d), repeat=len(gens)):
+        s = [dot(c, col) for col in zip(*gens)]
+        v = dot(c, values)
+        if any(c) and all(x % d == 0 for x in s) and v <= bound * d:
+            out.append((v // d, tuple(x // d for x in s)))
+    return sorted(out)
+
+
 def graded_hilbert_basis(cone, functional, bound):
     """hilbert_basis by bounded enumeration, as the package computed it
     before it triangulated: every lattice point with functional value up

@@ -13,6 +13,7 @@ from toricdeform.datum import build_datum, build_tilde
 from toricdeform.oracle import (
     KernelWitness,
     _character_points,
+    _parallelepiped,
     _with_exps,
     boundary_equality_check,
     degree_zero_equality_check,
@@ -33,6 +34,8 @@ from oracles import (
     boundary_oracle,
     degree_zero_oracle,
     graded_hilbert_basis,
+    invariant_factors_oracle,
+    parallelepiped_points,
     saturation_closure_ok,
     semigroup_generators_oracle,
 )
@@ -112,6 +115,69 @@ def _pair_cones():
             for d in (ca1_datum(), toy_plane_datum(), hexagon_data()[0])]
 
 
+def _thin_cone(n):
+    """The cone over (1, 0, 0), (0, 1, 0), (1, 2, n): one simplex of
+    determinant n."""
+    return Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 2, n)])
+
+
+# simplicial cones whose Z^n / ZG is not cyclic (elementary divisors 1, 2, 2;
+# 1, 3, 3; 1, 2, 2, 2; 1, 1, 2, 2): the Hermite form of G^T then has two
+# pivots above 1, so some level of the parallelepiped walk steps by strictly
+# between 1 and |det G|
+NON_CYCLIC = [
+    [(1, 1, 1), (1, -1, 1), (1, 1, -1)],
+    [(1, 1, 1), (1, -2, 1), (1, 1, -2)],
+    [(1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)],
+    [(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1)],
+]
+# simplices of determinant 8 whose walk meets a row with a pivot above 1 and
+# a nonzero entry right of it (the Hermite rows (0, 2, 2) and (0, 0, 2, 2)),
+# where the residue of c_i is the right side divided by the pivot
+SHEARED = [
+    [(-3, -1, 2), (-1, 1, 0), (3, -3, 2)],
+    [(-2, 3, 2, 0), (-1, 0, -2, -2), (-1, 3, 2, 2), (0, 1, 0, 0)],
+]
+
+
+def _walk_cones():
+    """The non-cyclic cones, each also under a unimodular map, the sheared
+    simplices, and thin cones of small determinant."""
+    r = corpus.rng(2702)
+    cones = []
+    for rays in NON_CYCLIC:
+        assert invariant_factors_oracle(rays)[-2] > 1
+        c = Cone.from_generators(len(rays), rays)
+        u, _ = corpus.random_unimodular(r, c.rank, steps=4)
+        cones += [c, corpus.transform_cone(u, c)]
+    cones += [Cone.from_generators(len(rays), rays) for rays in SHEARED]
+    return cones + [_thin_cone(n) for n in range(2, 8)]
+
+
+def test_parallelepiped_against_definition():
+    # every c in [0, d)^n whose sum c_i g_i is divisible by d, on the walk
+    # cones and small random simplices, at each value a point takes: a cap
+    # off by one, or a level that runs past d, changes the list
+    r = corpus.rng(2704)
+    simplices = [c.rays for c in _walk_cones()]
+    while len(simplices) < 30:
+        rank = 2 + len(simplices) % 3
+        c = corpus.random_pointed_cone(r, rank, max_rays=rank)
+        if (len(c.rays) == rank
+                and math.prod(invariant_factors_oracle(c.rays)) ** rank <= 5000):
+            simplices.append(c.rays)
+    for gens in simplices:
+        functional = hilbert_basis(Cone.from_generators(len(gens), gens),
+                                   bound=0).functional
+        values = tuple(corpus.dot(functional, g) for g in gens)
+        full = parallelepiped_points(gens, values, sum(values))
+        assert len(full) == math.prod(invariant_factors_oracle(gens)) - 1
+        for bound in sorted({0} | {v for v, _ in full}):
+            got = sorted(_parallelepiped(gens, values, bound))
+            assert got == parallelepiped_points(gens, values, bound), (
+                gens, bound)
+
+
 def test_hilbert_against_graded_reference():
     # the reference enumerates every point up to the bound, at a cost that
     # grows like bound^rank, so rank-4/5 cones are drawn until the quota of
@@ -132,7 +198,7 @@ def test_hilbert_against_graded_reference():
                     <= caps.get(rank, math.inf)):
                 cones.append(c)
                 count -= 1
-    cones += _pair_cones()
+    cones += _pair_cones() + _walk_cones()
     for c in cones:
         cert = hilbert_basis(c, bound=0).certificate_bound
         for bound in (0, 1, cert // 2, cert):
@@ -153,6 +219,23 @@ def test_hilbert_basis_within_budget():
     assert hb.complete and hb.certificate_bound == 60
     want = graded_hilbert_basis(c, hb.functional, 30)
     assert hb.generators == want.generators and len(want.generators) == 15
+
+
+def test_hilbert_basis_follows_the_bound():
+    # the bound prunes the parallelepiped walk, so a small bound answers at
+    # once whatever |det| is: the thin cone is one simplex of determinant
+    # 2 * 10^7, and the rank-6 pair cone's two simplices have |det| summing
+    # to 15,618,427
+    hb = corpus.within(1, hilbert_basis, _thin_cone(2 * 10 ** 7), 3)
+    assert not hb.complete and hb.generators == ()
+    t = build_tilde(corpus.random_valid_data(77, 6, rank_choices=(4,))[0])
+    c = _pair_cone(t)
+    assert c.rank == 6
+    for bound, count in ((0, 0), (5, 7), (10, 34)):
+        hb = corpus.within(1, hilbert_basis, c, bound)
+        assert len(hb.generators) == count
+        want = graded_hilbert_basis(c, hb.functional, bound)
+        assert hb.to_json() == want.to_json()
 
 
 def test_hilbert_refuses_negative_bound():

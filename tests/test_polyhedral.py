@@ -11,6 +11,7 @@ from toricdeform import polyhedral
 from toricdeform.lattice import ZeroVectorError, primitive
 from toricdeform.polyhedral import (
     Cone,
+    Fan,
     Polyhedron,
     UnboundedError,
     _canonical_vrep,
@@ -246,6 +247,17 @@ def test_cone_json_roundtrip():
     again = Cone.from_json(json.loads(blob))
     assert again == c
     assert json.dumps(again.to_json(), sort_keys=True) == blob
+
+
+@pytest.mark.parametrize("ray, why", [
+    ((0, 0), "zero"), ((-2, -2), "not primitive"), ((1, 0), "repeated")])
+def test_fan_json_rejects_bad_ray(ray, why):
+    # each used to reach polarize, which then blamed the support function
+    data = {"rays": [[1, 0], [0, 1], list(ray)],
+            "maximal_cones": [[0, 1], [1, 2], [0, 2]]}
+    with pytest.raises(ValueError,
+                       match=r"fan ray \[%d, %d\] is %s$" % (ray + (why,))):
+        Fan.from_json(data)
 
 
 def test_cone_rejects_bad_rank():
