@@ -152,12 +152,6 @@ POLYGON_WITH_RAYS_7 = {"vertices": [[1, 0], [0, 1], [-1, -1]], "rays": 7}
     ("polarize", {"fan": dict(P2_FAN, rays=[[1, 0], [0, 1], [-1, -1, 0]]),
                   "phi": [-1, -1, -1]}),
     ("polarize", {"fan": P2_FAN, "phi": [-1, -1]}),
-    ("polarize", {"fan": dict(P2_FAN, rays=[[1, 0], [0, 1], [0, 0]]),
-                  "phi": [-1, -1, -1]}),
-    ("polarize", {"fan": dict(P2_FAN, rays=[[1, 0], [0, 1], [-2, -2]]),
-                  "phi": [-1, -1, -1]}),
-    ("polarize", {"fan": dict(P2_FAN, rays=[[1, 0], [0, 1], [1, 0]]),
-                  "phi": [-1, -1, -1]}),
     ("hilbert-basis", {"rays": [[[2.5, 1], 0], [1, 2]]}),
     ("polarize", {"polytope": [[[1.5, 1], 0], [0, 1], [-1, -1]]}),
     ("mutate", dict(MUT_PAYLOAD, polytope=[[[1.5, 1], 0], [0, 1], [-1, -1]])),
@@ -167,6 +161,12 @@ POLYGON_WITH_RAYS_7 = {"vertices": [[1, 0], [0, 1], [-1, -1]], "rays": 7}
         {"vertices": [[0, 1]], "rays": [[0, 0]]}, [[1, 0]]])),
     ("mutate", dict(MUT_PAYLOAD, w=[1])),
     ("mutate", dict(MUT_PAYLOAD, factor=[[0, 0, 0], [1, 1, 1]])),
+    ("polarize", {"fan": dict(P2_FAN, rays=[[1, 0], [0, 1], [0, 0]]),
+                  "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, rays=[[1, 0], [0, 1], [-2, -2]]),
+                  "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, rays=[[1, 0], [0, 1], [1, 0]]),
+                  "phi": [-1, -1, -1]}),
 ])
 def test_malformed_payload_is_usage_error(capsys, tmp_path, command,
                                           payload):
