@@ -4,10 +4,10 @@ Everything here works on tuples of Python ints or fractions.Fraction;
 no floating point is ever introduced.  Vectors are immutable tuples,
 matrices are tuples of row tuples.
 
-One elimination, the Hermite normal form, gives rank, integer kernels,
-saturation, the relations of a cokernel and the fundamental
-parallelepipeds of oracle.hilbert_basis (the Hermite form of a simplex's
-transposed ray matrix, solved row by row modulo its determinant).  The
+One elimination, the Hermite normal form, gives rank, saturation, the
+relations of a cokernel and the fundamental parallelepipeds of
+oracle.hilbert_basis (the Hermite form of a simplex's transposed ray
+matrix, solved row by row modulo its determinant).  The
 Smith normal form runs only where its own output is the product:
 elementary divisors (cox.CoxSystem.group takes them of its Hermite
 relations) and the transform U behind the printed Cox weights
@@ -285,32 +285,25 @@ def elementary_divisors(a: Sequence[Sequence[int]]) -> tuple:
     return tuple(d[i][i] for i in range(lim))
 
 
-def integer_kernel(a: Sequence[Sequence[int]]) -> tuple:
-    """Basis of {x in Z^n : A x = 0}, in Hermite normal form.
-
-    The Hermite form of [A^T | I_n] is U [A^T | I_n] with U unimodular; its
-    rows whose A^T part vanishes are the rows u of U with A u = 0.  They
-    are a basis of the (saturated) kernel lattice, already in Hermite form.
-    """
-    if not a:
-        return ()
-    m, n = len(a), len(a[0])
-    if any(len(r) != n for r in a):
-        raise ValueError("ragged matrix")
-    stacked = [list(col) + [int(i == j) for j in range(n)]
-               for i, col in enumerate(zip(*a))]
-    return tuple(r[m:] for r in hermite_normal_form(stacked) if not any(r[:m]))
-
-
 def saturate_rowspan(rows: Sequence[Sequence[int]]) -> tuple:
-    """Basis of span_Q(rows) ∩ Z^n, in Hermite normal form."""
+    """Basis of span_Q(rows) ∩ Z^n, in Hermite normal form: the kernel of
+    the kernel, each the rows of the Hermite form of [A^T | I_n] whose A^T
+    part vanishes.  No package code calls it; perfbench's tracer counts
+    its calls by name.  A ragged matrix raises ValueError."""
     rows = [tuple(r) for r in rows if not is_zero(r)]
     if not rows:
         return ()
-    ann = integer_kernel(rows)
-    if not ann:
-        return identity_matrix(len(rows[0]))
-    return integer_kernel(ann)
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    for _ in range(2):
+        m = len(rows)
+        stacked = [list(col) + [int(i == j) for j in range(n)]
+                   for i, col in enumerate(zip(*rows))]
+        rows = [r[m:] for r in hermite_normal_form(stacked) if not any(r[:m])]
+        if not rows:  # the rows span Q^n
+            return identity_matrix(n)
+    return tuple(rows)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple:

@@ -19,9 +19,9 @@ from .lattice import (
     ZeroVectorError,
     as_int_vector,
     dot,
+    hermite_normal_form,
     is_zero,
     primitive,
-    saturate_rowspan,
     vector_from_json,
     vneg,
 )
@@ -52,11 +52,15 @@ def dual_description(rank: int, normals: Sequence[tuple]):
     The normals are integer rows of length rank; they may be
     non-primitive and parallel (lattice_points passes cut homogeneous
     rows), and every ray and lineality row is a primitive tuple of plain
-    ints, reduced by a gcd alone, whatever the normals are.  Processes the inequalities
+    ints, whatever the normals are.  Processes the inequalities
     incrementally.  State invariant: the current cone equals
     lin(lineality) + cone(rays), with rays extreme and pairwise distinct
     modulo the lineality space, and bit i of masks[t], the int kept beside
-    rays[t], is set iff the i-th normal vanishes on that ray.  Processed
+    rays[t], is set iff the i-th normal vanishes on that ray.  The
+    lineality rows, from the identity on, stay a Z-basis of the saturated
+    lattice of the lineality space: a normal that does not vanish on them
+    takes unimodular row steps (Euclid on its values) until one row, l0,
+    alone keeps a value, so every row is primitive with no gcd.  Processed
     normals vanish on the lineality space, so masks are tight sets modulo
     lineality.  A positive and a negative ray are adjacent iff their common
     tight set has at least rank - dim(lin) - 2 members and no third ray is
@@ -75,14 +79,29 @@ def dual_description(rank: int, normals: Sequence[tuple]):
         bit = 1 << n
         vals = [sum(map(mul, a, l)) for l in lineality]
         if any(vals):
-            i0 = 0
-            while not vals[i0]:
-                i0 += 1
-            l0, al0 = lineality.pop(i0), vals.pop(i0)
+            # Euclid on the values, each round pivoting on the least |value|,
+            # until one row, l0, alone keeps a value, al0
+            kept = []
+            while True:
+                m = min(map(abs, filter(None, vals)))
+                i0 = vals.index(m) if m in vals else vals.index(-m)
+                l0, al0 = lineality.pop(i0), vals.pop(i0)
+                live = []
+                for v, l in zip(vals, lineality):
+                    if v:
+                        q = v // al0
+                        l = tuple([x - q * y for x, y in zip(l, l0)])
+                        if v != q * al0:
+                            live.append((v - q * al0, l))
+                            continue
+                    kept.append(l)
+                if not live:
+                    break
+                vals = [v for v, _ in live] + [al0]
+                lineality = [l for _, l in live] + [l0]
+            lineality = kept
             if al0 < 0:
                 l0, al0 = vneg(l0), -al0
-            lineality = [_reduce(tuple([al0 * x - v * y for x, y in zip(l, l0)])) if v else l
-                         for l, v in zip(lineality, vals)]
             new_rays = []
             for r in rays:  # shifting along l0 makes r tight on a
                 ar = sum(map(mul, a, r))
@@ -144,18 +163,19 @@ def _reject(v: tuple, ortho: Sequence[tuple]) -> tuple:
 def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
     """Canonicalize a (rays, lineality) pair, in integers only.
 
-    The rays must be primitive tuples of plain ints, as dual_description
-    returns them and canonical cones keep them.  The lineality basis
-    becomes the Hermite basis of its saturated lattice; each ray class is
-    represented by the primitive integer vector on its orthogonal
+    The rays must be primitive tuples of plain ints, and the lineality
+    rows a Z-basis of the saturated lattice of their span, as both callers
+    give them: dual_description, and Cone.permuted with permuted canonical
+    lines.  So the lines are the Hermite form of that basis; each ray
+    class is represented by the primitive integer vector on its orthogonal
     projection away from the lineality span, rejected step by step off an
     integer Gram-Schmidt basis of that span.  With no lineality every ray
-    is its own representative and nothing is saturated.  This makes both
-    parts functions of the cone as a set.
+    is its own representative.  This makes both parts functions of the
+    cone as a set.
     """
     if not lineality:
         return tuple(sorted(set(rays))), ()
-    lines = saturate_rowspan(lineality)
+    lines = hermite_normal_form(lineality)
     ortho = []
     for l in lines:
         b = _reject(l, ortho)
@@ -357,7 +377,8 @@ class Polyhedron:
     <normal, x> + offset >= 0.  The field homogeneous holds, at the index
     of each vertex v, the primitive integer row (d*v, d) with d > 0 that
     the double description gives for it, so functionals are evaluated on
-    vertices in integers.  The empty polyhedron has no vertices and no
+    vertices in integers, and so is their order: the row of v is keyed by
+    (L/d)*(d*v), L the lcm of every d.  The empty polyhedron has no vertices and no
     rows, and carries the single inconsistent inequality (0, -1).
     """
 
@@ -365,11 +386,12 @@ class Polyhedron:
                  "_dimension", "_hash")
 
     def __init__(self, rank, homogeneous, rays, lines, inequalities, dimension):
-        pairs = sorted((tuple(Fraction(x, h[-1]) for x in h[:-1]), tuple(h))
-                       for h in homogeneous)
+        lcm = math.lcm(*[h[-1] for h in homogeneous])
         self.rank = rank
-        self.vertices = tuple(v for v, _ in pairs)
-        self.homogeneous = tuple(h for _, h in pairs)
+        self.homogeneous = rows = tuple(sorted(
+            map(tuple, homogeneous), key=lambda h: [x * (lcm // h[-1]) for x in h[:-1]]))
+        self.vertices = tuple(tuple(map(Fraction, h[:-1])) if h[-1] == 1 else
+                              tuple(Fraction(x, h[-1]) for x in h[:-1]) for h in rows)
         self.rays = tuple(tuple(r) for r in rays)
         self.lines = tuple(tuple(l) for l in lines)
         self.inequalities = tuple((tuple(u), int(c)) for u, c in inequalities)

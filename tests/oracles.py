@@ -7,7 +7,9 @@ semigroup generators, every slice and every translate for mutations.
 Slow but transparent on the small inputs the tests feed it.  Nothing in
 this module imports the package under test, except graded_hilbert_basis:
 the bounded enumeration that hilbert_basis ran before it triangulated,
-kept as a differential reference on the package's own lattice_points.
+kept as a differential reference on the package's own lattice_points; and
+integer_kernel, the kernel the package took from its Hermite form before
+the double description kept its lineality saturated.
 """
 
 from __future__ import annotations
@@ -246,6 +248,38 @@ def invariant_factors_oracle(mat):
         out.append(g // g_prev)
         g_prev = g
     return tuple(out)
+
+
+def integer_kernel(a):
+    """Basis of {x in Z^n : A x = 0}, in Hermite normal form.
+
+    The Hermite form of [A^T | I_n] is U [A^T | I_n] with U unimodular; its
+    rows whose A^T part vanishes are the rows u of U with A u = 0.  They
+    are a basis of the (saturated) kernel lattice, already in Hermite form.
+    """
+    from toricdeform.lattice import hermite_normal_form
+
+    if not a:
+        return ()
+    m, n = len(a), len(a[0])
+    if any(len(r) != n for r in a):
+        raise ValueError("ragged matrix")
+    stacked = [list(col) + [int(i == j) for j in range(n)]
+               for i, col in enumerate(zip(*a))]
+    return tuple(r[m:] for r in hermite_normal_form(stacked) if not any(r[:m]))
+
+
+def saturate_rowspan(rows):
+    """Basis of span_Q(rows) ∩ Z^n, in Hermite normal form: the kernel of
+    the kernel (the identity when the rows span Q^n)."""
+    rows = [tuple(r) for r in rows if any(r)]
+    if not rows:
+        return ()
+    ann = integer_kernel(rows)
+    if not ann:
+        return tuple(tuple(int(i == j) for j in range(len(rows[0])))
+                     for i in range(len(rows[0])))
+    return integer_kernel(ann)
 
 
 def semigroup_generators_oracle(facets, functional, bound):

@@ -26,7 +26,7 @@ from toricdeform.cox import (
     trinomials,
 )
 from toricdeform.datum import build_tilde
-from toricdeform.lattice import AbelianGroupPresentation, dot, integer_kernel
+from toricdeform.lattice import AbelianGroupPresentation, dot
 from toricdeform.presets import (
     ca1_alias,
     ca1_datum,
@@ -35,7 +35,7 @@ from toricdeform.presets import (
 )
 
 import corpus
-from oracles import invariant_factors_oracle
+from oracles import integer_kernel, invariant_factors_oracle
 
 
 # ------------------------------------------------------------ equations

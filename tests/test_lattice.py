@@ -18,7 +18,6 @@ from toricdeform.lattice import (
     content,
     elementary_divisors,
     hermite_normal_form,
-    integer_kernel,
     is_integral,
     matrix_rank,
     primitive,
@@ -27,6 +26,7 @@ from toricdeform.lattice import (
 )
 from toricdeform.polyhedral import Cone
 
+import oracles
 from oracles import _int_det, invariant_factors_oracle, rational_rank
 
 
@@ -147,16 +147,17 @@ def test_number_path_edge_cases():
     with pytest.raises(TypeError):
         content((Fraction(3, 2), 3))
     # the normal forms cast through as_int: a non-integral entry raises,
-    # never truncates (x/2 + y = 0 has kernel (2, -1), not (1, 0))
-    for nonintegral in (integer_kernel, smith_normal_form, hermite_normal_form):
+    # never truncates (x/2 + y saturates to (1, 2), not to (0, 1))
+    for nonintegral in (saturate_rowspan, smith_normal_form, hermite_normal_form):
         with pytest.raises(ValueError, match="non-integral coordinate 1/2"):
             nonintegral([[Fraction(1, 2), 1]])
     with pytest.raises(TypeError, match="int or Fraction"):
         smith_normal_form([[1.5, 2]])
     with pytest.raises(TypeError, match="int or Fraction"):
         hermite_normal_form([[1, 2.0]])
-    assert integer_kernel([[Fraction(2), 4]]) == integer_kernel([[2, 4]]) == ((2, -1),)
-    for ragged in (integer_kernel, smith_normal_form):
+    assert saturate_rowspan([[Fraction(2), 4]]) == saturate_rowspan([[2, 4]]) == ((1, 2),)
+    assert all(type(x) is int for x in saturate_rowspan([[Fraction(2), 4]])[0])
+    for ragged in (saturate_rowspan, smith_normal_form):
         with pytest.raises(ValueError, match="ragged matrix"):
             ragged([[1, 2], [3]])
     assert all(type(x) is int for r in smith_normal_form([[Fraction(2), 4]]) for row in r
@@ -297,12 +298,14 @@ def widened_matrices(r, count):
 
 
 def test_integer_kernel_is_saturated():
+    # the kernel reference in oracles, and the package's saturate_rowspan
+    # (the kernel of that kernel) against it
     r = random.Random(904)
     small = [random_matrix(r, r.randint(1, 3), r.randint(2, 4), -5, 5)
              for _ in range(200)]
     for a in small + widened_matrices(random.Random(908), 60):
         m, n = len(a), len(a[0])
-        ker = corpus.within(1, integer_kernel, a)
+        ker = corpus.within(1, oracles.integer_kernel, a)
         for v in ker:
             assert all(
                 sum(a[i][j] * v[j] for j in range(n)) == 0 for i in range(m)
@@ -313,6 +316,10 @@ def test_integer_kernel_is_saturated():
             assert invariant_factors_oracle([list(v) for v in ker]) == (
                 (1,) * len(ker)
             )
+        sat = corpus.within(1, saturate_rowspan, a)
+        assert sat == oracles.saturate_rowspan(a) == hermite_normal_form(sat)
+        assert len(sat) == rational_rank(a) == rational_rank(list(a) + list(sat))
+        assert all(sum(x * y for x, y in zip(s, v)) == 0 for s in sat for v in ker)
 
 
 def test_group_presentation_str():
@@ -403,7 +410,7 @@ def test_smith_normal_form_runs_only_for_class_groups(monkeypatch):
     monkeypatch.setattr(lattice, "smith_normal_form", counting)
     monkeypatch.setattr(cox, "smith_normal_form", counting)
     a = [[2, 4, -6, 1], [1, 2, -3, 0], [3, 6, -9, 1]]
-    assert integer_kernel(a) and saturate_rowspan(a) and matrix_rank(a) == 2
+    assert saturate_rowspan(a) and matrix_rank(a) == 2
     assert Cone.from_generators(4, [(1, 2, 0, -3), (0, 5, 1, 1)]).dimension() == 2
     assert calls == []
     sys = cox_system(((1, 0), (0, 1), (-1, -1)), 2)

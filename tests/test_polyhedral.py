@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from toricdeform import polyhedral
-from toricdeform.lattice import ZeroVectorError, primitive
+from toricdeform.lattice import ZeroVectorError, hermite_normal_form, primitive
 from toricdeform.polyhedral import (
     Cone,
     Fan,
@@ -27,6 +27,7 @@ from toricdeform.polyhedral import (
 
 import corpus
 from oracles import (
+    _int_det,
     brute_facets_from_rays,
     brute_lattice_points,
     brute_rays_from_normals,
@@ -35,6 +36,7 @@ from oracles import (
     prim,
     rational_kernel,
     rational_rank,
+    saturate_rowspan,
 )
 
 
@@ -400,6 +402,72 @@ def test_dual_description_on_datum_shaped_inputs():
     assert {k[1:] for k in kinds} == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def saturated_lineality_inputs(seed):
+    """(rank, rows): the generator sets of test_cone_permuted_against_hull's
+    generator in ranks 2-6, each also as the folded facets that a hull's
+    second pass reads, then single points and segments with denominators
+    1-3, lifted to rank 3-4."""
+    for rank, gens in degenerate_generator_sets(seed, 200, ranks=(2, 3, 4, 5, 6)):
+        yield rank, gens
+        yield rank, list(Cone.from_generators(rank, gens).facets)
+    r = corpus.rng(seed)
+    for _ in range(80):
+        rank = r.choice([2, 3])
+        ends = [primitive(corpus.random_vector(r, rank, -5, 5) + (r.randint(1, 3),))
+                for _ in range(2)]
+        yield rank + 1, ends[:1]
+        yield rank + 1, ends
+
+
+def test_dual_description_keeps_lineality_saturated():
+    # after every prefix of the normals the lineality rows span the kernel
+    # and are a basis of its saturated lattice: their Hermite form is the
+    # saturation of their span
+    lines = set()
+    for rank, rows in saturated_lineality_inputs(1301):
+        for k in range(len(rows) + 1):
+            _, lin = dual_description(rank, rows[:k])
+            assert len(lin) == rank - rational_rank(rows[:k])
+            assert all(dot(a, l) == 0 for a in rows[:k] for l in lin)
+            assert hermite_normal_form(lin) == saturate_rowspan(lin), (rows[:k], lin)
+        lines.add(len(lin))
+    assert lines >= {0, 1, 2, 3}
+
+
+def _reference_dual(rank, rows):
+    """(pointed, lines) by the reference path: one double description
+    pass, the oracle saturation of its lineality, then Fraction
+    Gram-Schmidt projection."""
+    rays, lin = dual_description(rank, rows)
+    lines = saturate_rowspan(lin)
+    return tuple(sorted({projection_reference(v, lines) for v in rays})), tuple(lines)
+
+
+def _reference_hull(rank, gens):
+    """(pointed rays, lines, pointed facets, facet lines) of cone(gens)."""
+    fac_p, fac_l = _reference_dual(rank, gens)
+    folded = set(fac_p) | set(fac_l) | {tuple(-x for x in l) for l in fac_l}
+    return _reference_dual(rank, sorted(folded)) + (fac_p, fac_l)
+
+
+def test_hull_parts_match_saturation_reference():
+    r = corpus.rng(1302)
+    kinds = set()
+    for rank, gens in saturated_lineality_inputs(1303):
+        want = _reference_hull(rank, gens)
+        c = Cone.from_generators(rank, gens)
+        assert (c.pointed_rays, c.lines, c.pointed_facets, c.facet_lines) == want
+        h = Cone.from_inequalities(rank, gens)
+        assert (h.pointed_facets, h.facet_lines, h.pointed_rays, h.lines) == want
+        perm = list(range(rank))
+        r.shuffle(perm)
+        p = c.permuted(perm)
+        assert (p.pointed_rays, p.lines, p.pointed_facets, p.facet_lines) == \
+            _reference_hull(rank, [tuple(x[i] for i in perm) for x in c.rays])
+        kinds.add((len(c.lines), len(c.facet_lines)))
+    assert {k[0] for k in kinds} >= {0, 1, 2, 3} and {k[1] for k in kinds} >= {0, 1, 2, 3}
+
+
 # ----------------------------------------------------------- polyhedra
 
 
@@ -596,6 +664,36 @@ def test_homogeneous_rows_match_vertices():
             kinds.add("rational")
     assert kinds == {"empty", "lines", "rays", "flat", "full", "rational"}
     assert Polyhedron.empty(2).homogeneous == ()
+
+
+def test_vertex_order_is_fraction_order():
+    # the integer keys sort the rows as sorted() sorts the Fraction vertices,
+    # whatever order the rows come in
+    r = corpus.rng(1304)
+    cases = [Polyhedron.empty(rank) for rank in (1, 2, 3, 4)]
+    for _ in range(200):
+        rank = r.randint(1, 4)
+        pts = [tuple(Fraction(r.randint(-9, 9), r.randint(1, 7)) for _ in range(rank))
+               for _ in range(r.randint(1, rank + 3))]
+        cases += [convex_hull(rank, pts), convex_hull(rank, pts[:1])]
+    dens = set()
+    for p in cases:
+        want = sorted((tuple(Fraction(x, h[-1]) for x in h[:-1]), h) for h in p.homogeneous)
+        rows = list(p.homogeneous)
+        r.shuffle(rows)
+        q = Polyhedron(p.rank, rows, p.rays, p.lines, p.inequalities, p.affine_dimension())
+        for got in (p, q):
+            assert got.vertices == tuple(v for v, _ in want)
+            assert got.homogeneous == tuple(h for _, h in want)
+            assert all(type(x) is Fraction for v in got.vertices for x in v)
+        if p.is_lattice:
+            assert p.lattice_vertices() == tuple(tuple(x.numerator for x in v) for v, _ in want)
+        else:
+            with pytest.raises(ValueError, match="non-integral"):
+                p.lattice_vertices()
+        dens |= {h[-1] for h in p.homogeneous}
+    assert Polyhedron.empty(3).vertices == Polyhedron.empty(3).homogeneous == ()
+    assert dens >= set(range(1, 8))
 
 
 def _min_reference(p, u):
@@ -818,9 +916,23 @@ def _random_rational_points(r, rank, count, bound, dens):
             for _ in range(count)]
 
 
+def _check_lineality_entries(rank, pts):
+    """The lineality rows that the hull's first double description pass
+    returns stay within twice the largest maximal minor of its generator
+    rows, the size of a Cramer's-rule basis of the same kernel."""
+    rows = sorted({primitive(p + (1,)) for p in pts})
+    _, lin = dual_description(rank + 1, rows)
+    k = rational_rank(rows)
+    minor = max(abs(_int_det([[a[j] for j in cols] for a in sub]))
+                for sub in itertools.combinations(rows, k)
+                for cols in itertools.combinations(range(rank + 1), k))
+    assert max((abs(x) for l in lin for x in l), default=0) <= 2 * minor, (pts, lin)
+
+
 def test_lower_dimensional_hull_lineality_stays_small():
-    # saturating the lineality of a lower-dimensional hull takes the kernel
-    # of a kernel; neither may see entries that grow with every row swap
+    # the double description keeps the lineality of a lower-dimensional
+    # hull saturated by Euclid steps, which reduce no row by a gcd; no
+    # entry may grow with every step
     f = Fraction
     p = corpus.within(5, convex_hull, 4, [
         (1, -4, 0, -3), (f(-4, 3), f(2, 3), f(2, 3), 2), (0, f(-3, 2), f(-4, 3), 0)])
@@ -832,6 +944,13 @@ def test_lower_dimensional_hull_lineality_stays_small():
         pts = _random_rational_points(r, rank, r.randint(2, rank), 4, dens)
         hull = corpus.within(2, convex_hull, rank, pts)
         assert all(hull.contains(x) for x in pts)
+        _check_lineality_entries(rank, pts)
+    r = corpus.rng(8)
+    for _ in range(40):
+        pts = _random_rational_points(r, 6, r.randint(2, 6), 50, (1, 2, 3))
+        hull = corpus.within(2, convex_hull, 6, pts)
+        assert all(hull.contains(x) for x in pts)
+        _check_lineality_entries(6, pts)
     # rank 6-7 with two-digit entries: a Smith-based saturation stalled here
     r = corpus.rng(6)
     for _ in range(60):
