@@ -286,24 +286,30 @@ def elementary_divisors(a: Sequence[Sequence[int]]) -> tuple:
 
 
 def saturate_rowspan(rows: Sequence[Sequence[int]]) -> tuple:
-    """Basis of span_Q(rows) ∩ Z^n, in Hermite normal form: the kernel of
-    the kernel, each the rows of the Hermite form of [A^T | I_n] whose A^T
-    part vanishes.  No package code calls it; perfbench's tracer counts
-    its calls by name.  A ragged matrix raises ValueError."""
-    rows = [tuple(r) for r in rows if not is_zero(r)]
-    if not rows:
-        return ()
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
+    """Basis of span_Q(rows) ∩ Z^n, in Hermite normal form.
+
+    With H the Hermite form of the rows (r of them) and T the r x r
+    Hermite form of H^T, H^T = V [T; 0] for a unimodular V, so the rows
+    of (T^T)^-1 H are r rows of the unimodular V^T: a basis of the
+    saturated lattice.  |det T| is the gcd of the maximal minors of H, so
+    H is saturated iff T has unit pivots, and then H is the answer (the
+    double description's lineality always is); otherwise forward
+    substitution through T^T gives those rows.  A ragged matrix raises
+    ValueError.
+    """
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    for _ in range(2):
-        m = len(rows)
-        stacked = [list(col) + [int(i == j) for j in range(n)]
-                   for i, col in enumerate(zip(*rows))]
-        rows = [r[m:] for r in hermite_normal_form(stacked) if not any(r[:m])]
-        if not rows:  # the rows span Q^n
-            return identity_matrix(n)
-    return tuple(rows)
+    h = hermite_normal_form(rows)
+    t = hermite_normal_form(list(zip(*h)))
+    if all(t[i][i] == 1 for i in range(len(t))):
+        return h
+    basis = []
+    for i, row in enumerate(h):
+        for j, b in enumerate(basis):
+            if t[j][i]:
+                row = [x - t[j][i] * y for x, y in zip(row, b)]
+        basis.append([x // t[i][i] for x in row])
+    return hermite_normal_form(basis)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple:

@@ -19,9 +19,9 @@ from .lattice import (
     ZeroVectorError,
     as_int_vector,
     dot,
-    hermite_normal_form,
     is_zero,
     primitive,
+    saturate_rowspan,
     vector_from_json,
     vneg,
 )
@@ -164,10 +164,12 @@ def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
     """Canonicalize a (rays, lineality) pair, in integers only.
 
     The rays must be primitive tuples of plain ints, and the lineality
-    rows a Z-basis of the saturated lattice of their span, as both callers
-    give them: dual_description, and Cone.permuted with permuted canonical
-    lines.  So the lines are the Hermite form of that basis; each ray
-    class is represented by the primitive integer vector on its orthogonal
+    rows integer rows spanning the lineality space.  The lines are the
+    saturated Hermite basis of that span; both callers give a basis that
+    is already saturated (dual_description, and Cone.permuted with
+    permuted canonical lines), which saturate_rowspan confirms on a
+    transposed Hermite form with no triangular solve.  Each ray class is
+    represented by the primitive integer vector on its orthogonal
     projection away from the lineality span, rejected step by step off an
     integer Gram-Schmidt basis of that span.  With no lineality every ray
     is its own representative.  This makes both parts functions of the
@@ -175,7 +177,7 @@ def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
     """
     if not lineality:
         return tuple(sorted(set(rays))), ()
-    lines = hermite_normal_form(lineality)
+    lines = saturate_rowspan(lineality)
     ortho = []
     for l in lines:
         b = _reject(l, ortho)
@@ -378,8 +380,9 @@ class Polyhedron:
     of each vertex v, the primitive integer row (d*v, d) with d > 0 that
     the double description gives for it, so functionals are evaluated on
     vertices in integers, and so is their order: the row of v is keyed by
-    (L/d)*(d*v), L the lcm of every d.  The empty polyhedron has no vertices and no
-    rows, and carries the single inconsistent inequality (0, -1).
+    (L/d)*(d*v), L the lcm of every d.  The empty polyhedron has no
+    vertices and no rows, and carries the single inconsistent inequality
+    (0, -1).
     """
 
     __slots__ = ("rank", "vertices", "homogeneous", "rays", "lines", "inequalities",
@@ -390,8 +393,7 @@ class Polyhedron:
         self.rank = rank
         self.homogeneous = rows = tuple(sorted(
             map(tuple, homogeneous), key=lambda h: [x * (lcm // h[-1]) for x in h[:-1]]))
-        self.vertices = tuple(tuple(map(Fraction, h[:-1])) if h[-1] == 1 else
-                              tuple(Fraction(x, h[-1]) for x in h[:-1]) for h in rows)
+        self.vertices = tuple(tuple(Fraction(x, h[-1]) for x in h[:-1]) for h in rows)
         self.rays = tuple(tuple(r) for r in rays)
         self.lines = tuple(tuple(l) for l in lines)
         self.inequalities = tuple((tuple(u), int(c)) for u, c in inequalities)

@@ -8,8 +8,8 @@ Slow but transparent on the small inputs the tests feed it.  Nothing in
 this module imports the package under test, except graded_hilbert_basis:
 the bounded enumeration that hilbert_basis ran before it triangulated,
 kept as a differential reference on the package's own lattice_points; and
-integer_kernel, the kernel the package took from its Hermite form before
-the double description kept its lineality saturated.
+integer_kernel, the kernel the package's saturate_rowspan took twice
+before it read saturation off the Hermite form of a transpose.
 """
 
 from __future__ import annotations

@@ -42,11 +42,6 @@ TEST_ONLY = {
     # the floor-of-minima identity of a Minkowski decomposition, a lemma
     # of the paper that the datum tests check on valid data
     "floor_min_identity",
-    # the saturation that hull canonicalization ran before the double
-    # description kept its lineality saturated; perfbench/tracer.py reads
-    # the call count of lattice.saturate_rowspan by name, a use this lint
-    # cannot see, so it leaves the package with that metric
-    "saturate_rowspan",
 }
 
 

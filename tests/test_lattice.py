@@ -299,7 +299,7 @@ def widened_matrices(r, count):
 
 def test_integer_kernel_is_saturated():
     # the kernel reference in oracles, and the package's saturate_rowspan
-    # (the kernel of that kernel) against it
+    # against the oracle's kernel of that kernel
     r = random.Random(904)
     small = [random_matrix(r, r.randint(1, 3), r.randint(2, 4), -5, 5)
              for _ in range(200)]

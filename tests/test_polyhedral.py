@@ -31,6 +31,7 @@ from oracles import (
     brute_facets_from_rays,
     brute_lattice_points,
     brute_rays_from_normals,
+    invariant_factors_oracle,
     dot,
     fm_minimize,
     prim,
@@ -422,7 +423,9 @@ def saturated_lineality_inputs(seed):
 def test_dual_description_keeps_lineality_saturated():
     # after every prefix of the normals the lineality rows span the kernel
     # and are a basis of its saturated lattice: their Hermite form is the
-    # saturation of their span
+    # saturation of their span, and (independently of the package's
+    # Hermite form) every invariant factor of a basis of the right rank
+    # orthogonal to the rows is 1
     lines = set()
     for rank, rows in saturated_lineality_inputs(1301):
         for k in range(len(rows) + 1):
@@ -430,6 +433,7 @@ def test_dual_description_keeps_lineality_saturated():
             assert len(lin) == rank - rational_rank(rows[:k])
             assert all(dot(a, l) == 0 for a in rows[:k] for l in lin)
             assert hermite_normal_form(lin) == saturate_rowspan(lin), (rows[:k], lin)
+            assert invariant_factors_oracle(lin) == (1,) * len(lin), (rows[:k], lin)
         lines.add(len(lin))
     assert lines >= {0, 1, 2, 3}
 
