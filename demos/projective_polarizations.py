@@ -51,10 +51,8 @@ def main():
         Cone.from_generators(2, [(2, 1), (-1, 1)]))
     describe("Q-divisor example", q)
 
-    fam = p2_p114_family()
-    d = fam.induced_datum
-    v = PolarizedToricVariety.from_cone(d.sigma)
-    pt = projective_tilde(v, d)
+    # projective_tilde polarizes by the datum's own cone
+    pt = projective_tilde(p2_p114_family().induced_datum)
     print("projective pencil over the induced datum")
     print("   ambient rays:", tuple(pt.fan.rays))
     print("   boundary:", "present" if pt.boundary is not None else "none")

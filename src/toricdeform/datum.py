@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .cox import PairingData
 from .lattice import (
-    as_int_vector, dot, is_integral, primitive, vadd, vector_from_json, vscale, vsub)
+    as_int_vector, dot, primitive, vadd, vector_from_json, vscale, vsub)
 from .polyhedral import (
     Cone,
     Polyhedron,
@@ -92,14 +92,15 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
             raise DatumStructureError("summand %d is empty" % i)
     if len(w) != n:
         raise DatumStructureError("w has length %d, expected %d" % (len(w), n))
-    if not is_integral(w):
-        raise DatumStructureError("w must be a lattice vector")
+    try:
+        w = as_int_vector(w)
+    except ValueError:
+        raise DatumStructureError("w must be a lattice vector") from None
     if not sigma.is_strongly_convex():
         raise DatumStructureError("cone is not strongly convex")
     if sigma.dimension() != n:
         raise DatumStructureError("cone is not full-dimensional")
-    d = DeformationDatum(sigma=sigma, summands=summands, w=as_int_vector(w),
-                         boundary=boundary)
+    d = DeformationDatum(sigma=sigma, summands=summands, w=w, boundary=boundary)
     if total is not None and total != d.q:
         raise DatumStructureError("supplied total polyhedron != sum of summands")
     return d

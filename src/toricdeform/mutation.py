@@ -8,9 +8,9 @@ those g and of the vertices u + <w, u>f of P above level zero shifted
 along F; it does not depend on which admissible factors are chosen
 (Akhtar-Coates-Galkin-Kasprzyk, SIGMA 8 (2012) 094), so the vertices of
 P and F are all it reads.  The pencil glues the original and mutated
-polytopes into one polytope Q~ one dimension up; its normal fan carries
-a trinomial a,b,c family whose distinguished fibers recover both toric
-pairs.
+polytopes into one polytope Q~ one dimension up; its normal fan, the fan
+of the induced polarized pair, carries a trinomial a,b,c family whose
+distinguished fibers recover both toric pairs.
 """
 
 from __future__ import annotations
@@ -30,19 +30,8 @@ from .cox import (
 from .datum import DeformationDatum, build_datum
 from .lattice import (
     as_fraction, as_int_vector, dot, primitive, vadd, vneg, vscale, vsub)
-from .polyhedral import (
-    Cone,
-    Fan,
-    Polyhedron,
-    convex_hull,
-    normal_fan,
-)
-from .projective import (
-    PolarizedToricVariety,
-    ProjectiveTilde,
-    check_fano_polytope,
-    projective_tilde,
-)
+from .polyhedral import Cone, Fan, Polyhedron, convex_hull
+from .projective import ProjectiveTilde, check_fano_polytope, projective_tilde
 
 
 class MutationDatumError(ValueError):
@@ -212,8 +201,9 @@ def induced_boundary_datum(fano: FanoPolytope,
 def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
     """Glue P and its mutation into Q~; read the a,b,c pencil off its fan.
 
-    The cone over P and the Cox system are the induced construction's,
-    the latter read after the ray-set check (both ray tuples are sorted).
+    The predicted rays must be the facet normals of Q~.  The fan (the
+    normal fan of Q~), the cone over P and the Cox system are the induced
+    pair's, read after the ray-set check (both ray tuples are sorted).
     The predicted-ray, ray-set, homogeneity, disjoint-support and
     ``_cross_check_equations`` checks stay independent.
     """
@@ -235,15 +225,15 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
     if q_tilde.affine_dimension() != n + 1:
         raise MutationFamilyError("glued polytope is not full-dimensional")
 
-    fan = normal_fan(q_tilde)
+    normals = tuple(sorted(primitive(u) for u, _ in q_tilde.inequalities))
     predicted = tuple(sorted(set(up + down + top)))
-    if fan.rays != predicted:
+    if normals != predicted:
         raise MutationFamilyError(
             "normal fan rays %s differ from the predicted list %s"
-            % (fan.rays, predicted))
+            % (normals, predicted))
 
-    index = {r: j for j, r in enumerate(fan.rays)}
-    m = len(fan.rays)
+    index = {r: j for j, r in enumerate(predicted)}
+    m = len(predicted)
 
     def exps(assign) -> tuple:
         out = [0] * m
@@ -263,9 +253,9 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
                                   "in every term")
 
     datum = induced_boundary_datum(fano, d)
-    induced = projective_tilde(
-        PolarizedToricVariety.from_cone(datum.sigma), datum)
-    if set(induced.fan.rays) != set(fan.rays):
+    induced = projective_tilde(datum)
+    fan = induced.fan
+    if fan.rays != predicted:
         raise MutationFamilyError(
             "induced construction produced different ambient rays")
     if not is_homogeneous(induced.cox, trinomial)[0]:

@@ -1,4 +1,4 @@
-"""Exact polyhedral geometry: cones, polyhedra, and normal fans.
+"""Exact polyhedral geometry: cones, polyhedra, and fans.
 
 Ray/facet conversion runs a Motzkin-Burger double description pass whose
 adjacency test is combinatorial, on zero-set bitmasks; every object carries
@@ -426,14 +426,10 @@ class Polyhedron:
     def from_inequalities(cls, rank: int, inequalities: Iterable[tuple]) -> "Polyhedron":
         ineqs = [(tuple(u), c) for u, c in inequalities]
         _require_rank(rank, [u for u, _ in ineqs], "normal")
-        normals = set()
-        for u, c in ineqs:
-            row = u + (c,)
-            if is_zero(row[:-1]):
-                if row[-1] < 0:
-                    return cls.empty(rank)
-                continue
-            normals.add(primitive(row))
+        # a constant row repeats the homogenizing one (c > 0) or leaves
+        # no point above height 0 (c < 0), so the hull is empty
+        rows = [u + (c,) for u, c in ineqs]
+        normals = {primitive(row) for row in rows if not is_zero(row)}
         normals.add((0,) * rank + (1,))  # homogenizing halfspace
         fac_p, fac_l, pointed, lines = _vh_pipeline(rank + 1, sorted(normals))
         return cls._from_homogeneous(rank, pointed, lines, fac_p, fac_l)
@@ -702,23 +698,3 @@ class Fan:
             raise ValueError("fan cone index %r is not one of the %d rays" % (bad[0], len(rays)))
         return cls(rank=rank, rays=rays, maximal_cones=cones)
 
-
-def normal_fan(p: Polyhedron) -> Fan:
-    """Inner-normal fan of a full-dimensional polytope.
-
-    The rays are the primitive facet normals; the maximal cone at a vertex
-    is spanned by the normals of the facets through it.
-    """
-    if p.is_empty or not p.is_bounded:
-        raise UnboundedError("Unbounded: normal fan needs a polytope")
-    if p.affine_dimension() != p.rank:
-        raise ValueError("normal fan needs a full-dimensional polytope")
-    normals = [primitive(u) for u, _ in p.inequalities]
-    rays = sorted(normals)
-    index = {r: i for i, r in enumerate(rays)}
-    rows = [(u, c, index[r]) for (u, c), r in zip(p.inequalities, normals)]
-    cones = set()
-    for h in p.homogeneous:  # (d*v, d): v is tight on a row iff <u, d*v> + c*d == 0
-        dv, d = h[:-1], h[-1]
-        cones.add(tuple(sorted(i for u, c, i in rows if dot(u, dv) + c * d == 0)))
-    return Fan(rank=p.rank, rays=tuple(rays), maximal_cones=tuple(sorted(cones)))

@@ -215,17 +215,16 @@ class ProjectiveTilde:
         return self.variety.fan
 
 
-def projective_tilde(v: PolarizedToricVariety,
-                     d: DeformationDatum) -> ProjectiveTilde:
-    """Run the enlargement inside N0 + Z^k and re-polarize with e0 last.
+def projective_tilde(d: DeformationDatum) -> ProjectiveTilde:
+    """Polarize by the datum's cone, run the enlargement inside N0 + Z^k
+    and re-polarize with e0 last.
 
-    The datum must live over v's cone with a functional that kills e0;
-    the boundary monomial is only emitted when the polarization is at
-    least an integral divisor.
+    The datum's cone must hold e0 in its interior and its functional must
+    kill e0; the boundary monomial is only emitted when the polarization
+    is at least an integral divisor.
     """
+    v = PolarizedToricVariety.from_cone(d.sigma)
     n = v.n
-    if d.sigma != v.tau:
-        raise ValueError("datum cone differs from the polarizing cone")
     if d.w[n] != 0:
         raise ValueError("functional must have zero e0-component")
     require_valid(d)

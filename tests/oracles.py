@@ -37,6 +37,17 @@ def prim(v):
     return tuple(x // g for x in v)
 
 
+def normal_fan_reference(p):
+    """Rays and maximal cones of the inner-normal fan of a full-dimensional
+    polytope: the sorted primitive facet normals, and per vertex the sorted
+    indices of the facets through it, each incidence tested on the vertex
+    itself."""
+    rays = sorted(prim(u) for u, _ in p.inequalities)
+    index = {r: i for i, r in enumerate(rays)}
+    cones = {tuple(sorted(index[prim(u)] for u, c in p.inequalities
+                          if dot(u, v) + c == 0)) for v in p.vertices}
+    return tuple(rays), tuple(sorted(cones))
+
 def rational_kernel(rows, n):
     """Basis of {x in Q^n : <r, x> = 0 for all rows r}, as integer tuples."""
     mat = [[Fraction(x) for x in r] for r in rows]

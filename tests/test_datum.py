@@ -60,6 +60,16 @@ def test_rejects_rank_mismatch():
         build_datum(orthant(), [point(1, 1), point(0, 0)], (0, -1, 0))
 
 
+def test_w_follows_the_lattice_number_contract():
+    d = ca1_datum()
+    with pytest.raises(TypeError, match="int or Fraction"):
+        build_datum(d.sigma, d.summands, (0.0, -2.0, 3.0))
+    with pytest.raises(DatumStructureError, match="w must be a lattice vector"):
+        build_datum(d.sigma, d.summands, (0, Fraction(-1, 2), 3))
+    w = build_datum(d.sigma, d.summands, (Fraction(0), Fraction(-2), 3)).w
+    assert w == (0, -2, 3) and all(type(x) is int for x in w)
+
+
 def test_rejects_bad_cone():
     half = Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1)])
     with pytest.raises(DatumStructureError, match="strongly convex"):

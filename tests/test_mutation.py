@@ -566,6 +566,16 @@ def test_pencil_shares_the_induced_cone_and_cox_system():
         assert fam.induced_datum.sigma == tau, d.w
 
 
+def test_family_fan_is_the_normal_fan_of_q_tilde():
+    # the fan is the induced pair's; it must be the normal fan of the
+    # glued polytope, maximal cones included
+    fano, d, _ = p114_setup()
+    for fano, d in [(fano, d)] + corpus.random_mutation_cases(10):
+        fam = mutation_family(fano, d)
+        assert (fam.fan.rays, fam.fan.maximal_cones) == \
+            oracles.normal_fan_reference(fam.q_tilde), d.w
+
+
 def test_pencil_enumerates_no_lattice_points(monkeypatch):
     # validation, the mutation, the pencil and both special fibres read
     # the vertices of P and F alone
@@ -595,8 +605,7 @@ def test_pencil_enumerates_no_lattice_points(monkeypatch):
     mutate(fano, d)
     fam = mutation_family(fano, d)
     assert built == [3]  # the glued polytope Q~ of the pencil
-    v = PolarizedToricVariety.from_cone(fam.induced_datum.sigma)
-    projective_tilde(v, fam.induced_datum)
+    projective_tilde(fam.induced_datum)
     assert built == [3]
     for point in ((0, 1, -1), (1, 0, -1)):
         assert specialize_fiber(fam, point).matched is True

@@ -22,8 +22,8 @@ from toricdeform.polyhedral import (
     membership_scaling,
     min_functional,
     minkowski_sum,
-    normal_fan,
 )
+from toricdeform.projective import OriginNotInteriorError, PolarizedToricVariety
 
 import corpus
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     invariant_factors_oracle,
     dot,
     fm_minimize,
+    normal_fan_reference,
     prim,
     rational_kernel,
     rational_rank,
@@ -511,6 +512,23 @@ def test_empty_polyhedron():
     f = Polyhedron.from_inequalities(2, [((1, 0), 0), ((-1, 0), -1)])
     assert f.is_empty
     assert f == Polyhedron.empty(2)
+
+
+def test_constant_rows_take_the_main_path():
+    # a row with a zero normal reads c >= 0: c < 0 empties the hull, and
+    # c >= 0 (c > 0 repeats the homogenizing row) changes nothing
+    square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 1)]
+    assert Polyhedron.from_inequalities(2, square + [((0, 0), -1)]) \
+        == Polyhedron.empty(2)
+    assert Polyhedron.from_inequalities(1, [((0,), Fraction(-1, 2))]) \
+        == Polyhedron.empty(1)
+    p = Polyhedron.from_inequalities(2, square)
+    for extra in ([((0, 0), 0)], [((0, 0), 3)], [((0, 0), 0), ((0, 0), 3)]):
+        q = Polyhedron.from_inequalities(2, square + extra)
+        assert q == p and q.homogeneous == p.homogeneous
+        assert q.affine_dimension() == 2
+    assert Polyhedron.from_inequalities(2, [((0, 0), 3)]) \
+        == Polyhedron.from_inequalities(2, [])
 
 
 def test_from_points_and_rays_requires_points():
@@ -1083,20 +1101,29 @@ def test_membership_scaling_against_fraction_reference():
     assert verdicts == {True, False}
 
 
-def test_membership_scaling_and_normal_fan_build_no_fraction(monkeypatch):
+def test_membership_scaling_builds_no_fraction(monkeypatch):
     q = _flat_polytope(corpus.rng(1302), 3, 3)
     assert q.affine_dimension() == 3 and not q.is_lattice
     vs = [h[:-1] for h in q.homogeneous] + [(1, 0, 0), (0, -1, 2)]
     made = _count_fractions(monkeypatch)
-    normal_fan(q)
     for v in vs:
         membership_scaling(q, v)
     assert made == []
 
 
+def _normal_fan(p):
+    """The normal fan of a full-dimensional polytope as the fan of its
+    polarized pair: the dual of the cone over p, moved so that the
+    barycentre of its vertices is the origin."""
+    shift = tuple(Fraction(-sum(x), len(p.vertices)) for x in zip(*p.vertices))
+    q = corpus.translated(p, shift)
+    tau = Cone.from_generators(p.rank + 1, q.homogeneous).dual()
+    return PolarizedToricVariety.from_cone(tau).fan
+
+
 def test_normal_fan_triangle():
     tri = convex_hull(2, [(0, 0), (1, 0), (0, 1)])
-    fan = normal_fan(tri)
+    fan = _normal_fan(tri)
     assert fan.rays == ((-1, -1), (0, 1), (1, 0))
     assert len(fan.maximal_cones) == 3
     for cone_idx in fan.maximal_cones:
@@ -1112,20 +1139,11 @@ def test_normal_fan_hexagon():
     total = segs[0]
     for s in segs[1:]:
         total = minkowski_sum(total, s)
-    fan = normal_fan(total)
+    fan = _normal_fan(total)
     assert set(fan.rays) == {
         (1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1),
     }
     assert len(fan.maximal_cones) == 6
-
-
-def _normal_fan_reference(p):
-    """The Fraction loop: every incidence tested on the vertex itself."""
-    rays = sorted(primitive(u) for u, _ in p.inequalities)
-    index = {r: i for i, r in enumerate(rays)}
-    cones = {tuple(sorted(index[primitive(u)] for u, c in p.inequalities
-                          if dot(u, v) + c == 0)) for v in p.vertices}
-    return tuple(rays), tuple(sorted(cones))
 
 
 def test_normal_fan_against_fraction_reference():
@@ -1136,8 +1154,8 @@ def test_normal_fan_against_fraction_reference():
             p = _flat_polytope(r, rank, rank)
             if p.affine_dimension() != rank:
                 continue
-            fan = normal_fan(p)
-            assert (fan.rays, fan.maximal_cones) == _normal_fan_reference(p)
+            fan = _normal_fan(p)
+            assert (fan.rays, fan.maximal_cones) == normal_fan_reference(p)
             checked += 1
     assert checked > 15
 
@@ -1170,10 +1188,14 @@ def test_affine_dimension_against_vertex_differences():
 
 
 def test_normal_fan_requires_bounded_full_dim():
-    with pytest.raises(ValueError):
-        normal_fan(Polyhedron.from_points_and_rays(2, [(0, 0)], [(1, 0)]))
-    with pytest.raises(ValueError):
-        normal_fan(convex_hull(2, [(0, 0), (1, 0)]))
+    # a flat polytope's cone has a dual with a line; a recession ray puts
+    # e0 on the boundary of the dual
+    flat = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1)]).dual()
+    with pytest.raises(ValueError, match="strongly convex"):
+        PolarizedToricVariety.from_cone(flat)
+    ray = Cone.from_generators(3, [(0, 0, 1), (1, 0, 0), (0, 1, 1)]).dual()
+    with pytest.raises(OriginNotInteriorError):
+        PolarizedToricVariety.from_cone(ray)
 
 
 def test_polyhedron_json_roundtrip():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from toricdeform.datum import build_datum
-from toricdeform.polyhedral import Cone, Polyhedron, convex_hull
+from toricdeform.polyhedral import Cone, Fan, Polyhedron, convex_hull
 from toricdeform.presets import (
     ca1_sigma,
     p2_p114_family,
@@ -55,6 +55,20 @@ def test_p2_three_routes_agree():
         with pytest.raises(TypeError, match="int or Fraction"):
             PolarizedToricVariety.from_support_function(
                 a.fan, (bad,) + a.phi_values[1:])
+
+
+def test_from_support_function_rejections():
+    # P^2 blown up at a point
+    fan = Fan(rank=2, rays=((1, 0), (1, 1), (0, 1), (-1, -1)),
+              maximal_cones=((0, 1), (1, 2), (2, 3), (0, 3)))
+    v = PolarizedToricVariety.from_support_function(fan, (-1, -1, -1, -1))
+    assert set(v.fan.rays) == set(fan.rays)
+    assert len(v.fan.maximal_cones) == 4
+    # linear across the ray (1, 1): that ray leaves tau and the fan
+    with pytest.raises(ValueError, match="not strictly convex"):
+        PolarizedToricVariety.from_support_function(fan, (-1, -2, -1, -1))
+    with pytest.raises(ValueError, match="need one value per fan ray"):
+        PolarizedToricVariety.from_support_function(fan, (-1, -1, -1))
 
 
 def test_p2_polytope_in_M():
@@ -140,16 +154,8 @@ def test_fano_polytope_checks():
 # ------------------------------------------------------------ enlargement
 
 
-def induced_setup():
-    fam = p2_p114_family()
-    d = fam.induced_datum
-    v = PolarizedToricVariety.from_cone(d.sigma)
-    return v, d, fam
-
-
 def test_projective_tilde_frozen_rays():
-    v, d, fam = induced_setup()
-    pt = projective_tilde(v, d)
+    pt = projective_tilde(p2_p114_family().induced_datum)
     assert set(pt.tilde.rays) == {(0, 1, 1, 0), (-1, -1, 1, -1),
                                   (0, 0, 0, 1), (2, 1, 0, 1)}
     assert set(pt.fan.rays) == {(0, 1, 0), (-1, -1, -1),
@@ -162,37 +168,27 @@ def test_projective_tilde_frozen_rays():
 
 
 def test_projective_tilde_equations_specialize():
-    v, d, fam = induced_setup()
-    pt = projective_tilde(v, d)
+    pt = projective_tilde(p2_p114_family().induced_datum)
     tri = pt.trinomials[0]
     assert tri.substitute({"t1": 0}).terms == pt.binomials[0].terms
 
 
-def test_projective_tilde_rejects_mismatched_cone():
-    _, d, fam = induced_setup()
-    other_v = PolarizedToricVariety.from_cone(
-        Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (-1, -2, 1)]))
-    with pytest.raises(ValueError, match="differs"):
-        projective_tilde(other_v, d)
-
-
 def test_projective_tilde_rejects_nonzero_height_component():
-    v, d, fam = induced_setup()
+    d = p2_p114_family().induced_datum
     bad = build_datum(d.sigma, list(d.summands), (d.w[0], d.w[1], 1),
                       boundary=False)
     with pytest.raises(ValueError, match="zero e0-component"):
-        projective_tilde(v, bad)
+        projective_tilde(bad)
 
 
 def test_projective_tilde_boundary_needs_integral_polarization():
     tau = Cone.from_generators(2, [(2, 1), (-1, 1)])
-    v = PolarizedToricVariety.from_cone(tau)
     q0 = convex_hull(2, [(-1, 1)])
     q1 = convex_hull(2, [(0, 0)])
     d = build_datum(tau, [q0, q1], (1, 0), boundary=True)
     with pytest.raises(ValueError, match="Q-divisor"):
-        projective_tilde(v, d)
+        projective_tilde(d)
     plain = build_datum(tau, [q0, q1], (1, 0), boundary=False)
-    pt = projective_tilde(v, plain)
+    pt = projective_tilde(plain)
     assert pt.boundary is None
     assert len(pt.trinomials) == 1
