@@ -233,43 +233,15 @@ def fischer_shapiro_check(mat) -> bool:
 
 def disjoint_support_regular_sequence(polys: Sequence[CoxPolynomial],
                                       mono: CoxPolynomial) -> bool:
-    """Combinatorial regular-sequence certificate.
-
-    Two shapes are recognized.  A list of two-term polynomials with a
-    common second monomial (the affine pair case): the supports of the
-    first monomials, the shared second monomial, and the remaining
-    monomial variables must be pairwise disjoint.  A single three-term
-    polynomial (the pencil case): no variable of the monomial may divide
-    every term, i.e. the two are coprime.
+    """Regular-sequence certificate of a pencil: a single three-term
+    polynomial and the monomial are coprime, i.e. no variable of the
+    monomial divides every term.  Any other shape raises ValueError.
     """
     polys = tuple(polys)
-    if not polys:
-        return False
-    mono_support = mono.support()
-    if len(polys) == 1 and len(polys[0].terms) == 3:
-        tri = polys[0]
-        for v in mono_support:
-            if all(t.exps[v] > 0 for t in tri.terms):
-                return False
-        return True
-    if all(len(f.terms) == 2 for f in polys):
-        groups = [f.terms[0].support() for f in polys]
-        seconds = {f.terms[1].exps for f in polys}
-        if len(seconds) == 1:
-            shared = polys[0].terms[1].support()
-            groups.append(shared)
-            groups.append(mono_support - shared)
-        else:
-            for f in polys:
-                groups.append(f.terms[1].support())
-            used = frozenset().union(*groups) if groups else frozenset()
-            groups.append(mono_support - used)
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                if groups[a] & groups[b]:
-                    return False
-        return True
-    raise ValueError("unrecognized input shape for the regularity check")
+    if len(polys) != 1 or len(polys[0].terms) != 3:
+        raise ValueError("unrecognized input shape for the regularity check")
+    return not any(all(t.exps[v] > 0 for t in polys[0].terms)
+                   for v in mono.support())
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,13 @@ class DeformationDatum:
 
 
 def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
-                boundary: bool = False,
-                total: Optional[Polyhedron] = None) -> DeformationDatum:
+                boundary: bool = False) -> DeformationDatum:
     """Assemble a datum, rejecting structurally broken input outright.
 
     Geometric conditions are NOT checked here; that is validate_datum's
     job.  Rejected here: rank disagreements, fewer than two summands,
-    empty summands, sigma not strongly convex or not full-dimensional, a
-    non-bool boundary flag, and a total other than the summands' sum.
+    empty summands, sigma not strongly convex or not full-dimensional,
+    and a non-bool boundary flag.
     """
     if not isinstance(boundary, bool):
         raise DatumStructureError(
@@ -100,10 +99,8 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
         raise DatumStructureError("cone is not strongly convex")
     if sigma.dimension() != n:
         raise DatumStructureError("cone is not full-dimensional")
-    d = DeformationDatum(sigma=sigma, summands=summands, w=w, boundary=boundary)
-    if total is not None and total != d.q:
-        raise DatumStructureError("supplied total polyhedron != sum of summands")
-    return d
+    return DeformationDatum(sigma=sigma, summands=summands, w=w,
+                            boundary=boundary)
 
 
 def datum_from_json(data) -> DeformationDatum:
@@ -112,10 +109,12 @@ def datum_from_json(data) -> DeformationDatum:
     sigma = Cone.from_json(data["sigma"])
     summands = [Polyhedron.from_json(s)
                 for s in _json_list(data["summands"], "summands")]
-    w = as_int_vector(vector_from_json(data["w"], "w"))
     total = Polyhedron.from_json(data["Q"]) if "Q" in data else None
-    return build_datum(sigma, summands, w,
-                       boundary=data.get("boundary", False), total=total)
+    d = build_datum(sigma, summands, vector_from_json(data["w"], "w"),
+                    boundary=data.get("boundary", False))
+    if total is not None and total != d.q:
+        raise DatumStructureError("supplied total polyhedron != sum of summands")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,6 @@ class TildeData:
     cone: Cone  # in rank n + k
     pairings: PairingData  # the rays with their e_i* and w~ pairings
     provenance: tuple  # per ray, tuple of human-readable origin tags
-    floors: tuple  # floor(min over Q_i of w) for i = 1..k
 
     @property
     def n(self) -> int:
@@ -372,11 +370,8 @@ def build_tilde(d: DeformationDatum) -> TildeData:
 
     cone = Cone.from_generators(n + k, [g for g, _ in tagged])
 
-    floors = []
-    for s in d.summands[1:]:
-        mr = min_functional(s, d.w)
-        floors.append(mr.floor)
-    w_tilde = tuple(d.w) + tuple(-f for f in floors)
+    w_tilde = tuple(d.w) + tuple(-min_functional(s, d.w).floor
+                                 for s in d.summands[1:])
 
     rays = cone.rays
     tags = {}
@@ -386,7 +381,7 @@ def build_tilde(d: DeformationDatum) -> TildeData:
     prov = [tuple(tags.get(r, ())) for r in rays]
     return TildeData(datum=d, cone=cone,
                      pairings=PairingData(n=n, k=k, rays=rays, w_tilde=w_tilde),
-                     provenance=tuple(prov), floors=tuple(floors))
+                     provenance=tuple(prov))
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,6 @@ class WitnessLayer:
 
     height: int
     factor_part: Polyhedron  # G_h
-    polytope_vertices: tuple  # vertices of P at this height
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ class MutationDatum:
     factor: Polyhedron
     witnesses: tuple  # WitnessLayer per negative vertex height, increasing
     hmin: int
-    hmax: int
 
 
 def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
@@ -134,10 +132,9 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
             if not found:
                 raise MutationDatumError(h, "uncovered vertex %s" % (v,))
             cover += found
-        layers.append(
-            WitnessLayer(h, convex_hull(n, cover), tuple(by_height[h])))
+        layers.append(WitnessLayer(h, convex_hull(n, cover)))
     return MutationDatum(w=w, factor=factor, witnesses=tuple(layers),
-                         hmin=min(by_height), hmax=max(by_height))
+                         hmin=min(by_height))
 
 
 def mutate(fano: FanoPolytope, d: MutationDatum) -> FanoPolytope:
@@ -170,8 +167,6 @@ class MutationFamily:
     monomial: CoxPolynomial
     induced: ProjectiveTilde
     induced_datum: DeformationDatum
-    upper_vertices: tuple  # vertices of P at height >= 0
-    lower_vertices: tuple  # vertices of the mutation at height < 0
 
     def weights(self) -> tuple:
         return self.cox.weights()
@@ -265,8 +260,7 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
     return MutationFamily(fano=fano, datum=d, mutated=mutated,
                           q_tilde=q_tilde, fan=fan, cox=induced.cox,
                           trinomial=trinomial, monomial=mono,
-                          induced=induced, induced_datum=datum,
-                          upper_vertices=upper, lower_vertices=lower)
+                          induced=induced, induced_datum=datum)
 
 
 def _cross_check_equations(induced: ProjectiveTilde,

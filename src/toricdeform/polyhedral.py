@@ -673,13 +673,10 @@ class Fan:
     rays: tuple
     maximal_cones: tuple
 
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "rays": [list(r) for r in self.rays],
-                "maximal_cones": [list(c) for c in self.maximal_cones]}
-
     @classmethod
     def from_json(cls, data) -> "Fan":
-        """Inverse of to_json: {"rays", "maximal_cones", "rank"?}."""
+        """Read {"rays", "maximal_cones", "rank"?}: distinct primitive
+        rays, and each cone a list of indices into them."""
         _json_fields(data, "fan", ("rays", "maximal_cones"))
         rays = tuple(_json_lattice_vectors(data["rays"], "fan ray"))
         rank = _json_rank(data, rays, "fan")

@@ -145,9 +145,6 @@ class PolarizedToricVariety:
                              "on the given fan")
         return v
 
-    def to_json(self) -> dict:
-        return {"tau": self.tau.to_json()}
-
 
 def _reindexed_cones(fan: Fan) -> set:
     order = tuple(sorted(fan.rays))

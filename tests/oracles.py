@@ -293,6 +293,28 @@ def saturate_rowspan(rows):
     return integer_kernel(ann)
 
 
+def affine_regular_sequence(pairs, mono):
+    """The combinatorial regular-sequence certificate of binomials
+    x^a - x^b and a monomial x^m, given as exponent vectors: pairs is
+    [(a, b), ...] and mono is m.  The supports of the first monomials,
+    of the second monomials and of the rest of m must be pairwise
+    disjoint.  A second monomial shared by every binomial is one group,
+    and the rest of m is m off its support; distinct second monomials
+    are one group each, and the rest of m is m off every group.
+    """
+    def support(e):
+        return frozenset(j for j, x in enumerate(e) if x)
+
+    groups = [support(a) for a, _ in pairs]
+    if len({b for _, b in pairs}) == 1:
+        shared = support(pairs[0][1])
+        groups += [shared, support(mono) - shared]
+    else:
+        groups += [support(b) for _, b in pairs]
+        groups.append(support(mono) - frozenset().union(*groups))
+    return not any(g & h for g, h in itertools.combinations(groups, 2))
+
+
 def semigroup_generators_oracle(facets, functional, bound):
     """Indecomposable nonzero points with functional value <= bound.
 

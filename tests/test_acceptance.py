@@ -291,16 +291,13 @@ def _reference_witnesses(fano, d):
     """The same mutation datum with each factor G_h replaced by the hull
     of every admissible lattice translate (oracles.mutation_point_sets),
     at every negative height where there is one."""
-    verts = fano.vertices()
     points = oracles.brute_lattice_points(
         fano.n, list(fano.polytope.inequalities))
     msg, factors, _ = oracles.mutation_point_sets(
-        points, verts, d.w, d.factor.lattice_vertices())
+        points, fano.vertices(), d.w, d.factor.lattice_vertices())
     assert msg is None, msg
-    layers = tuple(
-        WitnessLayer(h, convex_hull(fano.n, gpts),
-                     tuple(v for v in verts if oracles.dot(d.w, v) == h))
-        for h, gpts in sorted(factors.items()))
+    layers = tuple(WitnessLayer(h, convex_hull(fano.n, gpts))
+                   for h, gpts in sorted(factors.items()))
     return dataclasses.replace(d, witnesses=layers)
 
 

@@ -35,7 +35,8 @@ from toricdeform.presets import (
 )
 
 import corpus
-from oracles import integer_kernel, invariant_factors_oracle
+from oracles import (
+    affine_regular_sequence, integer_kernel, invariant_factors_oracle)
 
 
 # ------------------------------------------------------------ equations
@@ -313,24 +314,40 @@ def test_fischer_shapiro_rejects():
     assert fischer_shapiro_check(((1, -1, 0), (-1, 0, 1)))
 
 
+def affine_certificate(polys, mono):
+    """The reference certificate on the binomials' exponent vectors."""
+    return affine_regular_sequence(
+        [(f.terms[0].exps, f.terms[1].exps) for f in polys], mono.terms[0].exps)
+
+
+def binomial(y, z):
+    return CoxPolynomial(terms=(Term(Fraction(1), None, y),
+                                Term(Fraction(-1), None, z)))
+
+
 def test_regular_sequence_affine_shape():
+    # every preset's binomials share their second monomial
     for d in (ca1_datum(), toy_plane_datum(), *hexagon_data()):
         t = build_tilde(d)
-        assert disjoint_support_regular_sequence(
-            binomials(t), boundary_monomial(t))
+        bs = binomials(t)
+        assert len({f.terms[1].exps for f in bs}) == 1
+        assert affine_certificate(bs, boundary_monomial(t))
+    # distinct second monomials: x0 - x2 and x1 - x3 with the monomial
+    # x3*x4, whose x3 is already a group of its own
+    f = binomial((1, 0, 0, 0, 0), (0, 0, 1, 0, 0))
+    g = binomial((0, 1, 0, 0, 0), (0, 0, 0, 1, 0))
+    assert affine_certificate((f, g), monomial((0, 0, 0, 1, 1)))
 
 
 def test_regular_sequence_rejects_shared_support():
-    f = CoxPolynomial(terms=(
-        Term(Fraction(1), None, (1, 0, 0)),
-        Term(Fraction(-1), None, (0, 0, 1)),
-    ))
-    g = CoxPolynomial(terms=(
-        Term(Fraction(1), None, (1, 1, 0)),
-        Term(Fraction(-1), None, (0, 0, 1)),
-    ))
+    f = binomial((1, 0, 0), (0, 0, 1))
+    g = binomial((1, 1, 0), (0, 0, 1))
     # first monomials of f and g share the first variable
-    assert not disjoint_support_regular_sequence((f, g), monomial((0, 0, 0)))
+    assert not affine_certificate((f, g), monomial((0, 0, 0)))
+    # distinct second monomials x2 and x2*x3 share x2
+    f = binomial((1, 0, 0, 0), (0, 0, 1, 0))
+    g = binomial((0, 1, 0, 0), (0, 0, 1, 1))
+    assert not affine_certificate((f, g), monomial((0, 0, 0, 0)))
 
 
 def test_regular_sequence_pencil_shape():
@@ -358,6 +375,10 @@ def test_regular_sequence_odd_shape_rejected():
     ))
     with pytest.raises(ValueError, match="shape"):
         disjoint_support_regular_sequence((tri, tri), monomial((0, 0)))
+    # the affine binomials are no pencil either
+    t = build_tilde(ca1_datum())
+    with pytest.raises(ValueError, match="shape"):
+        disjoint_support_regular_sequence(binomials(t), boundary_monomial(t))
 
 
 # ------------------------------------------------------------ printer
@@ -402,6 +423,12 @@ def test_pretty_coefficients():
         Term(Fraction(5), "a", (1, 1)),
     ))
     assert pretty(f, rays) == "3*x0^2 - 1/2*x1 - t1 + 5*a*x0*x1"
+    # a term with no variable and no parameter prints as its coefficient
+    f = CoxPolynomial(terms=(Term(Fraction(1), None, (1, 0)),
+                             Term(Fraction(-3), None, (0, 0))))
+    assert pretty(f, rays) == "x0 - 3"
+    lone = CoxPolynomial(terms=(Term(Fraction(-3), None, (0, 0)),))
+    assert pretty(lone, rays) == "-3"
 
 
 def test_pretty_zero_polynomial():

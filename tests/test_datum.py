@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricdeform.cox import pretty, trinomials
 from toricdeform.datum import (
     DatumStructureError,
     DatumValidationError,
@@ -80,14 +81,15 @@ def test_rejects_bad_cone():
 
 
 def test_rejects_wrong_total():
+    data = build_datum(orthant(), [point(1, 1), point(0, 0)], (0, -1)).to_json()
     with pytest.raises(DatumStructureError, match="total"):
-        build_datum(orthant(), [point(1, 1), point(0, 0)], (0, -1),
-                    total=point(2, 2))
+        datum_from_json(dict(data, Q=point(2, 2).to_json()))
 
 
 def test_accepts_matching_total():
-    d = build_datum(orthant(), [point(1, 1), seg((0, 0), (1, 0))], (0, -1),
-                    total=seg((1, 1), (2, 1)))
+    data = build_datum(orthant(), [point(1, 1), seg((0, 0), (1, 0))],
+                       (0, -1)).to_json()
+    d = datum_from_json(dict(data, Q=seg((1, 1), (2, 1)).to_json()))
     assert d.q.vertices == ((1, 1), (2, 1))
     assert d.k == 1
 
@@ -126,7 +128,7 @@ def test_condition_ii_failure():
 
 def test_condition_iii_holds_by_construction():
     # Q is the sum of the summands, never a field: a mismatched datum
-    # cannot be built, and a mismatched total is refused on the way in
+    # cannot be built, and a mismatched "Q" is refused by the JSON reader
     good = build_datum(orthant(), [point(1, 1), point(0, 0)], (0, -1))
     with pytest.raises(TypeError, match="'q'"):
         DeformationDatum(sigma=good.sigma, summands=good.summands,
@@ -135,9 +137,6 @@ def test_condition_iii_holds_by_construction():
         good, summands=(point(1, 1), seg((0, 0), (1, 0))))
     assert good.q == point(1, 1)
     assert moved.q == seg((1, 1), (2, 1)) == minkowski_sum(*moved.summands)
-    with pytest.raises(DatumStructureError,
-                       match="supplied total polyhedron != sum of summands"):
-        build_datum(orthant(), good.summands, good.w, total=point(2, 2))
     data = dict(good.to_json(), Q=point(2, 2).to_json())
     with pytest.raises(DatumStructureError,
                        match="supplied total polyhedron != sum of summands"):
@@ -385,6 +384,9 @@ def test_datum_json_rejects_non_integral_w():
     data = toy_plane_datum().to_json()
     with pytest.raises(ValueError, match="non-integral coordinate 1/2"):
         datum_from_json(dict(data, w=[0.5, -0.5]))
+    # a "p/q" string reads as a rational; build_datum refuses it as w
+    with pytest.raises(DatumStructureError, match="^w must be a lattice vector$"):
+        datum_from_json(dict(data, w=["1/2", -1]))
     assert datum_from_json(dict(data, w=["0", "-1"])).w == (0, -1)
 
 
@@ -406,7 +408,7 @@ def test_ca1_tilde_frozen():
     assert set(t.rays) == {(-1, 1, 0, -2), (0, 0, 0, 1), (0, 0, 1, 0),
                            (1, 0, 0, 1)}
     assert t.w_tilde == (0, -2, 3, 0)
-    assert t.floors == (0,)
+    assert tuple(-x for x in t.w_tilde[t.n:]) == (0,)  # the floors
     struct = check_tilde_structure(t)
     assert struct.ok, struct.detail
 
@@ -416,6 +418,32 @@ def test_toy_tilde_frozen():
     assert set(t.rays) == {(0, 0, 1), (0, 1, -1), (1, 0, 0)}
     assert t.w_tilde == (0, -1, 0)
     assert check_tilde_structure(t).ok
+
+
+def unbounded_datum(w, q0_rays=((1, 0), (0, 1))):
+    """Q0 = (0, 1) + cone(q0_rays) and Q1 = conv{(0, 0), (1, 0)} in the
+    positive quadrant, with the boundary flag."""
+    q0 = convex_hull(2, [(0, 1)], rays=q0_rays)
+    return build_datum(orthant(), [q0, seg((0, 0), (1, 0))], w, boundary=True)
+
+
+def test_unbounded_summand_end_to_end():
+    # Q0's recession rays are generators of the enlarged cone; the one
+    # that survives is sigma's ray (1, 0), so it carries both tags
+    d = unbounded_datum((1, 1))
+    assert validate_datum(d).ok
+    t = build_tilde(d)
+    assert t.rays == ((0, 0, 1), (0, 1, -1), (1, 0, 0))
+    assert t.provenance[2] == ("sigma ray (1, 0)", "Q0 recession ray (1, 0)")
+    assert check_tilde_structure(t).ok
+    assert pretty(trinomials(t)[0], t.rays) == "x0 - x1 - t1*x1^2*x2"
+    # w = (1, -1) falls along Q0's recession ray (0, 1): (v) has no minimum
+    got = {c.label: c.witness for c in validate_datum(unbounded_datum((1, -1))).failed()}
+    assert got == {"(v)": "w unbounded below on Q"}
+    # the recession ray (-1, 1) leaves the quadrant: (i) names it
+    got = {c.label: c.witness for c in validate_datum(
+        unbounded_datum((1, 1), ((1, 0), (-1, 1)))).failed()}
+    assert got == {"(i)": "recession ray (-1, 1)"}
 
 
 def test_tilde_provenance_covers_all_rays():
@@ -481,7 +509,7 @@ def test_build_tilde_is_unimodular_covariant():
         n = d.rank
         assert moved.rays == tuple(sorted(corpus.matmul_vec(u, x[:n]) + x[n:] for x in t.rays))
         assert moved.w_tilde == corpus.functional_after(u_inv, t.w_tilde[:n]) + t.w_tilde[n:]
-        assert moved.floors == t.floors
+        assert moved.w_tilde[n:] == t.w_tilde[n:]  # the floors
         assert check_tilde_structure(moved).ok
 
 

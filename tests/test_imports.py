@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
-module-level private name is used somewhere in the package, and every
+module-level private name is used somewhere in the package, every
 module-level public function is used by the package, the tests or the
 demos, and also by the package, the demos or the benchmark harness
-alone.
+alone, and so is every public member of a package class.
 
 A pure-stdlib lint: each ``src/toricdeform/*.py`` except ``__init__.py``
 (which re-exports on purpose) is parsed with ``ast``, and a name bound by
@@ -13,9 +13,13 @@ inside its own definition, and so is a module-level public function that
 no package module other than ``__init__.py``, no test and no demo loads
 or imports.  A stricter fourth check drops the tests from the callers
 and adds the benchmark harness (``perfbench/*.py``): a public function
-that only tests call is test code kept in the package.  All four catch
-the leftovers of a refactor, such as a helper import kept after its last
-call was deleted, or a helper whose last caller was deleted.
+that only tests call is test code kept in the package.  A fifth check
+applies the same callers to the members of each module-level class: a
+public method, property or annotated (dataclass) field that no package
+module, demo or harness file reads as an attribute is test code too.
+All five catch the leftovers of a refactor, such as a helper import kept
+after its last call was deleted, or a helper or field whose last reader
+was deleted.
 """
 
 import ast
@@ -42,6 +46,12 @@ TEST_ONLY = {
     # the floor-of-minima identity of a Minkowski decomposition, a lemma
     # of the paper that the datum tests check on valid data
     "floor_min_identity",
+}
+# public class members that only tests read, kept in the package on purpose
+TEST_ONLY_MEMBERS = {
+    # the Cox grading group Cl; the tests check it against the invariant
+    # factors of invariant_factors_oracle
+    "CoxSystem.group",
 }
 
 
@@ -113,6 +123,47 @@ def orphaned_public_functions(sources: dict, callers: dict) -> list:
                   and not top.name.startswith("_") and top.name not in used)
 
 
+def read_attributes(sources: dict) -> set:
+    """Names the sources read as an attribute, counting a read inside a
+    class member of the same name (recursion) as no use."""
+    used = set()
+    for tree in map(ast.parse, sources.values()):
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                parts = top.body + top.bases + top.decorator_list
+            else:
+                parts = [top]
+            for part in parts:
+                owner = getattr(part, "name", None) if part is not top else None
+                used |= {node.attr for node in ast.walk(part)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load)} - {owner}
+    return used
+
+
+def orphaned_public_members(sources: dict, callers: dict) -> list:
+    """(module, line, "Class.member") of each public method, property or
+    annotated field of a module-level class in the sources that no caller
+    reads as an attribute."""
+    used = read_attributes(callers)
+    out = []
+    for module, src in sources.items():
+        for top in ast.parse(src).body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for item in top.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif (isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_") and name not in used:
+                    out.append((module, item.lineno, "%s.%s" % (top.name, name)))
+    return sorted(out)
+
+
 def test_module_list_is_nonempty():
     assert any(p.name == "datum.py" for p in MODULES)
 
@@ -160,6 +211,29 @@ def test_no_test_only_public_functions():
     found = orphaned_public_functions(SOURCES, PACKAGE_CALLERS)
     assert [entry for entry in found if entry[2] not in TEST_ONLY] == []
     assert sorted(name for _, _, name in found) == sorted(TEST_ONLY)
+
+
+def test_lint_flags_an_orphaned_public_member():
+    source = ("@dataclass(frozen=True)\nclass Point:\n    x: int\n"
+              "    y: int\n    _cache: int = 0\n\n"
+              "    @property\n    def norm(self):\n"
+              "        return self.x + self.tail()\n\n"
+              "    def tail(self):\n        return self.y\n\n"
+              "    def walk(self, n):\n        return self.walk(n - 1)\n\n"
+              "    def orphan(self):\n        pass\n")
+    callers = {"a.py": source, "b.py": "def size(p):\n    return p.norm\n",
+               "test_a.py": "def test(p):\n    p.orphan()\n"}
+    package = {k: v for k, v in callers.items() if not k.startswith("test_")}
+    assert orphaned_public_members({"a.py": source}, callers) == [
+        ("a.py", 14, "Point.walk")]
+    assert orphaned_public_members({"a.py": source}, package) == [
+        ("a.py", 14, "Point.walk"), ("a.py", 17, "Point.orphan")]
+
+
+def test_no_test_only_public_members():
+    found = orphaned_public_members(SOURCES, PACKAGE_CALLERS)
+    assert [entry for entry in found if entry[2] not in TEST_ONLY_MEMBERS] == []
+    assert sorted(name for _, _, name in found) == sorted(TEST_ONLY_MEMBERS)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

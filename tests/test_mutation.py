@@ -106,7 +106,7 @@ def test_datum_rejects_uncovered_vertex():
 
 def test_p114_datum_layers_frozen():
     fano, d, _ = p114_setup()
-    assert (d.hmin, d.hmax) == (-1, 2)
+    assert (d.hmin, max(dot(d.w, v) for v in fano.vertices())) == (-1, 2)
     assert len(d.witnesses) == 1
     layer = d.witnesses[0]
     assert layer.height == -1
@@ -213,7 +213,8 @@ def test_factor_parts_match_polyhedral_reference():
             summed = minkowski_sum(g, convex_hull(fano.n, [
                 vscale(-h, f) for f in d.factor.lattice_vertices()]))
             assert all(fano.polytope.contains(x) for x in summed.vertices)
-            assert all(summed.contains(v) for v in layer.polytope_vertices)
+            assert all(summed.contains(v) for v in fano.vertices()
+                       if dot(d.w, v) == h)
 
 
 def _hull_verdict(fano, w, factor):
@@ -328,12 +329,10 @@ class _PointSetReference:
         if msg is not None:
             return msg, None, None
         heights = [dot(w, v) for v in key]
-        layers = tuple(
-            WitnessLayer(h, convex_hull(fano.n, gpts),
-                         tuple(v for v in key if dot(w, v) == h))
-            for h, gpts in sorted(factors.items()))
+        layers = tuple(WitnessLayer(h, convex_hull(fano.n, gpts))
+                       for h, gpts in sorted(factors.items()))
         datum = MutationDatum(w=tuple(w), factor=factor, witnesses=layers,
-                              hmin=min(heights), hmax=max(heights))
+                              hmin=min(heights))
         return None, datum, validate_fano(convex_hull(fano.n, cloud))
 
 
@@ -549,8 +548,9 @@ def test_family_vertex_split():
     # (1, 0) sits at height -1, so only (0, 1) survives on the upper side
     fano, d, _ = p114_setup()
     fam = mutation_family(fano, d)
-    assert set(fam.upper_vertices) == {(0, 1)}
-    assert set(fam.lower_vertices) == {(-1, -1)}
+    w = fam.datum.w
+    assert {v for v in fam.fano.vertices() if dot(w, v) >= 0} == {(0, 1)}
+    assert {v for v in fam.mutated.vertices() if dot(w, v) < 0} == {(-1, -1)}
 
 
 def test_pencil_shares_the_induced_cone_and_cox_system():
