@@ -167,9 +167,10 @@ def _fmt_point(v) -> str:
     return "(" + ", ".join(map(str, v)) + ")"
 
 
-def decompose_vertex(q: Polyhedron, v, summands) -> Optional[tuple]:
-    """Write the vertex v of q = sum of summands as a sum of summand
-    vertices, at most one of them non-lattice.
+def decompose_vertex(q: Polyhedron, h, summands) -> Optional[tuple]:
+    """Write the vertex v of q = sum of summands, given by its primitive
+    row h = (d*v, d) from q.homogeneous, as a sum of summand vertices, at
+    most one of them non-lattice.
 
     The split is unique: u, the sum of q's rows tight at v (equation pairs
     cancel), is minimized over q at v alone, and v = p_0 + ... + p_k with
@@ -181,8 +182,7 @@ def decompose_vertex(q: Polyhedron, v, summands) -> Optional[tuple]:
     d_0, ..., d_k) the parts add up to v iff the sum of (L/d_i)*(d_i*p_i)
     is (L/d)*(d*v), and p_i is non-lattice iff d_i > 1.
     """
-    h = primitive(tuple(v) + (1,))  # (d*v, d), so tightness reads in integers
-    dv, d = h[:-1], h[-1]
+    dv, d = h[:-1], h[-1]  # tightness reads in integers
     u = (0,) * q.rank
     for a, c in q.inequalities:
         if dot(a, dv) + c * d == 0:
@@ -209,7 +209,7 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     # v, read off its homogeneous row; the zero vector lies in every cone
     bad = None
     for v, h in zip(q.vertices, q.homogeneous):
-        if any(v) and not sigma.contains(h[:-1]):
+        if any(h[:-1]) and not sigma.contains(h[:-1]):
             bad = "vertex " + _fmt_point(v)
             break
     if bad is None:
@@ -237,8 +237,8 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     # (iv') vertex decomposition with at most one non-lattice part; a Q
     # with a line has no vertices, only representatives, so no verdict
     bad = "Q has a line" if q.lines else None
-    for v in () if q.lines else q.vertices:
-        if decompose_vertex(q, v, d.summands) is None:
+    for v, h in () if q.lines else zip(q.vertices, q.homogeneous):
+        if decompose_vertex(q, h, d.summands) is None:
             bad = "vertex " + _fmt_point(v)
             break
     results.append(ConditionResult(
@@ -354,13 +354,12 @@ def build_tilde(d: DeformationDatum) -> TildeData:
     tagged = []
     for r in d.sigma.rays:
         tagged.append((tuple(r) + (0,) * k, "sigma ray " + _fmt_point(r)))
-    tail0 = (-1,) * k
-    for v in d.summands[0].vertices:
-        tagged.append((tuple(v) + tail0, "Q0 vertex " + _fmt_point(v)))
-    for i, s in enumerate(d.summands[1:], start=1):
-        tail = tuple(1 if j == i - 1 else 0 for j in range(k))
-        for v in s.vertices:
-            tagged.append((tuple(v) + tail, "Q%d vertex %s" % (i, _fmt_point(v))))
+    for i, s in enumerate(d.summands):
+        tail = tuple(-1 if not i else int(j == i - 1) for j in range(k))
+        for v, h in zip(s.vertices, s.homogeneous):
+            # the row (e*v, e) gives the generator e*(v, tail) in integers
+            tagged.append((h[:-1] + tuple(h[-1] * t for t in tail),
+                           "Q%d vertex %s" % (i, _fmt_point(v))))
     # recession directions of the summands are absorbed by sigma, but the
     # cone over a shifted unbounded summand still needs them as generators
     for i, s in enumerate(d.summands):

@@ -111,11 +111,11 @@ def validate_mutation_datum(fano: FanoPolytope, w: Sequence[int],
         raise ValueError("factor must be a nonempty polytope of full rank")
     if not factor.is_bounded or not factor.is_lattice:
         raise ValueError("factor must be a bounded lattice polytope")
-    for v in factor.vertices:
+    for v in factor.lattice_vertices():
         if dot(w, v) != 0:
             raise ValueError(
                 "factor vertex %s does not pair to zero with the direction"
-                % (tuple(v),))
+                % (v,))
 
     by_height = {}
     for v in fano.vertices():
@@ -177,20 +177,16 @@ def induced_boundary_datum(fano: FanoPolytope,
     """Lift the witness factors to height one and package them as a
     two-summand boundary datum over the cone of the polytope."""
     n = fano.n
-    tau = Cone.from_generators(
-        n + 1, [v + (1,) for v in fano.vertices()])
-    gpts = []
-    for layer in d.witnesses:
-        s = Fraction(1, -layer.height)
-        for v in layer.factor_part.vertices:
-            gpts.append(tuple(x * s for x in v) + (s,))
-    if not gpts:
+    # the lift of a vertex v of G_h is (v, 1) / -h, with the row (v, 1, -h)
+    rows = [v + (1, -layer.height) for layer in d.witnesses
+            for v in layer.factor_part.lattice_vertices()]
+    if not rows:
         raise MutationFamilyError("no negative-height factors to lift")
-    g = convex_hull(n + 1, gpts)
+    g = Polyhedron.from_cone(Cone.from_generators(n + 2, rows))
     f_hat = convex_hull(
         n + 1, [v + (0,) for v in d.factor.lattice_vertices()])
     w_bar = tuple(d.w) + (0,)
-    return build_datum(tau, [g, f_hat], w_bar, boundary=True)
+    return build_datum(fano.polytope.cone, [g, f_hat], w_bar, boundary=True)
 
 
 def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:

@@ -19,6 +19,7 @@ from .lattice import (
     ZeroVectorError,
     as_int_vector,
     dot,
+    identity_matrix,
     is_zero,
     primitive,
     saturate_rowspan,
@@ -247,11 +248,11 @@ def _vh_pipeline(rank: int, gens: Sequence[tuple]):
     return pointed, lines, fac_p, fac_l
 
 
-def _split_inequalities(rank: int, fac_p: Sequence[tuple], fac_l: Sequence[tuple]) -> list:
-    """The sorted rows (u, c), read <u, x> + c >= 0, of the canonical facets
-    of a cone over a polyhedron x {1} in rank + 1, less the height row."""
+def _split_inequalities(rank: int, facets: Sequence[tuple]) -> list:
+    """The sorted rows (u, c), read <u, x> + c >= 0, of the folded canonical
+    facets of a cone over a polyhedron x {1} in rank + 1, less the height row."""
     height = (0,) * rank + (1,)
-    return sorted((f[:-1], f[-1]) for f in _fold(fac_p, fac_l) if f != height)
+    return sorted((f[:-1], f[-1]) for f in facets if f != height)
 
 
 # ---------------------------------------------------------------------------
@@ -373,38 +374,59 @@ class MinResult:
 class Polyhedron:
     """Convex rational polyhedron conv(vertices) + cone(rays) (+ lines).
 
-    Canonical data: vertices are Fraction tuples sorted lexicographically,
-    recession rays and lines are primitive integer tuples, inequalities are
-    jointly-primitive integer pairs (normal, offset) meaning
-    <normal, x> + offset >= 0.  The field homogeneous holds, at the index
-    of each vertex v, the primitive integer row (d*v, d) with d > 0 that
-    the double description gives for it, so functionals are evaluated on
+    Canonical data: recession rays and lines are primitive integer tuples,
+    inequalities are jointly-primitive integer pairs (normal, offset)
+    meaning <normal, x> + offset >= 0.  The field homogeneous holds, for
+    each vertex v, the primitive integer row (d*v, d) with d > 0 that the
+    double description gives for it, so functionals are evaluated on
     vertices in integers, and so is their order: the row of v is keyed by
-    (L/d)*(d*v), L the lcm of every d.  The empty polyhedron has no
-    vertices and no rows, and carries the single inconsistent inequality
-    (0, -1).
+    (L/d)*(d*v), L the lcm of every d.  vertices, the Fraction tuples v in
+    that (lexicographic) order, are built from the rows on first read.
+    cone, set by from_cone and empty, is the cone over p x {1} that the
+    hull built.  The empty polyhedron has no vertices and no rows, carries
+    the single inconsistent inequality (0, -1), and its cone is {0}.
     """
 
-    __slots__ = ("rank", "vertices", "homogeneous", "rays", "lines", "inequalities",
-                 "_dimension", "_hash")
+    __slots__ = ("rank", "homogeneous", "rays", "lines", "inequalities", "cone",
+                 "_dimension", "_vertices", "_hash")
 
     def __init__(self, rank, homogeneous, rays, lines, inequalities, dimension):
         lcm = math.lcm(*[h[-1] for h in homogeneous])
         self.rank = rank
-        self.homogeneous = rows = tuple(sorted(
+        self.homogeneous = tuple(sorted(
             map(tuple, homogeneous), key=lambda h: [x * (lcm // h[-1]) for x in h[:-1]]))
-        self.vertices = tuple(tuple(Fraction(x, h[-1]) for x in h[:-1]) for h in rows)
         self.rays = tuple(tuple(r) for r in rays)
         self.lines = tuple(tuple(l) for l in lines)
         self.inequalities = tuple((tuple(u), int(c)) for u, c in inequalities)
         self._dimension = dimension
+        self._vertices = None
         self._hash = None
 
     # -- constructors
 
     @classmethod
     def empty(cls, rank: int) -> "Polyhedron":
-        return cls(rank, (), (), (), (((0,) * rank, -1),), -1)
+        p = cls(rank, (), (), (), (((0,) * rank, -1),), -1)
+        p.cone = Cone(rank + 1, (), (), (), identity_matrix(rank + 1))  # {0}
+        return p
+
+    @classmethod
+    def from_cone(cls, c: Cone) -> "Polyhedron":
+        """P = {x : (x, 1) in c}, kept with c as p.cone.  c must reach no
+        lower than height 0; it is then the cone over P x {1}, unless P is
+        empty, whose cone is {0}."""
+        rank = c.rank - 1
+        if any(r[-1] < 0 for r in c.pointed_rays) or any(l[-1] for l in c.lines):
+            raise ValueError("cone reaches below height 0: not a cone over a polyhedron")
+        if not any(r[-1] for r in c.pointed_rays):
+            return cls.empty(rank)
+        # the rays above height 0 are the vertex rows, those at height 0
+        # the recession rays; c has dimension one more than P
+        p = cls(rank, [r for r in c.pointed_rays if r[-1]],
+                [r[:-1] for r in c.pointed_rays if not r[-1]], [l[:-1] for l in c.lines],
+                _split_inequalities(rank, c.facets), c.dimension() - 1)
+        p.cone = c
+        return p
 
     @classmethod
     def from_points_and_rays(cls, rank: int, points: Iterable[Sequence],
@@ -419,8 +441,7 @@ class Polyhedron:
             if is_zero(r):
                 raise ZeroVectorError("ZeroVector: zero recession direction")
             gens.add(primitive(r) + (0,))
-        pointed, lines, fac_p, fac_l = _vh_pipeline(rank + 1, sorted(gens))
-        return cls._from_homogeneous(rank, pointed, lines, fac_p, fac_l)
+        return cls.from_cone(Cone(rank + 1, *_vh_pipeline(rank + 1, sorted(gens))))
 
     @classmethod
     def from_inequalities(cls, rank: int, inequalities: Iterable[tuple]) -> "Polyhedron":
@@ -432,24 +453,20 @@ class Polyhedron:
         normals = {primitive(row) for row in rows if not is_zero(row)}
         normals.add((0,) * rank + (1,))  # homogenizing halfspace
         fac_p, fac_l, pointed, lines = _vh_pipeline(rank + 1, sorted(normals))
-        return cls._from_homogeneous(rank, pointed, lines, fac_p, fac_l)
-
-    @classmethod
-    def _from_homogeneous(cls, rank, pointed, lines, fac_p, fac_l):
-        verts = [r for r in pointed if r[-1] > 0]
-        if not verts:
-            return cls.empty(rank)
-        plines = [l[:-1] for l in lines]  # lineality is orthogonal to the height normal
-        rec = [r[:-1] for r in pointed if r[-1] == 0]
-        ineqs = _split_inequalities(rank, fac_p, fac_l)
-        # the cone over p x {1} has dimension rank + 1 - len(fac_l), one more than p
-        return cls(rank, verts, sorted(rec), plines, ineqs, rank - len(fac_l))
+        return cls.from_cone(Cone(rank + 1, pointed, lines, fac_p, fac_l))
 
     # -- basic queries
 
     @property
+    def vertices(self) -> tuple:
+        if self._vertices is None:
+            self._vertices = tuple(tuple(Fraction(x, h[-1]) for x in h[:-1])
+                                   for h in self.homogeneous)
+        return self._vertices
+
+    @property
     def is_empty(self) -> bool:
-        return not self.vertices and not self.rays and not self.lines
+        return not self.homogeneous and not self.rays and not self.lines
 
     @property
     def is_bounded(self) -> bool:
@@ -457,8 +474,14 @@ class Polyhedron:
 
     @property
     def is_lattice(self) -> bool:
-        """True if every vertex is a lattice point: every row (d*v, d) has d = 1."""
-        return all(h[-1] == 1 for h in self.homogeneous)
+        """True if every minimal face v + L holds a lattice point.  Pointed,
+        that is every row (d*v, d) having d = 1; with lines, <u, d*v> is
+        divisible by d for every u of a Z-basis of the lattice of L^perp,
+        the saturated span of the inequality normals."""
+        if not self.lines:
+            return all(h[-1] == 1 for h in self.homogeneous)
+        basis = saturate_rowspan([u for u, _ in self.inequalities])
+        return all(dot(u, h[:-1]) % h[-1] == 0 for h in self.homogeneous for u in basis)
 
     def contains(self, x: Sequence) -> bool:
         if self.is_empty:
@@ -470,8 +493,8 @@ class Polyhedron:
         return self._dimension
 
     def lattice_vertices(self) -> tuple:
-        return tuple(h[:-1] if h[-1] == 1 else as_int_vector(v)
-                     for v, h in zip(self.vertices, self.homogeneous))
+        return tuple(h[:-1] if h[-1] == 1 else as_int_vector(self.vertices[i])
+                     for i, h in enumerate(self.homogeneous))
 
     def to_json(self) -> dict:
         data = {
@@ -501,12 +524,12 @@ class Polyhedron:
 
     def __eq__(self, other):
         return (isinstance(other, Polyhedron) and self.rank == other.rank
-                and self.vertices == other.vertices and self.rays == other.rays
+                and self.homogeneous == other.homogeneous and self.rays == other.rays
                 and self.lines == other.lines and self.inequalities == other.inequalities)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rank, self.vertices, self.rays, self.lines))
+            self._hash = hash((self.rank, self.homogeneous, self.rays, self.lines))
         return self._hash
 
     def __repr__(self):
@@ -526,8 +549,8 @@ def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
     The candidate for the vertices u of a and v of b, with rows (d*u, d)
     and (e*v, e), is (e*d*u + d*e*v, d*e), the row of u + v up to a
     positive factor; the rays, and each line with both signs, are rows
-    ending in 0.  One cone hull of these rows gives the sum, so no Fraction
-    is built before the result's own vertices.
+    ending in 0.  One cone hull of these rows gives the sum, and builds no
+    Fraction.
     """
     if a.rank != b.rank:
         raise ValueError("rank mismatch in Minkowski sum")
@@ -543,9 +566,7 @@ def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
         rows.append(r + (0,))
     for l in a.lines + b.lines:
         rows += [l + (0,), vneg(l) + (0,)]
-    c = Cone.from_generators(a.rank + 1, rows)
-    return Polyhedron._from_homogeneous(a.rank, c.pointed_rays, c.lines,
-                                        c.pointed_facets, c.facet_lines)
+    return Polyhedron.from_cone(Cone.from_generators(a.rank + 1, rows))
 
 
 def min_functional(p: Polyhedron, u: Sequence) -> MinResult:
@@ -576,7 +597,7 @@ def _level_inequalities(p: Polyhedron, i: int) -> list:
     rows (d*v[:i], d), as Polyhedron.from_points_and_rays would list them,
     from one double description pass and no Polyhedron."""
     fac_p, fac_l = _canonical_dual(i + 1, {h[:i] + h[-1:] for h in p.homogeneous})
-    return _split_inequalities(i, fac_p, fac_l)
+    return _split_inequalities(i, _fold(fac_p, fac_l))
 
 
 def lattice_points(p: Polyhedron) -> tuple:

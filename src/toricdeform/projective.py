@@ -119,10 +119,7 @@ class PolarizedToricVariety:
     @classmethod
     def from_fano_polytope(cls, p: Polyhedron) -> "PolarizedToricVariety":
         check_fano_polytope(p)
-        n = p.rank
-        tau = Cone.from_generators(
-            n + 1, [v + (1,) for v in p.lattice_vertices()])
-        v = cls.from_cone(tau)
+        v = cls.from_cone(p.cone)
         expected = tuple(sorted(vv + (1,) for vv in p.lattice_vertices()))
         if v.tau.rays != expected:
             raise AssertionError("cone over the polytope lost a vertex ray")
@@ -175,9 +172,10 @@ def check_fano_polytope(p: Polyhedron) -> Polyhedron:
 
 
 def polytope_in_M(v: PolarizedToricVariety) -> Polyhedron:
-    """Slice of the dual cone at e0-height one: one inequality per ray."""
-    ineqs = [(xi[:v.n], xi[v.n]) for xi in v.tau.rays]
-    return Polyhedron.from_inequalities(v.n, ineqs)
+    """Slice of the dual cone at e0-height one.  With e0 interior to tau,
+    every ray of the dual cone lies above height 0, so the dual cone is the
+    cone over the slice and no hull runs."""
+    return Polyhedron.from_cone(v.tau.dual())
 
 
 def classify_divisor(v: PolarizedToricVariety) -> DivisorClass:

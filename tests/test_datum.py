@@ -267,9 +267,9 @@ def test_decompose_vertex_finds_split():
     q0 = point(1, 1)
     q1 = seg((0, 0), (1, 0))
     q = minkowski_sum(q0, q1)
-    got = decompose_vertex(q, (2, 1), [q0, q1])
+    got = decompose_vertex(q, primitive((2, 1, 1)), [q0, q1])
     assert got == ((1, 1), (1, 0))
-    assert decompose_vertex(q, (5, 5), [q0, q1]) is None
+    assert decompose_vertex(q, primitive((5, 5, 1)), [q0, q1]) is None
 
 
 def _random_summands(r, rank):
@@ -300,7 +300,7 @@ def test_decompose_vertex_against_brute_force():
         for v in q.vertices:
             want = oracles.vertex_splits_oracle(v, vertex_lists)
             assert len(want) <= 1, (v, want)
-            got = decompose_vertex(q, v, summands)
+            got = decompose_vertex(q, primitive(v + (1,)), summands)
             assert got == (want[0] if want else None), (v, summands)
             outcomes["split" if want else "none"] += 1
             if not want and oracles.vertex_splits_oracle(v, vertex_lists, len(summands)):
@@ -346,7 +346,7 @@ def test_decompose_vertex_against_fraction_reference():
     for q, summands in cases:
         for v in q.vertices:
             want = _decompose_reference(q, v, summands)
-            assert decompose_vertex(q, v, summands) == want, (q, v, summands)
+            assert decompose_vertex(q, primitive(v + (1,)), summands) == want, (q, v, summands)
             outcomes["split" if want else "none"] += 1
     assert min(outcomes.values()) > 0, outcomes
 

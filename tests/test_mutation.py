@@ -32,8 +32,10 @@ from toricdeform.polyhedral import (
     Cone, Polyhedron, convex_hull, lattice_points, minkowski_sum)
 from toricdeform.presets import p2_p114_alias, p2_p114_inputs, p2_polytope
 
-from toricdeform.projective import PolarizedToricVariety, projective_tilde
+from toricdeform.projective import (
+    PolarizedToricVariety, polytope_in_M, projective_tilde)
 import toricdeform.mutation as mutation_module
+from toricdeform import polyhedral
 
 import corpus
 import oracles
@@ -625,6 +627,36 @@ def test_induced_boundary_datum_frozen():
     g0, f0 = ind.summands
     assert set(map(tuple, g0.vertices)) == {(-1, -1, 1)}
     assert set(map(tuple, f0.vertices)) == {(0, 0, 0), (2, 1, 0)}
+
+
+def test_cones_over_polytopes_are_read_not_hulled(monkeypatch):
+    # tau over a hulled polygon and the moment polytope read cones the hulls
+    # already built; the induced datum hulls G^ and F^ alone, two passes each
+    passes = []
+    dd = polyhedral.dual_description
+
+    def counted_dd(*args):
+        passes.append(args)
+        return dd(*args)
+
+    cases = corpus.random_mutation_cases(6) + [p114_setup()[:2]]
+    monkeypatch.setattr(polyhedral, "dual_description", counted_dd)
+    for fano, d in cases:
+        del passes[:]
+        v = PolarizedToricVariety.from_fano_polytope(fano.polytope)
+        pm = polytope_in_M(v)
+        assert passes == []
+        ind = induced_boundary_datum(fano, d)
+        assert len(passes) == 4
+        n = fano.n
+        assert v.tau == ind.sigma == Cone.from_generators(
+            n + 1, [u + (1,) for u in fano.vertices()])
+        assert pm == Polyhedron.from_inequalities(
+            n, [(xi[:n], xi[n]) for xi in v.tau.rays])
+        # G^ is the hull of the lifted Fraction points (v, 1) / -h
+        lifted = [tuple(Fraction(x, -layer.height) for x in u + (1,))
+                  for layer in d.witnesses for u in layer.factor_part.vertices]
+        assert ind.summands[0] == convex_hull(n + 1, lifted)
 
 
 def test_family_carries_induced_enlargement():

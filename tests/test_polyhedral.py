@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from toricdeform import polyhedral
-from toricdeform.lattice import ZeroVectorError, hermite_normal_form, primitive
+from toricdeform.lattice import ZeroVectorError, hermite_normal_form, primitive, vneg
 from toricdeform.polyhedral import (
     Cone,
     Fan,
@@ -672,7 +672,9 @@ def test_homogeneous_rows_match_vertices():
             assert all(type(x) is int for x in h)
             assert h[-1] > 0 and math.gcd(*h) == 1
             assert tuple(Fraction(x, h[-1]) for x in h[:-1]) == v
-        if p.is_lattice:
+        # lattice_vertices reads the rows, which with lines are the
+        # representatives: is_lattice may hold while one of them is not
+        if all(h[-1] == 1 for h in p.homogeneous):
             assert p.lattice_vertices() == tuple(
                 tuple(int(x) for x in v) for v in p.vertices)
             assert all(type(x) is int for v in p.lattice_vertices() for x in v)
@@ -682,7 +684,7 @@ def test_homogeneous_rows_match_vertices():
         kinds.add("empty" if p.is_empty else "lines" if p.lines
                   else "rays" if p.rays
                   else "flat" if p.affine_dimension() < p.rank else "full")
-        if not p.is_lattice:
+        if any(h[-1] > 1 for h in p.homogeneous):
             kinds.add("rational")
     assert kinds == {"empty", "lines", "rays", "flat", "full", "rational"}
     assert Polyhedron.empty(2).homogeneous == ()
@@ -1225,3 +1227,86 @@ def test_polyhedron_json_rejects_non_integral_num_den():
 def test_is_lattice():
     assert convex_hull(2, [(0, 0), (3, 1)]).is_lattice
     assert not convex_hull(2, [(Fraction(1, 2), 0), (1, 1)]).is_lattice
+    # the representative of (1, 0) + R(1, 1) is (1/2, -1/2), but the line
+    # meets the lattice; (1/2, 0) + R(1, 1) and (1/3, 0, 0) + R(1, 2, 0) do not
+    f = Fraction
+    for pt, line, want in [((1, 0), (1, 1), True), ((f(1, 2), 0), (1, 1), False),
+                           ((f(1, 3), 0, 0), (1, 2, 0), False)]:
+        p = convex_hull(len(pt), [pt], [line, vneg(line)])
+        assert p.is_lattice is want and _is_lattice_reference(p) is want, p
+
+
+def _is_lattice_reference(p):
+    """Every minimal face v + L meets the lattice, searched along the
+    lines: with l_1..l_m a Z-basis of the lattice of L, some v + sum of
+    (j_i/d)*l_i with 0 <= j_i < d is integral, d the denominator of v."""
+    for h in p.homogeneous:
+        d = h[-1]
+        if not any(all((x + sum(j * l[i] for j, l in zip(js, p.lines))) % d == 0
+                       for i, x in enumerate(h[:-1]))
+                   for js in itertools.product(range(d), repeat=len(p.lines))):
+            return False
+    return True
+
+
+def test_is_lattice_with_lines_against_reference():
+    r = corpus.rng(1208)
+    cases = [p for p in _row_cases(1208) if p.lines]
+    for _ in range(60):
+        rank = r.randint(2, 4)
+        pts = [tuple(_small_rational(r) for _ in range(rank)) for _ in range(r.randint(1, 3))]
+        lines = [corpus.random_vector(r, rank, -2, 2) for _ in range(r.randint(1, min(2, rank - 1)))]
+        cases.append(convex_hull(rank, pts, lines + [vneg(l) for l in lines]))
+    seen = set()
+    for p in cases:
+        want = _is_lattice_reference(p)
+        assert p.is_lattice is want, p
+        seen.add((want, all(h[-1] == 1 for h in p.homogeneous), len(p.lines) > 1))
+    # lattice faces with rational representatives, and faces with two lines
+    assert {(True, False), (False, False), (True, True)} <= {s[:2] for s in seen}
+    assert any(s[2] for s in seen)
+
+
+# ------------------------------------------------------ the carried cone
+
+
+def test_polyhedron_keeps_the_cone_over_it():
+    cases = _row_cases(1206)
+    cases += [minkowski_sum(a, b) for a, b in zip(cases[::2], cases[1::2]) if a.rank == b.rank]
+    kinds = set()
+    for p in cases:
+        rows = list(p.homogeneous) + [x + (0,) for x in p.rays]
+        rows += [s + (0,) for l in p.lines for s in (l, vneg(l))]
+        assert p.cone == Cone.from_generators(p.rank + 1, rows), p
+        back = Polyhedron.from_cone(p.cone)
+        assert back == p and back.to_json() == p.to_json(), p
+        assert back.cone is p.cone or p.is_empty
+        kinds.add("empty" if p.is_empty else "lines" if p.lines
+                  else "rays" if p.rays
+                  else "flat" if p.affine_dimension() < p.rank else "bounded")
+        if any(h[-1] > 1 for h in p.homogeneous):
+            kinds.add("rational")
+    assert kinds == {"empty", "lines", "rays", "flat", "bounded", "rational"}
+    assert Polyhedron.empty(3).cone == Cone.from_generators(4, [])
+
+
+def test_from_cone_refuses_cones_below_height_zero():
+    for gens in ([(0, 1), (1, -1)], [(1, 1), (-1, -1), (0, 1)],
+                 [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 0, -1)]):
+        with pytest.raises(ValueError, match="below height 0"):
+            Polyhedron.from_cone(Cone.from_generators(len(gens[0]), gens))
+    # rays at height 0 alone: the slice at height 1 is empty, its cone {0}
+    p = Polyhedron.from_cone(Cone.from_generators(3, [(1, 0, 0), (0, 1, 0)]))
+    assert p.is_empty and p == Polyhedron.empty(2)
+    assert p.cone == Cone.from_generators(3, [])
+
+
+def test_lattice_hull_builds_no_fraction_until_vertices_are_read(monkeypatch):
+    r = corpus.rng(1207)
+    pts = [corpus.random_vector(r, 3, -3, 3) for _ in range(8)]
+    made = _count_fractions(monkeypatch)
+    p, q = convex_hull(3, pts), convex_hull(3, pts[::-1])
+    assert p.lattice_vertices() and p.is_lattice and not p.is_empty
+    assert p == q and hash(p) == hash(q)
+    assert made == []
+    assert len(p.vertices) > 3 and len(made) == p.rank * len(p.vertices)

@@ -243,6 +243,23 @@ def test_validate_reads_summand_lines(capsys, tmp_path):
     assert "FAIL (i)" in out
 
 
+def test_boundary_condition_reads_lattice_faces(capsys, tmp_path):
+    # Q1 = (1, 0) + R(1, 1) is a lattice polyhedron, whose representative
+    # vertex (1/2, -1/2) is not a lattice point; other conditions fail
+    payload = {"sigma": {"rays": [[1, 0], [0, 1]]},
+               "summands": [[[0, 1]], {"vertices": [[1, 0]], "lines": [[1, 1]]}],
+               "w": [0, -1], "boundary": True}
+    path = write_json(tmp_path, "lines.json", payload)
+    code, out, _ = run(capsys, "validate-datum", path)
+    assert code == 1
+    assert "pass (iv):" in out and "FAIL" in out
+    payload["summands"][1]["vertices"] = [["1/2", 0]]
+    path = write_json(tmp_path, "half.json", payload)
+    code, out, _ = run(capsys, "validate-datum", path)
+    assert "FAIL (iv): summands 1..k are lattice polyhedra " \
+        "[witness: summand 1 has non-lattice vertex]" in out
+
+
 def test_datum_file_agrees_with_preset(capsys, tmp_path):
     for name in ("cA1", "toy-plane", "hexagon-a", "hexagon-b", "p2-p114"):
         path = write_json(tmp_path, name + ".json",
