@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lattice import (
     AbelianGroupPresentation, as_fraction, dot, elementary_divisors,
@@ -87,8 +87,7 @@ class PairingData:
         return tuple(sum(map(mul, v, r)) for r in self.rays)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: Fraction
     param: Optional[str]  # formal degree-0 symbol, or None
     exps: tuple
@@ -216,7 +215,8 @@ def fischer_shapiro_check(mat) -> bool:
     Accepts a pairing matrix (rows e_i*, columns rays), a PairingData, or
     an object carrying one as ``.pairings``.
     """
-    if not isinstance(mat, (tuple, list)):
+    # the records first: a TildeData is a NamedTuple, so a tuple too
+    if isinstance(mat, PairingData) or hasattr(mat, "pairings"):
         mat = PairingData.of(mat).matrix
     rows = [tuple(r) for r in mat]
     if not rows:
@@ -322,8 +322,7 @@ def is_homogeneous(sys: CoxSystem, f: CoxPolynomial):
 # Pretty printing
 
 
-@dataclass(frozen=True)
-class AliasTable:
+class AliasTable(NamedTuple):
     """Ordered variable names; order doubles as print priority."""
 
     rays: tuple

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cox import PairingData
 from .lattice import (
@@ -121,8 +121,7 @@ def datum_from_json(data) -> DeformationDatum:
 # Validation
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     label: str
     description: str
     passed: bool
@@ -136,8 +135,7 @@ class ConditionResult:
         return out
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     conditions: tuple
 
     @property
@@ -307,8 +305,7 @@ def require_valid(d: DeformationDatum) -> ValidationReport:
 # The enlarged cone
 
 
-@dataclass(frozen=True)
-class TildeData:
+class TildeData(NamedTuple):
     """The enlarged cone of a datum.  n, k, w_tilde and the rays (in the
     cone's canonical order) are read from pairings, their one owner."""
 
@@ -383,8 +380,7 @@ def build_tilde(d: DeformationDatum) -> TildeData:
                      provenance=tuple(prov))
 
 
-@dataclass(frozen=True)
-class TildeStructureReport:
+class TildeStructureReport(NamedTuple):
     strongly_convex: bool
     dimension_ok: bool
     slice_ok: bool

@@ -27,11 +27,10 @@ every other rational parameter, raise TypeError for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 IntVector = tuple  # tuple[int, ...]
 RationalVector = tuple  # tuple[Fraction, ...]
@@ -357,8 +356,7 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
 # Cokernel presentations (divisor class groups, gradings)
 
 
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
+class AbelianGroupPresentation(NamedTuple):
     """Finitely generated abelian group: Z^free_rank + sum Z/d, d in torsion.
 
     torsion is the divisibility chain d_1 | d_2 | ..., every d_i >= 2.

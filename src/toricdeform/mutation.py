@@ -15,9 +15,8 @@ distinguished fibers recover both toric pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cox import (
     CoxPolynomial,
@@ -52,8 +51,7 @@ class OutsideVError(ValueError):
             % ":".join(str(x) for x in point))
 
 
-@dataclass(frozen=True)
-class FanoPolytope:
+class FanoPolytope(NamedTuple):
     polytope: Polyhedron
 
     @property
@@ -69,8 +67,7 @@ def validate_fano(p: Polyhedron) -> FanoPolytope:
     return FanoPolytope(polytope=p)
 
 
-@dataclass(frozen=True)
-class WitnessLayer:
+class WitnessLayer(NamedTuple):
     """The factor G_h at a negative height h that holds a vertex of P:
     the hull of the lattice points g covering a vertex v = g + (-h)f of P
     at h, with g + (-h)F inside P."""
@@ -79,8 +76,7 @@ class WitnessLayer:
     factor_part: Polyhedron  # G_h
 
 
-@dataclass(frozen=True)
-class MutationDatum:
+class MutationDatum(NamedTuple):
     w: tuple
     factor: Polyhedron
     witnesses: tuple  # WitnessLayer per negative vertex height, increasing
@@ -155,8 +151,7 @@ def mutate(fano: FanoPolytope, d: MutationDatum) -> FanoPolytope:
     return validate_fano(convex_hull(fano.n, pts))
 
 
-@dataclass(frozen=True)
-class MutationFamily:
+class MutationFamily(NamedTuple):
     fano: FanoPolytope
     datum: MutationDatum
     mutated: FanoPolytope
@@ -282,8 +277,7 @@ def _cross_check_equations(induced: ProjectiveTilde,
 # Fibers
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     point: tuple
     polynomial: CoxPolynomial
     monomial: CoxPolynomial

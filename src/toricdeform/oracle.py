@@ -26,7 +26,6 @@ certify no failure below the bound, not a full proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import add, ge, le, mul, sub
 from typing import NamedTuple
@@ -35,8 +34,7 @@ from .lattice import hermite_normal_form, vsub
 from .polyhedral import Cone, Polyhedron, lattice_points
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(NamedTuple):
     cone: Cone
     generators: tuple
     functional: tuple
@@ -192,8 +190,7 @@ class KernelWitness(NamedTuple):
                 "cofactor_s": list(self.cofactor_s)}
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     checked: int
     failures: tuple
     witnesses: tuple = ()

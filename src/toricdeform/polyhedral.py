@@ -10,10 +10,9 @@ structural comparison.  All arithmetic is exact (int / Fraction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .lattice import (
     ZeroVectorError,
@@ -359,8 +358,7 @@ class Cone:
 # Polyhedra
 
 
-@dataclass(frozen=True)
-class MinResult:
+class MinResult(NamedTuple):
     """The minimum of a functional over a polyhedron: its exact value, its
     floor, the lex-least vertex attaining it, and that vertex's primitive
     homogeneous row (d*v, d) from Polyhedron.homogeneous."""
@@ -686,8 +684,7 @@ def membership_scaling(q: Polyhedron, v: Sequence) -> bool:
 # Fans
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """A fan given by its rays and maximal cones (index tuples into rays)."""
 
     rank: int

@@ -8,9 +8,9 @@ preset names to stand-in payloads, alias tables and verify reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .cox import (
     AliasTable,
@@ -131,8 +131,7 @@ def hexagon_data() -> tuple:
 # verification against the goldens
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     got: str
@@ -143,8 +142,7 @@ class Check:
                 "got": self.got, "want": self.want}
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     example: str
     checks: tuple
 

@@ -10,9 +10,8 @@ a/b.  Slicing the dual cone at e0-height 1 recovers the moment polytope.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cox import (
     CoxSystem,
@@ -57,8 +56,7 @@ class DivisorClass(enum.IntEnum):
         }[self]
 
 
-@dataclass(frozen=True)
-class RayData:
+class RayData(NamedTuple):
     xi: tuple  # primitive generator of the tau-ray
     rho: tuple  # primitive N-part
     b: int  # positive: xi = b*rho - a*e0
@@ -69,8 +67,7 @@ class RayData:
         return Fraction(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class PolarizedToricVariety:
+class PolarizedToricVariety(NamedTuple):
     n: int
     tau: Cone
     fan: Fan
@@ -195,8 +192,7 @@ def cox_comparison(v: PolarizedToricVariety) -> tuple:
 # Projective deformation
 
 
-@dataclass(frozen=True)
-class ProjectiveTilde:
+class ProjectiveTilde(NamedTuple):
     variety: PolarizedToricVariety  # the enlarged polarized pair
     tilde: TildeData  # affine layer data in rank n+1+k
     pairings: PairingData  # over the fan rays of the enlarged pair

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .cox import (
     AliasTable,
@@ -423,6 +423,7 @@ _FLAGS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricdeform",
@@ -448,11 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = _build_parser()
-
-
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     try:
         for flag in ("p", "bound"):

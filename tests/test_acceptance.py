@@ -6,7 +6,6 @@ into a list instead of asserting midway, so the verdict line always
 appears.
 """
 
-import dataclasses
 import time
 from fractions import Fraction
 from itertools import product
@@ -298,7 +297,7 @@ def _reference_witnesses(fano, d):
     assert msg is None, msg
     layers = tuple(WitnessLayer(h, convex_hull(fano.n, gpts))
                    for h, gpts in sorted(factors.items()))
-    return dataclasses.replace(d, witnesses=layers)
+    return d._replace(witnesses=layers)
 
 
 def test_criterion_7_mutation_properties():

@@ -28,9 +28,11 @@ from toricdeform.cox import (
 from toricdeform.datum import build_tilde
 from toricdeform.lattice import AbelianGroupPresentation, dot
 from toricdeform.presets import (
+    PRESETS,
     ca1_alias,
     ca1_datum,
     hexagon_data,
+    preset,
     toy_plane_datum,
 )
 
@@ -306,6 +308,17 @@ def test_cox_system_within_budget():
 def test_fischer_shapiro_on_corpus():
     for d in corpus.random_valid_data(912, 15):
         assert fischer_shapiro_check(build_tilde(d))
+
+
+def test_fischer_shapiro_reads_a_tilde_as_its_pairings():
+    # a TildeData is a NamedTuple, so a tuple, but not a pairing matrix:
+    # it, its PairingData and its matrix give one verdict
+    data = [preset("datum", name)[0] for name in PRESETS["datum"]]
+    for d in data + list(corpus.random_valid_data(912, 15)):
+        t = build_tilde(d)
+        verdicts = {fischer_shapiro_check(x)
+                    for x in (t, t.pairings, t.pairings.matrix)}
+        assert len(verdicts) == 1, t.rays
 
 
 def test_fischer_shapiro_rejects():

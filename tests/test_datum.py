@@ -475,7 +475,7 @@ def test_tilde_structure_reports_slice_mismatch():
     assert check_tilde_structure(t).ok
     wrong = dataclasses.replace(
         t.datum, sigma=Cone.from_generators(2, [(1, 0), (1, 2)]))
-    struct = check_tilde_structure(dataclasses.replace(t, datum=wrong))
+    struct = check_tilde_structure(t._replace(datum=wrong))
     assert struct.slice_ok is False and not struct.ok
     assert struct.detail == (
         "slice rays ((0, 1), (1, 0)) != cone rays ((1, 0), (1, 2))")

@@ -15,15 +15,22 @@ or imports.  A stricter fourth check drops the tests from the callers
 and adds the benchmark harness (``perfbench/*.py``): a public function
 that only tests call is test code kept in the package.  A fifth check
 applies the same callers to the members of each module-level class: a
-public method, property or annotated (dataclass) field that no package
+public method, property or annotated (record) field that no package
 module, demo or harness file reads as an attribute is test code too.
 All five catch the leftovers of a refactor, such as a helper import kept
 after its last call was deleted, or a helper or field whose last reader
-was deleted.
+was deleted.  A sixth check keeps ``@dataclass`` to the classes that
+define a ``cached_property`` (which needs an instance dict) or a
+``__post_init__`` (a construction check): every other record is a
+``typing.NamedTuple``, which costs no generated code at import.
+Importing the package also builds no command-line parser.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -53,6 +60,9 @@ TEST_ONLY_MEMBERS = {
     # factors of invariant_factors_oracle
     "CoxSystem.group",
 }
+# the dataclasses of the package: each caches a derived table in its
+# instance dict, or checks its fields when it is built
+DATACLASSES = {"PairingData", "CoxPolynomial", "CoxSystem", "DeformationDatum"}
 
 
 def unused_imports(source: str) -> list:
@@ -255,3 +265,77 @@ def test_lint_flags_an_assert_statement():
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_no_assert_statements(name):
     assert assert_statements(SOURCES[name]) == []
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def dataclasses_in(sources: dict) -> list:
+    """(module, line, name, needed) of each module-level dataclass in the
+    sources; needed says that it defines a cached_property or a
+    __post_init__."""
+    out = []
+    for module, src in sources.items():
+        for top in ast.parse(src).body:
+            if not (isinstance(top, ast.ClassDef)
+                    and "dataclass" in map(_decorator_name, top.decorator_list)):
+                continue
+            needed = any(
+                isinstance(item, ast.FunctionDef)
+                and (item.name == "__post_init__"
+                     or "cached_property" in map(_decorator_name,
+                                                 item.decorator_list))
+                for item in top.body)
+            out.append((module, top.lineno, top.name, needed))
+    return sorted(out)
+
+
+def test_lint_flags_a_plain_dataclass_record():
+    source = ("@dataclass(frozen=True)\nclass Table:\n    rays: tuple\n\n"
+              "    @functools.cached_property\n    def size(self):\n"
+              "        return len(self.rays)\n\n"
+              "@dataclasses.dataclass\nclass Checked:\n    x: int\n\n"
+              "    def __post_init__(self):\n        pass\n\n"
+              "@dataclass(frozen=True)\nclass Plain:\n    x: int\n\n"
+              "    @property\n    def double(self):\n        return 2 * self.x\n\n"
+              "class Record(NamedTuple):\n    x: int\n")
+    assert dataclasses_in({"a.py": source}) == [
+        ("a.py", 2, "Table", True), ("a.py", 10, "Checked", True),
+        ("a.py", 17, "Plain", False)]
+
+
+def test_only_caching_or_checking_classes_are_dataclasses():
+    found = dataclasses_in(SOURCES)
+    assert [entry for entry in found if not entry[3]] == []
+    assert sorted(name for _, _, name, _ in found) == sorted(DATACLASSES)
+
+
+# every argparse.ArgumentParser built while the named modules import
+_COUNT_PARSERS = """
+import argparse, importlib, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    # __main__ is the entry point: importing it runs the command line
+    names = ["toricdeform"] + ["toricdeform." + p.stem for p in MODULES
+                               if p.stem != "__main__"]
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _COUNT_PARSERS, *names],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]

@@ -409,7 +409,7 @@ def test_degree_zero_failure_reasons_match_reference():
     for table, reason in ((outside, "q outside the dual cone"),
                           (negative, "cofactor not a monomial")):
         rep = assert_degree_zero_matches_reference(
-            dataclasses.replace(t, pairings=table), bound)
+            t._replace(pairings=table), bound)
         assert reason in {f["reason"] for f in rep.failures}
     high_y = SimpleNamespace(
         n=p.n, k=p.k, rays=p.rays, exps=p.exps, z_exps=p.z_exps,
@@ -420,7 +420,7 @@ def test_degree_zero_failure_reasons_match_reference():
     for table in (high_y, high_z):
         with pytest.raises(ValueError, match="differ from the ray tails"):
             degree_zero_equality_check(
-                dataclasses.replace(t, pairings=table), bound)
+                t._replace(pairings=table), bound)
 
 
 def _failure_sides(t, rep):
@@ -450,7 +450,7 @@ def test_degree_zero_failure_branches_match_reference():
     p = t.pairings
     table = dataclasses.replace(
         p, rays=p.rays + (tuple(-x for x in p.rays[0]),))
-    doctored = dataclasses.replace(t, pairings=table)
+    doctored = t._replace(pairings=table)
     for bound in (3, 6):
         rep = assert_degree_zero_matches_reference(doctored, bound)
         sides = _failure_sides(doctored, rep)
@@ -467,7 +467,7 @@ def test_degree_zero_refuses_negative_z_exponents():
         y_exps=(tuple(y - 1 for y in p.y_exps[0]),) + p.y_exps[1:],
         z_exps=(tuple(z - 1 for z in p.z_exps[0]),) + p.z_exps[1:])
     with pytest.raises(ValueError, match="negative z exponent"):
-        degree_zero_equality_check(dataclasses.replace(t, pairings=low), 6)
+        degree_zero_equality_check(t._replace(pairings=low), 6)
 
 
 def _counting(t):
@@ -483,7 +483,7 @@ def _counting(t):
                               y_exps=p.y_exps, z_exps=p.z_exps,
                               boundary_mask=p.boundary_mask,
                               zero_tail_mask=p.zero_tail_mask)
-    return dataclasses.replace(t, pairings=counted), calls
+    return t._replace(pairings=counted), calls
 
 
 def _runs(points):
@@ -621,8 +621,8 @@ def _narrowed(t):
     sigma = t.datum.sigma
     rays = [tuple(map(sum, zip(rho, sigma.rays[0]))) for rho in sigma.rays[1:]]
     narrow = Cone.from_generators(sigma.rank, [sigma.rays[0], *rays])
-    return dataclasses.replace(
-        t, datum=dataclasses.replace(t.datum, sigma=narrow))
+    return t._replace(
+        datum=dataclasses.replace(t.datum, sigma=narrow))
 
 
 def test_boundary_matches_per_point_reference():
@@ -643,7 +643,7 @@ def test_boundary_detects_wrong_interior_side():
     t = build_tilde(toy_plane_datum())
     skew_sigma = Cone.from_generators(2, [(1, 0), (1, 2)])
     skew_datum = dataclasses.replace(t.datum, sigma=skew_sigma)
-    doctored = dataclasses.replace(t, datum=skew_datum)
+    doctored = t._replace(datum=skew_datum)
     rep = _boundary_matches_reference(doctored, bound=6)
     assert not rep.ok
     assert not _boundary_matches_reference(doctored, bound=16).ok

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line workbench through main()."""
 
+import argparse
 import json
 
 import pytest
@@ -120,8 +121,24 @@ def test_undeclared_flag_is_usage_error(capsys, command, flag, value):
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for flag, users in DECLARED.items() for command in users])
 def test_declared_flag_is_read(command, flag):
-    args = workbench._PARSER.parse_args(command_argv(command) + [flag, "5"])
+    args = workbench._build_parser().parse_args(command_argv(command) + [flag, "5"])
     assert getattr(args, flag[2:]) == (5 if flag != "--alias" else "5")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    workbench._build_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "validate-datum", "cA1")[0] == 0
+    assert built.count("toricdeform") == 1
+    assert len(built) == 1 + len(workbench._COMMANDS)
 
 
 P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]],
