@@ -168,7 +168,8 @@ def _fmt_point(v) -> str:
 def decompose_vertex(q: Polyhedron, h, summands) -> Optional[tuple]:
     """Write the vertex v of q = sum of summands, given by its primitive
     row h = (d*v, d) from q.homogeneous, as a sum of summand vertices, at
-    most one of them non-lattice.
+    most one of them non-lattice, each as the summand's MinResult (whose
+    argmin is the vertex, built only when read).
 
     The split is unique: u, the sum of q's rows tight at v (equation pairs
     cancel), is minimized over q at v alone, and v = p_0 + ... + p_k with
@@ -194,7 +195,7 @@ def decompose_vertex(q: Polyhedron, h, summands) -> Optional[tuple]:
     total = tuple(map(sum, zip(*(vscale(den // r[-1], r[:-1]) for r in rows))))
     if total != vscale(den // d, dv) or sum(r[-1] > 1 for r in rows) > 1:
         return None
-    return tuple(m.argmin for m in mins)
+    return tuple(mins)
 
 
 def validate_datum(d: DeformationDatum) -> ValidationReport:
@@ -204,11 +205,12 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     sigma, q, w = d.sigma, d.q, d.w
 
     # (i) Q inside sigma, tested on the positive multiple d*v of a vertex
-    # v, read off its homogeneous row; the zero vector lies in every cone
+    # v, read off its homogeneous row; the zero vector lies in every cone.
+    # Here and in (iv'), the Fraction vertex is read only to name a failure
     bad = None
-    for v, h in zip(q.vertices, q.homogeneous):
+    for i, h in enumerate(q.homogeneous):
         if any(h[:-1]) and not sigma.contains(h[:-1]):
-            bad = "vertex " + _fmt_point(v)
+            bad = "vertex " + _fmt_point(q.vertices[i])
             break
     if bad is None:
         for r in q.rays:
@@ -235,9 +237,9 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     # (iv') vertex decomposition with at most one non-lattice part; a Q
     # with a line has no vertices, only representatives, so no verdict
     bad = "Q has a line" if q.lines else None
-    for v, h in () if q.lines else zip(q.vertices, q.homogeneous):
+    for i, h in enumerate(() if q.lines else q.homogeneous):
         if decompose_vertex(q, h, d.summands) is None:
-            bad = "vertex " + _fmt_point(v)
+            bad = "vertex " + _fmt_point(q.vertices[i])
             break
     results.append(ConditionResult(
         "(iv')", "each vertex of Q splits into summand vertices, "
@@ -353,8 +355,10 @@ def build_tilde(d: DeformationDatum) -> TildeData:
         tagged.append((tuple(r) + (0,) * k, "sigma ray " + _fmt_point(r)))
     for i, s in enumerate(d.summands):
         tail = tuple(-1 if not i else int(j == i - 1) for j in range(k))
-        for v, h in zip(s.vertices, s.homogeneous):
-            # the row (e*v, e) gives the generator e*(v, tail) in integers
+        for j, h in enumerate(s.homogeneous):
+            # the row (e*v, e) gives the generator e*(v, tail) in integers,
+            # and, when e = 1, the tag, as an int prints as a Fraction does
+            v = h[:-1] if h[-1] == 1 else s.vertices[j]
             tagged.append((h[:-1] + tuple(h[-1] * t for t in tail),
                            "Q%d vertex %s" % (i, _fmt_point(v))))
     # recession directions of the summands are absorbed by sigma, but the

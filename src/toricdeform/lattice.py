@@ -17,11 +17,12 @@ wherever d_i does not divide d_{i+1}.
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector, as_fraction) here only,
 through its .numerator and .denominator; an int has both, with
-denominator 1.  JSON becomes Fractions at one boundary, vector_from_json,
-under every payload reader.  Floats are not accepted: primitive, which
-every cone and polyhedron constructor calls on its input, as_int, through
-which the normal forms read their entries, and as_fraction, which reads
-every other rational parameter, raise TypeError for them.
+denominator 1.  JSON numbers become ints and Fractions at one boundary,
+vector_from_json, under every payload reader.  Floats are not accepted:
+primitive, which every cone and polyhedron constructor calls on its
+input, as_int, through which the normal forms read their entries, and
+as_fraction, which reads every other rational parameter, raise TypeError
+for them.
 """
 
 from __future__ import annotations
@@ -107,12 +108,16 @@ def vector_from_json(v, what: str) -> RationalVector:
     A coordinate is an int, a "p/q" string or a [num, den] pair of integers.
     Every JSON number must have an integer value: 1.0 reads as 1, and 0.5
     raises "non-integral coordinate 1/2", never truncates.  Bools are not
-    numbers.  Anything malformed raises ValueError.
+    numbers.  Anything malformed raises ValueError.  An int comes back as
+    it is; every other form comes back as a Fraction.
     """
     if not isinstance(v, (list, tuple)) or not v:
         raise ValueError("%s must be a non-empty coordinate list, got %r" % (what, v))
     out = []
     for x in v:
+        if isinstance(x, int) and not isinstance(x, bool):
+            out.append(x)
+            continue
         pair = isinstance(x, (list, tuple))
         parts = []
         for y in (x if pair else [x]):

@@ -165,9 +165,9 @@ def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
 
     The rays must be primitive tuples of plain ints, and the lineality
     rows integer rows spanning the lineality space.  The lines are the
-    saturated Hermite basis of that span; both callers give a basis that
-    is already saturated (dual_description, and Cone.permuted with
-    permuted canonical lines), which saturate_rowspan confirms on a
+    saturated Hermite basis of that span; every caller gives a basis that
+    is already saturated (dual_description, and Cone._moved with the moved
+    canonical lines of a cone), which saturate_rowspan confirms on a
     transposed Hermite form with no triangular solve.  Each ray class is
     represented by the primitive integer vector on its orthogonal
     projection away from the lineality span, rejected step by step off an
@@ -186,7 +186,11 @@ def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
     return tuple(pointed), tuple(lines)
 
 
-def _fold(pointed: Sequence[tuple], lines: Sequence[tuple]) -> tuple:
+def _fold(pointed: tuple, lines: Sequence[tuple]) -> tuple:
+    # pointed is canonical (sorted, duplicate-free), so with no lines it
+    # is its own fold
+    if not lines:
+        return pointed
     out = set(pointed)
     for l in lines:
         out.add(l)
@@ -248,10 +252,12 @@ def _vh_pipeline(rank: int, gens: Sequence[tuple]):
 
 
 def _split_inequalities(rank: int, facets: Sequence[tuple]) -> list:
-    """The sorted rows (u, c), read <u, x> + c >= 0, of the folded canonical
-    facets of a cone over a polyhedron x {1} in rank + 1, less the height row."""
+    """The rows (u, c), read <u, x> + c >= 0, of the folded canonical facets
+    of a cone over a polyhedron x {1} in rank + 1, less the height row.
+    The facets are sorted, and all u have one length, so the pairs are
+    sorted too."""
     height = (0,) * rank + (1,)
-    return sorted((f[:-1], f[-1]) for f in facets if f != height)
+    return [(f[:-1], f[-1]) for f in facets if f != height]
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +270,13 @@ class Cone:
     rays folds the extreme rays with +/- a basis of the lineality space, so
     degenerate (non-pointed or lower-dimensional) cones round-trip exactly;
     facets lists inner normals, with equation pairs for lower-dimensional
-    cones.  Both lists are primitive, sorted, duplicate-free.
+    cones.  Both lists are primitive, sorted, duplicate-free, and folded
+    on first read: with no lines, rays is pointed_rays itself, and with no
+    facet lines, facets is pointed_facets itself.
     """
 
     __slots__ = ("rank", "pointed_rays", "lines", "pointed_facets", "facet_lines",
-                 "rays", "facets", "_hash")
+                 "_rays", "_facets", "_hash")
 
     def __init__(self, rank, pointed_rays, lines, pointed_facets, facet_lines):
         self.rank = rank
@@ -276,9 +284,19 @@ class Cone:
         self.lines = tuple(lines)
         self.pointed_facets = tuple(pointed_facets)
         self.facet_lines = tuple(facet_lines)
-        self.rays = _fold(self.pointed_rays, self.lines)
-        self.facets = _fold(self.pointed_facets, self.facet_lines)
-        self._hash = None
+        self._rays = self._facets = self._hash = None
+
+    @property
+    def rays(self) -> tuple:
+        if self._rays is None:
+            self._rays = _fold(self.pointed_rays, self.lines)
+        return self._rays
+
+    @property
+    def facets(self) -> tuple:
+        if self._facets is None:
+            self._facets = _fold(self.pointed_facets, self.facet_lines)
+        return self._facets
 
     @classmethod
     def from_generators(cls, rank: int, generators: Iterable[Sequence]) -> "Cone":
@@ -308,10 +326,30 @@ class Cone:
         def move(rows):
             return [tuple(r[i] for i in perm) for r in rows]
 
-        return Cone(self.rank,
-                    *_canonical_vrep(move(self.pointed_rays), move(self.lines)),
+        return self._moved(self.rank, move)
+
+    def with_zero_at(self, i: int) -> "Cone":
+        """The image in rank + 1 under x -> (x[:i], 0, x[i:]), with no
+        double description: the map is an isometry onto the hyperplane
+        x_i = 0, so rays, lines and facet normals each gain a 0 at i, and
+        e_i joins the facet lines; 0 <= i <= rank."""
+        def move(rows):
+            return [r[:i] + (0,) + r[i:] for r in rows]
+
+        e_i = (0,) * i + (1,) + (0,) * (self.rank - i)
+        return self._moved(self.rank + 1, move, [e_i])
+
+    def _moved(self, rank: int, move, new_facet_lines=()) -> "Cone":
+        """The cone in rank whose parts are move() of this cone's, with
+        new_facet_lines added, each half re-canonicalized by _canonical_vrep.
+        move must be a linear isometry onto its image, so that it maps facet
+        normals as it maps rays and commutes with the orthogonal projection
+        (a permutation, or a zero insertion); each new facet line is a unit
+        vector orthogonal to the image, so the facet lines stay a saturated
+        basis."""
+        return Cone(rank, *_canonical_vrep(move(self.pointed_rays), move(self.lines)),
                     *_canonical_vrep(move(self.pointed_facets),
-                                     move(self.facet_lines)))
+                                     [*move(self.facet_lines), *new_facet_lines]))
 
     def contains(self, v: Sequence) -> bool:
         return (all(dot(f, v) >= 0 for f in self.pointed_facets)
@@ -360,13 +398,18 @@ class Cone:
 
 class MinResult(NamedTuple):
     """The minimum of a functional over a polyhedron: its exact value, its
-    floor, the lex-least vertex attaining it, and that vertex's primitive
-    homogeneous row (d*v, d) from Polyhedron.homogeneous."""
+    floor, and the primitive homogeneous row (d*v, d), from
+    Polyhedron.homogeneous, of the lex-least vertex v attaining it.  argmin,
+    v itself, is built from the row when read."""
 
     value: Fraction
     floor: int
-    argmin: tuple
     row: tuple
+
+    @property
+    def argmin(self) -> tuple:
+        d = self.row[-1]
+        return tuple(Fraction(x, d) for x in self.row[:-1])
 
 
 class Polyhedron:
@@ -389,13 +432,15 @@ class Polyhedron:
                  "_dimension", "_vertices", "_hash")
 
     def __init__(self, rank, homogeneous, rays, lines, inequalities, dimension):
+        # every part comes canonical from a cone: int tuples, and pairs
+        # (u, c) of an int tuple and an int; rows with d = 1 sort plainly
         lcm = math.lcm(*[h[-1] for h in homogeneous])
         self.rank = rank
-        self.homogeneous = tuple(sorted(
-            map(tuple, homogeneous), key=lambda h: [x * (lcm // h[-1]) for x in h[:-1]]))
-        self.rays = tuple(tuple(r) for r in rays)
-        self.lines = tuple(tuple(l) for l in lines)
-        self.inequalities = tuple((tuple(u), int(c)) for u, c in inequalities)
+        self.homogeneous = tuple(sorted(homogeneous) if lcm == 1 else sorted(
+            homogeneous, key=lambda h: [x * (lcm // h[-1]) for x in h[:-1]]))
+        self.rays = tuple(rays)
+        self.lines = tuple(lines)
+        self.inequalities = tuple(inequalities)
         self._dimension = dimension
         self._vertices = None
         self._hash = None
@@ -585,8 +630,7 @@ def min_functional(p: Polyhedron, u: Sequence) -> MinResult:
         if best is None or a * best[1] < best[0] * d:
             best, arg = (a, d), i
     value = Fraction(*best)
-    return MinResult(value=value, floor=math.floor(value), argmin=p.vertices[arg],
-                     row=p.homogeneous[arg])
+    return MinResult(value=value, floor=math.floor(value), row=p.homogeneous[arg])
 
 
 def _level_inequalities(p: Polyhedron, i: int) -> list:

@@ -263,12 +263,19 @@ def test_require_valid_raises_with_report():
     require_valid(ca1_datum())
 
 
+def _split_vertices(q, v, summands):
+    """decompose_vertex at the vertex v, its parts read as vertices."""
+    got = decompose_vertex(q, primitive(tuple(v) + (1,)), summands)
+    return None if got is None else tuple(m.argmin for m in got)
+
+
 def test_decompose_vertex_finds_split():
     q0 = point(1, 1)
     q1 = seg((0, 0), (1, 0))
     q = minkowski_sum(q0, q1)
     got = decompose_vertex(q, primitive((2, 1, 1)), [q0, q1])
-    assert got == ((1, 1), (1, 0))
+    assert tuple(m.argmin for m in got) == ((1, 1), (1, 0))
+    assert tuple(m.row for m in got) == ((1, 1, 1), (1, 0, 1))
     assert decompose_vertex(q, primitive((5, 5, 1)), [q0, q1]) is None
 
 
@@ -300,7 +307,7 @@ def test_decompose_vertex_against_brute_force():
         for v in q.vertices:
             want = oracles.vertex_splits_oracle(v, vertex_lists)
             assert len(want) <= 1, (v, want)
-            got = decompose_vertex(q, primitive(v + (1,)), summands)
+            got = _split_vertices(q, v, summands)
             assert got == (want[0] if want else None), (v, summands)
             outcomes["split" if want else "none"] += 1
             if not want and oracles.vertex_splits_oracle(v, vertex_lists, len(summands)):
@@ -346,7 +353,7 @@ def test_decompose_vertex_against_fraction_reference():
     for q, summands in cases:
         for v in q.vertices:
             want = _decompose_reference(q, v, summands)
-            assert decompose_vertex(q, primitive(v + (1,)), summands) == want, (q, v, summands)
+            assert _split_vertices(q, v, summands) == want, (q, v, summands)
             outcomes["split" if want else "none"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
@@ -451,6 +458,26 @@ def test_tilde_provenance_covers_all_rays():
         t = build_tilde(d)
         assert len(t.provenance) == len(t.rays)
         assert all(tags for tags in t.provenance)
+
+
+def test_passing_datum_reads_no_fraction_vertex_of_q():
+    # (i) and (iv') walk Q's integer rows and build_tilde never reads Q, so
+    # a passing datum leaves Q's Fraction vertices unbuilt; the provenance
+    # tags still print each summand vertex as its Fraction vertex does
+    rational = False
+    for d in corpus.random_valid_data(2207, 12) + [
+            ca1_datum(), toy_plane_datum(), *hexagon_data()]:
+        d = build_datum(d.sigma, d.summands, d.w, boundary=d.boundary)
+        require_valid(d)
+        t = build_tilde(d)
+        assert d.q._vertices is None
+        tags = {"Q%d vertex (%s)" % (i, ", ".join(map(str, v)))
+                for i, s in enumerate(d.summands) for v in s.vertices}
+        got = {tag for p in t.provenance for tag in p
+               if tag.startswith("Q") and " vertex " in tag}
+        assert got and got <= tags
+        rational |= any("/" in tag for tag in got)
+    assert rational
 
 
 def test_tilde_pairing_rows_match_rays():

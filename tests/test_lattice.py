@@ -23,6 +23,7 @@ from toricdeform.lattice import (
     primitive,
     saturate_rowspan,
     smith_normal_form,
+    vector_from_json,
 )
 from toricdeform.polyhedral import Cone
 
@@ -162,6 +163,30 @@ def test_number_path_edge_cases():
             ragged([[1, 2], [3]])
     assert all(type(x) is int for r in smith_normal_form([[Fraction(2), 4]]) for row in r
                for x in row)
+
+
+@pytest.mark.parametrize("x, want, kind", [
+    (3, 3, int), (0, 0, int), (-7, -7, int), (10**30, 10**30, int),
+    ("3", 3, Fraction), ("-1/2", Fraction(-1, 2), Fraction),
+    ([6, 4], Fraction(3, 2), Fraction), ([-4, 2], -2, Fraction),
+    (2.0, 2, Fraction), (-0.0, 0, Fraction)])
+def test_vector_from_json_types(x, want, kind):
+    # a JSON integer stays an int; every other form reads as a Fraction
+    got = vector_from_json([x, 1], "v")
+    assert got == (want, 1)
+    assert type(got[0]) is kind and type(got[1]) is int
+
+
+def test_vector_from_json_errors():
+    for bad, text in ((0.5, "non-integral coordinate 1/2"), ([1, 0], "bad coordinate"),
+                      (True, "bad coordinate True"), ("x", "bad coordinate"),
+                      ([1, 2, 3], "bad coordinate"), ([1.5, 1], "non-integral"),
+                      (None, "bad coordinate None")):
+        with pytest.raises(ValueError, match=text):
+            vector_from_json([1, bad], "v")
+    for empty in ([], 3, None):
+        with pytest.raises(ValueError, match="v must be a non-empty coordinate list"):
+            vector_from_json(empty, "v")
 
 
 def smith_rows_check(a, u, d):

@@ -631,7 +631,8 @@ def test_induced_boundary_datum_frozen():
 
 def test_cones_over_polytopes_are_read_not_hulled(monkeypatch):
     # tau over a hulled polygon and the moment polytope read cones the hulls
-    # already built; the induced datum hulls G^ and F^ alone, two passes each
+    # already built; the induced datum hulls G^ alone, in two passes, and
+    # reads F^ off F's cone
     passes = []
     dd = polyhedral.dual_description
 
@@ -647,7 +648,7 @@ def test_cones_over_polytopes_are_read_not_hulled(monkeypatch):
         pm = polytope_in_M(v)
         assert passes == []
         ind = induced_boundary_datum(fano, d)
-        assert len(passes) == 4
+        assert len(passes) == 2
         n = fano.n
         assert v.tau == ind.sigma == Cone.from_generators(
             n + 1, [u + (1,) for u in fano.vertices()])
@@ -657,6 +658,10 @@ def test_cones_over_polytopes_are_read_not_hulled(monkeypatch):
         lifted = [tuple(Fraction(x, -layer.height) for x in u + (1,))
                   for layer in d.witnesses for u in layer.factor_part.vertices]
         assert ind.summands[0] == convex_hull(n + 1, lifted)
+        # F^ is the hull of F x {0}
+        f_hat = convex_hull(n + 1, [u + (0,) for u in d.factor.lattice_vertices()])
+        assert ind.summands[1] == f_hat
+        assert ind.summands[1].cone == f_hat.cone
 
 
 def test_family_carries_induced_enlargement():

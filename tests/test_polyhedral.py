@@ -226,6 +226,68 @@ def test_cone_permuted_against_hull():
                                      (False, True), (False, False)}
 
 
+def test_cone_with_zero_at_against_hull():
+    # the zero-inserted canonical parts against a fresh double description
+    # of the zero-inserted rays, in all five parts, at every position
+    kinds = set()
+    for rank, gens in degenerate_generator_sets(108, 400, ranks=(1, 2, 3, 4)):
+        c = Cone.from_generators(rank, gens)
+        for i in range(rank + 1):
+            got = c.with_zero_at(i)
+            want = Cone.from_generators(
+                rank + 1, [x[:i] + (0,) + x[i:] for x in c.rays])
+            assert (got.rank, got.pointed_rays, got.lines, got.pointed_facets,
+                    got.facet_lines) == (want.rank, want.pointed_rays, want.lines,
+                                         want.pointed_facets, want.facet_lines)
+        kinds.add((rank, c.dimension() == rank, c.is_strongly_convex()))
+    assert {k[0] for k in kinds} == {1, 2, 3, 4}
+    assert {k[1:] for k in kinds} == {(True, True), (True, False),
+                                     (False, True), (False, False)}
+
+
+def test_polytope_times_zero_read_off_its_cone():
+    # F x {0} from F's cone against the hull of F's vertices with a 0
+    # appended, on points, segments, lower- and full-dimensional polytopes
+    r = corpus.rng(109)
+    dims = set()
+    for _ in range(300):
+        n = r.randint(1, 3)
+        base = corpus.random_vector(r, n, -3, 3)
+        span = [corpus.random_vector(r, n, -2, 2) for _ in range(r.randint(0, n))]
+        pts = [tuple(b + sum(r.randint(-2, 2) * d[j] for d in span)
+                     for j, b in enumerate(base)) for _ in range(r.randint(1, n + 3))]
+        f = convex_hull(n, pts)
+        got = Polyhedron.from_cone(f.cone.with_zero_at(n))
+        want = convex_hull(n + 1, [v + (0,) for v in f.vertices])
+        assert got == want
+        assert got.cone == want.cone and got.inequalities == want.inequalities
+        assert list(got.inequalities) == sorted(got.inequalities)
+        assert got.affine_dimension() == want.affine_dimension() == f.affine_dimension()
+        dims.add((n, f.affine_dimension()))
+    assert {d for _, d in dims} == {0, 1, 2, 3}
+    assert {n for n, _ in dims} == {1, 2, 3}
+
+
+def _fold_reference(pointed, lines):
+    return tuple(sorted(set(pointed) | set(lines) | {vneg(l) for l in lines}))
+
+
+def test_rays_and_facets_fold_on_first_read():
+    kinds = set()
+    for rank, gens in degenerate_generator_sets(110, 200):
+        c = Cone.from_generators(rank, gens)
+        assert c._rays is None and c._facets is None
+        rays, facets = c.rays, c.facets
+        assert rays == _fold_reference(c.pointed_rays, c.lines)
+        assert facets == _fold_reference(c.pointed_facets, c.facet_lines)
+        assert c.rays is rays and c.facets is facets  # cached
+        # with no lines the pointed tuple is its own fold, not a copy
+        assert (rays is c.pointed_rays) == (not c.lines)
+        assert (facets is c.pointed_facets) == (not c.facet_lines)
+        kinds.add((bool(c.lines), bool(c.facet_lines)))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_cone_double_dual_identity():
     r = corpus.rng(103)
     for _ in range(150):
