@@ -11,15 +11,13 @@ w~ = w - sum_i floor(min over Q_i of w) e_i*.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .cox import PairingData
-from .lattice import (
-    as_int_vector, dot, primitive, vadd, vector_from_json, vscale, vsub)
+from .lattice import as_int_vector, dot, primitive, vector_from_json, vsub
 from .polyhedral import (
     Cone,
     Polyhedron,
@@ -38,7 +36,10 @@ class DatumStructureError(ValueError):
 
 @dataclass(frozen=True)
 class DeformationDatum:
-    """Q is the sum of the summands, built on first use; no caller sets it."""
+    """Q is the sum of the summands, built on first use; no caller sets it.
+    splits holds, for each vertex row of Q, the summands' vertex rows that
+    add up to it: the unique split, composed down the fold from the pair
+    that each minkowski_sum records; it is empty when Q has a line."""
 
     sigma: Cone
     summands: tuple  # (Q_0, ..., Q_k), k >= 1
@@ -46,8 +47,21 @@ class DeformationDatum:
     boundary: bool
 
     @cached_property
+    def _sum(self) -> tuple:
+        q = self.summands[0]
+        splits = [(h,) for h in q.homogeneous]
+        for s in self.summands[1:]:
+            q = minkowski_sum(q, s)
+            splits = [splits[i] + (s.homogeneous[j],) for i, j in q.split]
+        return q, tuple(splits)
+
+    @property
     def q(self) -> Polyhedron:
-        return reduce(minkowski_sum, self.summands)
+        return self._sum[0]
+
+    @property
+    def splits(self) -> tuple:
+        return self._sum[1]
 
     @property
     def rank(self) -> int:
@@ -165,39 +179,6 @@ def _fmt_point(v) -> str:
     return "(" + ", ".join(map(str, v)) + ")"
 
 
-def decompose_vertex(q: Polyhedron, h, summands) -> Optional[tuple]:
-    """Write the vertex v of q = sum of summands, given by its primitive
-    row h = (d*v, d) from q.homogeneous, as a sum of summand vertices, at
-    most one of them non-lattice, each as the summand's MinResult (whose
-    argmin is the vertex, built only when read).
-
-    The split is unique: u, the sum of q's rows tight at v (equation pairs
-    cancel), is minimized over q at v alone, and v = p_0 + ... + p_k with
-    p_i in Q_i forces every p_i to minimize u over Q_i, at a single vertex
-    (Fukuda, J. Symb. Comput. 38, 2004).  Returns those minimizers, or
-    None if they do not add up to v or two of them are non-lattice.  A q
-    with lines has no vertices, only representatives, and no unique split.
-    The test runs on the primitive rows (d_i*p_i, d_i): over L = lcm(d,
-    d_0, ..., d_k) the parts add up to v iff the sum of (L/d_i)*(d_i*p_i)
-    is (L/d)*(d*v), and p_i is non-lattice iff d_i > 1.
-    """
-    dv, d = h[:-1], h[-1]  # tightness reads in integers
-    u = (0,) * q.rank
-    for a, c in q.inequalities:
-        if dot(a, dv) + c * d == 0:
-            u = vadd(u, a)
-    try:
-        mins = [min_functional(s, u) for s in summands]
-    except UnboundedError:
-        return None
-    rows = [m.row for m in mins]
-    den = math.lcm(d, *(r[-1] for r in rows))
-    total = tuple(map(sum, zip(*(vscale(den // r[-1], r[:-1]) for r in rows))))
-    if total != vscale(den // d, dv) or sum(r[-1] > 1 for r in rows) > 1:
-        return None
-    return tuple(mins)
-
-
 def validate_datum(d: DeformationDatum) -> ValidationReport:
     """The six defining conditions, plus (iv) for a boundary datum, with
     witnesses on failure; (iii) holds by construction (d.q is the sum)."""
@@ -234,11 +215,12 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
     results.append(ConditionResult(
         "(iii)", "Q equals the sum of the summands", True))
 
-    # (iv') vertex decomposition with at most one non-lattice part; a Q
-    # with a line has no vertices, only representatives, so no verdict
+    # (iv') at most one non-lattice part (a row (d*p, d) with d > 1) in the
+    # split of each vertex; a Q with a line has no vertices, only
+    # representatives, so no verdict
     bad = "Q has a line" if q.lines else None
-    for i, h in enumerate(() if q.lines else q.homogeneous):
-        if decompose_vertex(q, h, d.summands) is None:
+    for i, parts in enumerate(d.splits):
+        if sum(h[-1] > 1 for h in parts) > 1:
             bad = "vertex " + _fmt_point(q.vertices[i])
             break
     results.append(ConditionResult(
@@ -269,17 +251,14 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
 
     # (vi) vertices of the level -1 slice of sigma lie on rays through Q;
     # sigma is pointed and full-dimensional, so the slice has one vertex
-    # r / -<w, r> per ray r with <w, r> < 0, and r spans the same ray
-    slice_vertices = []
+    # r / -<w, r> per ray r with <w, r> < 0, and r spans the same ray.  A
+    # slice vertex is built only for a failing ray; the lex-least names it
+    fails = []
     for r in sigma.rays:
         a = dot(w, r)
-        if a < 0:
-            slice_vertices.append((tuple(Fraction(x, -a) for x in r), r))
-    bad = None
-    for v, r in sorted(slice_vertices):
-        if not membership_scaling(q, r):
-            bad = "slice vertex " + _fmt_point(v)
-            break
+        if a < 0 and not membership_scaling(q, r):
+            fails.append(tuple(Fraction(x, -a) for x in r))
+    bad = "slice vertex " + _fmt_point(min(fails)) if fails else None
     results.append(ConditionResult(
         "(vi)", "every vertex of the level -1 slice of the cone "
         "lies in R+ Q", bad is None, bad))

@@ -67,7 +67,7 @@ def vscale(c, u: Sequence) -> tuple:
 
 
 def is_zero(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def is_integral(u: Sequence) -> bool:
@@ -144,12 +144,15 @@ def primitive(u: Sequence) -> IntVector:
     """Primitive integer vector spanning the same ray (positive multiple of u).
 
     Accepts int or Fraction coordinates; any other type raises TypeError.
-    All-int input (bools included) is divided by its gcd alone; only a
-    vector with a Fraction is first scaled by the lcm of its denominators.
-    The result is plain ints.  The zero vector has no direction.
+    All-int input (bools included) is divided by its gcd alone, and a
+    tuple of plain ints whose gcd is 1 comes back as it is; only a vector
+    with a Fraction is first scaled by the lcm of its denominators.  The
+    result is plain ints.  The zero vector has no direction.
     """
     try:
         g = math.gcd(*u)  # a Fraction or a float raises TypeError here
+        if g == 1 and type(u) is tuple and {*map(type, u)} == {int}:
+            return u
         ints = u
     except TypeError:
         try:
@@ -161,7 +164,7 @@ def primitive(u: Sequence) -> IntVector:
         g = math.gcd(*ints)
     if g == 0:
         raise ZeroVectorError("ZeroVector: the zero vector spans no ray")
-    return tuple(a // g for a in ints)
+    return tuple([a // g for a in ints])
 
 
 def identity_matrix(n: int) -> IntMatrix:

@@ -424,12 +424,13 @@ class Polyhedron:
     (L/d)*(d*v), L the lcm of every d.  vertices, the Fraction tuples v in
     that (lexicographic) order, are built from the rows on first read.
     cone, set by from_cone and empty, is the cone over p x {1} that the
-    hull built.  The empty polyhedron has no vertices and no rows, carries
-    the single inconsistent inequality (0, -1), and its cone is {0}.
+    hull built; split is set by minkowski_sum.  The empty polyhedron has no
+    vertices and no rows, carries the single inconsistent inequality
+    (0, -1), and its cone is {0}.
     """
 
     __slots__ = ("rank", "homogeneous", "rays", "lines", "inequalities", "cone",
-                 "_dimension", "_vertices", "_hash")
+                 "split", "_dimension", "_vertices", "_hash")
 
     def __init__(self, rank, homogeneous, rays, lines, inequalities, dimension):
         # every part comes canonical from a cone: int tuples, and pairs
@@ -587,29 +588,34 @@ def convex_hull(rank: int, points: Iterable[Sequence], rays: Iterable[Sequence] 
 
 
 def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    """a + b, hulled from homogeneous integer rows.
+    """a + b, hulled from homogeneous integer rows, with its split.
 
     The candidate for the vertices u of a and v of b, with rows (d*u, d)
-    and (e*v, e), is (e*d*u + d*e*v, d*e), the row of u + v up to a
-    positive factor; the rays, and each line with both signs, are rows
-    ending in 0.  One cone hull of these rows gives the sum, and builds no
-    Fraction.
+    and (e*v, e), is (e*d*u + d*e*v, d*e) reduced to the row of u + v; the
+    rays, and each line with both signs, are rows ending in 0.  One cone
+    hull of these rows gives the sum, and builds no Fraction.  A vertex of
+    a + b splits uniquely into vertices of a and b (Fukuda, J. Symb.
+    Comput. 38, 2004), so exactly one candidate lands on it: split holds,
+    for each vertex row of the sum, the pair (i, j) of the rows
+    a.homogeneous[i] and b.homogeneous[j] of that candidate.  A sum with
+    lines has no vertices, and its split is empty; so is an empty sum's.
     """
     if a.rank != b.rank:
         raise ValueError("rank mismatch in Minkowski sum")
-    if a.is_empty or b.is_empty:
-        return Polyhedron.empty(a.rank)
-    rows = []
-    for g in a.homogeneous:
+    pairs = {}
+    for i, g in enumerate(a.homogeneous):
         du, d = g[:-1], g[-1]
-        for h in b.homogeneous:
+        for j, h in enumerate(b.homogeneous):
             e = h[-1]  # zip(du, h) stops before it
-            rows.append(tuple(e * x + d * y for x, y in zip(du, h)) + (d * e,))
+            pairs[_reduce(tuple([e * x + d * y for x, y in zip(du, h)]) + (d * e,))] = i, j
+    rows = list(pairs)
     for r in a.rays + b.rays:
         rows.append(r + (0,))
     for l in a.lines + b.lines:
         rows += [l + (0,), vneg(l) + (0,)]
-    return Polyhedron.from_cone(Cone.from_generators(a.rank + 1, rows))
+    p = Polyhedron.from_cone(Cone.from_generators(a.rank + 1, rows))
+    p.split = () if p.lines else tuple(pairs[h] for h in p.homogeneous)
+    return p
 
 
 def min_functional(p: Polyhedron, u: Sequence) -> MinResult:

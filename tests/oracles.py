@@ -419,6 +419,41 @@ def vertex_splits_oracle(v, vertex_lists, max_nonlattice=1):
     return out
 
 
+def decompose_vertex(q, h, summands, max_nonlattice=1):
+    """The split of the vertex v of q = sum of summands, given by its
+    primitive row h = (d*v, d) from q.homogeneous, read off minimizers.
+
+    u, the sum of q's inequality normals tight at v (equation pairs
+    cancel), is minimized over q at v alone, so each part of v minimizes u
+    over its summand (Fukuda, J. Symb. Comput. 38, 2004).  Returns each
+    summand's lex-least minimizing row (d_i*p_i, d_i), or None if u is
+    unbounded below on a summand, the parts do not add up to v, or more
+    than max_nonlattice of them have d_i > 1.  validate_datum ran this per
+    vertex before minkowski_sum recorded the split; it reads the rows of
+    the polyhedra and imports nothing from the package.
+    """
+    dv, d = h[:-1], h[-1]
+    u = [0] * len(dv)
+    for a, c in q.inequalities:
+        if dot(a, dv) + c * d == 0:
+            u = [x + y for x, y in zip(u, a)]
+    rows = []
+    for s in summands:
+        if any(dot(u, r) < 0 for r in s.rays) or any(dot(u, l) for l in s.lines):
+            return None
+        best = None
+        for g in s.homogeneous:  # lex-sorted, so the first least is lex-least
+            if best is None or dot(u, g[:-1]) * best[-1] < dot(u, best[:-1]) * g[-1]:
+                best = g
+        rows.append(best)
+    den = math.lcm(d, *(r[-1] for r in rows))
+    total = [sum(den // r[-1] * r[t] for r in rows) for t in range(len(dv))]
+    if (total != [den // d * x for x in dv]
+            or sum(r[-1] > 1 for r in rows) > max_nonlattice):
+        return None
+    return tuple(rows)
+
+
 def degree_zero_oracle(n, rays, yexps, zexps, points):
     """The per-ray degree-zero recipe on a given list of character points.
 

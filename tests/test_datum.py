@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricdeform import datum as datum_module
 from toricdeform.cox import pretty, trinomials
 from toricdeform.datum import (
     DatumStructureError,
@@ -16,7 +17,6 @@ from toricdeform.datum import (
     build_tilde,
     check_tilde_structure,
     datum_from_json,
-    decompose_vertex,
     floor_min_identity,
     require_valid,
     validate_datum,
@@ -263,20 +263,24 @@ def test_require_valid_raises_with_report():
     require_valid(ca1_datum())
 
 
+def _row_vertex(row):
+    return tuple(Fraction(x, row[-1]) for x in row[:-1])
+
+
 def _split_vertices(q, v, summands):
-    """decompose_vertex at the vertex v, its parts read as vertices."""
-    got = decompose_vertex(q, primitive(tuple(v) + (1,)), summands)
-    return None if got is None else tuple(m.argmin for m in got)
+    """oracles.decompose_vertex at the vertex v, its parts read as vertices."""
+    got = oracles.decompose_vertex(q, primitive(tuple(v) + (1,)), summands)
+    return None if got is None else tuple(map(_row_vertex, got))
 
 
 def test_decompose_vertex_finds_split():
     q0 = point(1, 1)
     q1 = seg((0, 0), (1, 0))
     q = minkowski_sum(q0, q1)
-    got = decompose_vertex(q, primitive((2, 1, 1)), [q0, q1])
-    assert tuple(m.argmin for m in got) == ((1, 1), (1, 0))
-    assert tuple(m.row for m in got) == ((1, 1, 1), (1, 0, 1))
-    assert decompose_vertex(q, primitive((5, 5, 1)), [q0, q1]) is None
+    got = oracles.decompose_vertex(q, primitive((2, 1, 1)), [q0, q1])
+    assert tuple(map(_row_vertex, got)) == ((1, 1), (1, 0))
+    assert got == ((1, 1, 1), (1, 0, 1))
+    assert oracles.decompose_vertex(q, primitive((5, 5, 1)), [q0, q1]) is None
 
 
 def _random_summands(r, rank):
@@ -356,6 +360,87 @@ def test_decompose_vertex_against_fraction_reference():
             assert _split_vertices(q, v, summands) == want, (q, v, summands)
             outcomes["split" if want else "none"] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+def opposed_rays_datum():
+    """Neither summand has a line, but their rays (1, 0) and (-1, 0) span
+    one in Q."""
+    q0 = convex_hull(2, [(0, 1)], rays=[(1, 0)])
+    q1 = convex_hull(2, [(0, 0)], rays=[(-1, 0)])
+    return build_datum(orthant(), [q0, q1], (0, 1))
+
+
+def _split_cases():
+    """Data whose recorded splits are checked: random valid data (k = 1-3,
+    Q_0 rational), the presets, an unbounded summand, lower-dimensional
+    summands in rank 3, the failing data above, and sums of two or three
+    random rational hulls, a third of them unbounded."""
+    lower = build_datum(
+        Cone.from_generators(3, [(-1, 0, 1), (0, -1, 1), (1, -1, 1), (2, 0, 1),
+                                 (2, 1, 1), (-1, 1, 1)]),
+        [convex_hull(3, [(0, 1, 1), (1, 0, 1), (1, 1, 1)]),
+         convex_hull(3, [(-1, -1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)])],
+        (0, 0, -1), boundary=True)
+    data = corpus.random_valid_data(4419, 18, (2, 3, 4))
+    data += [ca1_datum(), toy_plane_datum(), *hexagon_data(),
+             unbounded_datum((1, 1)), opposed_rays_datum(), lower,
+             *failing_data()]
+    r = corpus.rng(4420)
+    for _ in range(80):
+        rank = r.choice((2, 3))
+        data.append(DeformationDatum(sigma=orthant(rank),
+                                     summands=tuple(_random_summands(r, rank)),
+                                     w=(0,) * rank, boundary=False))
+    return data
+
+
+def test_recorded_splits_match_the_reference():
+    """On every vertex of Q, the split composed from minkowski_sum's
+    records is the reference's parts, which add up to the vertex; the
+    reference is asked to allow any number of non-lattice parts."""
+    nonlattice, counts, kinds = set(), set(), set()
+    for d in _split_cases():
+        q = d.q
+        if q.lines:
+            assert d.splits == ()
+            kinds.add("line")
+            continue
+        assert len(d.splits) == len(q.homogeneous)
+        for h, parts in zip(q.homogeneous, d.splits):
+            want = oracles.decompose_vertex(q, h, d.summands, len(d.summands))
+            assert parts == want, (d.summands, h)
+            nonlattice.add(sum(r[-1] > 1 for r in parts))
+        counts.add(len(d.summands))
+        kinds.update(("unbounded",) * any(s.rays for s in d.summands)
+                     + ("lower-dimensional",) * any(
+                         s.affine_dimension() < s.rank for s in d.summands))
+    assert nonlattice >= {0, 1, 2}, nonlattice
+    assert counts == {2, 3, 4}, counts
+    assert kinds == {"line", "unbounded", "lower-dimensional"}, kinds
+
+
+def test_iv_prime_reads_a_line_made_by_the_fold():
+    # the fold records no split, and (iv') names the line
+    d = opposed_rays_datum()
+    assert d.q.lines and d.splits == ()
+    got = {c.label: c.witness for c in validate_datum(d).failed()}
+    assert got["(iv')"] == "Q has a line"
+
+
+def test_passing_datum_minimizes_only_for_condition_v(monkeypatch):
+    # (iv') reads the recorded splits, so min_functional runs once, for (v)
+    calls = []
+
+    def counting(p, u):
+        calls.append(p)
+        return min_functional(p, u)
+
+    monkeypatch.setattr(datum_module, "min_functional", counting)
+    for d in corpus.random_valid_data(2208, 12) + [
+            ca1_datum(), toy_plane_datum(), *hexagon_data(), unbounded_datum((1, 1))]:
+        calls.clear()
+        assert validate_datum(d).ok
+        assert calls == [d.q]
 
 
 def test_report_json_shape():

@@ -39,6 +39,7 @@ from oracles import (
     rational_kernel,
     rational_rank,
     saturate_rowspan,
+    vertex_splits_oracle,
 )
 
 
@@ -879,6 +880,29 @@ def test_minkowski_sum_against_fraction_reference():
                 if not p.is_lattice:
                     kinds.add("rational")
     assert kinds == {"empty", "lines", "rays", "point", "flat", "full", "rational"}
+
+
+def test_minkowski_sum_records_each_vertex_split():
+    """split pairs each vertex of a + b with the one pair of vertices of a
+    and b that adds up to it, as a search over all pairs finds it; a sum
+    with lines, and an empty sum, record none."""
+    r = corpus.rng(1206)
+    cases = [p for p in _row_cases(1206) if p.rank <= 4]
+    kinds = set()
+    for a in cases:
+        b = r.choice([p for p in cases if p.rank == a.rank])
+        s = minkowski_sum(a, b)
+        if s.lines or s.is_empty:
+            assert s.split == ()
+            kinds.add("lines" if s.lines else "empty")
+            continue
+        assert len(s.split) == len(s.homogeneous)
+        for v, (i, j) in zip(s.vertices, s.split):
+            want = vertex_splits_oracle(v, [a.vertices, b.vertices], 2)
+            assert want == [(a.vertices[i], b.vertices[j])], (a, b, v)
+        kinds.add("rays" if s.rays else "bounded")
+        kinds.update(("rational",) * (not (a.is_lattice and b.is_lattice)))
+    assert kinds == {"empty", "lines", "rays", "bounded", "rational"}
 
 
 def test_minkowski_sum_builds_only_its_vertices(monkeypatch):
