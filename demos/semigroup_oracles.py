@@ -3,8 +3,9 @@
 hilbert_basis computes the irreducible semigroup elements exactly, from
 the fundamental parallelepipeds of a triangulation of the cone, and
 reports whether its degree bound reached the certificate bound.  The two equality checks compare ideal
-membership against monomial factorization, character by character, and
-record a witness for every pair they confirm.
+membership against monomial factorization, character by character; the
+degree-zero check builds a witness for every pair it confirms when its
+witnesses are first read.
 """
 
 from toricdeform.datum import build_tilde

@@ -13,19 +13,20 @@ coordinates), and the Cox exponents are computed once per run: each
 further point of a run adds the exponents of the last unit vector to its
 predecessor's.  The boundary check decides interiority once per N-part.  The degree-zero check
 tables the exponent sums of the drops once per call, keyed by the shift
-r[n:] - s[n:] between the two characters of a pair, and reads both
-cofactors and the exponents of q off one entry; for a one-signed shift
-one side drops nothing and reuses its character's exponents and their
-sign.  A passing pair keeps one ``KernelWitness``, a named tuple with
-no per-instance dict, whose shift is the table entry's own tuple; for a
-one-signed shift that leaves one new cofactor per pair, as q and the
-other cofactor are reused.  The inner loops run on plain int tuples with
-``map``.  The equality reports are approximations by design: they
-certify no failure below the bound, not a full proof.
+r[n:] - s[n:] between the two characters of a pair, and decides each
+pair by comparing its characters' exponents with one entry's, so a
+passing pair builds no tuple; for a one-signed shift one side drops
+nothing and reads its character's sign.  The ``KernelWitness`` of the
+passing pairs are built only when the report's witnesses are first
+read, so until then memory follows the characters, not the pairs.  The
+inner loops run on plain int tuples with ``map``.  The equality reports
+are approximations by design: they certify no failure below the bound,
+not a full proof.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import prod
 from operator import add, ge, le, mul, sub
 from typing import NamedTuple
@@ -190,10 +191,41 @@ class KernelWitness(NamedTuple):
                 "cofactor_s": list(self.cofactor_s)}
 
 
+class _Witnesses(Sequence):
+    """The witnesses of a degree-zero check, built on first read.
+
+    The length, the number of passing pairs, is known without building
+    anything.  The first iteration or index calls build, which yields
+    every witness in the order of the pair walk, keeps them, and drops
+    build and the walk's state that it holds.  It equals only itself and
+    has no ``+``; ``tuple()`` of it gives a tuple.
+    """
+
+    __slots__ = ("_len", "_build", "_kept")
+
+    def __init__(self, length: int, build):
+        self._len, self._build, self._kept = length, build, None
+
+    def _read(self) -> tuple:
+        if self._kept is None:
+            self._kept = tuple(self._build())
+            self._build = None
+        return self._kept
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __iter__(self):
+        return iter(self._read())
+
+
 class OracleReport(NamedTuple):
     checked: int
     failures: tuple
-    witnesses: tuple = ()
+    witnesses: Sequence = ()
 
     @property
     def ok(self) -> bool:
@@ -244,22 +276,27 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     both Cox monomials with explicit cofactors; a failure of either is
     reported.  With the shift d = r[n:] - s[n:], r drops d^+ onto q and s
     drops d^-.  Each call tables, keyed by d, the per-ray sums Y(d^+),
-    Z(d^+) and Y(d^-) of those drops against the y and z exponents, so a
-    pair costs one lookup and at most one subtraction per side:
+    Z(d^+) and Y(d^-) of those drops against the y and z exponents:
     cofactor_r = exps(r) - Y(d^+) and cofactor_s = exps(s) - Y(d^-).
-    The entry also keeps d, and each witness takes that tuple as its
-    shifts, so the witnesses of one shift share it.  A one-signed shift
-    drops nothing on one side (the table keeps that Y as None): that
-    side's cofactor is its character's exponents, whose sign is read
-    once per point, and q is s when d >= 0 and r when d <= 0; only a
-    mixed shift builds q from the tails' minimum.  The
-    exponents themselves cost one exps call per run of characters (see
-    ``_with_exps``).  Since y_i - z_i is the i-th tail row of the rays,
-    exps is linear and exps(q) = cofactor_r + Z(d^+).  The z exponents
-    are >= 0, so exps(q) >= cofactor_r: cofactors with no negative entry
-    already put q in the dual cone, and exps(q) is summed only when a
-    cofactor has one.  Both facts are checked once per call (ValueError
-    otherwise).
+    So a pair costs one lookup and at most one comparison per side, as
+    cofactor_r has no negative entry iff exps(r) >= Y(d^+) componentwise,
+    and a passing pair builds nothing.  A one-signed shift drops nothing
+    on one side (the table keeps that Y as None): that side's cofactor is
+    its character's exponents, whose sign is read once per point, and q
+    is s when d >= 0 and r when d <= 0; only a mixed shift builds q from
+    the tails' minimum.  The exponents themselves cost one exps call per
+    run of characters (see ``_with_exps``).  Since y_i - z_i is the i-th
+    tail row of the rays, exps is linear and exps(q) = cofactor_r +
+    Z(d^+).  The z exponents are >= 0, so exps(q) >= cofactor_r:
+    cofactors with no negative entry already put q in the dual cone, and
+    exps(q) is summed only for a failing pair.  Both facts are checked
+    once per call (ValueError otherwise).
+
+    The report's witnesses have the number of passing pairs as their
+    length from the start; the first iteration or index walks the pairs
+    again and builds one ``KernelWitness`` per passing pair, in the order
+    of the walk.  Each takes the table entry's d as its shifts, so the
+    witnesses of one shift share that tuple.
     """
     n = t.n
     exps, rays = t.pairings.exps, t.pairings.rays
@@ -288,38 +325,51 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     buckets = {}
     for p, e in _with_exps(_character_points(t, bound), exps):
         buckets.setdefault(p[:n], []).append((p, p[n:], e, min(e) >= 0))
+
+    def factor(head, r, rt, er, s, es, entry):
+        # q and both cofactors of a pair, from its shift's table entry
+        d, up, ys_up, zs_up, ys_dn = entry
+        if ys_up is None:  # d <= 0: the tails' minimum is r's
+            q, pr = r, er
+        else:  # q is s when d >= 0, else the tails' minimum
+            q = s if ys_dn is None else head + tuple(map(sub, rt, up))
+            pr = tuple(map(sub, er, ys_up))
+        return q, pr, es if ys_dn is None else tuple(map(sub, es, ys_dn))
+
     checked = 0
     failures = []
-    witnesses = []
     for head, group in buckets.items():
         checked += len(group) * (len(group) + 1) // 2
         for a, (r, rt, er, ok_r) in enumerate(group):
             for s, st, es, ok_s in group[a:]:
                 d = tuple(map(sub, rt, st))
-                d, up, ys_up, zs_up, ys_dn = by_shift.get(d) or tabulate(d)
-                if ys_up is None:  # d <= 0: the tails' minimum is r's
-                    q, pr, pr_ok = r, er, ok_r
-                else:  # q is s when d >= 0, else the tails' minimum
-                    q = s if ys_dn is None else head + tuple(map(sub, rt, up))
-                    pr = tuple(map(sub, er, ys_up))
-                    pr_ok = min(pr) >= 0
-                if ys_dn is None:
-                    ps, ps_ok = es, ok_s
-                else:
-                    ps = tuple(map(sub, es, ys_dn))
-                    ps_ok = min(ps) >= 0
-                if not (pr_ok and ps_ok):
-                    if min(map(add, pr, zs_up)) < 0:  # exps(q)
-                        failures.append({"r": list(r), "s": list(s),
-                                         "reason": "q outside the dual cone",
-                                         "q": list(q)})
-                    else:
-                        failures.append({"r": list(r), "s": list(s),
-                                         "reason": "cofactor not a monomial"})
+                entry = by_shift.get(d) or tabulate(d)
+                _, _, ys_up, zs_up, ys_dn = entry
+                if (ok_r if ys_up is None else all(map(ge, er, ys_up))) and (
+                        ok_s if ys_dn is None else all(map(ge, es, ys_dn))):
                     continue
-                witnesses.append(KernelWitness(r, s, d, q, pr, ps))
+                q, pr, _ = factor(head, r, rt, er, s, es, entry)
+                if min(map(add, pr, zs_up)) < 0:  # exps(q)
+                    failures.append({"r": list(r), "s": list(s),
+                                     "reason": "q outside the dual cone",
+                                     "q": list(q)})
+                else:
+                    failures.append({"r": list(r), "s": list(s),
+                                     "reason": "cofactor not a monomial"})
+
+    def witnesses():
+        # the walk again, every shift now tabled: a pair whose cofactors
+        # have no negative entry is the one the walk above passed
+        for head, group in buckets.items():
+            for a, (r, rt, er, _) in enumerate(group):
+                for s, st, es, _ in group[a:]:
+                    entry = by_shift[tuple(map(sub, rt, st))]
+                    q, pr, ps = factor(head, r, rt, er, s, es, entry)
+                    if min(pr) >= 0 and min(ps) >= 0:
+                        yield KernelWitness(r, s, entry[0], q, pr, ps)
+
     return OracleReport(checked=checked, failures=tuple(failures),
-                        witnesses=tuple(witnesses))
+                        witnesses=_Witnesses(checked - len(failures), witnesses))
 
 
 def revalidate_witness(t, w: KernelWitness) -> bool:

@@ -4,11 +4,13 @@ certificates."""
 import dataclasses
 import functools
 import math
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+import toricdeform.oracle as oracle_module
 from toricdeform.datum import build_datum, build_tilde
 from toricdeform.oracle import (
     KernelWitness,
@@ -372,13 +374,52 @@ def test_witnesses_share_their_shift():
     assert len(shifts) < rep.checked
 
 
+def test_witnesses_are_built_on_first_read(monkeypatch):
+    # the check, its JSON and the witness count build no witness; the
+    # first read builds each passing pair's once, and later reads none
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return KernelWitness(*fields)
+
+    monkeypatch.setattr(oracle_module, "KernelWitness", counting)
+    rep = degree_zero_equality_check(build_tilde(ca1_datum(3)), 8)
+    rep.to_json()
+    assert len(rep.witnesses) == rep.checked and not built
+    first = list(rep.witnesses)
+    assert len(built) == len(first) == len(rep.witnesses)
+    assert all(type(w) is KernelWitness for w in first)
+    assert list(rep.witnesses) == first
+    assert rep.witnesses[-1] == first[-1]
+    assert rep.witnesses[-len(first)] == first[0]
+    with pytest.raises(IndexError):
+        rep.witnesses[len(first)]
+    assert len(built) == len(first)  # the later reads built none
+
+
+def test_degree_zero_memory_follows_the_characters():
+    # no witness is kept before it is read: the pairs of the top
+    # benchmark rung (29,458) cost no memory of their own
+    t = build_tilde(ca1_datum(3))
+    tracemalloc.start()
+    try:
+        rep = degree_zero_equality_check(t, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.checked == 29458
+    assert peak < 5 * 2**20, peak
+
+
 def assert_degree_zero_matches_reference(t, bound):
     rep = degree_zero_equality_check(t, bound=bound)
     p = t.pairings
     want = degree_zero_oracle(t.n, p.rays, p.y_exps, p.z_exps,
                               _character_points(t, bound))
-    assert (rep.checked, list(rep.failures),
-            [tuple(w) for w in rep.witnesses]) == want
+    got = [tuple(w) for w in rep.witnesses]
+    assert (rep.checked, list(rep.failures), got) == want
+    assert len(rep.witnesses) == rep.checked - len(rep.failures) == len(got)
     return rep
 
 
@@ -411,6 +452,7 @@ def test_degree_zero_failure_reasons_match_reference():
         rep = assert_degree_zero_matches_reference(
             t._replace(pairings=table), bound)
         assert reason in {f["reason"] for f in rep.failures}
+        assert len(rep.witnesses) > 0  # passing and failing pairs mix
     high_y = SimpleNamespace(
         n=p.n, k=p.k, rays=p.rays, exps=p.exps, z_exps=p.z_exps,
         y_exps=(tuple(y + bound + 1 for y in p.y_exps[0]),) + p.y_exps[1:])
