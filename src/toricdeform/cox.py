@@ -4,13 +4,14 @@ cokernel of the dual ray map.
 Every equation is read off one table, PairingData: the rays in rank n+k,
 whose last k coordinates are the e_i* pairings, plus <w~, ray>.  The
 emitters take a PairingData, or any object that carries one as
-``.pairings`` (datum.TildeData).
+``.pairings`` (datum.TildeData).  PairingData, CoxSystem and
+CoxPolynomial are NamedTuple records: the tables and the grading group
+are properties built on each read, and a CoxPolynomial refuses a
+negative exponent when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -29,12 +30,8 @@ class NegativeExponentError(ValueError):
             % (exponent, tuple(ray), where))
 
 
-@dataclass(frozen=True)
-class PairingData:
-    """Rays with their e_i* tails plus the shifted functional.
-
-    The derived tables below are computed once per instance.
-    """
+class PairingData(NamedTuple):
+    """Rays with their e_i* tails plus the shifted functional."""
 
     n: int
     k: int
@@ -45,38 +42,38 @@ class PairingData:
     def of(cls, t) -> "PairingData":
         return t if isinstance(t, cls) else t.pairings
 
-    @cached_property
+    @property
     def e_pairings(self) -> tuple:
         """Per ray, the k-tuple of e_i* pairings."""
         return tuple(r[self.n:] for r in self.rays)
 
-    @cached_property
+    @property
     def w_pairings(self) -> tuple:
         """Per ray, <w~, ray>."""
         return tuple(dot(self.w_tilde, r) for r in self.rays)
 
-    @cached_property
+    @property
     def matrix(self) -> tuple:
         """Rows e_1*..e_k*, columns the rays."""
         return tuple(tuple(e[i] for e in self.e_pairings)
                      for i in range(self.k))
 
-    @cached_property
+    @property
     def y_exps(self) -> tuple:
         """Per slot, the positive parts of its pairings."""
         return tuple(tuple(max(x, 0) for x in row) for row in self.matrix)
 
-    @cached_property
+    @property
     def z_exps(self) -> tuple:
         """Per slot, the negative parts of its pairings."""
         return tuple(tuple(max(-x, 0) for x in row) for row in self.matrix)
 
-    @cached_property
+    @property
     def boundary_mask(self) -> tuple:
         """1 at the rays that pair non-positively with every e_i*."""
         return tuple(int(all(x <= 0 for x in e)) for e in self.e_pairings)
 
-    @cached_property
+    @property
     def zero_tail_mask(self) -> tuple:
         """1 at the rays that pair to zero with every e_i*."""
         return tuple(int(not any(e)) for e in self.e_pairings)
@@ -96,14 +93,13 @@ class Term(NamedTuple):
         return frozenset(j for j, e in enumerate(self.exps) if e)
 
 
-@dataclass(frozen=True)
-class CoxPolynomial:
-    terms: tuple
+class CoxPolynomial(NamedTuple("CoxPolynomial", [("terms", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for t in self.terms:
-            if any(e < 0 for e in t.exps):
-                raise ValueError("negative exponent in term")
+    def __new__(cls, terms):
+        if any(e < 0 for t in terms for e in t.exps):
+            raise ValueError("negative exponent in term")
+        return super().__new__(cls, terms)
 
     def support(self) -> frozenset:
         out = frozenset()
@@ -114,24 +110,18 @@ class CoxPolynomial:
     def substitute(self, values: dict) -> "CoxPolynomial":
         """Specialize parameters to ints or Fractions (floats raise
         TypeError); drops vanished terms."""
-        merged = []
+        merged = {}  # (param, exps) -> term, in first-seen order
         for t in self.terms:
             if t.param is not None and t.param in values:
-                c = t.coeff * as_fraction(values[t.param])
-                t = Term(coeff=c, param=None, exps=t.exps)
-            if t.coeff == 0:
-                continue
-            for i, prev in enumerate(merged):
-                if prev.param == t.param and prev.exps == t.exps:
-                    c = prev.coeff + t.coeff
-                    if c == 0:
-                        merged.pop(i)
-                    else:
-                        merged[i] = Term(coeff=c, param=t.param, exps=t.exps)
-                    break
+                t = Term(t.coeff * as_fraction(values[t.param]), None, t.exps)
+            key = t.param, t.exps
+            if key in merged:
+                t = Term(merged[key].coeff + t.coeff, t.param, t.exps)
+            if t.coeff:
+                merged[key] = t
             else:
-                merged.append(t)
-        return CoxPolynomial(terms=tuple(merged))
+                merged.pop(key, None)
+        return CoxPolynomial(terms=tuple(merged.values()))
 
     def proportional(self, other: "CoxPolynomial") -> bool:
         """Equal up to a nonzero rational scalar, ignoring term order, after
@@ -248,8 +238,7 @@ def disjoint_support_regular_sequence(polys: Sequence[CoxPolynomial],
 # Grading
 
 
-@dataclass(frozen=True)
-class CoxSystem:
+class CoxSystem(NamedTuple):
     """One variable per ray, graded by Z^rays modulo the relations
     {(<ray_j, m>)_j : m in M}, kept as their Hermite basis."""
 
@@ -257,7 +246,7 @@ class CoxSystem:
     rays: tuple
     relations: tuple
 
-    @cached_property
+    @property
     def group(self) -> AbelianGroupPresentation:
         """Free rank len(rays) - rank; torsion the elementary divisors >= 2
         of the stored Hermite relations."""

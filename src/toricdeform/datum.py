@@ -7,12 +7,13 @@ N~ = N + Z^k; the enlarged cone sigma~ is generated by sigma's rays,
 the vertices of Q_0 shifted by -e_1-...-e_k, and the vertices of each
 Q_i shifted by e_i.  The shifted functional is
 w~ = w - sum_i floor(min over Q_i of w) e_i*.
+
+DeformationDatum keeps its fields and the folded sum in __slots__, as
+polyhedral.Cone does; every record here is a NamedTuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -34,34 +35,39 @@ class DatumStructureError(ValueError):
     """Malformed datum: wrong ranks, k = 0, empty summand, degenerate cone."""
 
 
-@dataclass(frozen=True)
 class DeformationDatum:
-    """Q is the sum of the summands, built on first use; no caller sets it.
-    splits holds, for each vertex row of Q, the summands' vertex rows that
-    add up to it: the unique split, composed down the fold from the pair
-    that each minkowski_sum records; it is empty when Q has a line."""
+    """Q is the sum of the summands, folded on first read; no caller sets
+    it.  splits holds, for each vertex row of Q, the summands' vertex rows
+    that add up to it: the unique split, composed down the fold from the
+    pair that each minkowski_sum records; it is empty when Q has a line.
+    Two data are equal when their four fields are."""
 
-    sigma: Cone
-    summands: tuple  # (Q_0, ..., Q_k), k >= 1
-    w: tuple
-    boundary: bool
+    __slots__ = ("sigma", "summands", "w", "boundary", "_sum")
 
-    @cached_property
-    def _sum(self) -> tuple:
-        q = self.summands[0]
-        splits = [(h,) for h in q.homogeneous]
-        for s in self.summands[1:]:
-            q = minkowski_sum(q, s)
-            splits = [splits[i] + (s.homogeneous[j],) for i, j in q.split]
-        return q, tuple(splits)
+    def __init__(self, sigma: Cone, summands: tuple, w: tuple, boundary: bool):
+        self.sigma = sigma
+        self.summands = summands  # (Q_0, ..., Q_k), k >= 1
+        self.w = w
+        self.boundary = boundary
+        self._sum = None  # (q, splits)
+
+    def _folded(self) -> tuple:
+        if self._sum is None:
+            q = self.summands[0]
+            splits = [(h,) for h in q.homogeneous]
+            for s in self.summands[1:]:
+                q = minkowski_sum(q, s)
+                splits = [splits[i] + (s.homogeneous[j],) for i, j in q.split]
+            self._sum = q, tuple(splits)
+        return self._sum
 
     @property
     def q(self) -> Polyhedron:
-        return self._sum[0]
+        return self._folded()[0]
 
     @property
     def splits(self) -> tuple:
-        return self._sum[1]
+        return self._folded()[1]
 
     @property
     def rank(self) -> int:
@@ -78,6 +84,11 @@ class DeformationDatum:
             "w": list(self.w),
             "boundary": self.boundary,
         }
+
+    def __eq__(self, other):
+        return (isinstance(other, DeformationDatum) and self.sigma == other.sigma
+                and self.summands == other.summands and self.w == other.w
+                and self.boundary == other.boundary)
 
 
 def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
@@ -113,8 +124,7 @@ def build_datum(sigma: Cone, summands: Sequence[Polyhedron], w: Sequence[int],
         raise DatumStructureError("cone is not strongly convex")
     if sigma.dimension() != n:
         raise DatumStructureError("cone is not full-dimensional")
-    return DeformationDatum(sigma=sigma, summands=summands, w=w,
-                            boundary=boundary)
+    return DeformationDatum(sigma, summands, w, boundary)
 
 
 def datum_from_json(data) -> DeformationDatum:

@@ -9,10 +9,10 @@ relations of a cokernel and the fundamental parallelepipeds of
 oracle.hilbert_basis (the Hermite form of a simplex's transposed ray
 matrix, solved row by row modulo its determinant).  The
 Smith normal form runs only where its own output is the product:
-elementary divisors (cox.CoxSystem.group takes them of its Hermite
-relations) and the transform U behind the printed Cox weights
-(cox.CoxSystem.weights).  It is one pivot loop, re-entered from step i
-wherever d_i does not divide d_{i+1}.
+elementary divisors (the property cox.CoxSystem.group takes them of
+its Hermite relations on each read) and the transform U behind the
+printed Cox weights (cox.CoxSystem.weights).  It is one pivot loop,
+re-entered from step i wherever d_i does not divide d_{i+1}.
 
 Number contract: a coordinate is an int or a Fraction, normalised
 (primitive) and cast (as_int, as_int_vector, as_fraction) here only,

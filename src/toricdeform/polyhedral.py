@@ -178,12 +178,19 @@ def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
     if not lineality:
         return tuple(sorted(set(rays))), ()
     lines = saturate_rowspan(lineality)
+    ortho = _orthogonal_basis(lines)
+    pointed = sorted({_reject(r, ortho) for r in rays})
+    return tuple(pointed), tuple(lines)
+
+
+def _orthogonal_basis(lines: Sequence[tuple]) -> list:
+    # the pairs (b, <b, b>) of an integer Gram-Schmidt basis of
+    # span(lines), as _reject takes them
     ortho = []
     for l in lines:
         b = _reject(l, ortho)
         ortho.append((b, sum(map(mul, b, b))))
-    pointed = sorted({_reject(r, ortho) for r in rays})
-    return tuple(pointed), tuple(lines)
+    return ortho
 
 
 def _fold(pointed: tuple, lines: Sequence[tuple]) -> tuple:
@@ -251,12 +258,15 @@ def _vh_pipeline(rank: int, gens: Sequence[tuple]):
     return pointed, lines, fac_p, fac_l
 
 
-def _split_inequalities(rank: int, facets: Sequence[tuple]) -> list:
+def _split_inequalities(rank: int, facets: Sequence[tuple],
+                        facet_lines: Sequence[tuple]) -> list:
     """The rows (u, c), read <u, x> + c >= 0, of the folded canonical facets
     of a cone over a polyhedron x {1} in rank + 1, less the height row.
-    The facets are sorted, and all u have one length, so the pairs are
-    sorted too."""
-    height = (0,) * rank + (1,)
+    Its canonical representative is its projection off the facet lines,
+    which agrees with it on the cone's span, so the equation pairs imply
+    it.  The facets are sorted, and all u have one length, so the pairs
+    are sorted too."""
+    height = _reject((0,) * rank + (1,), _orthogonal_basis(facet_lines))
     return [(f[:-1], f[-1]) for f in facets if f != height]
 
 
@@ -468,7 +478,7 @@ class Polyhedron:
         # the recession rays; c has dimension one more than P
         p = cls(rank, [r for r in c.pointed_rays if r[-1]],
                 [r[:-1] for r in c.pointed_rays if not r[-1]], [l[:-1] for l in c.lines],
-                _split_inequalities(rank, c.facets), c.dimension() - 1)
+                _split_inequalities(rank, c.facets, c.facet_lines), c.dimension() - 1)
         p.cone = c
         return p
 
@@ -645,7 +655,7 @@ def _level_inequalities(p: Polyhedron, i: int) -> list:
     rows (d*v[:i], d), as Polyhedron.from_points_and_rays would list them,
     from one double description pass and no Polyhedron."""
     fac_p, fac_l = _canonical_dual(i + 1, {h[:i] + h[-1:] for h in p.homogeneous})
-    return _split_inequalities(i, _fold(fac_p, fac_l))
+    return _split_inequalities(i, _fold(fac_p, fac_l), fac_l)
 
 
 def lattice_points(p: Polyhedron) -> tuple:

@@ -169,7 +169,16 @@ class VerifyReport(NamedTuple):
 
 def _eq(checks, name, got, want):
     checks.append(Check(name=name, ok=got == want,
-                        got=str(got), want=str(want)))
+                        got=_shown(got), want=_shown(want)))
+
+
+def _shown(v) -> str:
+    # a set prints its elements sorted: its iteration order is no part of
+    # its value, and that of a constant set display can change when the
+    # compiled module is marshalled to bytecode and read back
+    if isinstance(v, (set, frozenset)):
+        return "{%s}" % ", ".join(map(repr, sorted(v)))
+    return str(v)
 
 
 def verify_ca1(p: int = 3) -> VerifyReport:

@@ -586,3 +586,13 @@ def mutation_point_sets(points, vertices, w, fverts):
               for h, spts in slices.items() if h >= 0
               for s in sorted(spts) for f in fverts]
     return None, factors, cloud
+
+
+def mutation_dual_map(u, w, fverts):
+    """The piecewise-linear map on M that a mutation of P by (w, F)
+    induces: u -> u - min over the vertices f of F of <u, f> * w.  It maps
+    the lattice points of k P^dual = {u : <u, v> >= -k on P's vertices}
+    onto those of k mut(P)^dual for every k (Akhtar, Coates, Galkin and
+    Kasprzyk, SIGMA 8 (2012) 094)."""
+    m = min(dot(u, f) for f in fverts)
+    return tuple(a - m * b for a, b in zip(u, w))

@@ -1,7 +1,6 @@
 """Deformation data: structural rejection, the six conditions, the
 enlarged cone, and the floor-min identity."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -133,8 +132,8 @@ def test_condition_iii_holds_by_construction():
     with pytest.raises(TypeError, match="'q'"):
         DeformationDatum(sigma=good.sigma, summands=good.summands,
                          q=point(2, 2), w=good.w, boundary=False)
-    moved = dataclasses.replace(
-        good, summands=(point(1, 1), seg((0, 0), (1, 0))))
+    moved = DeformationDatum(good.sigma, (point(1, 1), seg((0, 0), (1, 0))),
+                             good.w, good.boundary)
     assert good.q == point(1, 1)
     assert moved.q == seg((1, 1), (2, 1)) == minkowski_sum(*moved.summands)
     data = dict(good.to_json(), Q=point(2, 2).to_json())
@@ -232,7 +231,8 @@ def test_condition_vi_slice_vertices_match_level_polyhedron():
             assert tuple(derived) == level
             bad = next((v for v in level
                         if not membership_scaling(d.q, primitive(v))), None)
-            vi = validate_datum(dataclasses.replace(d, w=w)).conditions[-1]
+            moved = DeformationDatum(d.sigma, d.summands, w, d.boundary)
+            vi = validate_datum(moved).conditions[-1]
             assert vi.label == "(vi)"
             assert (vi.passed, vi.witness) == (
                 (True, None) if bad is None
@@ -585,8 +585,8 @@ def test_tilde_structure_on_corpus():
 def test_tilde_structure_reports_slice_mismatch():
     t = build_tilde(toy_plane_datum())
     assert check_tilde_structure(t).ok
-    wrong = dataclasses.replace(
-        t.datum, sigma=Cone.from_generators(2, [(1, 0), (1, 2)]))
+    wrong = DeformationDatum(Cone.from_generators(2, [(1, 0), (1, 2)]),
+                             t.datum.summands, t.datum.w, t.datum.boundary)
     struct = check_tilde_structure(t._replace(datum=wrong))
     assert struct.slice_ok is False and not struct.ok
     assert struct.detail == (

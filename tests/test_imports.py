@@ -19,10 +19,9 @@ public method, property or annotated (record) field that no package
 module, demo or harness file reads as an attribute is test code too.
 All five catch the leftovers of a refactor, such as a helper import kept
 after its last call was deleted, or a helper or field whose last reader
-was deleted.  A sixth check keeps ``@dataclass`` to the classes that
-define a ``cached_property`` (which needs an instance dict) or a
-``__post_init__`` (a construction check): every other record is a
-``typing.NamedTuple``, which costs no generated code at import.
+was deleted.  A sixth check finds no ``dataclasses`` in the package:
+records are ``typing.NamedTuple``s and caches are ``__slots__``, so the
+import pulls in neither ``dataclasses`` nor the ``inspect`` it imports.
 Importing the package also builds no command-line parser.
 """
 
@@ -60,9 +59,6 @@ TEST_ONLY_MEMBERS = {
     # factors of invariant_factors_oracle
     "CoxSystem.group",
 }
-# the dataclasses of the package: each caches a derived table in its
-# instance dict, or checks its fields when it is built
-DATACLASSES = {"PairingData", "CoxPolynomial", "CoxSystem", "DeformationDatum"}
 
 
 def unused_imports(source: str) -> list:
@@ -273,44 +269,35 @@ def _decorator_name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def dataclasses_in(sources: dict) -> list:
-    """(module, line, name, needed) of each module-level dataclass in the
-    sources; needed says that it defines a cached_property or a
-    __post_init__."""
+def dataclass_uses(sources: dict) -> list:
+    """(module, line, name) of each import of dataclasses, or of a name
+    from it, and of each class decorated with dataclass, in the sources."""
     out = []
     for module, src in sources.items():
-        for top in ast.parse(src).body:
-            if not (isinstance(top, ast.ClassDef)
-                    and "dataclass" in map(_decorator_name, top.decorator_list)):
-                continue
-            needed = any(
-                isinstance(item, ast.FunctionDef)
-                and (item.name == "__post_init__"
-                     or "cached_property" in map(_decorator_name,
-                                                 item.decorator_list))
-                for item in top.body)
-            out.append((module, top.lineno, top.name, needed))
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Import):
+                out += [(module, node.lineno, alias.name) for alias in node.names
+                        if alias.name == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                out.append((module, node.lineno, "dataclasses"))
+            elif (isinstance(node, ast.ClassDef)
+                  and "dataclass" in map(_decorator_name, node.decorator_list)):
+                out.append((module, node.lineno, node.name))
     return sorted(out)
 
 
-def test_lint_flags_a_plain_dataclass_record():
-    source = ("@dataclass(frozen=True)\nclass Table:\n    rays: tuple\n\n"
-              "    @functools.cached_property\n    def size(self):\n"
-              "        return len(self.rays)\n\n"
+def test_lint_flags_a_dataclass():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n\n"
+              "@dataclass(frozen=True)\nclass Table:\n    rays: tuple\n\n"
               "@dataclasses.dataclass\nclass Checked:\n    x: int\n\n"
-              "    def __post_init__(self):\n        pass\n\n"
-              "@dataclass(frozen=True)\nclass Plain:\n    x: int\n\n"
-              "    @property\n    def double(self):\n        return 2 * self.x\n\n"
               "class Record(NamedTuple):\n    x: int\n")
-    assert dataclasses_in({"a.py": source}) == [
-        ("a.py", 2, "Table", True), ("a.py", 10, "Checked", True),
-        ("a.py", 17, "Plain", False)]
+    assert dataclass_uses({"a.py": source}) == [
+        ("a.py", 1, "dataclasses"), ("a.py", 2, "dataclasses"),
+        ("a.py", 5, "Table"), ("a.py", 9, "Checked")]
 
 
-def test_only_caching_or_checking_classes_are_dataclasses():
-    found = dataclasses_in(SOURCES)
-    assert [entry for entry in found if not entry[3]] == []
-    assert sorted(name for _, _, name, _ in found) == sorted(DATACLASSES)
+def test_no_dataclasses():
+    assert dataclass_uses(SOURCES) == []
 
 
 # every argparse.ArgumentParser built while the named modules import

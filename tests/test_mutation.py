@@ -366,6 +366,33 @@ def test_mutations_match_point_set_reference():
     assert counts == {"valid": 197, "rejected": 1507}
 
 
+def _dual_points(fano, k):
+    """The lattice points of k P^dual = {u : <u, v> >= -k on P's vertices}."""
+    return set(lattice_points(Polyhedron.from_inequalities(
+        fano.n, [(v, k) for v in fano.vertices()])))
+
+
+def test_mutations_follow_their_map_on_m():
+    # the dual lattice points of the mutant are the images of P's, at every
+    # dilation: so the Ehrhart series of P^dual, the Hilbert series of
+    # (X_P, -K), is a mutation invariant, as flatness of the family needs
+    octahedron = validate_fano(convex_hull(3, [
+        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]))
+    cases = corpus.random_mutation_cases(40) + [
+        p114_setup()[:2],
+        (octahedron, validate_mutation_datum(
+            octahedron, (0, 1, 1), convex_hull(3, [(0, 0, 0), (0, 1, -1)])))]
+    assert len(cases) == 42
+    for fano, d in cases:
+        mut = mutate(fano, d)
+        fverts = d.factor.lattice_vertices()
+        for k in (1, 2, 3):
+            points = _dual_points(fano, k)
+            image = {oracles.mutation_dual_map(u, d.w, fverts) for u in points}
+            assert len(image) == len(points)
+            assert image == _dual_points(mut, k), (fano.vertices(), d.w, k)
+
+
 def _large_unimodular(r, rank):
     """A random unimodular matrix with entries between 10^6 and 10^8, and
     its inverse."""

@@ -1,7 +1,6 @@
 """Semigroup oracles: Hilbert bases and the bounded ideal-equality
 certificates."""
 
-import dataclasses
 import functools
 import math
 import tracemalloc
@@ -11,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import toricdeform.oracle as oracle_module
-from toricdeform.datum import build_datum, build_tilde
+from toricdeform.datum import DeformationDatum, build_datum, build_tilde
 from toricdeform.oracle import (
     KernelWitness,
     _character_points,
@@ -444,9 +443,8 @@ def test_degree_zero_failure_reasons_match_reference():
     t = build_tilde(ca1_datum(1))
     p = t.pairings
     bound = 6
-    outside = dataclasses.replace(
-        p, rays=p.rays + (tuple(-x for x in p.rays[0]),))
-    negative = dataclasses.replace(p, rays=p.rays + ((-1, 0, 0, -1),))
+    outside = p._replace(rays=p.rays + (tuple(-x for x in p.rays[0]),))
+    negative = p._replace(rays=p.rays + ((-1, 0, 0, -1),))
     for table, reason in ((outside, "q outside the dual cone"),
                           (negative, "cofactor not a monomial")):
         rep = assert_degree_zero_matches_reference(
@@ -490,8 +488,7 @@ def test_degree_zero_failure_branches_match_reference():
     # failure branch of the pair loop occurs, with shifts of mixed sign
     t = build_tilde(hexagon_data()[0])
     p = t.pairings
-    table = dataclasses.replace(
-        p, rays=p.rays + (tuple(-x for x in p.rays[0]),))
+    table = p._replace(rays=p.rays + (tuple(-x for x in p.rays[0]),))
     doctored = t._replace(pairings=table)
     for bound in (3, 6):
         rep = assert_degree_zero_matches_reference(doctored, bound)
@@ -663,8 +660,8 @@ def _narrowed(t):
     sigma = t.datum.sigma
     rays = [tuple(map(sum, zip(rho, sigma.rays[0]))) for rho in sigma.rays[1:]]
     narrow = Cone.from_generators(sigma.rank, [sigma.rays[0], *rays])
-    return t._replace(
-        datum=dataclasses.replace(t.datum, sigma=narrow))
+    d = t.datum
+    return t._replace(datum=DeformationDatum(narrow, d.summands, d.w, d.boundary))
 
 
 def test_boundary_matches_per_point_reference():
@@ -684,7 +681,8 @@ def test_boundary_detects_wrong_interior_side():
     # the comparison must report mismatches
     t = build_tilde(toy_plane_datum())
     skew_sigma = Cone.from_generators(2, [(1, 0), (1, 2)])
-    skew_datum = dataclasses.replace(t.datum, sigma=skew_sigma)
+    d = t.datum
+    skew_datum = DeformationDatum(skew_sigma, d.summands, d.w, d.boundary)
     doctored = t._replace(datum=skew_datum)
     rep = _boundary_matches_reference(doctored, bound=6)
     assert not rep.ok

@@ -77,8 +77,10 @@ def test_tilde_carries_its_own_table():
     assert PairingData.of(t.pairings) is t.pairings
     assert (t.pairings.n, t.pairings.k) == (t.n, t.k)
     assert t.pairings.rays == t.rays and t.pairings.w_tilde == t.w_tilde
-    # computed once, then reused
-    assert t.pairings.y_exps is t.pairings.y_exps
+    # the tables are read off the fields, so a replaced field re-derives them
+    fewer = t.pairings._replace(rays=t.pairings.rays[1:])
+    assert fewer.y_exps == tuple(row[1:] for row in t.pairings.y_exps)
+    check_table(fewer)
 
 
 def test_emitters_read_the_table():

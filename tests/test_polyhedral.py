@@ -995,6 +995,37 @@ def test_level_inequalities_match_projected_hulls():
     assert rational > 0
 
 
+def _implied_rows(rows):
+    """The rows outside an equation pair whose normal lies in the span of
+    the equation normals: on a nonempty polyhedron's affine hull each is
+    a positive constant, so the equation pairs imply it."""
+    rows = set(rows)
+    equations = [u for u, c in rows if (vneg(u), -c) in rows]
+    return sorted((u, c) for u, c in rows if (vneg(u), -c) not in rows
+                  and rational_rank(equations + [u]) == rational_rank(equations))
+
+
+def test_no_inequality_is_implied_by_the_equations():
+    # the height row's canonical representative is its projection off the
+    # facet lines, here (0, 0, 1, 5): the cone keeps it, the rows do not
+    p = convex_hull(3, [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))],
+                    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)])
+    assert p.inequalities == (((0, 0, -5), 1), ((0, 0, 5), -1))
+    assert (0, 0, 1, 5) in p.cone.facets
+    r = corpus.rng(514)
+    flats = [_flat_polytope(r, rank, dim)
+             for rank in range(1, 6) for dim in range(rank + 1)]
+    cases = [p] + [q for q in _row_cases(1203) if not q.is_empty] + flats
+    kinds = set()
+    for q in cases:
+        assert _implied_rows(q.inequalities) == [], q
+        for i in range(1, q.rank) if q.is_bounded else ():
+            assert _implied_rows(_level_inequalities(q, i)) == [], (q, i)
+        kinds.add("lines" if q.lines else "rays" if q.rays
+                  else "flat" if q.affine_dimension() < q.rank else "full")
+    assert kinds == {"lines", "rays", "flat", "full"}
+
+
 def test_lattice_points_builds_no_hull(monkeypatch):
     # one double description pass per projected level, and no Polyhedron
     r = corpus.rng(513)

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import marshal
+import pathlib
 
 import pytest
 
@@ -506,6 +508,20 @@ def test_verify_ca1_for_every_p(p):
     # the printer drops a zero exponent and writes z^1 as z, so p = 0 and
     # p = 1 are the special cases of the expected trinomial
     assert presets.verify_ca1(p).ok
+
+
+def test_verify_reports_survive_a_bytecode_round_trip():
+    # a constant set display compiles to a frozenset constant, which a
+    # marshal round trip, as a .pyc makes, may read back in another order
+    path = pathlib.Path(presets.__file__)
+    code = compile(path.read_text(), str(path), "exec")
+    reports = []
+    for compiled in (code, marshal.loads(marshal.dumps(code))):
+        module = {"__name__": presets.__name__, "__package__": "toricdeform"}
+        exec(compiled, module)
+        reports.append([module["preset"]("example", name)[0].to_json()
+                        for name in presets.PRESET_NAMES])
+    assert reports[0] == reports[1]
 
 
 def test_verify_unknown_example(capsys):
