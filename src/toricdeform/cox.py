@@ -13,7 +13,7 @@ negative exponent when it is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .lattice import (
@@ -149,9 +149,8 @@ def _coeff_string(t: Term) -> str:
     return "%s%s*%s" % (sign, mag, t.param)
 
 
-def monomial(exps, coeff=1, param=None) -> CoxPolynomial:
-    return CoxPolynomial(terms=(
-        Term(coeff=Fraction(coeff), param=param, exps=tuple(exps)),))
+def monomial(exps) -> CoxPolynomial:
+    return CoxPolynomial(terms=(Term(Fraction(1), None, tuple(exps)),))
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +172,16 @@ def trinomials(t) -> tuple:
     at ray j is <w~, ray_j> + (negative part of the e_i* pairing).
     Negative values mean the input was not a valid datum."""
     p = PairingData.of(t)
+    w = p.w_pairings
     out = []
-    for i, (b, z) in enumerate(zip(binomials(p), p.z_exps)):
-        third = tuple(w + e for w, e in zip(p.w_pairings, z))
+    for i, (y, z) in enumerate(zip(p.y_exps, p.z_exps)):
+        third = tuple(map(add, w, z))
         for ray, e in zip(p.rays, third):
             if e < 0:
                 raise NegativeExponentError(ray, e, "trinomial %d" % (i + 1))
-        out.append(CoxPolynomial(
-            terms=b.terms + (Term(Fraction(-1), "t%d" % (i + 1), third),)))
+        out.append(CoxPolynomial(terms=(
+            Term(Fraction(1), None, y), Term(Fraction(-1), None, z),
+            Term(Fraction(-1), "t%d" % (i + 1), third))))
     return tuple(out)
 
 

@@ -177,9 +177,9 @@ def induced_boundary_datum(fano: FanoPolytope,
             for v in layer.factor_part.lattice_vertices()]
     if not rows:
         raise MutationFamilyError("no negative-height factors to lift")
-    g = Polyhedron.from_cone(Cone.from_generators(n + 2, rows))
+    g = Polyhedron(Cone.from_generators(n + 2, rows))
     # F^ = F x {0}: its cone is F's with a zero inserted before the height
-    f_hat = Polyhedron.from_cone(d.factor.cone.with_zero_at(n))
+    f_hat = Polyhedron(d.factor.cone.with_zero_at(n))
     w_bar = tuple(d.w) + (0,)
     return build_datum(fano.polytope.cone, [g, f_hat], w_bar, boundary=True)
 

@@ -18,6 +18,7 @@ from .lattice import (
     ZeroVectorError,
     as_int_vector,
     dot,
+    hermite_normal_form,
     identity_matrix,
     is_zero,
     primitive,
@@ -164,33 +165,25 @@ def _canonical_vrep(rays: Sequence[tuple], lineality: Sequence[tuple]):
     """Canonicalize a (rays, lineality) pair, in integers only.
 
     The rays must be primitive tuples of plain ints, and the lineality
-    rows integer rows spanning the lineality space.  The lines are the
-    saturated Hermite basis of that span; every caller gives a basis that
-    is already saturated (dual_description, and Cone._moved with the moved
-    canonical lines of a cone), which saturate_rowspan confirms on a
-    transposed Hermite form with no triangular solve.  Each ray class is
-    represented by the primitive integer vector on its orthogonal
-    projection away from the lineality span, rejected step by step off an
-    integer Gram-Schmidt basis of that span.  With no lineality every ray
-    is its own representative.  This makes both parts functions of the
-    cone as a set.
+    rows a Z-basis of the saturated lattice of the lineality space, as
+    every caller gives them (dual_description, and Cone._moved with the
+    moved canonical lines of a cone); the lines are their Hermite form.
+    Each ray class is represented by the primitive integer vector on its
+    orthogonal projection away from the lineality span, rejected step by
+    step off an integer Gram-Schmidt basis of that span, kept as the
+    pairs (b, <b, b>) that _reject takes.  With no lineality every ray is
+    its own representative.  This makes both parts functions of the cone
+    as a set.
     """
     if not lineality:
         return tuple(sorted(set(rays))), ()
-    lines = saturate_rowspan(lineality)
-    ortho = _orthogonal_basis(lines)
-    pointed = sorted({_reject(r, ortho) for r in rays})
-    return tuple(pointed), tuple(lines)
-
-
-def _orthogonal_basis(lines: Sequence[tuple]) -> list:
-    # the pairs (b, <b, b>) of an integer Gram-Schmidt basis of
-    # span(lines), as _reject takes them
+    lines = hermite_normal_form(lineality)
     ortho = []
     for l in lines:
         b = _reject(l, ortho)
         ortho.append((b, sum(map(mul, b, b))))
-    return ortho
+    pointed = sorted({_reject(r, ortho) for r in rays})
+    return tuple(pointed), lines
 
 
 def _fold(pointed: tuple, lines: Sequence[tuple]) -> tuple:
@@ -258,16 +251,22 @@ def _vh_pipeline(rank: int, gens: Sequence[tuple]):
     return pointed, lines, fac_p, fac_l
 
 
-def _split_inequalities(rank: int, facets: Sequence[tuple],
-                        facet_lines: Sequence[tuple]) -> list:
+def _split_inequalities(facets: Sequence[tuple], rows: Sequence[tuple]) -> list:
     """The rows (u, c), read <u, x> + c >= 0, of the folded canonical facets
-    of a cone over a polyhedron x {1} in rank + 1, less the height row.
-    Its canonical representative is its projection off the facet lines,
-    which agrees with it on the cone's span, so the equation pairs imply
-    it.  The facets are sorted, and all u have one length, so the pairs
-    are sorted too."""
-    height = _reject((0,) * rank + (1,), _orthogonal_basis(facet_lines))
-    return [(f[:-1], f[-1]) for f in facets if f != height]
+    of a cone over a polyhedron x {1} in rank + 1, given its generator rows
+    above height 0, less the height row.  Where the height row is a facet,
+    its canonical representative is the one facet tight on none of those
+    rows: any other facet holds one, as a face not inside {x_last = 0}
+    holds a generator above height 0.  The cone keeps it, and the equation
+    pairs imply it.  The facets are sorted, and all u have one length, so
+    the pairs are sorted too."""
+    out = []
+    for f in facets:
+        for h in rows:
+            if not sum(map(mul, f, h)):
+                out.append((f[:-1], f[-1]))
+                break
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +377,9 @@ class Cone:
         return self.rank - len(self.facet_lines)
 
     def __eq__(self, other):
+        # the generator half determines the facets
         return (isinstance(other, Cone) and self.rank == other.rank
-                and self.pointed_rays == other.pointed_rays and self.lines == other.lines
-                and self.pointed_facets == other.pointed_facets
-                and self.facet_lines == other.facet_lines)
+                and self.pointed_rays == other.pointed_rays and self.lines == other.lines)
 
     def __hash__(self):
         if self._hash is None:
@@ -425,62 +423,51 @@ class MinResult(NamedTuple):
 class Polyhedron:
     """Convex rational polyhedron conv(vertices) + cone(rays) (+ lines).
 
-    Canonical data: recession rays and lines are primitive integer tuples,
+    Polyhedron(c) is P = {x : (x, 1) in c}, kept with c as cone: c must
+    reach no lower than height 0, and is then the cone over P x {1}, unless
+    P is empty, whose cone is {0}.  Every part is read off c once, in
+    canonical form: recession rays and lines are primitive integer tuples,
     inequalities are jointly-primitive integer pairs (normal, offset)
     meaning <normal, x> + offset >= 0.  The field homogeneous holds, for
     each vertex v, the primitive integer row (d*v, d) with d > 0 that the
-    double description gives for it, so functionals are evaluated on
-    vertices in integers, and so is their order: the row of v is keyed by
-    (L/d)*(d*v), L the lcm of every d.  vertices, the Fraction tuples v in
-    that (lexicographic) order, are built from the rows on first read.
-    cone, set by from_cone and empty, is the cone over p x {1} that the
-    hull built; split is set by minkowski_sum.  The empty polyhedron has no
-    vertices and no rows, carries the single inconsistent inequality
-    (0, -1), and its cone is {0}.
+    cone gives for it, so functionals are evaluated on vertices in
+    integers, and so is their order: the row of v is keyed by (L/d)*(d*v),
+    L the lcm of every d.  vertices, the Fraction tuples v in that
+    (lexicographic) order, are built from the rows on first read.  split
+    is None unless minkowski_sum records one.  The empty polyhedron has no
+    vertices and no rows, and carries the single inconsistent inequality
+    (0, -1).  rank, dimension, equality and hash are the cone's.
     """
 
-    __slots__ = ("rank", "homogeneous", "rays", "lines", "inequalities", "cone",
-                 "split", "_dimension", "_vertices", "_hash")
+    __slots__ = ("cone", "homogeneous", "rays", "lines", "inequalities", "split",
+                 "_vertices")
 
-    def __init__(self, rank, homogeneous, rays, lines, inequalities, dimension):
-        # every part comes canonical from a cone: int tuples, and pairs
-        # (u, c) of an int tuple and an int; rows with d = 1 sort plainly
-        lcm = math.lcm(*[h[-1] for h in homogeneous])
-        self.rank = rank
-        self.homogeneous = tuple(sorted(homogeneous) if lcm == 1 else sorted(
-            homogeneous, key=lambda h: [x * (lcm // h[-1]) for x in h[:-1]]))
-        self.rays = tuple(rays)
-        self.lines = tuple(lines)
-        self.inequalities = tuple(inequalities)
-        self._dimension = dimension
-        self._vertices = None
-        self._hash = None
+    def __init__(self, cone: Cone):
+        if any(r[-1] < 0 for r in cone.pointed_rays) or any(l[-1] for l in cone.lines):
+            raise ValueError("cone reaches below height 0: not a cone over a polyhedron")
+        # the rays above height 0 are the vertex rows, those at height 0
+        # the recession rays; rows with d = 1 sort plainly
+        rows = [r for r in cone.pointed_rays if r[-1]]
+        if rows:
+            lcm = math.lcm(*[h[-1] for h in rows])
+            rows.sort(key=None if lcm == 1 else
+                      lambda h: [x * (lcm // h[-1]) for x in h[:-1]])
+            self.inequalities = tuple(_split_inequalities(cone.facets, rows))
+        else:  # P is empty, and its cone is {0}
+            if cone.pointed_rays or cone.lines:
+                cone = Cone(cone.rank, (), (), (), identity_matrix(cone.rank))
+            self.inequalities = (((0,) * (cone.rank - 1), -1),)
+        self.cone = cone
+        self.homogeneous = tuple(rows)
+        self.rays = tuple([r[:-1] for r in cone.pointed_rays if not r[-1]])
+        self.lines = tuple([l[:-1] for l in cone.lines])
+        self.split = self._vertices = None
 
     # -- constructors
 
     @classmethod
     def empty(cls, rank: int) -> "Polyhedron":
-        p = cls(rank, (), (), (), (((0,) * rank, -1),), -1)
-        p.cone = Cone(rank + 1, (), (), (), identity_matrix(rank + 1))  # {0}
-        return p
-
-    @classmethod
-    def from_cone(cls, c: Cone) -> "Polyhedron":
-        """P = {x : (x, 1) in c}, kept with c as p.cone.  c must reach no
-        lower than height 0; it is then the cone over P x {1}, unless P is
-        empty, whose cone is {0}."""
-        rank = c.rank - 1
-        if any(r[-1] < 0 for r in c.pointed_rays) or any(l[-1] for l in c.lines):
-            raise ValueError("cone reaches below height 0: not a cone over a polyhedron")
-        if not any(r[-1] for r in c.pointed_rays):
-            return cls.empty(rank)
-        # the rays above height 0 are the vertex rows, those at height 0
-        # the recession rays; c has dimension one more than P
-        p = cls(rank, [r for r in c.pointed_rays if r[-1]],
-                [r[:-1] for r in c.pointed_rays if not r[-1]], [l[:-1] for l in c.lines],
-                _split_inequalities(rank, c.facets, c.facet_lines), c.dimension() - 1)
-        p.cone = c
-        return p
+        return cls(Cone(rank + 1, (), (), (), identity_matrix(rank + 1)))
 
     @classmethod
     def from_points_and_rays(cls, rank: int, points: Iterable[Sequence],
@@ -495,7 +482,7 @@ class Polyhedron:
             if is_zero(r):
                 raise ZeroVectorError("ZeroVector: zero recession direction")
             gens.add(primitive(r) + (0,))
-        return cls.from_cone(Cone(rank + 1, *_vh_pipeline(rank + 1, sorted(gens))))
+        return cls(Cone(rank + 1, *_vh_pipeline(rank + 1, sorted(gens))))
 
     @classmethod
     def from_inequalities(cls, rank: int, inequalities: Iterable[tuple]) -> "Polyhedron":
@@ -507,9 +494,13 @@ class Polyhedron:
         normals = {primitive(row) for row in rows if not is_zero(row)}
         normals.add((0,) * rank + (1,))  # homogenizing halfspace
         fac_p, fac_l, pointed, lines = _vh_pipeline(rank + 1, sorted(normals))
-        return cls.from_cone(Cone(rank + 1, pointed, lines, fac_p, fac_l))
+        return cls(Cone(rank + 1, pointed, lines, fac_p, fac_l))
 
     # -- basic queries
+
+    @property
+    def rank(self) -> int:
+        return self.cone.rank - 1
 
     @property
     def vertices(self) -> tuple:
@@ -520,7 +511,7 @@ class Polyhedron:
 
     @property
     def is_empty(self) -> bool:
-        return not self.homogeneous and not self.rays and not self.lines
+        return not self.homogeneous
 
     @property
     def is_bounded(self) -> bool:
@@ -543,8 +534,9 @@ class Polyhedron:
         return all(dot(u, x) + c >= 0 for u, c in self.inequalities)
 
     def affine_dimension(self) -> int:
-        """-1 when empty; recorded by the hull, so no elimination runs."""
-        return self._dimension
+        """-1 when empty; the cone's dimension less one, so no elimination
+        runs."""
+        return self.cone.dimension() - 1
 
     def lattice_vertices(self) -> tuple:
         return tuple(h[:-1] if h[-1] == 1 else as_int_vector(self.vertices[i])
@@ -577,14 +569,10 @@ class Polyhedron:
         return cls.from_points_and_rays(rank, verts, rays + lines + [vneg(l) for l in lines])
 
     def __eq__(self, other):
-        return (isinstance(other, Polyhedron) and self.rank == other.rank
-                and self.homogeneous == other.homogeneous and self.rays == other.rays
-                and self.lines == other.lines and self.inequalities == other.inequalities)
+        return isinstance(other, Polyhedron) and self.cone == other.cone
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.rank, self.homogeneous, self.rays, self.lines))
-        return self._hash
+        return hash(self.cone)
 
     def __repr__(self):
         if self.is_empty:
@@ -623,7 +611,7 @@ def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
         rows.append(r + (0,))
     for l in a.lines + b.lines:
         rows += [l + (0,), vneg(l) + (0,)]
-    p = Polyhedron.from_cone(Cone.from_generators(a.rank + 1, rows))
+    p = Polyhedron(Cone.from_generators(a.rank + 1, rows))
     p.split = () if p.lines else tuple(pairs[h] for h in p.homogeneous)
     return p
 
@@ -654,8 +642,9 @@ def _level_inequalities(p: Polyhedron, i: int) -> list:
     their first i coordinates: the canonical facets of the cone over the
     rows (d*v[:i], d), as Polyhedron.from_points_and_rays would list them,
     from one double description pass and no Polyhedron."""
-    fac_p, fac_l = _canonical_dual(i + 1, {h[:i] + h[-1:] for h in p.homogeneous})
-    return _split_inequalities(i, _fold(fac_p, fac_l), fac_l)
+    rows = {h[:i] + h[-1:] for h in p.homogeneous}
+    fac_p, fac_l = _canonical_dual(i + 1, rows)
+    return _split_inequalities(_fold(fac_p, fac_l), rows)
 
 
 def lattice_points(p: Polyhedron) -> tuple:

@@ -172,7 +172,7 @@ def polytope_in_M(v: PolarizedToricVariety) -> Polyhedron:
     """Slice of the dual cone at e0-height one.  With e0 interior to tau,
     every ray of the dual cone lies above height 0, so the dual cone is the
     cone over the slice and no hull runs."""
-    return Polyhedron.from_cone(v.tau.dual())
+    return Polyhedron(v.tau.dual())
 
 
 def classify_divisor(v: PolarizedToricVariety) -> DivisorClass:

@@ -137,9 +137,10 @@ def test_proportional_normalises_terms():
     f = CoxPolynomial(terms=(Term(Fraction(0), None, (1, 0)),
                              Term(Fraction(1), None, (0, 1))))
     assert f.proportional(f)
-    assert f.proportional(monomial((0, 1), coeff=3))
+    assert f.proportional(CoxPolynomial(terms=(Term(Fraction(3), None, (0, 1)),)))
     x = monomial((1, 0))
-    assert CoxPolynomial(terms=x.terms * 2).proportional(monomial((1, 0), coeff=2))
+    assert CoxPolynomial(terms=x.terms * 2).proportional(
+        CoxPolynomial(terms=(Term(Fraction(2), None, (1, 0)),)))
     assert not CoxPolynomial(terms=x.terms * 2).proportional(
         CoxPolynomial(terms=x.terms + monomial((0, 1)).terms))
 
@@ -154,8 +155,8 @@ def test_polynomial_to_json():
     # parameter alone, and a parameter with a magnitude
     polys = [
         monomial((1, 0, 2)),
-        monomial((0, 1, 0), coeff=Fraction(-1, 2)),
-        monomial((2, 0, 0), coeff=5, param="t1"),
+        CoxPolynomial(terms=(Term(Fraction(-1, 2), None, (0, 1, 0)),)),
+        CoxPolynomial(terms=(Term(Fraction(5), "t1", (2, 0, 0)),)),
         CoxPolynomial(terms=(
             Term(Fraction(1), None, (1, 1, 0)),
             Term(Fraction(-1), None, (0, 0, 2)),

@@ -9,6 +9,7 @@ import pytest
 
 from toricdeform import polyhedral
 from toricdeform.lattice import ZeroVectorError, hermite_normal_form, primitive, vneg
+from toricdeform.mutation import mutate
 from toricdeform.polyhedral import (
     Cone,
     Fan,
@@ -23,6 +24,7 @@ from toricdeform.polyhedral import (
     min_functional,
     minkowski_sum,
 )
+from toricdeform.presets import PRESETS, p2_p114_family, p2_polytope, preset
 from toricdeform.projective import OriginNotInteriorError, PolarizedToricVariety
 
 import corpus
@@ -258,7 +260,7 @@ def test_polytope_times_zero_read_off_its_cone():
         pts = [tuple(b + sum(r.randint(-2, 2) * d[j] for d in span)
                      for j, b in enumerate(base)) for _ in range(r.randint(1, n + 3))]
         f = convex_hull(n, pts)
-        got = Polyhedron.from_cone(f.cone.with_zero_at(n))
+        got = Polyhedron(f.cone.with_zero_at(n))
         want = convex_hull(n + 1, [v + (0,) for v in f.vertices])
         assert got == want
         assert got.cone == want.cone and got.inequalities == want.inequalities
@@ -766,9 +768,10 @@ def test_vertex_order_is_fraction_order():
     dens = set()
     for p in cases:
         want = sorted((tuple(Fraction(x, h[-1]) for x in h[:-1]), h) for h in p.homogeneous)
-        rows = list(p.homogeneous)
+        c = p.cone
+        rows = list(c.pointed_rays)  # the vertex rows: the hulls have no rays
         r.shuffle(rows)
-        q = Polyhedron(p.rank, rows, p.rays, p.lines, p.inequalities, p.affine_dimension())
+        q = Polyhedron(Cone(c.rank, rows, c.lines, c.pointed_facets, c.facet_lines))
         for got in (p, q):
             assert got.vertices == tuple(v for v, _ in want)
             assert got.homogeneous == tuple(h for _, h in want)
@@ -1395,7 +1398,7 @@ def test_polyhedron_keeps_the_cone_over_it():
         rows = list(p.homogeneous) + [x + (0,) for x in p.rays]
         rows += [s + (0,) for l in p.lines for s in (l, vneg(l))]
         assert p.cone == Cone.from_generators(p.rank + 1, rows), p
-        back = Polyhedron.from_cone(p.cone)
+        back = Polyhedron(p.cone)
         assert back == p and back.to_json() == p.to_json(), p
         assert back.cone is p.cone or p.is_empty
         kinds.add("empty" if p.is_empty else "lines" if p.lines
@@ -1407,15 +1410,107 @@ def test_polyhedron_keeps_the_cone_over_it():
     assert Polyhedron.empty(3).cone == Cone.from_generators(4, [])
 
 
-def test_from_cone_refuses_cones_below_height_zero():
+def test_polyhedron_refuses_cones_below_height_zero():
     for gens in ([(0, 1), (1, -1)], [(1, 1), (-1, -1), (0, 1)],
                  [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 0, -1)]):
         with pytest.raises(ValueError, match="below height 0"):
-            Polyhedron.from_cone(Cone.from_generators(len(gens[0]), gens))
+            Polyhedron(Cone.from_generators(len(gens[0]), gens))
     # rays at height 0 alone: the slice at height 1 is empty, its cone {0}
-    p = Polyhedron.from_cone(Cone.from_generators(3, [(1, 0, 0), (0, 1, 0)]))
+    p = Polyhedron(Cone.from_generators(3, [(1, 0, 0), (0, 1, 0)]))
     assert p.is_empty and p == Polyhedron.empty(2)
     assert p.cone == Cone.from_generators(3, [])
+
+
+def _inequality_reference(p):
+    """(the inequalities, whether the height row was a facet) of a nonempty
+    p, by Fraction elimination: the facets of the cone over p x {1} are
+    those of its sum with the complement S of its span (brute force on
+    the generators and +/- a basis of S, which lists each facet by its
+    projection off S) and +/- the saturated Hermite basis of S, less the
+    facet parallel to e_last's projection off S, if that is one."""
+    rank = p.rank + 1
+    gens = list(p.homogeneous) + [r + (0,) for r in p.rays]
+    gens += [s + (0,) for l in p.lines for s in (l, vneg(l))]
+    perp = saturate_rowspan(rational_kernel(gens, rank))
+    folded = [s for b in perp for s in (b, vneg(b))]
+    facets = set(brute_facets_from_rays(rank, gens + folded)) | set(folded)
+
+    def off(v, o):
+        return [x - dot(v, o) / dot(o, o) * y for x, y in zip(v, o)]
+
+    ortho = []  # a Fraction Gram-Schmidt basis of S
+    for b in perp:
+        b = [Fraction(x) for x in b]
+        for o in ortho:
+            b = off(b, o)
+        ortho.append(b)
+    height = [Fraction(int(i == rank - 1)) for i in range(rank)]
+    for o in ortho:
+        height = off(height, o)
+    den = math.lcm(*[x.denominator for x in height])
+    height = prim([int(x * den) for x in height])
+    found = height in facets
+    return sorted((f[:-1], f[-1]) for f in facets - {height}), found
+
+
+def test_polyhedron_is_its_cone():
+    # Polyhedron(c) reads every part off c; the inequalities drop the
+    # height row where it is a facet: over single points, translated cones
+    # and half-lines, each with and without lines
+    r = corpus.rng(1208)
+    cases = _row_cases(1208) + [Polyhedron.empty(rank) for rank in range(1, 5)]
+    sums = []
+    for name in PRESETS["datum"]:
+        d = preset("datum", name)[0]
+        cases += list(d.summands)
+        sums.append(d.q)
+    cases += [p2_polytope(), p2_p114_family().q_tilde]
+    for fano, md in corpus.random_mutation_cases(4):
+        cases += [fano.polytope, md.factor, mutate(fano, md).polytope]
+        cases += [layer.factor_part for layer in md.witnesses]
+    for _ in range(8):
+        for rank in (1, 2, 3):
+            pt = tuple(_small_rational(r) for _ in range(rank))
+            line = corpus.random_vector(r, rank, -2, 2)
+            for rays in ([], [corpus.random_vector(r, rank, -2, 2)],
+                         [corpus.random_vector(r, rank, -2, 2) for _ in range(rank + 1)]):
+                rays = [x for x in rays if any(x)]
+                cases.append(Polyhedron.from_points_and_rays(rank, [pt], rays))
+                if any(line):
+                    cases.append(Polyhedron.from_points_and_rays(
+                        rank, [pt], rays + [line, vneg(line)]))
+    kinds = set()
+    for p in cases:
+        c = p.cone
+        q = Polyhedron(c)
+        assert q == p and q.cone is c and p.split is None and q.split is None, p
+        assert hash(q) == hash(p) == hash(c)
+        assert q.homogeneous == p.homogeneous and q.inequalities == p.inequalities
+        assert p.rank == c.rank - 1 and p.affine_dimension() == c.dimension() - 1
+        for o in cases[::17]:
+            assert (o == p) == (o.cone == c)
+        if p.is_empty:
+            assert p.inequalities == (((0,) * p.rank, -1),)
+            assert c == Cone.from_generators(p.rank + 1, [])
+            continue
+        # the height row is a facet iff the recession cone has P's dimension
+        rec = [r + (0,) for r in p.rays + p.lines]
+        facet = rational_rank(rec) == rational_rank(rec + list(p.homogeneous)) - 1
+        if not facet:
+            assert p.inequalities == tuple((f[:-1], f[-1]) for f in c.facets)
+        if p.rank > 4 or p.rank == 4 and not facet:
+            continue  # the brute-force reference grows fast
+        want, dropped = _inequality_reference(p)
+        assert list(p.inequalities) == want and dropped == facet, p
+        if facet:
+            kinds.add(("point" if not p.rays else "half-line" if len(p.rays) == 1
+                       else "cone", bool(p.lines)))
+    assert kinds == {(k, l) for k in ("point", "half-line", "cone") for l in (False, True)}
+    assert convex_hull(2, [(0, 0)]).split is None
+    for q in sums:  # only minkowski_sum records a split
+        back = Polyhedron(q.cone)
+        assert back == q and hash(back) == hash(q)
+        assert q.split is not None and back.split is None
 
 
 def test_lattice_hull_builds_no_fraction_until_vertices_are_read(monkeypatch):
