@@ -55,18 +55,20 @@ class PairingData(NamedTuple):
     @property
     def matrix(self) -> tuple:
         """Rows e_1*..e_k*, columns the rays."""
-        return tuple(tuple(e[i] for e in self.e_pairings)
-                     for i in range(self.k))
+        return tuple(tuple(r[i] for r in self.rays)
+                     for i in range(self.n, self.n + self.k))
 
     @property
     def y_exps(self) -> tuple:
-        """Per slot, the positive parts of its pairings."""
-        return tuple(tuple(max(x, 0) for x in row) for row in self.matrix)
+        """Per slot, the positive parts of its pairings, read off the rays."""
+        return tuple(tuple(max(r[i], 0) for r in self.rays)
+                     for i in range(self.n, self.n + self.k))
 
     @property
     def z_exps(self) -> tuple:
-        """Per slot, the negative parts of its pairings."""
-        return tuple(tuple(max(-x, 0) for x in row) for row in self.matrix)
+        """Per slot, the negative parts of its pairings, read off the rays."""
+        return tuple(tuple(max(-r[i], 0) for r in self.rays)
+                     for i in range(self.n, self.n + self.k))
 
     @property
     def boundary_mask(self) -> tuple:

@@ -243,12 +243,18 @@ def _canonical_dual(rank: int, rows: Collection[tuple]):
     return _canonical_vrep(*dual_description(rank, rows))
 
 
-def _vh_pipeline(rank: int, gens: Sequence[tuple]):
-    """V-data -> (pointed rays, lines, pointed facets, facet lines).
-    H-data -> the same four parts of its dual, i.e. the halves swapped."""
-    fac_p, fac_l = _canonical_dual(rank, gens)
-    pointed, lines = _canonical_dual(rank, _fold(fac_p, fac_l))
-    return pointed, lines, fac_p, fac_l
+def _hull(rank: int, rows: Iterable[Sequence], what: str) -> "Cone":
+    """The cone generated by rows, the only code that turns rows into a
+    Cone.  A row whose length is not rank is refused under the name what.
+    The rows are made primitive, zero rows dropped and the rest deduped
+    and sorted; one double description gives the canonical facets, and one
+    of their fold the canonical rays and lines.  {x : <a, x> >= 0 for
+    every row a} is the dual of this cone."""
+    rows = [tuple(r) for r in rows]
+    _require_rank(rank, rows, what)
+    clean = sorted({primitive(r) for r in rows if not is_zero(r)})
+    fac_p, fac_l = _canonical_dual(rank, clean)
+    return Cone(rank, *_canonical_dual(rank, _fold(fac_p, fac_l)), fac_p, fac_l)
 
 
 def _split_inequalities(facets: Sequence[tuple], rows: Sequence[tuple]) -> list:
@@ -309,19 +315,11 @@ class Cone:
 
     @classmethod
     def from_generators(cls, rank: int, generators: Iterable[Sequence]) -> "Cone":
-        gens = tuple(tuple(g) for g in generators)
-        _require_rank(rank, gens, "generator")
-        clean = sorted({primitive(g) for g in gens if not is_zero(g)})
-        pointed, lines, fac_p, fac_l = _vh_pipeline(rank, clean)
-        return cls(rank, pointed, lines, fac_p, fac_l)
+        return _hull(rank, generators, "generator")
 
     @classmethod
     def from_inequalities(cls, rank: int, normals: Iterable[Sequence]) -> "Cone":
-        raw = tuple(tuple(n) for n in normals)
-        _require_rank(rank, raw, "normal")
-        clean = sorted({primitive(n) for n in raw if not is_zero(n)})
-        fac_p, fac_l, pointed, lines = _vh_pipeline(rank, clean)
-        return cls(rank, pointed, lines, fac_p, fac_l)
+        return _hull(rank, normals, "normal").dual()
 
     def dual(self) -> "Cone":
         return Cone(self.rank, self.pointed_facets, self.facet_lines,
@@ -477,12 +475,10 @@ class Polyhedron:
         if not pts:
             raise ValueError("empty input: a hull needs at least one point")
         _require_rank(rank, pts + rs, "point or ray")
-        gens = {primitive(p + (1,)) for p in pts}
-        for r in rs:
-            if is_zero(r):
-                raise ZeroVectorError("ZeroVector: zero recession direction")
-            gens.add(primitive(r) + (0,))
-        return cls(Cone(rank + 1, *_vh_pipeline(rank + 1, sorted(gens))))
+        if any(is_zero(r) for r in rs):
+            raise ZeroVectorError("ZeroVector: zero recession direction")
+        return cls(_hull(rank + 1, [p + (1,) for p in pts] + [r + (0,) for r in rs],
+                         "point or ray"))
 
     @classmethod
     def from_inequalities(cls, rank: int, inequalities: Iterable[tuple]) -> "Polyhedron":
@@ -491,10 +487,8 @@ class Polyhedron:
         # a constant row repeats the homogenizing one (c > 0) or leaves
         # no point above height 0 (c < 0), so the hull is empty
         rows = [u + (c,) for u, c in ineqs]
-        normals = {primitive(row) for row in rows if not is_zero(row)}
-        normals.add((0,) * rank + (1,))  # homogenizing halfspace
-        fac_p, fac_l, pointed, lines = _vh_pipeline(rank + 1, sorted(normals))
-        return cls(Cone(rank + 1, pointed, lines, fac_p, fac_l))
+        rows.append((0,) * rank + (1,))  # homogenizing halfspace
+        return cls(_hull(rank + 1, rows, "normal").dual())
 
     # -- basic queries
 

@@ -336,6 +336,23 @@ def test_tampered_witness_rejected():
     assert not revalidate_witness(t, bumped)
     shifted = w._replace(shifts=tuple(s + 2 for s in w.shifts))
     assert not revalidate_witness(t, shifted)
+    # bumped breaks exps(q) >= 0 and shifted exps(q) = cofactor_r + Z(d^+);
+    # one tampering for each other way to fail, each passing the checks
+    # before it: a negative cofactor, then per ray the sums
+    # exps(r) = cofactor_r + Y(d^+), exps(s) = cofactor_s + Y(d^-) and
+    # exps(q) = cofactor_s + Z(d^-)
+    w = KernelWitness(r=(0, 2, 0, 0), s=(0, 2, 0, 1), shifts=(-1,), q=(0, 2, 0, 0),
+                      cofactor_r=(2, 0, 0, 0), cofactor_s=(0, 0, 0, 0))
+    assert revalidate_witness(t, w)
+    er = t.pairings.exps(w.r)
+    for broken in (
+            w._replace(cofactor_r=(2, 0, 0, -1)),
+            w._replace(cofactor_r=(3, 0, 0, 0)),
+            w._replace(cofactor_s=(1, 0, 0, 0)),
+            # s and its cofactor moved alike by r: only the last sum breaks
+            w._replace(s=tuple(a + b for a, b in zip(w.s, w.r)),
+                       cofactor_s=tuple(a + b for a, b in zip(w.cofactor_s, er)))):
+        assert not revalidate_witness(t, broken), broken
 
 
 def test_witness_json():

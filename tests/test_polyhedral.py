@@ -330,12 +330,17 @@ def test_fan_json_rejects_bad_ray(ray, why):
 
 
 def test_cone_rejects_bad_rank():
-    with pytest.raises(ValueError, match=r"\(1, 0, 0\) does not live in rank 2"):
-        Cone.from_generators(2, [(1, 0, 0)])
-    with pytest.raises(ValueError, match=r"\(1, 0, 0\) does not live in rank 2"):
-        Cone.from_inequalities(2, [(1, 0, 0)])
-    with pytest.raises(ValueError, match=r"\(1, 0, 0\) does not live in rank 2"):
-        Polyhedron.from_inequalities(2, [((1, 0, 0), 1)])
+    # the whole message: the row, named by what the caller gave, in the
+    # caller's rank (a polyhedron's rows before homogenizing)
+    for build, label in [
+            (lambda: Cone.from_generators(2, [(1, 0), (1, 0, 0)]), "generator"),
+            (lambda: Cone.from_inequalities(2, [(1, 0), (1, 0, 0)]), "normal"),
+            (lambda: Polyhedron.from_inequalities(2, [((1, 0), 0), ((1, 0, 0), 1)]), "normal"),
+            (lambda: Polyhedron.from_points_and_rays(2, [(0, 0), (1, 0, 0)]), "point or ray"),
+            (lambda: Polyhedron.from_points_and_rays(2, [(0, 0)], [(1, 0, 0)]), "point or ray")]:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == "%s (1, 0, 0) does not live in rank 2" % label
 
 
 # ------------------------------------------------- double description
@@ -925,6 +930,12 @@ def test_lattice_points_segment():
     assert lattice_points(seg) == ((0, 1), (2, 2), (4, 3))
 
 
+def test_lattice_points_in_rank_0():
+    # the one point of R^0 is the empty tuple; the empty polytope has none
+    assert lattice_points(convex_hull(0, [()])) == ((),)
+    assert lattice_points(Polyhedron.empty(0)) == ()
+
+
 def test_lattice_points_against_oracle():
     r = corpus.rng(107)
     for _ in range(100):
@@ -1421,34 +1432,66 @@ def test_polyhedron_refuses_cones_below_height_zero():
     assert p.cone == Cone.from_generators(3, [])
 
 
+def _fraction_gram_schmidt(rows):
+    ortho = []
+    for b in rows:
+        b = [Fraction(x) for x in b]
+        for o in ortho:
+            b = _off(b, o)
+        ortho.append(b)
+    return ortho
+
+
+def _off(v, o):
+    # v less its projection on o, in Fractions
+    return [x - dot(v, o) / dot(o, o) * y for x, y in zip(v, o)]
+
+
+def _prim_fraction(v):
+    den = math.lcm(*[Fraction(x).denominator for x in v])
+    return prim([int(x * den) for x in v])
+
+
 def _inequality_reference(p):
     """(the inequalities, whether the height row was a facet) of a nonempty
-    p, by Fraction elimination: the facets of the cone over p x {1} are
-    those of its sum with the complement S of its span (brute force on
-    the generators and +/- a basis of S, which lists each facet by its
-    projection off S) and +/- the saturated Hermite basis of S, less the
-    facet parallel to e_last's projection off S, if that is one."""
+    p, by checking, in Fractions, that its cone's pointed facets F are
+    every facet of K = cone(generator rows) + S, S the complement of
+    their span.  Each f in F is primitive, orthogonal to S, nonnegative
+    on the generators and tight on generators of rank rank - 1 with S: a
+    facet of K.  F and S leave exactly the span L of p's lines as
+    lineality, and every extreme ray of the pointed cone
+    {x in (S + L)^perp : F >= 0} (brute_rays_from_normals, whose cost
+    follows the facets, not the generators) is a generator's projection
+    off L: so F cuts out K and misses no facet.  The facets of the cone
+    over p x {1} are then F and +/- the saturated Hermite basis of S,
+    less the facet parallel to e_last's projection off S, if that is
+    one."""
     rank = p.rank + 1
     gens = list(p.homogeneous) + [r + (0,) for r in p.rays]
     gens += [s + (0,) for l in p.lines for s in (l, vneg(l))]
-    perp = saturate_rowspan(rational_kernel(gens, rank))
+    lines = [l + (0,) for l in p.lines]
+    perp = list(saturate_rowspan(rational_kernel(gens, rank)))
+    pointed = list(p.cone.pointed_facets)
+    for f in pointed:
+        assert prim(f) == f and all(dot(f, s) == 0 for s in perp), f
+        assert all(dot(f, g) >= 0 for g in gens), f
+        assert rational_rank([g for g in gens if dot(f, g) == 0] + perp) == rank - 1, f
+    assert rational_rank(pointed + perp) == rank - len(lines)
+    ortho_lines = _fraction_gram_schmidt(lines)
+    projected = set()
+    for g in gens:
+        for o in ortho_lines:
+            g = _off(g, o)
+        if any(g):
+            projected.add(_prim_fraction(g))
+    rays = brute_rays_from_normals(rank, pointed, perp + lines)
+    assert rays and set(rays) <= projected, p
     folded = [s for b in perp for s in (b, vneg(b))]
-    facets = set(brute_facets_from_rays(rank, gens + folded)) | set(folded)
-
-    def off(v, o):
-        return [x - dot(v, o) / dot(o, o) * y for x, y in zip(v, o)]
-
-    ortho = []  # a Fraction Gram-Schmidt basis of S
-    for b in perp:
-        b = [Fraction(x) for x in b]
-        for o in ortho:
-            b = off(b, o)
-        ortho.append(b)
+    facets = set(pointed) | set(folded)
     height = [Fraction(int(i == rank - 1)) for i in range(rank)]
-    for o in ortho:
-        height = off(height, o)
-    den = math.lcm(*[x.denominator for x in height])
-    height = prim([int(x * den) for x in height])
+    for o in _fraction_gram_schmidt(perp):
+        height = _off(height, o)
+    height = _prim_fraction(height)
     found = height in facets
     return sorted((f[:-1], f[-1]) for f in facets - {height}), found
 
@@ -1498,8 +1541,6 @@ def test_polyhedron_is_its_cone():
         facet = rational_rank(rec) == rational_rank(rec + list(p.homogeneous)) - 1
         if not facet:
             assert p.inequalities == tuple((f[:-1], f[-1]) for f in c.facets)
-        if p.rank > 4 or p.rank == 4 and not facet:
-            continue  # the brute-force reference grows fast
         want, dropped = _inequality_reference(p)
         assert list(p.inequalities) == want and dropped == facet, p
         if facet:

@@ -493,6 +493,36 @@ def test_oracle_counts(capsys):
     assert "boundary check: 210 characters, 0 failures" in out
 
 
+def test_oracle_on_a_non_boundary_datum(capsys, tmp_path):
+    # every preset is a boundary datum: toy-plane's with "boundary": false
+    # runs the degree-zero check alone
+    path = write_json(tmp_path, "plain.json",
+                      dict(toy_plane_datum().to_json(), boundary=False))
+    code, out, _ = run(capsys, "oracle", path, "--bound", "6")
+    assert code == 0
+    assert out.splitlines() == ["degree-zero check: 210 pairs, 0 failures"]
+    code, out, _ = run(capsys, "oracle", path, "--bound", "6", "--format", "json")
+    assert code == 0 and list(json.loads(out)) == ["degree_zero"]
+
+
+def test_validate_json_names_the_witness(capsys, tmp_path):
+    # Q's vertex (1, 2) splits into two non-lattice halves (1/2, 1), so
+    # (iv') fails, and its JSON carries the witness; a passing condition
+    # has no "witness" key
+    halves = {"sigma": {"rays": [[1, 2], [0, 1]]},
+              "summands": [[["1/2", 1]], [["1/2", 1]]], "w": [-1, 0]}
+    path = write_json(tmp_path, "halves.json", halves)
+    code, out, _ = run(capsys, "validate-datum", path, "--format", "json")
+    assert code == 1
+    conditions = json.loads(out)["conditions"]
+    assert conditions[3] == {
+        "label": "(iv')", "passed": False, "witness": "vertex (1, 2)",
+        "description": "each vertex of Q splits into summand vertices, "
+                       "at most one of them non-lattice"}
+    assert all(set(c) == {"label", "description", "passed"}
+               for c in conditions[:3] + conditions[4:])
+
+
 # ------------------------------------------------------------ examples
 
 
@@ -508,6 +538,14 @@ def test_verify_ca1_for_every_p(p):
     # the printer drops a zero exponent and writes z^1 as z, so p = 0 and
     # p = 1 are the special cases of the expected trinomial
     assert presets.verify_ca1(p).ok
+
+
+def test_verify_report_prints_a_failed_check():
+    rep = presets.VerifyReport(example="cA1", checks=(
+        presets.Check(name="rank", ok=True, got="3", want="3"),
+        presets.Check(name="rays", ok=False, got="4", want="5")))
+    assert not rep.ok
+    assert rep.lines() == ["ok   rank: 3", "FAIL rays: got 4, want 5", "cA1: FAIL"]
 
 
 def test_verify_reports_survive_a_bytecode_round_trip():
