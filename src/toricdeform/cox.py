@@ -17,8 +17,10 @@ from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .lattice import (
-    AbelianGroupPresentation, as_fraction, dot, elementary_divisors,
-    hermite_normal_form, matrix_rank, smith_normal_form, vneg)
+    AbelianGroupPresentation, as_fraction, as_int_vector, dot,
+    elementary_divisors, hermite_normal_form, matrix_rank, smith_normal_form,
+    vector_from_json, vneg)
+from .polyhedral import _json_fields, _json_list
 
 
 class NegativeExponentError(ValueError):
@@ -328,11 +330,14 @@ class AliasTable(NamedTuple):
     @classmethod
     def from_pairs(cls, pairs, all_rays) -> "AliasTable":
         """pairs: ordered (ray, name); rays absent from pairs keep default
-        names and print after the aliased ones in canonical order.  A ray
-        listed twice, or a name that two rays would print, default names
-        included, raises ValueError."""
+        names and print after the aliased ones in canonical order.  A name
+        that is not a Python identifier, a ray listed twice, or a name that
+        two rays would print, default names included, raises ValueError."""
+        for _, nm in pairs:
+            if not (isinstance(nm, str) and nm.isidentifier()):
+                raise ValueError("alias name %r is not an identifier" % (nm,))
         listed = [tuple(r) for r, _ in pairs]
-        names = {tuple(r): str(nm) for r, nm in pairs}
+        names = {tuple(r): nm for r, nm in pairs}
         all_rays = [tuple(r) for r in all_rays]
         for j, r in enumerate(listed):
             if r not in all_rays:
@@ -348,7 +353,14 @@ class AliasTable(NamedTuple):
 
     @classmethod
     def from_json(cls, data, all_rays) -> "AliasTable":
-        pairs = [(tuple(item["ray"]), item["name"]) for item in data["aliases"]]
+        """{"aliases": [{"ray", "name"}, ...]}; anything malformed raises
+        ValueError."""
+        items = _json_fields(data, "alias table", ("aliases",))["aliases"]
+        pairs = []
+        for item in _json_list(items, "aliases"):
+            _json_fields(item, "alias", ("ray", "name"))
+            ray = as_int_vector(vector_from_json(item["ray"], "alias ray"))
+            pairs.append((ray, item["name"]))
         return cls.from_pairs(pairs, all_rays)
 
     def position(self, ray) -> int:

@@ -549,7 +549,8 @@ class Polyhedron:
     @classmethod
     def from_json(cls, data) -> "Polyhedron":
         """Inverse of to_json: a bare vertex list or {"vertices", "rays"?,
-        "lines"?, "rank"?}; no vertices, rays or lines is the empty one."""
+        "lines"?, "rank"?}; no vertices, rays or lines is the empty one.
+        The rank defaults to the length of the first vertex, ray or line."""
         if isinstance(data, list):
             data = {"vertices": data}
         _json_fields(data, "polyhedron", ("vertices",))
@@ -557,7 +558,7 @@ class Polyhedron:
                  for v in _json_list(data["vertices"], "polyhedron vertices")]
         rays = _json_lattice_vectors(data.get("rays", []), "polyhedron ray")
         lines = _json_lattice_vectors(data.get("lines", []), "polyhedron line")
-        rank = _json_rank(data, verts, "polyhedron")
+        rank = _json_rank(data, verts or rays or lines, "polyhedron")
         if not (verts or rays or lines):
             return cls.empty(rank)
         return cls.from_points_and_rays(rank, verts, rays + lines + [vneg(l) for l in lines])

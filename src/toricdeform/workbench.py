@@ -3,6 +3,12 @@
 Payloads are UTF-8 JSON files; preset names from presets.PRESETS stand
 in for files for the shipped examples, and a file at the path wins.
 
+Each command returns (exit code, JSON payload, lines), where lines is a
+zero-argument callable that yields the pretty report.  main alone reads
+--format: it prints the payload as sorted, indented JSON, or calls
+lines, so the pretty form (and the --alias file it names) is built only
+when it is printed.
+
 Exit codes, mapped in main alone: 0 success; 2 an InputError (a payload
 a library reader rejects with ValueError, an unknown preset, a bad flag
 or parameter point), with one "error:" line on stderr; 1 a
@@ -132,12 +138,18 @@ def _resolve(args, kind):
     return found
 
 
-# ---------------------------------------------------------------------------
-# output helpers
+def _valid_tilde(args):
+    """A datum command's valid datum, its enlarged cone and its shipped
+    alias table."""
+    d, shipped = _resolve(args, "datum")
+    require_valid(d)
+    return d, build_tilde(d), shipped
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _fano_and_datum(args):
+    (p, w, f), shipped = _resolve(args, "mutation")
+    fano = validate_fano(p)
+    return fano, validate_mutation_datum(fano, w, f), shipped
 
 
 def _alias_for(args, rays, shipped):
@@ -146,7 +158,7 @@ def _alias_for(args, rays, shipped):
         data = _load_file(args.alias)
         try:
             return AliasTable.from_json(data, rays)
-        except (KeyError, TypeError, ValueError) as e:
+        except ValueError as e:
             raise InputError("bad alias table: %s" % e)
     if shipped is not None:
         return shipped(rays)
@@ -160,63 +172,49 @@ def _alias_for(args, rays, shipped):
 def _cmd_validate_datum(args):
     d, _ = _resolve(args, "datum")
     rep = validate_datum(d)
-    if args.format == "json":
-        out = _emit_json(rep.to_json())
-    else:
-        out = str(rep)
-    return (0 if rep.ok else 1), out
+    return (0 if rep.ok else 1), rep.to_json(), lambda: [str(rep)]
 
 
 def _cmd_tilde(args):
-    d, _ = _resolve(args, "datum")
-    require_valid(d)
-    t = build_tilde(d)
+    _, t, _ = _valid_tilde(args)
     struct = check_tilde_structure(t)
-    if args.format == "json":
-        out = _emit_json({"tilde": t.to_json(),
-                          "structure": struct.to_json()})
-    else:
-        lines = ["rays:"]
+
+    def lines():
+        yield "rays:"
         for r, prov in zip(t.rays, t.provenance):
-            lines.append("  %s  <- %s" % (_fmt_point(r), "; ".join(prov)))
-        lines.append("w_tilde: %s" % _fmt_point(t.w_tilde))
-        lines.append("pairing matrix (rows e_i*):")
+            yield "  %s  <- %s" % (_fmt_point(r), "; ".join(prov))
+        yield "w_tilde: %s" % _fmt_point(t.w_tilde)
+        yield "pairing matrix (rows e_i*):"
         for row in t.pairings.matrix:
-            lines.append("  " + " ".join("%3d" % x for x in row))
-        lines.append("structure: %s"
-                     % ("ok" if struct.ok else struct.detail))
-        out = "\n".join(lines)
-    return (0 if struct.ok else 1), out
+            yield "  " + " ".join("%3d" % x for x in row)
+        yield "structure: %s" % ("ok" if struct.ok else struct.detail)
+    return ((0 if struct.ok else 1),
+            {"tilde": t.to_json(), "structure": struct.to_json()}, lines)
 
 
 def _cmd_equations(args):
-    d, shipped = _resolve(args, "datum")
-    require_valid(d)
-    t = build_tilde(d)
+    d, t, shipped = _valid_tilde(args)
     bs = binomials(t)
     ts = trinomials(t)
     mono = boundary_monomial(t) if d.boundary else None
-    if args.format == "json":
-        out = _emit_json({
-            "rays": [list(r) for r in t.rays],
-            "binomials": [f.to_json() for f in bs],
-            "trinomials": [f.to_json() for f in ts],
-            "boundary_monomial": mono.to_json() if mono else None,
-        })
-    else:
+
+    def lines():
         alias = _alias_for(args, t.rays, shipped)
-        lines = []
         for i, f in enumerate(ts, start=1):
-            lines.append("trinomial %d: %s" % (i, pretty(f, t.rays, alias)))
+            yield "trinomial %d: %s" % (i, pretty(f, t.rays, alias))
         for i, f in enumerate(bs, start=1):
-            lines.append("binomial %d: %s" % (i, pretty(f, t.rays, alias)))
+            yield "binomial %d: %s" % (i, pretty(f, t.rays, alias))
         if mono is not None:
             text = pretty(mono, t.rays, alias)
             if is_degenerate_monomial(mono):
                 text += "  (degenerate: empty support)"
-            lines.append("boundary monomial: %s" % text)
-        out = "\n".join(lines)
-    return 0, out
+            yield "boundary monomial: %s" % text
+    return 0, {
+        "rays": [list(r) for r in t.rays],
+        "binomials": [f.to_json() for f in bs],
+        "trinomials": [f.to_json() for f in ts],
+        "boundary_monomial": mono.to_json() if mono else None,
+    }, lines
 
 
 def _cmd_polarize(args):
@@ -224,85 +222,66 @@ def _cmd_polarize(args):
     v = build()
     pm = polytope_in_M(v)
     cls = classify_divisor(v)
-    if args.format == "json":
-        out = _emit_json({
-            "tau": v.tau.to_json(),
-            "fan_rays": [list(r) for r in v.fan.rays],
-            "phi": [str(x) for x in v.phi_values],
-            "classification": str(cls),
-            "cox_exponents": list(cox_comparison(v)),
-            "polytope_in_M": pm.to_json(),
-        })
-    else:
-        lines = ["fan rays and support values:"]
+
+    def lines():
+        yield "fan rays and support values:"
         for rd in v.ray_data:
-            lines.append("  rho=%s  phi=%s  b=%d"
-                         % (_fmt_point(rd.rho), rd.phi, rd.b))
-        lines.append("classification: %s" % cls)
-        lines.append("polytope in M: vertices %s"
-                     % " ".join(_fmt_point(x) for x in pm.vertices))
-        out = "\n".join(lines)
-    return 0, out
-
-
-def _fano_and_datum(args):
-    (p, w, f), shipped = _resolve(args, "mutation")
-    fano = validate_fano(p)
-    return fano, validate_mutation_datum(fano, w, f), shipped
+            yield "  rho=%s  phi=%s  b=%d" % (_fmt_point(rd.rho), rd.phi, rd.b)
+        yield "classification: %s" % cls
+        yield "polytope in M: vertices %s" % " ".join(
+            _fmt_point(x) for x in pm.vertices)
+    return 0, {
+        "tau": v.tau.to_json(),
+        "fan_rays": [list(r) for r in v.fan.rays],
+        "phi": [str(x) for x in v.phi_values],
+        "classification": str(cls),
+        "cox_exponents": list(cox_comparison(v)),
+        "polytope_in_M": pm.to_json(),
+    }, lines
 
 
 def _cmd_mutate(args):
     fano, d, _ = _fano_and_datum(args)
     mut = mutate(fano, d)
-    if args.format == "json":
-        out = _emit_json({
-            "vertices": [list(v) for v in mut.vertices()],
-            "witnesses": [
-                {"height": layer.height,
-                 "factor_vertices":
-                     [[str(Fraction(x)) for x in v]
-                      for v in layer.factor_part.vertices]}
-                for layer in d.witnesses],
-        })
-    else:
-        lines = ["mutated polytope: conv{%s}"
-                 % ", ".join(_fmt_point(v) for v in sorted(mut.vertices()))]
+
+    def lines():
+        yield "mutated polytope: conv{%s}" % ", ".join(
+            _fmt_point(v) for v in sorted(mut.vertices()))
         for layer in d.witnesses:
-            lines.append("  height %d: conv{%s}" % (
-                layer.height,
-                ", ".join(_fmt_point(v) for v in layer.factor_part.vertices)))
-        out = "\n".join(lines)
-    return 0, out
+            yield "  height %d: conv{%s}" % (layer.height, ", ".join(
+                _fmt_point(v) for v in layer.factor_part.vertices))
+    return 0, {
+        "vertices": [list(v) for v in mut.vertices()],
+        "witnesses": [
+            {"height": layer.height,
+             "factor_vertices": [[str(x) for x in v]
+                                 for v in layer.factor_part.vertices]}
+            for layer in d.witnesses],
+    }, lines
 
 
 def _cmd_family(args):
     fano, d, shipped = _fano_and_datum(args)
     fam = mutation_family(fano, d)
-    if args.format == "json":
-        out = _emit_json({
-            "rays": [list(r) for r in fam.fan.rays],
-            "weights": list(fam.weights()),
-            "trinomial": fam.trinomial.to_json(),
-            "monomial": fam.monomial.to_json(),
-            "mutated_vertices": [list(v) for v in fam.mutated.vertices()],
-            "q_tilde_vertices": [[str(Fraction(x)) for x in v]
-                                 for v in fam.q_tilde.vertices],
-        })
-    else:
-        alias = _alias_for(args, fam.fan.rays, shipped)
-        lines = []
-        lines.append("ambient rays: %s"
-                     % " ".join(_fmt_point(r) for r in fam.fan.rays))
-        lines.append("weights: %s" % _fmt_point(fam.weights()))
-        lines.append("trinomial: %s"
-                     % pretty(fam.trinomial, fam.fan.rays, alias))
-        lines.append("monomial: %s"
-                     % pretty(fam.monomial, fam.fan.rays, alias))
-        lines.append("mutated polytope: conv{%s}"
-                     % ", ".join(_fmt_point(v)
-                                 for v in sorted(fam.mutated.vertices())))
-        out = "\n".join(lines)
-    return 0, out
+    rays = fam.fan.rays
+
+    def lines():
+        alias = _alias_for(args, rays, shipped)
+        yield "ambient rays: %s" % " ".join(_fmt_point(r) for r in rays)
+        yield "weights: %s" % _fmt_point(fam.weights())
+        yield "trinomial: %s" % pretty(fam.trinomial, rays, alias)
+        yield "monomial: %s" % pretty(fam.monomial, rays, alias)
+        yield "mutated polytope: conv{%s}" % ", ".join(
+            _fmt_point(v) for v in sorted(fam.mutated.vertices()))
+    return 0, {
+        "rays": [list(r) for r in rays],
+        "weights": list(fam.weights()),
+        "trinomial": fam.trinomial.to_json(),
+        "monomial": fam.monomial.to_json(),
+        "mutated_vertices": [list(v) for v in fam.mutated.vertices()],
+        "q_tilde_vertices": [[str(x) for x in v]
+                             for v in fam.q_tilde.vertices],
+    }, lines
 
 
 def _parse_point(text: str) -> tuple:
@@ -323,58 +302,46 @@ def _parse_point(text: str) -> tuple:
 def _cmd_fiber(args):
     fano, d, shipped = _fano_and_datum(args)
     fam = mutation_family(fano, d)
+    rays = fam.fan.rays
     rep = specialize_fiber(fam, _parse_point(args.point))
-    if args.format == "json":
-        out = _emit_json(rep.to_json())
-    else:
-        alias = _alias_for(args, fam.fan.rays, shipped)
-        lines = ["fiber at [%s] (%s): %s"
-                 % (":".join(str(x) for x in rep.point), rep.kind,
-                    pretty(rep.polynomial, fam.fan.rays, alias))]
-        lines.append("monomial: %s"
-                     % pretty(rep.monomial, fam.fan.rays, alias))
+
+    def lines():
+        alias = _alias_for(args, rays, shipped)
+        yield "fiber at [%s] (%s): %s" % (
+            ":".join(str(x) for x in rep.point), rep.kind,
+            pretty(rep.polynomial, rays, alias))
+        yield "monomial: %s" % pretty(rep.monomial, rays, alias)
         if rep.matched is not None:
-            lines.append("matched reference binomial: %s" % rep.matched)
-        out = "\n".join(lines)
-    code = 0 if rep.matched is not False else 1
-    return code, out
+            yield "matched reference binomial: %s" % rep.matched
+    return (0 if rep.matched is not False else 1), rep.to_json(), lines
 
 
 def _cmd_hilbert_basis(args):
     c, _ = _resolve(args, "cone")
     hb = hilbert_basis(c, bound=args.bound)
-    if args.format == "json":
-        out = _emit_json(hb.to_json())
-    else:
-        lines = ["generators: %s"
-                 % " ".join(_fmt_point(g) for g in hb.generators)]
-        lines.append("complete: %s (bound %d, certificate needs %d)"
-                     % (hb.complete, hb.bound, hb.certificate_bound))
-        out = "\n".join(lines)
-    return (0 if hb.complete else 1), out
+    return (0 if hb.complete else 1), hb.to_json(), lambda: [
+        "generators: %s" % " ".join(_fmt_point(g) for g in hb.generators),
+        "complete: %s (bound %d, certificate needs %d)"
+        % (hb.complete, hb.bound, hb.certificate_bound)]
 
 
 def _cmd_oracle(args):
-    d, _ = _resolve(args, "datum")
-    require_valid(d)
-    t = build_tilde(d)
+    d, t, _ = _valid_tilde(args)
     rep0 = degree_zero_equality_check(t, bound=args.bound)
     repb = boundary_equality_check(t, bound=args.bound) if d.boundary \
         else None
+    payload = {"degree_zero": rep0.to_json()}
+    if repb is not None:
+        payload["boundary"] = repb.to_json()
+
+    def lines():
+        yield "degree-zero check: %d pairs, %d failures" % (
+            rep0.checked, len(rep0.failures))
+        if repb is not None:
+            yield "boundary check: %d characters, %d failures" % (
+                repb.checked, len(repb.failures))
     ok = rep0.ok and (repb is None or repb.ok)
-    if args.format == "json":
-        payload = {"degree_zero": rep0.to_json()}
-        if repb is not None:
-            payload["boundary"] = repb.to_json()
-        out = _emit_json(payload)
-    else:
-        lines = ["degree-zero check: %d pairs, %d failures"
-                 % (rep0.checked, len(rep0.failures))]
-        if repb is not None:
-            lines.append("boundary check: %d characters, %d failures"
-                         % (repb.checked, len(repb.failures)))
-        out = "\n".join(lines)
-    return (0 if ok else 1), out
+    return (0 if ok else 1), payload, lines
 
 
 def _cmd_verify_example(args):
@@ -383,11 +350,7 @@ def _cmd_verify_example(args):
         raise InputError("unknown example %r; have %s"
                          % (args.name, ", ".join(presets.PRESET_NAMES)))
     rep, _ = found
-    if args.format == "json":
-        out = _emit_json(rep.to_json())
-    else:
-        out = "\n".join(rep.lines())
-    return (0 if rep.ok else 1), out
+    return (0 if rep.ok else 1), rep.to_json(), rep.lines
 
 
 _COMMANDS = {
@@ -409,9 +372,10 @@ _COMMANDS = {
 }
 
 
-# the flags beyond --format and fiber's --point, with the commands that
-# read them
+# the flags beyond --format, with the commands that read them
 _FLAGS = {
+    "--point": (dict(required=True, help="homogeneous parameter point a:b:c"),
+                ("fiber",)),
     "--bound": (dict(type=int, default=12,
                      help="degree bound for enumerations"),
                 ("hilbert-basis", "oracle")),
@@ -438,9 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 presets.PRESET_NAMES))
         else:
             sp.add_argument("input", help="JSON payload file or preset name")
-        if name == "fiber":
-            sp.add_argument("--point", required=True,
-                            help="homogeneous parameter point a:b:c")
         sp.add_argument("--format", choices=("json", "pretty"),
                         default="pretty", help="output format")
         for flag, (spec, users) in _FLAGS.items():
@@ -456,7 +417,11 @@ def main(argv=None) -> int:
         for flag in ("p", "bound"):
             if getattr(args, flag, 0) < 0:
                 raise InputError("--%s must be non-negative" % flag)
-        code, out = handler(args)
+        code, payload, lines = handler(args)
+        if args.format == "json":
+            out = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            out = "\n".join(lines())
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

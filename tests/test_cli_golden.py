@@ -65,6 +65,20 @@ def test_cli_output_matches_golden(argv):
     assert run_cli(argv) == recorded[_key(argv)]
 
 
+@pytest.mark.parametrize("argv", [("equations", "cA1"),
+                                  ("family", "p2-p114")], ids=_key)
+def test_json_output_never_renders_pretty_form(tmp_path, capsys, argv):
+    # --alias is read only to render the pretty form: JSON output ignores
+    # a missing alias file, and the pretty form fails on it
+    missing = str(tmp_path / "missing.json")
+    json_run = argv + ("--alias", missing, "--format", "json")
+    assert run_cli(json_run) == \
+        json.loads(GOLDEN.read_text())[_key(argv + ("--format", "json"))]
+    assert workbench.main(list(argv) + ["--alias", missing]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot read %s: No such file or directory\n" % missing)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
         {_key(a): run_cli(a) for a in cli_runs()}, indent=1,

@@ -54,6 +54,14 @@ LATTICE = "factor must be a bounded lattice polytope"
         "cone is not full-dimensional", id="polarize-flat-cone"),
     pytest.param(lambda: ca1_datum(-1), ValueError, "exponent must be non-negative",
                  id="ca1-negative-exponent"),
+    # a payload with no vertices takes its rank from its rays or lines, so
+    # it is refused for having no point, not for having no rank
+    pytest.param(lambda: Polyhedron.from_json({"vertices": [], "rays": [[1, 0]]}),
+                 ValueError, "empty input: a hull needs at least one point",
+                 id="polyhedron-rays-only"),
+    pytest.param(lambda: Polyhedron.from_json({"vertices": [], "lines": [[1, 0]]}),
+                 ValueError, "empty input: a hull needs at least one point",
+                 id="polyhedron-lines-only"),
 ])
 def test_library_input_errors(call, error, message):
     with pytest.raises(error) as err:

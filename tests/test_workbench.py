@@ -362,6 +362,33 @@ def test_ambiguous_alias_table_is_usage_error(capsys, tmp_path, aliases,
     assert err == message
 
 
+# an alias table is read by the rules of every other payload: its shape
+# is checked, its rays are lattice vectors (a bool is no number), and
+# each name is a Python identifier
+@pytest.mark.parametrize("table, message", [
+    pytest.param({"aliases": [{"ray": [1, 0, 0, 1], "name": ""}]},
+                 "alias name '' is not an identifier", id="empty-name"),
+    pytest.param({"aliases": [{"ray": [1, 0, 0, 1], "name": 5}]},
+                 "alias name 5 is not an identifier", id="number-name"),
+    pytest.param({"aliases": [{"ray": [1, 0, 0, 1], "name": "a b"}]},
+                 "alias name 'a b' is not an identifier", id="spaced-name"),
+    pytest.param({"aliases": [{"ray": [1, 0, 0, True], "name": "A"}]},
+                 "bad coordinate True", id="bool-coordinate"),
+    pytest.param({"aliases": "ab"}, "aliases must be a list, got 'ab'",
+                 id="aliases-string"),
+    pytest.param([{"ray": [1, 0, 0, 1], "name": "A"}],
+                 "alias table payload must be a JSON object", id="list-payload"),
+    pytest.param({"aliases": [{"ray": [1, 0, 0, 1]}]},
+                 'alias payload needs "name"', id="missing-name"),
+])
+def test_malformed_alias_table_is_usage_error(capsys, tmp_path, table,
+                                              message):
+    path = write_json(tmp_path, "alias.json", table)
+    code, out, err = run(capsys, "equations", "cA1", "--alias", path)
+    assert code == 2 and out == ""
+    assert err == "error: bad alias table: %s\n" % message
+
+
 def test_equations_from_datum_file(capsys, tmp_path):
     path = write_json(tmp_path, "toy.json", toy_plane_datum().to_json())
     code, out, _ = run(capsys, "equations", path)
