@@ -331,11 +331,14 @@ class AliasTable(NamedTuple):
     def from_pairs(cls, pairs, all_rays) -> "AliasTable":
         """pairs: ordered (ray, name); rays absent from pairs keep default
         names and print after the aliased ones in canonical order.  A name
-        that is not a Python identifier, a ray listed twice, or a name that
-        two rays would print, default names included, raises ValueError."""
+        that is not a Python identifier, one that reads as a parameter (a,
+        b, c, or t and digits), a ray listed twice, or a name that two rays
+        would print, default names included, raises ValueError."""
         for _, nm in pairs:
             if not (isinstance(nm, str) and nm.isidentifier()):
                 raise ValueError("alias name %r is not an identifier" % (nm,))
+            if nm in ("a", "b", "c") or nm[0] == "t" and nm[1:].isdecimal():
+                raise ValueError("alias name %r reads as a parameter" % (nm,))
         listed = [tuple(r) for r, _ in pairs]
         names = {tuple(r): nm for r, nm in pairs}
         all_rays = [tuple(r) for r in all_rays]

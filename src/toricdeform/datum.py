@@ -18,11 +18,13 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .cox import PairingData
-from .lattice import as_int_vector, dot, primitive, vector_from_json, vsub
+from .lattice import as_int_vector, dot, primitive, vector_from_json
 from .polyhedral import (
     Cone,
     Polyhedron,
     UnboundedError,
+    _canonical_dual,
+    _fold,
     _json_fields,
     _json_list,
     membership_scaling,
@@ -208,11 +210,9 @@ def validate_datum(d: DeformationDatum) -> ValidationReport:
             if not sigma.contains(r):
                 bad = "recession ray " + _fmt_point(r)
                 break
-        for r in q.lines:
-            if bad:
-                break
-            if not (sigma.contains(r) and sigma.contains(vsub((0,) * d.rank, r))):
-                bad = "line " + _fmt_point(r)
+    # build_datum refused a sigma with a line, so no line of Q lies in it
+    if bad is None and q.lines:
+        bad = "line " + _fmt_point(q.lines[0])
     results.append(ConditionResult("(i)", "Q is contained in the cone",
                                    bad is None, bad))
 
@@ -400,11 +400,11 @@ def check_tilde_structure(t: TildeData) -> TildeStructureReport:
     sc = t.cone.is_strongly_convex()
     dim_ok = t.cone.dimension() == n + k
     # (x, 0) lies in the enlarged cone iff <f[:n], x> >= 0 for every folded
-    # facet row f, so the slice is a cone in rank n
-    meet = Cone.from_inequalities(n, [f[:n] for f in t.cone.facets])
+    # facet row f: the slice is a cone in rank n, read in one pass
+    meet = _fold(*_canonical_dual(n, {f[:n] for f in t.cone.facets}))
     expected = t.datum.sigma.rays
-    slice_ok = meet.rays == expected
-    detail = "" if slice_ok else "slice rays %s != cone rays %s" % (meet.rays, expected)
+    slice_ok = meet == expected
+    detail = "" if slice_ok else "slice rays %s != cone rays %s" % (meet, expected)
     return TildeStructureReport(strongly_convex=sc, dimension_ok=dim_ok,
                                 slice_ok=slice_ok, detail=detail)
 

@@ -32,7 +32,7 @@ from operator import add, ge, le, mul, sub
 from typing import NamedTuple
 
 from .lattice import hermite_normal_form, vsub
-from .polyhedral import Cone, Polyhedron, lattice_points
+from .polyhedral import Cone, Polyhedron, _canonical_dual, lattice_points
 
 
 class HilbertBasis(NamedTuple):
@@ -71,7 +71,8 @@ def _pulling_simplices(rank: int, rays: tuple, normals, dim: int):
     its span) are the normals: the first ray is pulled, i.e. joined to a
     triangulation of each facet that does not contain it.  A facet's rays
     are its tight set; only a facet with more rays than its dimension
-    needs its own facets, from a hull, so rank 3 runs none."""
+    needs its own facets, from one double description pass of its rays,
+    so rank 3 runs none."""
     if len(rays) == dim:
         yield rays
         return
@@ -80,8 +81,7 @@ def _pulling_simplices(rank: int, rays: tuple, normals, dim: int):
         if not sum(map(mul, u, apex)):
             continue
         face = tuple(r for r in rays if not sum(map(mul, u, r)))
-        inner = (Cone.from_generators(rank, face).pointed_facets
-                 if len(face) > dim - 1 else ())
+        inner = _canonical_dual(rank, face)[0] if len(face) > dim - 1 else ()
         for s in _pulling_simplices(rank, face, inner, dim - 1):
             yield (apex,) + s
 
@@ -143,8 +143,8 @@ def hilbert_basis(c: Cone, bound: int = 12) -> HilbertBasis:
     irreducible points of value at most the bound.  The bound prunes each
     simplex's walk, so the cost follows it: only a bound near the
     certificate pays the sum of |det| over the simplices.  The
-    triangulation adds one hull per non-simplicial facet of dimension 3 or
-    more that it descends into (none in rank 3).
+    triangulation adds one double description pass per non-simplicial
+    facet of dimension 3 or more that it descends into (none in rank 3).
 
     The functional is the sum of the facet normals, positive on every
     nonzero point of a pointed full-dimensional cone.  The certificate

@@ -649,9 +649,11 @@ def lattice_points(p: Polyhedron) -> tuple:
     inequalities of the hull of the vertices projected to the first i + 1
     coordinates (_level_inequalities: one double description pass, no
     hull), and the last level is p's own inequalities.  With the prefix
-    x_0..x_{i-1} fixed, every row reads a * x_i >= rhs, so x_i runs over
-    an integer interval; a prefix outside a projection is never
-    extended.  The last level emits its whole interval at once, as the run
+    x_0..x_{i-1} fixed, a row reads a * x_i >= rhs.  Level i keeps only
+    its lower (a > 0) and upper (a < 0) bounds, both present as p is
+    bounded: a row with a = 0 holds on the projection that level i - 1
+    cuts out, where every prefix lies.  So x_i runs over an integer
+    interval.  The last level emits its whole interval at once, as the run
     prefix + (x,) for each x in it.  x_i increases at every level, so the
     output is sorted.
     """
@@ -661,27 +663,18 @@ def lattice_points(p: Polyhedron) -> tuple:
         raise UnboundedError("Unbounded: lattice point enumeration needs a polytope")
     if not p.rank:
         return ((),)
-    levels = [_level_inequalities(p, i) for i in range(1, p.rank)]
-    levels.append(p.inequalities)
+    levels = [_level_inequalities(p, i) for i in range(1, p.rank)] + [p.inequalities]
+    bounds = [([(u, c) for u, c in rows if u[i] > 0], [(u, c) for u, c in rows if u[i] < 0])
+              for i, rows in enumerate(levels)]
     last = p.rank - 1
     out = []
     point = []
 
     def lift(i):
-        lo = hi = None
-        for u, c in levels[i]:
-            a = u[i]
-            rhs = -c - sum(map(mul, u, point))  # map stops at the prefix
-            if a > 0:
-                b = -(-rhs // a)
-                if lo is None or b > lo:
-                    lo = b
-            elif a < 0:
-                b = rhs // a
-                if hi is None or b < hi:
-                    hi = b
-            elif rhs > 0:
-                return
+        lower, upper = bounds[i]
+        # ceil and floor of (-c - <u, prefix>) / u[i]; map stops at the prefix
+        lo = max([-((c + sum(map(mul, u, point))) // u[i]) for u, c in lower])
+        hi = min([(-c - sum(map(mul, u, point))) // u[i] for u, c in upper])
         if i == last:
             prefix = tuple(point)
             out.extend([prefix + (x,) for x in range(lo, hi + 1)])

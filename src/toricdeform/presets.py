@@ -27,6 +27,7 @@ from .datum import (
     validate_datum,
 )
 from .mutation import (
+    induced_boundary_datum,
     mutate,
     mutation_family,
     specialize_fiber,
@@ -84,10 +85,14 @@ def p2_p114_inputs():
     return p2_polytope(), (-1, 2), convex_hull(2, [(0, 0), (2, 1)])
 
 
-def p2_p114_family():
+def _p2_p114_mutation():
     p, w, f = p2_p114_inputs()
     fano = validate_fano(p)
-    return mutation_family(fano, validate_mutation_datum(fano, w, f))
+    return fano, validate_mutation_datum(fano, w, f)
+
+
+def p2_p114_family():
+    return mutation_family(*_p2_p114_mutation())
 
 
 def p2_p114_alias(rays) -> AliasTable:
@@ -292,7 +297,7 @@ PRESETS = {
         "hexagon-a": (lambda p: hexagon_data()[0], None),
         "hexagon-b": (lambda p: hexagon_data()[1], None),
         # the p2-p114 alias names the family fan, not this enlarged cone
-        "p2-p114": (lambda p: p2_p114_family().induced_datum, None),
+        "p2-p114": (lambda p: induced_boundary_datum(*_p2_p114_mutation()), None),
     },
     "cone": {"cA1": (lambda p: ca1_sigma().dual(), None)},
     "polarize": {

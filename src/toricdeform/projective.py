@@ -79,6 +79,10 @@ class PolarizedToricVariety(NamedTuple):
 
     @classmethod
     def from_cone(cls, tau: Cone) -> "PolarizedToricVariety":
+        """The pair of tau.  With e0 interior, every facet normal is
+        positive on e0, no ray is +e0 (on the boundary) or -e0 (a line),
+        and no two rays share an N-part rho: tau meets span(rho, e0) in a
+        cone with e0 inside, extreme in tau on one ray on the rho side."""
         n = tau.rank - 1
         if n < 1:
             raise ValueError("ambient rank must be at least 2")
@@ -89,24 +93,11 @@ class PolarizedToricVariety(NamedTuple):
         e0 = (0,) * n + (1,)
         if not tau.interior_contains(e0):
             raise OriginNotInteriorError("distinguished vector not interior")
-        data = {}
-        for xi in tau.rays:
-            nu = xi[:n]
-            if not any(nu):
-                raise ValueError("ray %s has zero N-part" % (xi,))
-            rho = primitive(nu)
-            b = content(nu)
-            a = -xi[n]
-            if rho in data:
-                raise ValueError(
-                    "two rays project to the same direction %s" % (rho,))
-            data[rho] = RayData(xi=xi, rho=rho, b=b, a=a)
-        rays = tuple(sorted(data))
-        aligned = tuple(data[r] for r in rays)
+        aligned = tuple(sorted((RayData(xi=xi, rho=primitive(xi[:n]), b=content(xi[:n]), a=-xi[n])
+                                for xi in tau.rays), key=lambda rd: rd.rho))
+        rays = tuple(rd.rho for rd in aligned)
         cones = set()
         for g in tau.pointed_facets:
-            if g[n] <= 0:
-                raise ValueError("facet normal %s not positive on e0" % (g,))
             tight = tuple(sorted(
                 i for i, rd in enumerate(aligned) if dot(g, rd.xi) == 0))
             cones.add(tight)

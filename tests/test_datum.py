@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toricdeform import datum as datum_module
+from toricdeform import polyhedral
 from toricdeform.cox import pretty, trinomials
 from toricdeform.datum import (
     DatumStructureError,
@@ -162,6 +163,47 @@ def test_condition_iv_prime_names_a_line_in_q():
         got = {c.label: c for c in validate_datum(datum_from_json(data)).failed()}
         assert "(i)" in got
         assert got["(iv')"].witness == "Q has a line"
+
+
+@pytest.mark.parametrize("summand, sigma, witness", [
+    # the summand line of the CI payload
+    ({"vertices": [[0, 1]], "lines": [[1, 0]]}, [[1, 0], [0, 1]], "line (1, 0)"),
+    # of two lines, (i) names the first of Q's canonical lines
+    ({"vertices": [[0, 0, 1]], "lines": [[0, 1, 0], [1, 1, 0]]},
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "line (1, 0, 0)"),
+    # a recession ray that leaves the cone is named before a line
+    ({"vertices": [[0, 0, 1]], "rays": [[0, 1, 0]], "lines": [[1, 0, 0]]},
+     [[1, 0, 0], [0, 0, 1], [0, -1, 1]], "recession ray (0, 1, 0)"),
+])
+def test_condition_i_names_the_first_line_of_q(summand, sigma, witness):
+    # sigma is strongly convex, so it holds no line of Q: (i) fails on
+    # Q's first line without testing it
+    rank = len(sigma[0])
+    data = {"sigma": {"rays": sigma}, "summands": [summand, [[0] * rank]],
+            "w": [0] * (rank - 1) + [-1]}
+    got = {c.label: c.witness for c in validate_datum(datum_from_json(data)).failed()}
+    assert got["(i)"] == witness
+    assert got["(iv')"] == "Q has a line"
+    assert not hasattr(datum_module, "vsub")
+
+
+def test_check_tilde_structure_runs_one_double_description(monkeypatch):
+    # the slice check reads only the rays of the slice, so it takes one
+    # double description pass of the cut facet rows, not a two-pass hull
+    passes = []
+    dd = polyhedral.dual_description
+
+    def counted(*args):
+        passes.append(args)
+        return dd(*args)
+
+    tildes = [build_tilde(d) for d in (ca1_datum(), toy_plane_datum(), *hexagon_data(),
+                                        p2_p114_family().induced_datum)]
+    monkeypatch.setattr(polyhedral, "dual_description", counted)
+    for t in tildes:
+        del passes[:]
+        assert check_tilde_structure(t).ok
+        assert len(passes) == 1 and passes[0][0] == t.n
 
 
 def test_condition_iv_failure_needs_boundary_flag():

@@ -22,7 +22,10 @@ after its last call was deleted, or a helper or field whose last reader
 was deleted.  A sixth check finds no ``dataclasses`` in the package:
 records are ``typing.NamedTuple``s and caches are ``__slots__``, so the
 import pulls in neither ``dataclasses`` nor the ``inspect`` it imports.
-Importing the package also builds no command-line parser.
+Importing the package also builds no command-line parser, and README's
+Layers table gives each package module one row of at most 400
+characters: what the module is for and its entry points, the docstrings
+keeping the mechanism.
 """
 
 import ast
@@ -326,3 +329,12 @@ def test_import_builds_no_parser():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0"]
+
+
+def test_readme_layers_rows_are_short():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Layers\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = {line.split("`")[1]: line for line in table.splitlines()[2:]}
+    packaged = {"toricdeform." + p.stem for p in MODULES if p.stem != "__main__"}
+    assert set(rows) == packaged
+    assert {name: len(row) for name, row in rows.items() if len(row) > 400} == {}

@@ -15,8 +15,10 @@ from toricdeform.cox import (
     pretty,
 )
 from toricdeform.mutation import (
+    FanoPolytope,
     MutationDatum,
     MutationDatumError,
+    MutationFamilyError,
     WitnessLayer,
     OutsideVError,
     induced_boundary_datum,
@@ -35,7 +37,7 @@ from toricdeform.presets import p2_p114_alias, p2_p114_inputs, p2_polytope
 from toricdeform.projective import (
     PolarizedToricVariety, polytope_in_M, projective_tilde)
 import toricdeform.mutation as mutation_module
-from toricdeform import polyhedral
+from toricdeform import polyhedral, presets
 
 import corpus
 import oracles
@@ -697,6 +699,117 @@ def test_family_carries_induced_enlargement():
     assert fam.induced_datum == induced_boundary_datum(fano, d)
     assert set(fam.induced.tilde.rays) == {
         (0, 1, 1, 0), (-1, -1, 1, -1), (0, 0, 0, 1), (2, 1, 0, 1)}
+
+
+def test_datum_preset_builds_no_pencil(monkeypatch):
+    # the p2-p114 datum preset is the induced datum alone: it needs no
+    # pencil, so a mutation_family that cannot run does not reach it
+    expected = presets.p2_p114_family().induced_datum
+
+    def refuse(*args):
+        raise AssertionError("mutation_family called")
+
+    monkeypatch.setattr(mutation_module, "mutation_family", refuse)
+    monkeypatch.setattr(presets, "mutation_family", refuse)
+    got, alias = presets.preset("datum", "p2-p114")
+    assert got == expected and alias is None
+
+
+# ------------------------------------------------------------ cross-checks
+#
+# Each check of mutation_family and of the inverse comparison, shown
+# catching a fault seeded in one of its inputs.  The disjoint-support
+# check is not among them: the a, b and c terms use the rays whose last
+# coordinate is 0, negative and 1, so no variable divides all three
+# terms, whatever the inputs.
+
+
+def _moved_vertex(old, new):
+    # mutate, with one vertex of the mutated polytope moved
+    def faulty(fano, d):
+        return FanoPolytope(convex_hull(fano.n, [
+            new if v == old else v for v in mutate(fano, d).vertices()]))
+    return faulty
+
+
+def _doubled_ray(rays):
+    return (tuple(2 * x for x in rays[0]),) + tuple(rays[1:])
+
+
+def _induced_fan_moved(d):
+    pt = projective_tilde(d)
+    fan = pt.variety.fan._replace(rays=_doubled_ray(pt.variety.fan.rays))
+    return pt._replace(variety=pt.variety._replace(fan=fan))
+
+
+def _induced_cox_moved(d):
+    pt = projective_tilde(d)
+    return pt._replace(cox=cox_system(_doubled_ray(pt.cox.rays), pt.cox.rank))
+
+
+def _induced_trinomial_reversed(d):
+    pt = projective_tilde(d)
+    tri = pt.trinomials[0]
+    return pt._replace(trinomials=(tri._replace(terms=tri.terms[::-1]),))
+
+
+def _flat_hull(cls, rank, inequalities):
+    return convex_hull(rank, [(0,) * rank, (1,) + (0,) * (rank - 1)])
+
+
+@pytest.mark.parametrize("owner, name, fault, message", [
+    # the lower vertex (-1, -1) lifted to height 0 leaves Q~ no floor
+    (mutation_module, "mutate", _moved_vertex((-1, -1), (-1, 0)),
+     "glued polytope is not bounded"),
+    # Q~ holds a neighbourhood of (0, t) for small t > 0, whatever P, F and
+    # the mutation are, so only a fault in its hull makes it flat
+    (Polyhedron, "from_inequalities", classmethod(_flat_hull),
+     "glued polytope is not full-dimensional"),
+    (mutation_module, "mutate", _moved_vertex((-1, -1), (-2, -2)),
+     "normal fan rays ((-1, -1, -1), (0, 0, 1), (0, 1, 0), (2, 1, 1)) differ "
+     "from the predicted list ((-2, -2, -2), (0, 0, 1), (0, 1, 0), (2, 1, 1))"),
+    # a fault in the induced datum fails its validation first, so the fan
+    # check is reached through the induced pair
+    (mutation_module, "projective_tilde", _induced_fan_moved,
+     "induced construction produced different ambient rays"),
+    (mutation_module, "projective_tilde", _induced_cox_moved,
+     "trinomial is not grading-homogeneous"),
+    (mutation_module, "projective_tilde", _induced_trinomial_reversed,
+     "pencil equations disagree with the induced construction"),
+    (mutation_module, "projective_tilde",
+     lambda d: projective_tilde(d)._replace(boundary=None),
+     "pencil monomial disagrees with the induced boundary monomial"),
+])
+def test_family_cross_checks_catch_a_seeded_fault(monkeypatch, owner, name, fault,
+                                                  message):
+    fano, d, _ = p114_setup()
+    mutation_family(fano, d)
+    monkeypatch.setattr(owner, name, fault)
+    with pytest.raises(MutationFamilyError) as err:
+        mutation_family(fano, d)
+    assert str(err.value) == message
+
+
+def test_induced_datum_needs_a_negative_height_factor():
+    fano, d, _ = p114_setup()
+    with pytest.raises(MutationFamilyError, match="^no negative-height factors to lift$"):
+        induced_boundary_datum(fano, d._replace(witnesses=()))
+
+
+def test_inverse_comparison_catches_a_seeded_fault():
+    fano, d, _ = p114_setup()
+    fam = mutation_family(fano, d)
+    assert specialize_fiber(fam, (1, 0, -1)).matched is True
+    # the family claims another polytope than its inverse recovers
+    other = FanoPolytope(convex_hull(2, [(1, 0), (0, 1), (-1, -2)]))
+    got = specialize_fiber(fam._replace(fano=other), (1, 0, -1))
+    assert (got.matched, got.detail) == (
+        False, "inverse mutation failed to recover the polytope")
+    # a support ray of the [1:0:-1] fibre moved off the family's fan
+    rays = tuple((0, 1, 5) if r == (0, 1, 0) else r for r in fam.fan.rays)
+    got = specialize_fiber(fam._replace(fan=fam.fan._replace(rays=rays)), (1, 0, -1))
+    assert (got.matched, got.detail) == (
+        False, "support ray (0, 1, 3) has no image in the inverse family")
 
 
 # ------------------------------------------------------------ fibers

@@ -1040,6 +1040,49 @@ def test_no_inequality_is_implied_by_the_equations():
     assert kinds == {"lines", "rays", "flat", "full"}
 
 
+def _levels(p):
+    # the rows lattice_points reads at each level, the last being p's own
+    return [_level_inequalities(p, i) for i in range(1, p.rank)] + [p.inequalities]
+
+
+def test_lattice_points_with_rows_that_do_not_bound_a_level():
+    # lift reads at level i only the rows with u[i] != 0; a row with
+    # u[i] = 0 holds on the projection that the previous level cuts out.
+    # Boxes and prisms have such rows, and so do polytopes inside a
+    # hyperplane whose equation is vertical at some level; each is
+    # checked with its unimodular images against the Fourier-Motzkin box
+    # scan, and the images also against the mapped points
+    half = Fraction(1, 2)
+    bases = [
+        convex_hull(3, itertools.product((0, 2), (-1, 1), (1, 3))),
+        convex_hull(3, itertools.product((-half, Fraction(5, 2)), (0, 1), (-1, half))),
+        convex_hull(4, itertools.product((0, 1), (-1, 1), (0, 2), (1, 2))),
+        convex_hull(3, [(x, y, z) for x, y in ((0, 0), (3, 0), (0, 2)) for z in (-1, 2)]),
+        convex_hull(3, [(x, y, z) for x in (-1, 2) for y, z in ((0, 0), (3, 1), (1, 3))]),
+        convex_hull(3, [(1, 0, 0), (1, 3, 0), (1, 0, 2)]),
+        convex_hull(3, [(0, 1, 0), (3, 4, 1), (1, 2, 3)]),
+        convex_hull(3, [(1, 2, -2), (1, 2, 3)]),
+        convex_hull(3, [(half, 0, 0), (half, 2, 0), (2, 2, 1)]),
+    ]
+    r = corpus.rng(515)
+    vertical = 0
+    for p in bases:
+        pts = lattice_points(p)
+        assert pts == brute_lattice_points(p.rank, p.inequalities), p
+        images = [p]
+        for _ in range(4):
+            m, _ = corpus.random_unimodular(r, p.rank)
+            image = convex_hull(p.rank, [tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+                                         for v in p.vertices])
+            got = lattice_points(image)
+            assert got == brute_lattice_points(image.rank, image.inequalities), image
+            assert got == tuple(sorted(tuple(dot(row, x) for row in m) for x in pts))
+            images.append(image)
+        vertical += sum(any(not u[i] for u, _ in rows)
+                        for q in images for i, rows in enumerate(_levels(q)))
+    assert vertical >= 2 * len(bases)
+
+
 def test_lattice_points_builds_no_hull(monkeypatch):
     # one double description pass per projected level, and no Polyhedron
     r = corpus.rng(513)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from toricdeform.datum import build_datum
+from toricdeform.lattice import primitive, vneg
 from toricdeform.polyhedral import Cone, Fan, Polyhedron, convex_hull
 from toricdeform.presets import (
     ca1_sigma,
@@ -135,6 +136,39 @@ def test_divisor_class_ordering():
 def test_from_cone_needs_interior_height_vector():
     with pytest.raises(OriginNotInteriorError):
         PolarizedToricVariety.from_cone(ca1_sigma())
+
+
+NOT_INTERIOR = (OriginNotInteriorError, "OriginNotInterior: distinguished vector not interior")
+NOT_STRONGLY_CONVEX = (ValueError, "cone is not strongly convex")
+
+
+def _reaches(tau, defect):
+    n = tau.rank - 1
+    e0 = (0,) * n + (1,)
+    parts = [xi[:n] for xi in tau.rays if any(xi[:n])]
+    return {"facet not positive on e0": any(g[n] <= 0 for g in tau.pointed_facets),
+            "ray +e0": e0 in tau.rays,
+            "ray -e0": vneg(e0) in tau.rays,
+            "two rays with one N-part": len(set(map(primitive, parts))) < len(parts),
+            }[defect]
+
+
+# Each cone has a defect that from_cone once refused on its own; the
+# strong-convexity and interior checks decide each first, so the defect
+# is refused with their messages
+@pytest.mark.parametrize("gens, defect, refusal", [
+    ([(1, 0, 0), (0, 1, 0), (-1, -1, -1)], "facet not positive on e0", NOT_INTERIOR),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], "ray +e0", NOT_INTERIOR),
+    ([(1, 0, 0), (0, 1, 0), (-1, -1, 1), (0, 0, -1)], "ray -e0", NOT_STRONGLY_CONVEX),
+    ([(1, 0, 1), (1, 0, -1), (0, 1, 0)], "two rays with one N-part", NOT_INTERIOR),
+    ([(1, 1), (1, -1)], "two rays with one N-part", NOT_INTERIOR),
+])
+def test_from_cone_defects_are_decided_by_interiority(gens, defect, refusal):
+    tau = Cone.from_generators(len(gens[0]), gens)
+    assert _reaches(tau, defect)
+    with pytest.raises(refusal[0]) as err:
+        PolarizedToricVariety.from_cone(tau)
+    assert str(err.value) == refusal[1]
 
 
 def test_fano_polytope_checks():

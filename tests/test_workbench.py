@@ -380,6 +380,18 @@ def test_ambiguous_alias_table_is_usage_error(capsys, tmp_path, aliases,
                  "alias table payload must be a JSON object", id="list-payload"),
     pytest.param({"aliases": [{"ray": [1, 0, 0, 1]}]},
                  'alias payload needs "name"', id="missing-name"),
+    # a name that reads as a parameter: a, b, c of a pencil, t<i> of a
+    # trinomial
+    pytest.param({"aliases": [{"ray": [0, 0, 1, 0], "name": "t1"}]},
+                 "alias name 't1' reads as a parameter", id="parameter-t1"),
+    pytest.param({"aliases": [{"ray": [0, 0, 1, 0], "name": "t12"}]},
+                 "alias name 't12' reads as a parameter", id="parameter-t12"),
+    pytest.param({"aliases": [{"ray": [0, 0, 1, 0], "name": "a"}]},
+                 "alias name 'a' reads as a parameter", id="parameter-a"),
+    pytest.param({"aliases": [{"ray": [0, 0, 1, 0], "name": "b"}]},
+                 "alias name 'b' reads as a parameter", id="parameter-b"),
+    pytest.param({"aliases": [{"ray": [0, 0, 1, 0], "name": "c"}]},
+                 "alias name 'c' reads as a parameter", id="parameter-c"),
 ])
 def test_malformed_alias_table_is_usage_error(capsys, tmp_path, table,
                                               message):
@@ -413,6 +425,44 @@ def test_polarize_preset_polytope(capsys):
     data = json.loads(out)
     assert data["classification"] == "Cartier"
     assert data["cox_exponents"] == [1, 1, 1]
+
+
+# one pair in each of the three payload forms: P^2, and P(1,1,3) =
+# conv{(1,0),(0,1),(-1,-3)}, only a Z-divisor, whose moment polytope has
+# the vertex (-1, 2/3)
+POLARIZE_FORMS = {
+    "P2": [{"polytope": [[1, 0], [0, 1], [-1, -1]]},
+           {"tau": {"rays": [[1, 0, 1], [0, 1, 1], [-1, -1, 1]]}},
+           {"fan": P2_FAN, "phi": [-1, -1, -1]}],
+    "P113": [{"polytope": [[1, 0], [0, 1], [-1, -3]]},
+             {"tau": {"rays": [[1, 0, 1], [0, 1, 1], [-1, -3, 1]]}},
+             {"fan": {"rays": [[1, 0], [0, 1], [-1, -3]],
+                      "maximal_cones": [[0, 1], [1, 2], [0, 2]]},
+              "phi": [-1, -1, -1]}],
+}
+
+
+@pytest.mark.parametrize("pair", sorted(POLARIZE_FORMS))
+def test_polarize_payload_forms_print_the_same(capsys, tmp_path, pair):
+    outs = []
+    for i, payload in enumerate(POLARIZE_FORMS[pair]):
+        code, out, err = run(capsys, "polarize", write_json(tmp_path, "%d.json" % i, payload),
+                             "--format", "json")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    if pair == "P113":
+        code, out, _ = run(capsys, "polarize", write_json(tmp_path, "p.json",
+                                                          POLARIZE_FORMS[pair][2]))
+        assert code == 0
+        assert "classification: QCartierZDivisor" in out.splitlines()
+        assert "(-1, 2/3)" in out
+
+
+def test_polarize_payload_needs_a_form(capsys, tmp_path):
+    code, out, err = run(capsys, "polarize", write_json(tmp_path, "empty.json", {}))
+    assert (code, out) == (2, "")
+    assert err == 'error: polarize payload needs "tau", "polytope", or "fan"+"phi"\n'
 
 
 def test_polarize_rejects_non_fano(capsys, tmp_path):
