@@ -30,7 +30,8 @@ from .datum import DeformationDatum, build_datum
 from .lattice import (
     as_fraction, as_int_vector, dot, primitive, vadd, vneg, vscale, vsub)
 from .polyhedral import Cone, Fan, Polyhedron, convex_hull
-from .projective import ProjectiveTilde, check_fano_polytope, projective_tilde
+from .projective import (
+    ProjectiveTilde, check_fano_polytope, polytope_in_M, projective_tilde)
 
 
 class MutationDatumError(ValueError):
@@ -187,36 +188,28 @@ def induced_boundary_datum(fano: FanoPolytope,
 def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
     """Glue P and its mutation into Q~; read the a,b,c pencil off its fan.
 
-    The predicted rays must be the facet normals of Q~.  The fan (the
-    normal fan of Q~), the cone over P and the Cox system are the induced
-    pair's, read after the ray-set check (both ray tuples are sorted).
-    The predicted-ray, ray-set, homogeneity, disjoint-support and
-    ``_cross_check_equations`` checks stay independent.
+    Q~ is the induced pair's moment polytope.  That pair's cone has the
+    rays (r, 1) for the predicted r above and below w = 0 and (r, 0) for
+    those on F, so the one ray check makes the predicted rows Q~'s facets.
+    The homogeneity and ``_cross_check_equations`` checks stay independent.
+    The disjoint-support check cannot fire here (the a, b and c terms sit
+    on rays whose last coordinate is 0, negative and 1); it is kept as the
+    paper's regularity criterion.
     """
-    n = fano.n
     mutated = mutate(fano, d)
-    upper = tuple(sorted(
-        v for v in fano.vertices() if dot(d.w, v) >= 0))
-    lower = tuple(sorted(
-        v for v in mutated.vertices() if dot(d.w, v) < 0))
     # the lifted normals: (v, 0) above w = 0, (v, <w, v>) below, (f, 1)
-    up = [v + (0,) for v in upper]
-    down = [v + (dot(d.w, v),) for v in lower]
+    up = [v + (0,) for v in fano.vertices() if dot(d.w, v) >= 0]
+    down = [v + (dot(d.w, v),) for v in mutated.vertices() if dot(d.w, v) < 0]
     top = [f + (1,) for f in d.factor.lattice_vertices()]
-
-    ineqs = [(r, 1) for r in up + down] + [(r, 0) for r in top]
-    q_tilde = Polyhedron.from_inequalities(n + 1, ineqs)
-    if q_tilde.is_empty or not q_tilde.is_bounded:
-        raise MutationFamilyError("glued polytope is not bounded")
-    if q_tilde.affine_dimension() != n + 1:
-        raise MutationFamilyError("glued polytope is not full-dimensional")
-
-    normals = tuple(sorted(primitive(u) for u, _ in q_tilde.inequalities))
     predicted = tuple(sorted(set(up + down + top)))
-    if normals != predicted:
+
+    datum = induced_boundary_datum(fano, d)
+    induced = projective_tilde(datum)
+    fan = induced.fan
+    if fan.rays != predicted:
         raise MutationFamilyError(
             "normal fan rays %s differ from the predicted list %s"
-            % (normals, predicted))
+            % (fan.rays, predicted))
 
     index = {r: j for j, r in enumerate(predicted)}
     m = len(predicted)
@@ -227,8 +220,7 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
             out[index[ray]] = e
         return tuple(out)
 
-    a_term = Term(Fraction(1), "a", exps(
-        (r, dot(d.w, v)) for r, v in zip(up, upper)))
+    a_term = Term(Fraction(1), "a", exps((r, dot(d.w, r[:-1])) for r in up))
     b_term = Term(Fraction(1), "b", exps((r, -r[-1]) for r in down))
     c_term = Term(Fraction(1), "c", exps((r, 1) for r in top))
     trinomial = CoxPolynomial(terms=(a_term, b_term, c_term))
@@ -237,21 +229,14 @@ def mutation_family(fano: FanoPolytope, d: MutationDatum) -> MutationFamily:
     if not disjoint_support_regular_sequence([trinomial], mono):
         raise MutationFamilyError("trinomial and monomial share a variable "
                                   "in every term")
-
-    datum = induced_boundary_datum(fano, d)
-    induced = projective_tilde(datum)
-    fan = induced.fan
-    if fan.rays != predicted:
-        raise MutationFamilyError(
-            "induced construction produced different ambient rays")
     if not is_homogeneous(induced.cox, trinomial)[0]:
         raise MutationFamilyError("trinomial is not grading-homogeneous")
     _cross_check_equations(induced, trinomial, mono)
 
     return MutationFamily(fano=fano, datum=d, mutated=mutated,
-                          q_tilde=q_tilde, fan=fan, cox=induced.cox,
-                          trinomial=trinomial, monomial=mono,
-                          induced=induced, induced_datum=datum)
+                          q_tilde=polytope_in_M(induced.variety), fan=fan,
+                          cox=induced.cox, trinomial=trinomial,
+                          monomial=mono, induced=induced, induced_datum=datum)
 
 
 def _cross_check_equations(induced: ProjectiveTilde,

@@ -731,7 +731,8 @@ class Fan(NamedTuple):
     @classmethod
     def from_json(cls, data) -> "Fan":
         """Read {"rays", "maximal_cones", "rank"?}: distinct primitive
-        rays, and each cone a list of indices into them."""
+        rays, and distinct cones, each a list of distinct indices into
+        them, that together use every ray."""
         _json_fields(data, "fan", ("rays", "maximal_cones"))
         rays = tuple(_json_lattice_vectors(data["rays"], "fan ray"))
         rank = _json_rank(data, rays, "fan")
@@ -748,5 +749,15 @@ class Fan(NamedTuple):
                if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(rays)]
         if bad:
             raise ValueError("fan cone index %r is not one of the %d rays" % (bad[0], len(rays)))
+        seen = set()
+        for c in cones:
+            if len(set(c)) != len(c):
+                raise ValueError("fan cone %s repeats an index" % list(c))
+            if frozenset(c) in seen:
+                raise ValueError("fan cone %s is listed twice" % list(c))
+            seen.add(frozenset(c))
+        loose = set(range(len(rays))).difference(*seen)
+        if loose:
+            raise ValueError("fan ray %s lies in no cone" % list(rays[min(loose)]))
         return cls(rank=rank, rays=rays, maximal_cones=cones)
 

@@ -203,7 +203,10 @@ def projective_tilde(d: DeformationDatum) -> ProjectiveTilde:
 
     The datum's cone must hold e0 in its interior and its functional must
     kill e0; the boundary monomial is only emitted when the polarization
-    is at least an integral divisor.
+    is at least an integral divisor.  Then (e0, 0) stays interior to the
+    enlarged cone: with Q inside sigma (condition (i)) it is a strictly
+    positive combination of every generator, and the second ``from_cone``
+    refuses the permuted cone otherwise.
     """
     v = PolarizedToricVariety.from_cone(d.sigma)
     n = v.n
@@ -212,9 +215,6 @@ def projective_tilde(d: DeformationDatum) -> ProjectiveTilde:
     require_valid(d)
     t = build_tilde(d)
     k = d.k
-    e0_tilde = (0,) * n + (1,) + (0,) * k
-    if not t.cone.interior_contains(e0_tilde):
-        raise OriginNotInteriorError("enlarged cone lost interiority")
     perm = list(range(n)) + list(range(n + 1, n + 1 + k)) + [n]
     vt = PolarizedToricVariety.from_cone(t.cone.permuted(perm))
     w_cox = tuple(t.w_tilde[:n]) + tuple(t.w_tilde[n + 1:])

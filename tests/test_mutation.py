@@ -607,6 +607,22 @@ def test_family_fan_is_the_normal_fan_of_q_tilde():
             oracles.normal_fan_reference(fam.q_tilde), d.w
 
 
+def test_q_tilde_is_the_hull_of_the_predicted_rows():
+    # Q~ is read off the induced pair; the predicted rays, with 1 below
+    # and above w = 0 and 0 on F, must be exactly its facets
+    fano, d, _ = p114_setup()
+    cases = corpus.random_mutation_cases(40) + _rank3_cases() + [(fano, d)]
+    for fano, d in cases:
+        fam = mutation_family(fano, d)
+        up = [v + (0,) for v in fano.vertices() if dot(d.w, v) >= 0]
+        down = [v + (dot(d.w, v),) for v in fam.mutated.vertices()
+                if dot(d.w, v) < 0]
+        top = [f + (1,) for f in d.factor.lattice_vertices()]
+        assert fam.q_tilde == Polyhedron.from_inequalities(
+            fano.n + 1, [(r, 1) for r in up + down] + [(r, 0) for r in top]), \
+            (fano.vertices(), d.w)
+
+
 def test_pencil_enumerates_no_lattice_points(monkeypatch):
     # validation, the mutation, the pencil and both special fibres read
     # the vertices of P and F alone
@@ -635,9 +651,9 @@ def test_pencil_enumerates_no_lattice_points(monkeypatch):
     d = validate_mutation_datum(fano, w, f)
     mutate(fano, d)
     fam = mutation_family(fano, d)
-    assert built == [3]  # the glued polytope Q~ of the pencil
+    assert built == []  # Q~ is the induced pair's moment polytope
     projective_tilde(fam.induced_datum)
-    assert built == [3]
+    assert built == []
     for point in ((0, 1, -1), (1, 0, -1)):
         assert specialize_fiber(fam, point).matched is True
     assert enumerated == []
@@ -661,7 +677,8 @@ def test_induced_boundary_datum_frozen():
 def test_cones_over_polytopes_are_read_not_hulled(monkeypatch):
     # tau over a hulled polygon and the moment polytope read cones the hulls
     # already built; the induced datum hulls G^ alone, in two passes, and
-    # reads F^ off F's cone
+    # reads F^ off F's cone; the family hulls the mutation, G^, Q and the
+    # enlarged cone, two passes each, and reads Q~ off the induced tau
     passes = []
     dd = polyhedral.dual_description
 
@@ -691,6 +708,9 @@ def test_cones_over_polytopes_are_read_not_hulled(monkeypatch):
         f_hat = convex_hull(n + 1, [u + (0,) for u in d.factor.lattice_vertices()])
         assert ind.summands[1] == f_hat
         assert ind.summands[1].cone == f_hat.cone
+        del passes[:]
+        mutation_family(fano, d)
+        assert len(passes) == 8
 
 
 def test_family_carries_induced_enlargement():
@@ -753,25 +773,19 @@ def _induced_trinomial_reversed(d):
     return pt._replace(trinomials=(tri._replace(terms=tri.terms[::-1]),))
 
 
-def _flat_hull(cls, rank, inequalities):
-    return convex_hull(rank, [(0,) * rank, (1,) + (0,) * (rank - 1)])
-
-
 @pytest.mark.parametrize("owner, name, fault, message", [
-    # the lower vertex (-1, -1) lifted to height 0 leaves Q~ no floor
+    # the lower vertex (-1, -1) lifted above w = 0 leaves no ray below
     (mutation_module, "mutate", _moved_vertex((-1, -1), (-1, 0)),
-     "glued polytope is not bounded"),
-    # Q~ holds a neighbourhood of (0, t) for small t > 0, whatever P, F and
-    # the mutation are, so only a fault in its hull makes it flat
-    (Polyhedron, "from_inequalities", classmethod(_flat_hull),
-     "glued polytope is not full-dimensional"),
+     "normal fan rays ((-1, -1, -1), (0, 0, 1), (0, 1, 0), (2, 1, 1)) differ "
+     "from the predicted list ((0, 0, 1), (0, 1, 0), (2, 1, 1))"),
     (mutation_module, "mutate", _moved_vertex((-1, -1), (-2, -2)),
      "normal fan rays ((-1, -1, -1), (0, 0, 1), (0, 1, 0), (2, 1, 1)) differ "
      "from the predicted list ((-2, -2, -2), (0, 0, 1), (0, 1, 0), (2, 1, 1))"),
     # a fault in the induced datum fails its validation first, so the fan
     # check is reached through the induced pair
     (mutation_module, "projective_tilde", _induced_fan_moved,
-     "induced construction produced different ambient rays"),
+     "normal fan rays ((-2, -2, -2), (0, 0, 1), (0, 1, 0), (2, 1, 1)) differ "
+     "from the predicted list ((-1, -1, -1), (0, 0, 1), (0, 1, 0), (2, 1, 1))"),
     (mutation_module, "projective_tilde", _induced_cox_moved,
      "trinomial is not grading-homogeneous"),
     (mutation_module, "projective_tilde", _induced_trinomial_reversed,

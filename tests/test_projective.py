@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from toricdeform.datum import build_datum
-from toricdeform.lattice import primitive, vneg
+from toricdeform import projective
+from toricdeform.datum import build_datum, build_tilde
+from toricdeform.lattice import primitive, vneg, vscale
 from toricdeform.polyhedral import Cone, Fan, Polyhedron, convex_hull
 from toricdeform.presets import (
     ca1_sigma,
@@ -226,3 +227,21 @@ def test_projective_tilde_boundary_needs_integral_polarization():
     pt = projective_tilde(plain)
     assert pt.boundary is None
     assert len(pt.trinomials) == 1
+
+
+@pytest.mark.parametrize("e0_sign", [1, -1])
+def test_projective_tilde_refuses_an_enlarged_cone_without_e0_inside(
+        monkeypatch, e0_sign):
+    # with condition (i) and e0 interior to sigma, (e0, 0) is interior to
+    # the enlarged cone; a faulted enlargement that puts it on the boundary
+    # (a ray of the orthant) or outside is refused by the second from_cone
+    def faulty(d):
+        t = build_tilde(d)
+        rank = t.cone.rank
+        units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+        units[d.rank - 1] = vscale(e0_sign, units[d.rank - 1])
+        return t._replace(cone=Cone.from_generators(rank, units))
+
+    monkeypatch.setattr(projective, "build_tilde", faulty)
+    with pytest.raises(OriginNotInteriorError):
+        projective_tilde(p2_p114_family().induced_datum)
