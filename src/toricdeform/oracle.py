@@ -7,32 +7,27 @@ degree bound prunes, so the cost follows the bound (see
 ``hilbert_basis``).  The equality checks enumerate characters up to an
 explicit degree bound and decide ideal membership only through the
 constructive certificates (cofactor monomials and divisibility of
-exponent vectors), never by general reduction.  ``lattice_points``
-hands the characters over in runs (one prefix, consecutive last
-coordinates), and the Cox exponents are computed once per run: each
-further point of a run adds the exponents of the last unit vector to its
-predecessor's.  The boundary check decides interiority once per N-part.  The degree-zero check
-tables the exponent sums of the drops once per call, keyed by the shift
-r[n:] - s[n:] between the two characters of a pair, and decides each
-pair by comparing its characters' exponents with one entry's, so a
-passing pair builds no tuple; for a one-signed shift one side drops
-nothing and reads its character's sign.  The ``KernelWitness`` of the
-passing pairs are built only when the report's witnesses are first
-read, so until then memory follows the characters, not the pairs.  The
-inner loops run on plain int tuples with ``map``.  The equality reports
-are approximations by design: they certify no failure below the bound,
-not a full proof.
+exponent vectors), never by general reduction.  Both stream their
+characters from ``lattice_runs`` in lex order, with one Cox exponent call
+per run (``_with_exps``).  The degree-zero check pairs the characters of
+one N-part and drops them before the next, so its memory follows one
+N-part, not the bound, and builds its ``KernelWitness`` records only when
+they are first read.  The inner loops run on plain int tuples with
+``map``.  The equality reports are approximations by design: they
+certify no failure below the bound, not a full proof.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
+from itertools import groupby
 from math import prod
 from operator import add, ge, le, mul, sub
 from typing import NamedTuple
 
 from .lattice import hermite_normal_form, vsub
-from .polyhedral import Cone, Polyhedron, _canonical_dual, lattice_points
+from .polyhedral import Cone, Polyhedron, _canonical_dual, lattice_points, lattice_runs
 
 
 class HilbertBasis(NamedTuple):
@@ -197,8 +192,8 @@ class _Witnesses(Sequence):
     The length, the number of passing pairs, is known without building
     anything.  The first iteration or index calls build, which yields
     every witness in the order of the pair walk, keeps them, and drops
-    build and the walk's state that it holds.  It equals only itself and
-    has no ``+``; ``tuple()`` of it gives a tuple.
+    build.  It equals only itself and has no ``+``; ``tuple()`` of it
+    gives a tuple.
     """
 
     __slots__ = ("_len", "_build", "_kept")
@@ -235,7 +230,7 @@ class OracleReport(NamedTuple):
         return {"checked": self.checked, "failures": list(self.failures)}
 
 
-def _character_points(t, bound: int) -> tuple:
+def _character_polytope(t, bound: int) -> Polyhedron:
     # the characters u of the dual cone with <total, u> <= bound, graded by
     # the sum of the enlarged cone's own rays
     _require_bound(bound)
@@ -243,29 +238,63 @@ def _character_points(t, bound: int) -> tuple:
     total = tuple(sum(xi[i] for xi in c.rays) for i in range(c.rank))
     ineqs = [(xi, 0) for xi in c.rays]
     ineqs.append((tuple(-x for x in total), bound))
-    return lattice_points(Polyhedron.from_inequalities(c.rank, ineqs))
+    return Polyhedron.from_inequalities(c.rank, ineqs)
 
 
-def _with_exps(points, exps):
-    """Pair each point with its Cox exponents, one exps call per run.
-
-    A point that repeats its predecessor's prefix with a last coordinate
-    one higher steps the predecessor's exponents by the exponents of the
-    last unit vector; any other point calls exps.  Only the linearity of
-    exps is assumed, so this is exact in any order; the lex order of
-    lattice_points makes every point after a run's first a step.
-    """
-    col = head = last = None
-    for p in points:
-        h = p[:-1]
-        if h == head and p[-1] == last + 1:
-            e = tuple(map(add, e, col))
-        else:
-            e = exps(p)
-            if col is None:
-                col = exps((0,) * len(h) + (1,))
+def _with_exps(runs, exps):
+    """Each point of the runs with its Cox exponents, one exps call per
+    run: exps is linear, so each point of a run adds the exponents of the
+    last unit vector to its predecessor's."""
+    col = None
+    for prefix, lo, hi in runs:
+        if col is None:
+            col = exps((0,) * len(prefix) + (1,))
+        p = prefix + (lo,)
+        e = exps(p)
         yield p, e
-        head, last = h, p[-1]
+        for x in range(lo + 1, hi + 1):
+            e = tuple(map(add, e, col))
+            yield prefix + (x,), e
+
+
+def _pair_walk(t, points, passing: bool):
+    """For each N-part of the lex-sorted (character, exponents) pairs, its
+    number of characters and the (r, s, d, q, cofactor_r, cofactor_s,
+    Z(d^+)) of its pairs that pass the cofactor test, or that fail it
+    (see degree_zero_equality_check)."""
+    n = t.n
+    ys, zs = tuple(zip(*t.pairings.y_exps)), tuple(zip(*t.pairings.z_exps))
+    by_shift = {}
+
+    def tabulate(d):
+        # d itself (every witness of the shift shares it), d^+, then per
+        # ray Y(d^+), Z(d^+) and Y(d^-); a zero drop's Y is None
+        up = tuple(x if x > 0 else 0 for x in d)
+        dn = tuple(-x if x < 0 else 0 for x in d)
+        entry = by_shift[d] = (
+            d, up, tuple(sum(map(mul, up, y)) for y in ys) if any(up) else None,
+            tuple(sum(map(mul, up, z)) for z in zs),
+            tuple(sum(map(mul, dn, y)) for y in ys) if any(dn) else None)
+        return entry
+
+    for head, group in groupby(points, lambda pe: pe[0][:n]):
+        group = [(p, p[n:], e, min(e) >= 0) for p, e in group]
+        picked = []
+        for a, (r, rt, er, ok_r) in enumerate(group):
+            for s, st, es, ok_s in group[a:]:
+                d = tuple(map(sub, rt, st))
+                d, up, ys_up, zs_up, ys_dn = by_shift.get(d) or tabulate(d)
+                if ((ok_r if ys_up is None else all(map(ge, er, ys_up))) and (
+                        ok_s if ys_dn is None else all(map(ge, es, ys_dn)))) != passing:
+                    continue
+                if ys_up is None:  # d <= 0: the tails' minimum is r's
+                    q, pr = r, er
+                else:  # q is s when d >= 0, else the tails' minimum
+                    q = s if ys_dn is None else head + tuple(map(sub, rt, up))
+                    pr = tuple(map(sub, er, ys_up))
+                ps = es if ys_dn is None else tuple(map(sub, es, ys_dn))
+                picked.append((r, s, d, q, pr, ps, zs_up))
+        yield len(group), picked
 
 
 def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
@@ -276,27 +305,26 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
     both Cox monomials with explicit cofactors; a failure of either is
     reported.  With the shift d = r[n:] - s[n:], r drops d^+ onto q and s
     drops d^-.  Each call tables, keyed by d, the per-ray sums Y(d^+),
-    Z(d^+) and Y(d^-) of those drops against the y and z exponents:
-    cofactor_r = exps(r) - Y(d^+) and cofactor_s = exps(s) - Y(d^-).
-    So a pair costs one lookup and at most one comparison per side, as
-    cofactor_r has no negative entry iff exps(r) >= Y(d^+) componentwise,
-    and a passing pair builds nothing.  A one-signed shift drops nothing
-    on one side (the table keeps that Y as None): that side's cofactor is
-    its character's exponents, whose sign is read once per point, and q
-    is s when d >= 0 and r when d <= 0; only a mixed shift builds q from
-    the tails' minimum.  The exponents themselves cost one exps call per
-    run of characters (see ``_with_exps``).  Since y_i - z_i is the i-th
+    Z(d^+) and Y(d^-) of those drops against the y and z exponents
+    (``_pair_walk``): cofactor_r = exps(r) - Y(d^+) and cofactor_s = exps(s)
+    - Y(d^-).  So a pair costs one lookup and at most one comparison per
+    side, as cofactor_r has no negative entry iff exps(r) >= Y(d^+)
+    componentwise, and a passing pair builds nothing.  A one-signed shift
+    drops nothing on one side (the table keeps that Y as None): that
+    side's cofactor is its character's exponents, whose sign is read once
+    per point, and q is s when d >= 0 and r when d <= 0; only a mixed
+    shift builds q from the tails' minimum.  Since y_i - z_i is the i-th
     tail row of the rays, exps is linear and exps(q) = cofactor_r +
     Z(d^+).  The z exponents are >= 0, so exps(q) >= cofactor_r:
     cofactors with no negative entry already put q in the dual cone, and
     exps(q) is summed only for a failing pair.  Both facts are checked
     once per call (ValueError otherwise).
 
-    The report's witnesses have the number of passing pairs as their
-    length from the start; the first iteration or index walks the pairs
-    again and builds one ``KernelWitness`` per passing pair, in the order
-    of the walk.  Each takes the table entry's d as its shifts, so the
-    witnesses of one shift share that tuple.
+    The characters of one N-part, which lex order keeps together, are
+    paired and dropped before the next is read, so memory follows the
+    largest N-part, not the bound.  The witnesses' length, the number of
+    passing pairs, is known at once; their first read walks the pairs
+    again (``_witness_walk``), and until then they hold t and the polytope.
     """
     n = t.n
     exps, rays = t.pairings.exps, t.pairings.rays
@@ -306,70 +334,30 @@ def degree_zero_equality_check(t, bound: int = 12) -> OracleReport:
         raise ValueError("y minus z exponents differ from the ray tails")
     if any(z < 0 for row in z_exps for z in row):
         raise ValueError("negative z exponent")
-    ray_ys = tuple(zip(*y_exps))
-    ray_zs = tuple(zip(*z_exps))
-    by_shift = {}
-
-    def tabulate(d):
-        # d itself (every witness of the shift shares it), d^+, then per
-        # ray Y(d^+), Z(d^+) and Y(d^-); a zero drop's Y is None
-        up = tuple(x if x > 0 else 0 for x in d)
-        dn = tuple(-x if x < 0 else 0 for x in d)
-        entry = (d, up,
-                 tuple(sum(map(mul, up, y)) for y in ray_ys) if any(up) else None,
-                 tuple(sum(map(mul, up, z)) for z in ray_zs),
-                 tuple(sum(map(mul, dn, y)) for y in ray_ys) if any(dn) else None)
-        by_shift[d] = entry
-        return entry
-
-    buckets = {}
-    for p, e in _with_exps(_character_points(t, bound), exps):
-        buckets.setdefault(p[:n], []).append((p, p[n:], e, min(e) >= 0))
-
-    def factor(head, r, rt, er, s, es, entry):
-        # q and both cofactors of a pair, from its shift's table entry
-        d, up, ys_up, zs_up, ys_dn = entry
-        if ys_up is None:  # d <= 0: the tails' minimum is r's
-            q, pr = r, er
-        else:  # q is s when d >= 0, else the tails' minimum
-            q = s if ys_dn is None else head + tuple(map(sub, rt, up))
-            pr = tuple(map(sub, er, ys_up))
-        return q, pr, es if ys_dn is None else tuple(map(sub, es, ys_dn))
-
+    poly = _character_polytope(t, bound)
     checked = 0
     failures = []
-    for head, group in buckets.items():
-        checked += len(group) * (len(group) + 1) // 2
-        for a, (r, rt, er, ok_r) in enumerate(group):
-            for s, st, es, ok_s in group[a:]:
-                d = tuple(map(sub, rt, st))
-                entry = by_shift.get(d) or tabulate(d)
-                _, _, ys_up, zs_up, ys_dn = entry
-                if (ok_r if ys_up is None else all(map(ge, er, ys_up))) and (
-                        ok_s if ys_dn is None else all(map(ge, es, ys_dn))):
-                    continue
-                q, pr, _ = factor(head, r, rt, er, s, es, entry)
-                if min(map(add, pr, zs_up)) < 0:  # exps(q)
-                    failures.append({"r": list(r), "s": list(s),
-                                     "reason": "q outside the dual cone",
-                                     "q": list(q)})
-                else:
-                    failures.append({"r": list(r), "s": list(s),
-                                     "reason": "cofactor not a monomial"})
-
-    def witnesses():
-        # the walk again, every shift now tabled: a pair whose cofactors
-        # have no negative entry is the one the walk above passed
-        for head, group in buckets.items():
-            for a, (r, rt, er, _) in enumerate(group):
-                for s, st, es, _ in group[a:]:
-                    entry = by_shift[tuple(map(sub, rt, st))]
-                    q, pr, ps = factor(head, r, rt, er, s, es, entry)
-                    if min(pr) >= 0 and min(ps) >= 0:
-                        yield KernelWitness(r, s, entry[0], q, pr, ps)
-
+    for size, failing in _pair_walk(t, _with_exps(lattice_runs(poly), exps), False):
+        checked += size * (size + 1) // 2
+        for r, s, _, q, pr, _, zs_up in failing:
+            if min(map(add, pr, zs_up)) < 0:  # exps(q)
+                failures.append({"r": list(r), "s": list(s),
+                                 "reason": "q outside the dual cone",
+                                 "q": list(q)})
+            else:
+                failures.append({"r": list(r), "s": list(s),
+                                 "reason": "cofactor not a monomial"})
     return OracleReport(checked=checked, failures=tuple(failures),
-                        witnesses=_Witnesses(checked - len(failures), witnesses))
+                        witnesses=_Witnesses(checked - len(failures),
+                                             partial(_witness_walk, t, poly)))
+
+
+def _witness_walk(t, poly):
+    """The passing pairs' KernelWitness records, by the check's walk over
+    lattice_points: the witnesses kept outweigh the characters."""
+    points = lattice_points(poly)
+    for _, passing in _pair_walk(t, zip(points, map(t.pairings.exps, points)), True):
+        yield from (KernelWitness(*pair[:6]) for pair in passing)
 
 
 def revalidate_witness(t, w: KernelWitness) -> bool:
@@ -411,6 +399,7 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
     with the variables sitting over the rays of the base cone.
     Interiority reads only the N-part, so it is decided once per N-part;
     with k >= 1 the last coordinate is a tail one, and a run shares it.
+    The characters stream from lattice_runs and are counted as they go.
     """
     if not t.datum.boundary:
         raise ValueError("boundary comparison needs a boundary datum")
@@ -418,10 +407,11 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
     yexps, exps = t.pairings.y_exps, t.pairings.exps
     z_mask, zs_mask = t.pairings.boundary_mask, t.pairings.zero_tail_mask
     sigma_rays = t.datum.sigma.rays
-    pts = _character_points(t, bound)
+    checked = 0
     failures = []
     u = None
-    for u_t, e in _with_exps(pts, exps):
+    for u_t, e in _with_exps(lattice_runs(_character_polytope(t, bound)), exps):
+        checked += 1
         if u_t[:n] != u:
             u = u_t[:n]
             interior = all(sum(map(mul, u, rho)) >= 1 for rho in sigma_rays)
@@ -431,4 +421,4 @@ def boundary_equality_check(t, bound: int = 12) -> OracleReport:
             failures.append({"u_tilde": list(u_t),
                              "interior": interior,
                              "in_ideal": in_ideal})
-    return OracleReport(checked=len(pts), failures=tuple(failures))
+    return OracleReport(checked=checked, failures=tuple(failures))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import (
     ZeroVectorError,
@@ -642,8 +642,9 @@ def _level_inequalities(p: Polyhedron, i: int) -> list:
     return _split_inequalities(_fold(fac_p, fac_l), rows)
 
 
-def lattice_points(p: Polyhedron) -> tuple:
-    """All lattice points of a bounded polyhedron, sorted lexicographically.
+def lattice_runs(p: Polyhedron) -> Iterator[tuple]:
+    """The lattice points of a bounded polyhedron of rank >= 1 as nonempty
+    runs (prefix, lo, hi), the points prefix + (x,) for lo <= x <= hi.
 
     Project-and-lift enumeration (as in Normaliz): level i holds the
     inequalities of the hull of the vertices projected to the first i + 1
@@ -653,21 +654,20 @@ def lattice_points(p: Polyhedron) -> tuple:
     its lower (a > 0) and upper (a < 0) bounds, both present as p is
     bounded: a row with a = 0 holds on the projection that level i - 1
     cuts out, where every prefix lies.  So x_i runs over an integer
-    interval.  The last level emits its whole interval at once, as the run
-    prefix + (x,) for each x in it.  x_i increases at every level, so the
-    output is sorted.
+    interval, and the last level's interval is one run.  x_i increases at
+    every level, so the runs come in lex order, no two with one prefix.
+    The walk holds one prefix, never the points.
     """
     if p.is_empty:
-        return ()
+        return
     if not p.is_bounded:
         raise UnboundedError("Unbounded: lattice point enumeration needs a polytope")
     if not p.rank:
-        return ((),)
+        raise ValueError("a rank-0 polytope has no runs")
     levels = [_level_inequalities(p, i) for i in range(1, p.rank)] + [p.inequalities]
     bounds = [([(u, c) for u, c in rows if u[i] > 0], [(u, c) for u, c in rows if u[i] < 0])
               for i, rows in enumerate(levels)]
     last = p.rank - 1
-    out = []
     point = []
 
     def lift(i):
@@ -676,16 +676,24 @@ def lattice_points(p: Polyhedron) -> tuple:
         lo = max([-((c + sum(map(mul, u, point))) // u[i]) for u, c in lower])
         hi = min([(-c - sum(map(mul, u, point))) // u[i] for u, c in upper])
         if i == last:
-            prefix = tuple(point)
-            out.extend([prefix + (x,) for x in range(lo, hi + 1)])
+            if lo <= hi:
+                yield tuple(point), lo, hi
             return
         for x in range(lo, hi + 1):
             point.append(x)
-            lift(i + 1)
+            yield from lift(i + 1)
             point.pop()
 
-    lift(0)
-    return tuple(out)
+    yield from lift(0)
+
+
+def lattice_points(p: Polyhedron) -> tuple:
+    """All lattice points of a bounded polyhedron, sorted lexicographically
+    (its lattice_runs, flattened; in rank 0, () is the one point)."""
+    if not p.rank:
+        return () if p.is_empty else ((),)
+    return tuple([prefix + (x,) for prefix, lo, hi in lattice_runs(p)
+                  for x in range(lo, hi + 1)])
 
 
 def membership_scaling(q: Polyhedron, v: Sequence) -> bool:
@@ -731,8 +739,9 @@ class Fan(NamedTuple):
     @classmethod
     def from_json(cls, data) -> "Fan":
         """Read {"rays", "maximal_cones", "rank"?}: distinct primitive
-        rays, and distinct cones, each a list of distinct indices into
-        them, that together use every ray."""
+        rays, and nonempty cones, each a list of distinct indices into
+        them, none of whose index sets lies in another's, that together
+        use every ray."""
         _json_fields(data, "fan", ("rays", "maximal_cones"))
         rays = tuple(_json_lattice_vectors(data["rays"], "fan ray"))
         rank = _json_rank(data, rays, "fan")
@@ -751,11 +760,16 @@ class Fan(NamedTuple):
             raise ValueError("fan cone index %r is not one of the %d rays" % (bad[0], len(rays)))
         seen = set()
         for c in cones:
+            if not c:
+                raise ValueError("fan cone [] is empty")
             if len(set(c)) != len(c):
                 raise ValueError("fan cone %s repeats an index" % list(c))
             if frozenset(c) in seen:
                 raise ValueError("fan cone %s is listed twice" % list(c))
             seen.add(frozenset(c))
+            wider = [d for d in cones if set(c) < set(d)]
+            if wider:
+                raise ValueError("fan cone %s lies in fan cone %s" % (list(c), list(wider[0])))
         loose = set(range(len(rays))).difference(*seen)
         if loose:
             raise ValueError("fan ray %s lies in no cone" % list(rays[min(loose)]))

@@ -13,7 +13,7 @@ import toricdeform.oracle as oracle_module
 from toricdeform.datum import DeformationDatum, build_datum, build_tilde
 from toricdeform.oracle import (
     KernelWitness,
-    _character_points,
+    _character_polytope,
     _parallelepiped,
     _with_exps,
     boundary_equality_check,
@@ -21,7 +21,7 @@ from toricdeform.oracle import (
     hilbert_basis,
     revalidate_witness,
 )
-from toricdeform.polyhedral import Cone, convex_hull
+from toricdeform.polyhedral import Cone, convex_hull, lattice_points, lattice_runs
 from toricdeform.presets import (
     ca1_datum,
     ca1_sigma,
@@ -414,25 +414,39 @@ def test_witnesses_are_built_on_first_read(monkeypatch):
     assert len(built) == len(first)  # the later reads built none
 
 
-def test_degree_zero_memory_follows_the_characters():
-    # no witness is kept before it is read: the pairs of the top
-    # benchmark rung (29,458) cost no memory of their own
+def _characters(t, bound):
+    return lattice_points(_character_polytope(t, bound))
+
+
+@pytest.mark.parametrize("check", [degree_zero_equality_check,
+                                   boundary_equality_check])
+def test_check_memory_is_flat_in_the_bound(check):
+    # the characters stream, one N-part at a time, and no witness is kept
+    # before it is read: the traced peak of the top degree-zero rung of
+    # the benchmark (29,458 pairs) and of the next one (174,624 pairs)
+    # stays flat.  The warm-up fills the interpreter's tuple free lists,
+    # which tracemalloc counts as allocated on their first fill
     t = build_tilde(ca1_datum(3))
-    tracemalloc.start()
-    try:
-        rep = degree_zero_equality_check(t, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.checked == 29458
-    assert peak < 5 * 2**20, peak
+    check(t, 12)
+    peaks = {}
+    for bound in (20, 30):
+        tracemalloc.start()
+        try:
+            rep = check(t, bound)
+            peaks[bound] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+    assert max(peaks.values()) < 256 * 2**10, peaks
+    if check is degree_zero_equality_check:
+        assert rep.checked == 174624
 
 
 def assert_degree_zero_matches_reference(t, bound):
     rep = degree_zero_equality_check(t, bound=bound)
     p = t.pairings
     want = degree_zero_oracle(t.n, p.rays, p.y_exps, p.z_exps,
-                              _character_points(t, bound))
+                              _characters(t, bound))
     got = [tuple(w) for w in rep.witnesses]
     assert (rep.checked, list(rep.failures), got) == want
     assert len(rep.witnesses) == rep.checked - len(rep.failures) == len(got)
@@ -560,7 +574,7 @@ def test_degree_zero_reads_exponents_once_per_point():
     # run, never once per pair
     t = build_tilde(hexagon_data()[0])
     bound = 6
-    points = _character_points(t, bound)
+    points = _characters(t, bound)
     runs = _runs(points)
     assert len(runs) < len(points)
     unit = (0,) * (t.n + t.k - 1) + (1,)
@@ -603,15 +617,15 @@ def _run_ladder():
 
 
 def test_stepped_exponents_match_exps():
-    # the step is exact in any order; lex order only makes it frequent
-    sample = corpus.rng(2137).sample
+    # at every point of every ladder run, the stepped exponents are exps
     stepped = 0
     for t, bound in _run_ladder():
         exps = t.pairings.exps
-        points = list(_character_points(t, bound))
-        stepped += len(points) - len(_runs(points))
-        for order in (points, points[::-1], sample(points, len(points))):
-            assert list(_with_exps(order, exps)) == [(x, exps(x)) for x in order]
+        runs = list(lattice_runs(_character_polytope(t, bound)))
+        points = [prefix + (x,) for prefix, lo, hi in runs
+                  for x in range(lo, hi + 1)]
+        stepped += len(points) - len(runs)
+        assert list(_with_exps(runs, exps)) == [(x, exps(x)) for x in points]
     assert stepped > 1000
 
 
@@ -666,7 +680,7 @@ def test_boundary_refuses_negative_bound():
 def _boundary_matches_reference(t, bound):
     rep = boundary_equality_check(t, bound)
     want = boundary_oracle(t.n, t.pairings.rays, t.datum.sigma.rays,
-                           _character_points(t, bound))
+                           _characters(t, bound))
     assert (rep.checked, list(rep.failures)) == want
     return rep
 

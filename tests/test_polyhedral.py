@@ -20,6 +20,7 @@ from toricdeform.polyhedral import (
     convex_hull,
     dual_description,
     lattice_points,
+    lattice_runs,
     membership_scaling,
     min_functional,
     minkowski_sum,
@@ -326,6 +327,19 @@ def test_fan_json_rejects_bad_ray(ray, why):
             "maximal_cones": [[0, 1], [1, 2], [0, 2]]}
     with pytest.raises(ValueError,
                        match=r"fan ray \[%d, %d\] is %s$" % (ray + (why,))):
+        Fan.from_json(data)
+
+
+@pytest.mark.parametrize("cones, message", [
+    ([[0, 1], [1, 2], [0, 2], [0]], r"fan cone \[0\] lies in fan cone \[0, 1\]"),
+    ([[2], [0, 1], [1, 2], [0, 2]], r"fan cone \[2\] lies in fan cone \[1, 2\]"),
+    ([[0, 1], [1, 2], [0, 2], []], r"fan cone \[\] is empty"),
+    ([[], [0, 1], [1, 2], [0, 2]], r"fan cone \[\] is empty")])
+def test_fan_json_rejects_a_cone_that_is_not_maximal(cones, message):
+    # a cone inside another listed cone, or the empty cone, used to reach
+    # polarize, which then blamed the support function
+    data = {"rays": [[1, 0], [0, 1], [-1, -1]], "maximal_cones": cones}
+    with pytest.raises(ValueError, match=message + "$"):
         Fan.from_json(data)
 
 
@@ -1045,15 +1059,11 @@ def _levels(p):
     return [_level_inequalities(p, i) for i in range(1, p.rank)] + [p.inequalities]
 
 
-def test_lattice_points_with_rows_that_do_not_bound_a_level():
-    # lift reads at level i only the rows with u[i] != 0; a row with
-    # u[i] = 0 holds on the projection that the previous level cuts out.
-    # Boxes and prisms have such rows, and so do polytopes inside a
-    # hyperplane whose equation is vertical at some level; each is
-    # checked with its unimodular images against the Fourier-Motzkin box
-    # scan, and the images also against the mapped points
+def _unbounding_rows_bases():
+    """Boxes, prisms and polytopes in a hyperplane whose equation is
+    vertical at some level: each has a row that bounds no level."""
     half = Fraction(1, 2)
-    bases = [
+    return [
         convex_hull(3, itertools.product((0, 2), (-1, 1), (1, 3))),
         convex_hull(3, itertools.product((-half, Fraction(5, 2)), (0, 1), (-1, half))),
         convex_hull(4, itertools.product((0, 1), (-1, 1), (0, 2), (1, 2))),
@@ -1064,6 +1074,23 @@ def test_lattice_points_with_rows_that_do_not_bound_a_level():
         convex_hull(3, [(1, 2, -2), (1, 2, 3)]),
         convex_hull(3, [(half, 0, 0), (half, 2, 0), (2, 2, 1)]),
     ]
+
+
+def _unimodular_image(r, p):
+    """p moved by a random unimodular matrix m, and m."""
+    m, _ = corpus.random_unimodular(r, p.rank)
+    return convex_hull(p.rank, [tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+                                for v in p.vertices]), m
+
+
+def test_lattice_points_with_rows_that_do_not_bound_a_level():
+    # lift reads at level i only the rows with u[i] != 0; a row with
+    # u[i] = 0 holds on the projection that the previous level cuts out.
+    # Boxes and prisms have such rows, and so do polytopes inside a
+    # hyperplane whose equation is vertical at some level; each is
+    # checked with its unimodular images against the Fourier-Motzkin box
+    # scan, and the images also against the mapped points
+    bases = _unbounding_rows_bases()
     r = corpus.rng(515)
     vertical = 0
     for p in bases:
@@ -1071,9 +1098,7 @@ def test_lattice_points_with_rows_that_do_not_bound_a_level():
         assert pts == brute_lattice_points(p.rank, p.inequalities), p
         images = [p]
         for _ in range(4):
-            m, _ = corpus.random_unimodular(r, p.rank)
-            image = convex_hull(p.rank, [tuple(sum(a * x for a, x in zip(row, v)) for row in m)
-                                         for v in p.vertices])
+            image, m = _unimodular_image(r, p)
             got = lattice_points(image)
             assert got == brute_lattice_points(image.rank, image.inequalities), image
             assert got == tuple(sorted(tuple(dot(row, x) for row in m) for x in pts))
@@ -1182,6 +1207,52 @@ def test_lattice_points_unbounded_raises():
     p = Polyhedron.from_points_and_rays(2, [(0, 0)], [(1, 1)])
     with pytest.raises(UnboundedError, match="Unbounded"):
         lattice_points(p)
+
+
+def _checked_runs(p):
+    """p's runs, checked: each is nonempty, and the prefixes strictly
+    increase, so the runs come in lex order and none continues its
+    predecessor."""
+    runs = list(lattice_runs(p))
+    assert all(lo <= hi for _, lo, hi in runs), p
+    assert all(a[0] < b[0] for a, b in zip(runs, runs[1:])), p
+    return runs
+
+
+def _flattened(runs):
+    return tuple(prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1))
+
+
+def test_lattice_runs_against_brute_points():
+    # flattened, the runs are the brute-force points: on the references
+    # of lattice_points and lower-dimensional polytopes, and on a
+    # unimodular image of each of rank >= 2, whose brute-force points are
+    # the mapped ones (a box scan of an image is slow)
+    r = corpus.rng(516)
+    cases = [convex_hull(2, [(0, 1), (4, 3)]), *_unbounding_rows_bases()]
+    cases += [corpus.random_polytope(r, rank, lo=-3, hi=3)
+              for rank in (2, 3) for _ in range(20)]
+    cases += [_flat_polytope(r, rank, dim)
+              for rank in range(1, 4) for dim in range(rank) for _ in range(10)]
+    long_runs = lattice_free = 0
+    for p in cases:
+        runs = _checked_runs(p)
+        brute = brute_lattice_points(p.rank, p.inequalities)
+        assert _flattened(runs) == brute, p
+        if p.rank > 1:
+            image, m = _unimodular_image(r, p)
+            assert _flattened(_checked_runs(image)) == tuple(
+                sorted(tuple(dot(row, x) for row in m) for x in brute)), image
+        long_runs += sum(lo < hi for _, lo, hi in runs)
+        lattice_free += not runs
+    assert long_runs > 100 and lattice_free > 0
+    # the empty, rank-0 and unbounded cases
+    for rank in (0, 1, 3):
+        assert list(lattice_runs(Polyhedron.empty(rank))) == []
+    with pytest.raises(ValueError, match="rank-0"):
+        list(lattice_runs(convex_hull(0, [()])))
+    with pytest.raises(UnboundedError, match="Unbounded"):
+        list(lattice_runs(Polyhedron.from_points_and_rays(2, [(0, 0)], [(1, 1)])))
 
 
 def test_membership_scaling_cases():

@@ -199,6 +199,16 @@ POLYGON_WITH_RAYS_7 = {"vertices": [[1, 0], [0, 1], [-1, -1]], "rays": 7}
     ("polarize", {"fan": dict(P2_FAN, maximal_cones=[[0, 1]]),
                   "phi": [-1, -1, -1]}),
     ("polarize", {"fan": dict(P2_FAN, maximal_cones=[]), "phi": [-1, -1, -1]}),
+    # a cone inside another listed cone, and the empty cone
+    ("polarize", {"fan": dict(P2_FAN, maximal_cones=[[0, 1], [1, 2], [0, 2],
+                                                     [0]]),
+                  "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, maximal_cones=[[1], [0, 1], [1, 2],
+                                                     [0, 2]]),
+                  "phi": [-1, -1, -1]}),
+    ("polarize", {"fan": dict(P2_FAN, maximal_cones=[[0, 1], [1, 2], [0, 2],
+                                                     []]),
+                  "phi": [-1, -1, -1]}),
 ])
 def test_malformed_payload_is_usage_error(capsys, tmp_path, command,
                                           payload):
